@@ -80,7 +80,7 @@ for i, part in enumerate(parts):
     print(
         f"  doc {i}: cross={part.l_cross.data:.4f} intra={part.l_intra.data:.4f} "
         f"sub={part.l_sub.data:.4f} total={part.total.data:.4f} "
-        f"(own tk={part.s_pos:.4f}, hardest other tk={part.s_neg:.4f})"
+        f"(own tk={part.s_pos:.4f}, own neg_tk={part.s_neg:.4f})"
     )
 
 print("\nswitching objectives off zeroes their terms:")

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .corpus import (
+    SPLITS,
     SynthConfig,
     generate_synthetic,
     load_corpus,
@@ -31,6 +32,7 @@ from .diagnostics import bias_report, document_spreads, spread_regression
 from .encoder import ModelConfig
 from .errors import (
     ConfigError,
+    CorpusValidationError,
     DegenerateEmbeddingError,
     DoclinkError,
     NonFiniteError,
@@ -136,6 +138,11 @@ def _splits_for(corpus_path, splits_path):
     return load_split_manifest(splits_path)
 
 
+def _require_documents(corpus, split: str) -> None:
+    if not corpus.split_documents(split):
+        raise CorpusValidationError(f"split {split!r} has no documents")
+
+
 def _model_config_from_checkpoint(path) -> ModelConfig:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -233,6 +240,7 @@ def cmd_eval(args) -> int:
     splits = _splits_for(args.corpus, args.splits)
     corpus = load_corpus(args.corpus, splits=splits)
     ks = _parse_ks(args.ks)
+    _require_documents(corpus, args.split)
     model_config = _model_config_from_checkpoint(args.checkpoint)
     params, _, _ = load_checkpoint(args.checkpoint, model_config)
 
@@ -249,7 +257,8 @@ def cmd_eval(args) -> int:
         },
     )
     p_line = " ".join(f"p@{k}={v:.4f}" for k, v in sorted(report.p_at.items()))
-    print(f"split={args.split} macro AUC={report.macro_auc:.4f} {p_line}")
+    auc = "n/a" if report.macro_auc is None else format(report.macro_auc, ".4f")
+    print(f"split={args.split} macro AUC={auc} {p_line}")
     return 0
 
 
@@ -274,6 +283,7 @@ def _word_table(args, corpus, params):
 def cmd_diagnose(args) -> int:
     splits = _splits_for(args.corpus, args.splits)
     corpus = load_corpus(args.corpus, splits=splits)
+    _require_documents(corpus, args.split)
 
     params = None
     model_config = None
@@ -371,7 +381,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--corpus", required=True)
     ev.add_argument("--splits")
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--split", default="test")
+    ev.add_argument("--split", default="test", choices=SPLITS)
     ev.add_argument("--ks", default="1,5", help="comma-separated precision cutoffs")
     ev.add_argument("--out", required=True)
     ev.add_argument("--force", action="store_true")
@@ -380,7 +390,7 @@ def build_parser() -> _Parser:
     dg = sub.add_parser("diagnose", help="bias and spread reports for a split")
     dg.add_argument("--corpus", required=True)
     dg.add_argument("--splits")
-    dg.add_argument("--split", default="test")
+    dg.add_argument("--split", default="test", choices=SPLITS)
     dg.add_argument("--out", required=True)
     dg.add_argument("--seed", type=int, default=0)
     dg.add_argument("--samples", type=int, default=5, help="cross negatives per sentence")

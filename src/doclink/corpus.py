@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigError, CorpusFormatError, CorpusValidationError
 from .rng import RngStream
 
+SPLITS = ("train", "val", "test")
+
 
 @dataclass(eq=False)
 class ImageRecord:
@@ -248,7 +250,7 @@ def load_vocab(path) -> dict:
 
 
 def save_split_manifest(splits: dict, path) -> None:
-    ordered = {name: list(splits.get(name, [])) for name in ("train", "val", "test")}
+    ordered = {name: list(splits.get(name, [])) for name in SPLITS}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(ordered, fh, ensure_ascii=False)
         fh.write("\n")
@@ -257,7 +259,7 @@ def save_split_manifest(splits: dict, path) -> None:
 def load_split_manifest(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return {name: [str(i) for i in raw.get(name, [])] for name in ("train", "val", "test")}
+    return {name: [str(i) for i in raw.get(name, [])] for name in SPLITS}
 
 
 def save_pretrained_embeddings(rows: dict, path) -> None:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .nn import LayerNormParams, TransformerLayerParams, linear, transformer_layer, xavier_uniform
 from .rng import RngStream
-from .tensor import Tensor, concat, embedding, matmul, transpose
+from .tensor import Tensor, concat, embedding, matmul, normalize_rows, transpose
 
 
 @dataclass
@@ -253,16 +253,15 @@ def encode_image(image: ImageRecord, params: ModelParams, config: ModelConfig) -
 
 
 def similarity_matrix(sentence_reps: Tensor, image_reps: Tensor) -> Tensor:
-    """Cosine similarity of every (sentence, image) pair: (n, m)."""
+    """Cosine similarity of every (sentence, image) pair: (n, m).
+
+    Evaluation calls it per document; the objective calls it once per
+    batch, on all the batch's sentences against all its images."""
     for name, reps in (("sentence", sentence_reps), ("image", image_reps)):
         norms = np.sqrt((reps.data**2).sum(axis=-1))
         if (norms == 0.0).any():
             raise DegenerateEmbeddingError(f"zero-norm {name} representation")
-    s_norm = (sentence_reps**2.0).sum(axis=1, keepdims=True) ** 0.5
-    v_norm = (image_reps**2.0).sum(axis=1, keepdims=True) ** 0.5
-    s_unit = sentence_reps * s_norm**-1.0
-    v_unit = image_reps * v_norm**-1.0
-    return matmul(s_unit, transpose(v_unit))
+    return matmul(normalize_rows(sentence_reps), transpose(normalize_rows(image_reps)))
 
 
 def document_similarity_matrix(doc: Document, params: ModelParams, config: ModelConfig) -> Tensor:

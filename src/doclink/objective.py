@@ -9,6 +9,19 @@ least-likely edges through the identity neg_tk(M) = -tk(-M).
 
 All losses are hinge-based with hard negative mining inside the mini-batch:
 the most offending other document supplies the gradient.
+
+Batched design: :func:`total_loss` concatenates the batch's sentence
+representations and its image representations, normalises each side once
+and takes one (all sentences) x (all images) cosine matrix.  Block
+(i, j) of that matrix pairs document i's sentences with document j's
+images.  One ``block_tk`` op turns it into the B x B table of tk values;
+the same op on the negated matrix gives the own documents' neg_tk, and on
+the gathered sub-document rows and columns of the diagonal blocks it gives
+the dropout positives.  Hardest negatives are maxima over the table's
+off-diagonal (ties go to the lowest document index), and every hinge is a
+B-vector, so the graph size does not grow with the batch.
+:func:`cross_document_loss` and :func:`dropout_subdoc_loss` are views of
+:func:`total_loss`.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ import numpy as np
 from .encoder import similarity_matrix
 from .errors import BatchError, ConfigError
 from .rng import RngStream
-from .tensor import Tensor, max_reduce, neg, relu, stack
+from .tensor import Tensor, block_tk, concat, max_reduce, neg, relu, take
 
 
 @dataclass
@@ -41,7 +54,8 @@ class ObjectiveConfig:
 
 @dataclass
 class LossBreakdown:
-    """Per-document objective values; tensors stay attached to the graph."""
+    """Per-document objective values, detached from the graph: gradients
+    flow through the batch mean that :func:`total_loss` returns."""
 
     l_cross: Tensor
     l_intra: Tensor
@@ -73,80 +87,12 @@ def tk(M: Tensor, k: int) -> Tensor:
     each selection.
     """
     rows, cols = M.shape
-    if k < 1 or k > max(rows, cols):
-        raise ConfigError(
-            f"k={k} invalid for a {rows}x{cols} matrix; need 1 <= k <= {max(rows, cols)}"
-        )
-    data = M.data
-    kr, kc = min(k, rows), min(k, cols)
-    weights = np.zeros_like(data)
-
-    row_arg = np.argmax(data, axis=1)
-    row_vals = data[np.arange(rows), row_arg]
-    for r in np.argsort(-row_vals, kind="stable")[:kr]:
-        weights[r, row_arg[r]] += 1.0
-
-    col_arg = np.argmax(data, axis=0)
-    col_vals = data[col_arg, np.arange(cols)]
-    for c in np.argsort(-col_vals, kind="stable")[:kc]:
-        weights[col_arg[c], c] += 1.0
-
-    return (M * Tensor(weights)).sum() * (1.0 / (kr + kc))
+    return block_tk(M, (0, rows), (0, cols), k).reshape(())
 
 
 def neg_tk(M: Tensor, k: int) -> Tensor:
     """Mean similarity of the least-likely edges: exactly -tk(-M, k)."""
     return neg(tk(neg(M), k))
-
-
-def _max_over(values: list) -> Tensor:
-    if len(values) == 1:
-        return values[0]
-    return max_reduce(stack(values))
-
-
-class _PairwiseCache:
-    """Similarity matrices and their tk values for every (i, j) document
-    pairing of a batch; built once and shared by all three objectives."""
-
-    def __init__(self, batch: list, config: ObjectiveConfig):
-        self.config = config
-        self.size = len(batch)
-        self.matrix = {}
-        self.tk_value = {}
-        for i, (sent, _) in enumerate(batch):
-            for j, (_, img) in enumerate(batch):
-                M = similarity_matrix(sent, img)
-                self.matrix[i, j] = M
-                self.tk_value[i, j] = tk(M, resolve_k(M.shape, config))
-
-
-def _cross_terms(cache: _PairwiseCache, positive: Tensor, i: int, margin: float) -> Tensor:
-    """Hinge vs the hardest negative pairing, both directions."""
-    sentence_side = [cache.tk_value[i, j] for j in range(cache.size) if j != i]
-    image_side = [cache.tk_value[j, i] for j in range(cache.size) if j != i]
-    return hinge(positive, _max_over(sentence_side), margin) + hinge(
-        positive, _max_over(image_side), margin
-    )
-
-
-def _require_batch(batch) -> None:
-    if len(batch) < 2:
-        raise BatchError(f"hard negative mining needs >= 2 documents, got {len(batch)}")
-
-
-def cross_document_loss(batch: list, config: ObjectiveConfig) -> list:
-    """Per-document hinge against the hardest non-co-occurring pairing.
-
-    ``batch`` holds (sentence_reps, image_reps) tensor pairs, one per
-    document.
-    """
-    _require_batch(batch)
-    cache = _PairwiseCache(batch, config)
-    return [
-        _cross_terms(cache, cache.tk_value[i, i], i, config.alpha)
-        for i in range(cache.size)
-    ]
 
 
 def intra_document_loss(M: Tensor, config: ObjectiveConfig) -> Tensor:
@@ -156,77 +102,171 @@ def intra_document_loss(M: Tensor, config: ObjectiveConfig) -> Tensor:
     return hinge(tk(M, k), neg_tk(M, k), config.alpha / 2.0)
 
 
+def _require_batch(batch) -> None:
+    if len(batch) < 2:
+        raise BatchError(f"hard negative mining needs >= 2 documents, got {len(batch)}")
+
+
+def _keep_count(count: int, p_sub: float) -> int:
+    return int(np.floor(p_sub * count))
+
+
 def _sample_subdocument(count: int, p_sub: float, rng: RngStream) -> np.ndarray:
-    keep = int(np.floor(p_sub * count))
+    keep = _keep_count(count, p_sub)
     if keep < 1:
         return np.array([], dtype=np.int64)
     return np.sort(rng.choice(count, size=keep, replace=False))
 
 
-def dropout_subdoc_loss(batch: list, config: ObjectiveConfig, rng: RngStream) -> list:
-    """Sub-document positives against full-document negatives (margin
-    alpha/2).  Degenerate draws (no sentences or no images kept) contribute
-    zero with a warning."""
-    _require_batch(batch)
-    cache = _PairwiseCache(batch, config)
-    return _subdoc_terms(batch, cache, config, rng)
+def check_k_override(shapes: list, config: ObjectiveConfig, use_sub: bool = True) -> None:
+    """Reject a ``k_override`` that some block of a batch drawn from these
+    documents could not satisfy, before any training step runs.
+
+    ``shapes`` holds (document id, sentences, images) for the documents of
+    one split; any two of them may share a batch.  Checked blocks: each
+    document's own matrix, its sub-document draw (when ``use_sub``), and
+    the cross-document pairing of the fewest sentences with the fewest
+    images.
+    """
+    k = config.k_override
+    if k is None or not shapes:
+        return
+
+    def check(rows: int, cols: int, what: str) -> None:
+        if k > max(rows, cols):
+            raise ConfigError(
+                f"k_override={k} exceeds the {rows}x{cols} {what}; "
+                f"need k_override <= {max(rows, cols)}"
+            )
+
+    for doc_id, n, m in shapes:
+        check(n, m, f"matrix of document {doc_id!r}")
+        rows, cols = _keep_count(n, config.p_sub), _keep_count(m, config.p_sub)
+        if use_sub and rows >= 1 and cols >= 1:
+            check(rows, cols, f"sub-document of document {doc_id!r} (p_sub={config.p_sub})")
+    fewest_sent = min(shapes, key=lambda s: s[1])
+    fewest_img = min(shapes, key=lambda s: s[2])
+    check(
+        fewest_sent[1],
+        fewest_img[2],
+        f"pairing of document {fewest_sent[0]!r} sentences with document "
+        f"{fewest_img[0]!r} images",
+    )
 
 
-def _subdoc_terms(batch: list, cache: _PairwiseCache, config: ObjectiveConfig, rng: RngStream) -> list:
-    losses = []
-    for i, (sent, img) in enumerate(batch):
-        rows = _sample_subdocument(sent.shape[0], config.p_sub, rng)
-        cols = _sample_subdocument(img.shape[0], config.p_sub, rng)
-        if rows.size == 0 or cols.size == 0:
+def _offsets(sizes) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+
+
+def _subdoc_positives(S: Tensor, row_off, col_off, config: ObjectiveConfig, rng: RngStream):
+    """tk of each document's sub-document draw from its diagonal block of
+    ``S``, plus the indices of the documents whose draw is not degenerate.
+    Draw order: rows then columns, per document, in batch order."""
+    rows, cols, kept = [], [], []
+    for i in range(len(row_off) - 1):
+        r = _sample_subdocument(row_off[i + 1] - row_off[i], config.p_sub, rng)
+        c = _sample_subdocument(col_off[i + 1] - col_off[i], config.p_sub, rng)
+        if r.size == 0 or c.size == 0:
             warnings.warn(
                 f"document {i} in batch: sub-document degenerate under "
                 f"p_sub={config.p_sub}; contributing zero"
             )
-            losses.append(Tensor(0.0))
             continue
-        sub = cache.matrix[i, i][np.ix_(rows, cols)]
-        positive = tk(sub, resolve_k(sub.shape, config))
-        losses.append(_cross_terms(cache, positive, i, config.alpha / 2.0))
-    return losses
+        rows.append(r + row_off[i])
+        cols.append(c + col_off[i])
+        kept.append(i)
+    if not kept:
+        return None, np.array([], dtype=np.int64)
+    sub = take(S, np.ix_(np.concatenate(rows), np.concatenate(cols)))
+    positives = block_tk(
+        sub,
+        _offsets([r.size for r in rows]),
+        _offsets([c.size for c in cols]),
+        config.k_override,
+        diagonal=True,
+    )
+    return positives, np.array(kept, dtype=np.int64)
 
 
 def total_loss(
     batch: list,
     config: ObjectiveConfig,
-    rng: RngStream,
+    rng: RngStream | None,
     use_cross: bool = True,
     use_intra: bool = True,
     use_sub: bool = True,
 ):
     """Mean per-document total over the batch plus per-document breakdowns.
 
-    The pairwise similarity matrices and their tk values are computed once
-    and shared by the cross-document and sub-document objectives.
+    ``batch`` holds (sentence_reps, image_reps) tensor pairs, one per
+    document.  ``rng`` drives the sub-document draws and may be None when
+    ``use_sub`` is off.  The B x B tk table is computed once and shared by
+    all three objectives.
     """
     _require_batch(batch)
-    cache = _PairwiseCache(batch, config)
-    zero = Tensor(0.0)
-    sub_losses = _subdoc_terms(batch, cache, config, rng) if use_sub else None
+    size = len(batch)
+    row_off = _offsets([sent.shape[0] for sent, _ in batch])
+    col_off = _offsets([img.shape[0] for _, img in batch])
+    S = similarity_matrix(concat([s for s, _ in batch]), concat([v for _, v in batch]))
+    table = block_tk(S, row_off, col_off, config.k_override)
+    diag = np.arange(size)
+    s_pos = take(table, (diag, diag))
+    s_neg = neg(block_tk(neg(S), row_off, col_off, config.k_override, diagonal=True))
 
-    breakdowns = []
-    for i in range(cache.size):
-        own = cache.matrix[i, i]
-        k = resolve_k(own.shape, config)
-        s_pos = cache.tk_value[i, i]
-        s_neg = neg_tk(own, k)
-        l_cross = _cross_terms(cache, s_pos, i, config.alpha) if use_cross else zero
-        l_intra = hinge(s_pos, s_neg, config.alpha / 2.0) if use_intra else zero
-        l_sub = sub_losses[i] if use_sub else zero
-        total = l_cross + l_intra + l_sub
-        breakdowns.append(
-            LossBreakdown(
-                l_cross=l_cross,
-                l_intra=l_intra,
-                l_sub=l_sub,
-                total=total,
-                s_pos=float(s_pos.data),
-                s_neg=float(s_neg.data),
-            )
+    # Hardest negatives: row i pairs document i's sentences with the other
+    # documents' images, column i its images with their sentences.
+    others = table + Tensor(np.where(np.eye(size, dtype=bool), -np.inf, 0.0))
+    hardest_for_sentences = max_reduce(others, axis=1)
+    hardest_for_images = max_reduce(others, axis=0)
+
+    terms = []
+    per_doc = {name: np.zeros(size) for name in ("l_cross", "l_intra", "l_sub")}
+    if use_cross:
+        l_cross = hinge(s_pos, hardest_for_sentences, config.alpha) + hinge(
+            s_pos, hardest_for_images, config.alpha
         )
-    batch_mean = stack([b.total for b in breakdowns]).mean()
+        terms.append(l_cross)
+        per_doc["l_cross"] = l_cross.data
+    if use_intra:
+        l_intra = hinge(s_pos, s_neg, config.alpha / 2.0)
+        terms.append(l_intra)
+        per_doc["l_intra"] = l_intra.data
+    if use_sub:
+        positives, kept = _subdoc_positives(S, row_off, col_off, config, rng)
+        if positives is not None:
+            half = config.alpha / 2.0
+            l_sub = hinge(positives, take(hardest_for_sentences, kept), half) + hinge(
+                positives, take(hardest_for_images, kept), half
+            )
+            terms.append(l_sub)
+            per_doc["l_sub"][kept] = l_sub.data
+
+    batch_mean = concat(terms).sum() * (1.0 / size) if terms else Tensor(0.0)
+    totals = per_doc["l_cross"] + per_doc["l_intra"] + per_doc["l_sub"]
+    breakdowns = [
+        LossBreakdown(
+            l_cross=Tensor(per_doc["l_cross"][i]),
+            l_intra=Tensor(per_doc["l_intra"][i]),
+            l_sub=Tensor(per_doc["l_sub"][i]),
+            total=Tensor(totals[i]),
+            s_pos=float(s_pos.data[i]),
+            s_neg=float(s_neg.data[i]),
+        )
+        for i in range(size)
+    ]
     return batch_mean, breakdowns
+
+
+def cross_document_loss(batch: list, config: ObjectiveConfig) -> list:
+    """Per-document hinge against the hardest non-co-occurring pairing, in
+    both directions: the cross-document part of :func:`total_loss`."""
+    _, parts = total_loss(batch, config, None, use_intra=False, use_sub=False)
+    return [part.l_cross for part in parts]
+
+
+def dropout_subdoc_loss(batch: list, config: ObjectiveConfig, rng: RngStream) -> list:
+    """Sub-document positives against full-document negatives (margin
+    alpha/2): the sub-document part of :func:`total_loss`.  Degenerate
+    draws (no sentences or no images kept) contribute zero with a warning."""
+    _, parts = total_loss(batch, config, rng, use_cross=False, use_intra=False)
+    return [part.l_sub for part in parts]

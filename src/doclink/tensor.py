@@ -17,7 +17,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import InvalidMaskError, ShapeMismatchError
+from .errors import ConfigError, InvalidMaskError, ShapeMismatchError
 
 _grad_enabled = True
 
@@ -142,7 +142,7 @@ class Tensor:
     def sqrt(self):
         return sqrt(self)
 
-    def backward(self, retain_graph: bool = False):
+    def backward(self):
         backward(self)
 
 
@@ -474,6 +474,122 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         return dx, dgain, dbias
 
     return _make(out_data, (x, gain, bias), backward_fn, "layernorm")
+
+
+def normalize_rows(a) -> Tensor:
+    """Scale each row (last axis) to unit L2 norm, the cosine preparation.
+
+    Callers reject zero rows first.  The backward projects the incoming
+    gradient off each output row and divides by the row's norm.
+    """
+    a = _wrap(a)
+    inv = ((a.data**2.0).sum(axis=-1, keepdims=True) ** 0.5) ** -1.0
+    out_data = a.data * inv
+
+    def backward_fn(g):
+        return (inv * (g - out_data * (g * out_data).sum(axis=-1, keepdims=True)),)
+
+    return _make(out_data, (a,), backward_fn, "normalize")
+
+
+def _block_offsets(offsets, size: int, side: str) -> np.ndarray:
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != size:
+        raise ShapeMismatchError(f"{side} offsets must run from 0 to {size}, got {offsets}")
+    if (np.diff(offsets) < 1).any():
+        raise ShapeMismatchError(f"{side} blocks must be non-empty, got offsets {offsets}")
+    return offsets
+
+
+def _strongest(best: np.ndarray, offsets: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Mask over ``best`` (n, m): per column, the entries whose descending
+    rank inside their own block of axis 0 is below ``limit`` (n, m); ties
+    rank the lower index first."""
+    sizes = np.diff(offsets)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    if (limit >= sizes[block][:, None]).all():
+        return np.ones(best.shape, dtype=bool)
+    order = np.lexsort((-best, np.broadcast_to(block[:, None], best.shape)), axis=0)
+    # Blocks sort in place, so sorted position p holds the entry ranked
+    # p - (its block's start) inside the block.
+    rank = np.empty_like(order)
+    rank[order, np.arange(best.shape[1])] = (np.arange(len(block)) - offsets[block])[:, None]
+    return rank < limit
+
+
+def block_tk(s, row_offsets, col_offsets, k=None, diagonal: bool = False) -> Tensor:
+    """tk of every (row block, column block) sub-matrix of ``s`` in one op.
+
+    Block (I, J) spans rows ``row_offsets[I]:row_offsets[I+1]`` and columns
+    ``col_offsets[J]:col_offsets[J+1]``.  Its tk averages the strongest
+    min(k, rows) of its per-row maxima and the strongest min(k, cols) of its
+    per-column maxima; ties pick the lower index, and a cell chosen by both
+    sides counts twice.  ``k=None`` takes min(rows, cols) per block; an int
+    must satisfy 1 <= k <= max(rows, cols) on every returned block, else
+    :class:`ConfigError` names the block shape.  Returns the (row blocks,
+    column blocks) table, or with ``diagonal`` the vector of blocks (I, I).
+
+    The selection is a constant of the backward pass, so the gradient is a
+    fixed scatter: each selected cell receives 1/(kr + kc) of its block's
+    upstream gradient per selection.
+    """
+    s = _wrap(s)
+    data = s.data
+    rows, cols = data.shape
+    row_off = _block_offsets(row_offsets, rows, "row")
+    col_off = _block_offsets(col_offsets, cols, "column")
+    n_r, n_c = np.diff(row_off), np.diff(col_off)
+    if diagonal and len(n_r) != len(n_c):
+        raise ShapeMismatchError(
+            f"diagonal blocks need equal block counts, got {len(n_r)} rows and {len(n_c)} columns"
+        )
+    wanted = np.eye(len(n_r), dtype=bool) if diagonal else np.ones((len(n_r), len(n_c)), bool)
+    if k is None:
+        k_table = np.minimum.outer(n_r, n_c)
+    else:
+        bad = np.argwhere(wanted & ((k < 1) | (k > np.maximum.outer(n_r, n_c))))
+        if len(bad):
+            i, j = bad[0]
+            raise ConfigError(
+                f"k={k} invalid for a {n_r[i]}x{n_c[j]} matrix; "
+                f"need 1 <= k <= {max(n_r[i], n_c[j])}"
+            )
+        k_table = np.full(wanted.shape, k)
+    k_rows = np.minimum(k_table, n_r[:, None])
+    k_cols = np.minimum(k_table, n_c[None, :])
+    scale = 1.0 / (k_rows + k_cols)
+    row_block = np.repeat(np.arange(len(n_r)), n_r)
+    col_block = np.repeat(np.arange(len(n_c)), n_c)
+
+    # Row side: each row's best value and first best column inside every
+    # column block; keep the strongest k_rows rows of each block.
+    row_best = np.maximum.reduceat(data, col_off[:-1], axis=1)
+    first = np.where(data == row_best[:, col_block], np.arange(cols), cols)
+    row_arg = np.minimum.reduceat(first, col_off[:-1], axis=1)
+    row_kept = _strongest(row_best, row_off, k_rows[row_block]) & wanted[row_block]
+    # Column side, the same over the row blocks.
+    col_best = np.maximum.reduceat(data, row_off[:-1], axis=0).T
+    first = np.where(data == col_best[:, row_block].T, np.arange(rows)[:, None], rows)
+    col_arg = np.minimum.reduceat(first, row_off[:-1], axis=0).T
+    col_kept = _strongest(col_best, col_off, k_cols.T[col_block]) & wanted.T[col_block]
+
+    row_sums = np.add.reduceat(np.where(row_kept, row_best, 0.0), row_off[:-1], axis=0)
+    col_sums = np.add.reduceat(np.where(col_kept, col_best, 0.0), col_off[:-1], axis=0)
+    out_data = (row_sums + col_sums.T) * scale
+    if diagonal:
+        out_data = np.diagonal(out_data).copy()
+
+    weights = np.zeros_like(data)
+    r, j = np.nonzero(row_kept)
+    weights[r, row_arg[r, j]] += 1.0
+    c, i = np.nonzero(col_kept)
+    weights[col_arg[c, i], c] += 1.0
+
+    def backward_fn(g):
+        per_block = (np.diag(g) if diagonal else g) * scale
+        return (weights * per_block[row_block][:, col_block],)
+
+    return _make(out_data, (s,), backward_fn, "block_tk")
 
 
 # ---- backward engine -------------------------------------------------------

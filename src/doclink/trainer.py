@@ -23,7 +23,7 @@ from . import tensor
 from .corpus import Corpus
 from .encoder import ModelConfig, ModelParams, batch_representations, init_params
 from .errors import BatchError, ConfigError, NonFiniteError
-from .objective import ObjectiveConfig, total_loss
+from .objective import ObjectiveConfig, check_k_override, total_loss
 from .rng import RngStream
 
 CHECKPOINT_FORMAT = "doclink-checkpoint-v1"
@@ -170,6 +170,13 @@ def train(
     if not train_docs:
         raise BatchError("train split is empty")
     val_docs = corpus.split_documents("val")
+    for docs in (train_docs, val_docs):
+        if len(docs) >= 2:  # a single document never forms a batch
+            check_k_override(
+                [(d.id, len(d.sentences), len(d.images)) for d in docs],
+                objective_config,
+                use_sub=train_config.use_sub,
+            )
 
     root = RngStream(train_config.seed)
     batching = root.child("batching")

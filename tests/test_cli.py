@@ -180,6 +180,26 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_unsatisfiable_k_override_fails_before_first_step(self, tmp_path, monkeypatch, capsys):
+        """k_override=4 fits 5x5 documents but not their 3x3 sub-documents
+        under p_sub=0.6: rejected up front, naming document and block."""
+        gen = tmp_path / "gen5.json"
+        write_json(gen, {"synth": synth_section(sentences_per_doc=5, images_per_doc=5, density=0.2)})
+        data = tmp_path / "data5"
+        assert main(["gen", "--out", str(data), "--config", str(gen), "--seed", "7"]) == 0
+        config = tmp_path / "train.json"
+        write_json(config, {**train_sections(), "objective": {"k_override": 4, "p_sub": 0.6}})
+
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr("doclink.trainer.total_loss", no_steps)
+        code = main(["train", "--corpus", str(data / "corpus.jsonl"),
+                     "--out", str(tmp_path / "run"), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "3x3 sub-document of document" in err and "k_override=4" in err
+
     def test_numeric_failure_exit_code(self, workspace, tmp_path, monkeypatch):
         from doclink.errors import NonFiniteError
 
@@ -273,6 +293,45 @@ class TestEval:
                  "--split", "test", "--out", str(tmp_path / "ev-x")]
             )
         assert code == 2
+
+    def test_empty_split_is_data_error(self, trained, tmp_path, capsys):
+        corpus, ckpt = trained
+        splits = json.loads(read_bytes(corpus.parent / "splits.json"))
+        splits["train"] += splits.pop("val")
+        write_json(tmp_path / "splits-noval.json", splits)
+        for command in (["eval", "--checkpoint", str(ckpt)], ["diagnose"]):
+            code = main(
+                command + ["--corpus", str(corpus), "--splits", str(tmp_path / "splits-noval.json"),
+                           "--split", "val", "--out", str(tmp_path / ("empty-" + command[0]))]
+            )
+            assert code == 2
+            assert "split 'val' has no documents" in capsys.readouterr().err
+
+    def test_all_documents_skipped_prints_na(self, trained, tmp_path, capsys):
+        """No gold edges: every document's AUC is undefined."""
+        corpus, ckpt = trained
+        edgeless = tmp_path / "edgeless.jsonl"
+        with open(corpus) as fh, open(edgeless, "w") as out:
+            for line in fh:
+                out.write(json.dumps({**json.loads(line), "gold_edges": []}) + "\n")
+        code = main(
+            ["eval", "--corpus", str(edgeless), "--checkpoint", str(ckpt),
+             "--splits", str(corpus.parent / "splits.json"), "--split", "test",
+             "--out", str(tmp_path / "ev-na")]
+        )
+        assert code == 0
+        assert "macro AUC=n/a" in capsys.readouterr().out
+        report = json.loads(read_bytes(tmp_path / "ev-na" / "eval-report.json"))
+        assert report["macro_auc"] is None
+
+    def test_unknown_split_is_usage_error(self, trained, tmp_path):
+        corpus, ckpt = trained
+        for command in (["eval", "--checkpoint", str(ckpt)], ["diagnose"]):
+            code = main(
+                command + ["--corpus", str(corpus), "--split", "tset",
+                           "--out", str(tmp_path / ("bad-" + command[0]))]
+            )
+            assert code == 1
 
     def test_bad_ks_is_usage_error(self, trained, tmp_path):
         corpus, ckpt = trained

@@ -1,0 +1,38 @@
+"""Smoke runs of the quick demos as separate processes.
+
+Demo 04 trains a model for a while and is left to manual runs.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_autodiff_basics.py",
+        "02_corpus_generation.py",
+        "03_objectives.py",
+        "05_bias_diagnostics.py",
+    ],
+)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

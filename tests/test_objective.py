@@ -1,5 +1,7 @@
 """Objective-function semantics against brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from doclink import tensor
 from doclink.errors import BatchError, ConfigError
 from doclink.objective import (
     ObjectiveConfig,
+    check_k_override,
     cross_document_loss,
     dropout_subdoc_loss,
     hinge,
@@ -16,9 +19,9 @@ from doclink.objective import (
     total_loss,
 )
 from doclink.rng import RngStream
-from doclink.tensor import Tensor
+from doclink.tensor import Tensor, block_tk, normalize_rows
 
-from test_tensor import central_diff
+from test_tensor import check_grads, central_diff
 
 
 def oracle_tk(data: np.ndarray, k: int) -> float:
@@ -320,3 +323,173 @@ class TestTotalLoss:
         for leaf in (s0, v0, s1, v1):
             fd = central_diff(build, leaf)
             np.testing.assert_allclose(leaf.grad, fd, rtol=1e-4, atol=1e-7)
+
+
+def ragged_batch(rng, size, least=1, most=6, dim=6):
+    return [
+        random_reps(rng, int(rng.integers(least, most + 1)), int(rng.integers(least, most + 1)), dim)
+        for _ in range(size)
+    ]
+
+
+def offsets(sizes):
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+
+
+def count_nodes(root) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        t = stack.pop()
+        if t.node is not None and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t.node.parents)
+    return len(seen)
+
+
+class TestBlockTk:
+    def test_every_block_matches_oracle(self):
+        """Ragged blocks, rounded entries (ties), default k and k_override."""
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            n = rng.integers(1, 7, size=int(rng.integers(1, 6)))
+            m = rng.integers(1, 7, size=int(rng.integers(1, 6)))
+            data = np.round(rng.normal(size=(n.sum(), m.sum())), 1)
+            ro, co = offsets(n), offsets(m)
+            smallest = int(np.maximum.outer(n, m).min())
+            for k in (None, *range(1, smallest + 1)):
+                table = block_tk(Tensor(data), ro, co, k).data
+                assert table.shape == (len(n), len(m))
+                for i in range(len(n)):
+                    for j in range(len(m)):
+                        block = data[ro[i]:ro[i + 1], co[j]:co[j + 1]]
+                        want = oracle_tk(block, min(block.shape) if k is None else k)
+                        np.testing.assert_allclose(table[i, j], want, atol=1e-12)
+
+    def test_gradient_is_the_per_block_tk_gradient(self):
+        rng = np.random.default_rng(16)
+        n, m = np.array([2, 4, 1]), np.array([3, 2, 5])
+        data = np.round(rng.normal(size=(7, 10)), 1)
+        upstream = rng.normal(size=(3, 3))
+        S = Tensor(data, requires_grad=True)
+        tensor.backward((block_tk(S, offsets(n), offsets(m), 2) * Tensor(upstream)).sum())
+        ro, co = offsets(n), offsets(m)
+        for i in range(3):
+            for j in range(3):
+                block = Tensor(data[ro[i]:ro[i + 1], co[j]:co[j + 1]], requires_grad=True)
+                tensor.backward(tk(block, 2) * upstream[i, j])
+                np.testing.assert_allclose(
+                    S.grad[ro[i]:ro[i + 1], co[j]:co[j + 1]], block.grad, atol=1e-12
+                )
+
+    def test_diagonal_is_the_table_diagonal(self):
+        rng = np.random.default_rng(17)
+        n, m = np.array([3, 1, 4]), np.array([2, 5, 4])
+        data = rng.normal(size=(8, 11))
+        table = block_tk(Tensor(data), offsets(n), offsets(m)).data
+        diag = block_tk(Tensor(data), offsets(n), offsets(m), diagonal=True).data
+        np.testing.assert_array_equal(diag, np.diagonal(table))
+
+    def test_k_checked_only_on_returned_blocks(self):
+        """Off-diagonal 1x1 blocks do not bound k when only diagonals are asked for."""
+        data = np.arange(16.0).reshape(4, 4)
+        ro, co = [0, 1, 4], [0, 3, 4]  # diagonal blocks 1x3 and 3x1
+        assert block_tk(Tensor(data), ro, co, 3, diagonal=True).shape == (2,)
+        with pytest.raises(ConfigError, match="1x1"):
+            block_tk(Tensor(data), ro, co, 3)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(18)
+        S = Tensor(rng.permutation(48).reshape(6, 8) / 10.0, requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2)))
+        check_grads(lambda: (block_tk(S, [0, 2, 3, 6], [0, 5, 8]) * w).sum(), [S], rtol=1e-6)
+        check_grads(lambda: block_tk(S, [0, 4, 6], [0, 3, 8], 2, diagonal=True).sum(), [S])
+
+    def test_normalize_rows_finite_differences(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)))
+        np.testing.assert_allclose(
+            np.linalg.norm(normalize_rows(x).data, axis=1), np.ones(4), atol=1e-12
+        )
+        check_grads(lambda: (normalize_rows(x) * w).sum(), [x], rtol=1e-6)
+
+
+class TestBatchedTotalLoss:
+    def test_graph_size_at_b11(self):
+        """The objective's graph no longer grows with B^2: 43 nodes at B = 11
+        on 5x5 documents (the per-pair graph had 2268)."""
+        rng = np.random.default_rng(20)
+        batch = [
+            (Tensor(rng.normal(size=(5, 16)), requires_grad=True),
+             Tensor(rng.normal(size=(5, 16)), requires_grad=True))
+            for _ in range(11)
+        ]
+        loss, _ = total_loss(batch, ObjectiveConfig(), RngStream(1))
+        nodes = count_nodes(loss)
+        assert nodes <= 480
+        assert nodes == 43
+
+    @pytest.mark.parametrize("k_override,least", [(None, 1), (1, 1), (2, 3)])
+    def test_per_document_terms_match_pairwise_oracle(self, k_override, least):
+        rng = np.random.default_rng(21)
+        alpha, p_sub = 0.3, 0.7
+        config = ObjectiveConfig(alpha=alpha, p_sub=p_sub, k_override=k_override)
+        for trial in range(15):
+            batch = ragged_batch(rng, int(rng.integers(2, 7)), least=least, most=5)
+            size = len(batch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # degenerate draws; checked below
+                _, parts = total_loss(batch, config, RngStream(trial))
+
+            def k_for(block):
+                return min(block.shape) if k_override is None else k_override
+
+            mats = {(i, j): oracle_cosine(batch[i][0].data, batch[j][1].data)
+                    for i in range(size) for j in range(size)}
+            pair_tk = {key: oracle_tk(mat, k_for(mat)) for key, mat in mats.items()}
+            draws = RngStream(trial)
+            for i in range(size):
+                own = mats[i, i]
+                pos, low = pair_tk[i, i], -oracle_tk(-own, k_for(own))
+                np.testing.assert_allclose(parts[i].l_intra.item(),
+                                           max(0.0, low - pos + alpha / 2), atol=1e-12)
+                kept = []
+                for count in own.shape:  # rows, then columns
+                    keep = int(np.floor(p_sub * count))
+                    kept.append(np.sort(draws.choice(count, size=keep, replace=False))
+                                if keep >= 1 else np.array([], dtype=int))
+                if min(len(kept[0]), len(kept[1])) == 0:
+                    assert parts[i].l_sub.item() == 0.0
+                    continue
+                sub = own[np.ix_(kept[0], kept[1])]
+                sub_pos = oracle_tk(sub, k_for(sub))
+                hard_s = max(pair_tk[i, j] for j in range(size) if j != i)
+                hard_v = max(pair_tk[j, i] for j in range(size) if j != i)
+                want = max(0.0, hard_s - sub_pos + alpha / 2) + max(0.0, hard_v - sub_pos + alpha / 2)
+                np.testing.assert_allclose(parts[i].l_sub.item(), want, atol=1e-12)
+
+    def test_breakdowns_add_no_graph_nodes(self):
+        rng = np.random.default_rng(22)
+        batch = [random_reps(rng, 3, 4), random_reps(rng, 4, 3)]
+        for s, v in batch:
+            s.requires_grad = v.requires_grad = True
+        loss, parts = total_loss(batch, ObjectiveConfig(), RngStream(2))
+        assert loss.node is not None
+        for part in parts:
+            for value in (part.l_cross, part.l_intra, part.l_sub, part.total):
+                assert value.node is None
+
+
+class TestKOverrideCheck:
+    def test_cross_pairing_named(self):
+        shapes = [("a", 2, 5), ("b", 5, 1)]
+        with pytest.raises(ConfigError, match=r"2x1 pairing of document 'a' sentences"):
+            check_k_override(shapes, ObjectiveConfig(k_override=3, p_sub=1.0))
+        check_k_override(shapes, ObjectiveConfig(k_override=2, p_sub=1.0))
+
+    def test_sub_document_only_when_used(self):
+        shapes = [("d0", 5, 5), ("d1", 5, 5)]
+        config = ObjectiveConfig(k_override=4, p_sub=0.6)
+        with pytest.raises(ConfigError, match=r"3x3 sub-document of document 'd0'"):
+            check_k_override(shapes, config)
+        check_k_override(shapes, config, use_sub=False)
