@@ -66,21 +66,21 @@ batch = batch_representations(corpus.documents, params, config)
 objective = ObjectiveConfig(alpha=0.2, p_sub=0.6)
 
 cross = cross_document_loss(batch, objective)
-print(f"\ncross-document loss per document: {[f'{c.data:.4f}' for c in cross]}")
+print(f"\ncross-document loss per document: {[f'{c:.4f}' for c in cross]}")
 
 own = similarity_matrix(batch[0][0], batch[0][1])
 print(f"intra-document loss for doc 0: {intra_document_loss(own, objective).data:.4f}")
 
 sub = dropout_subdoc_loss(batch, objective, RngStream(6).child("dropout"))
-print(f"dropout sub-document loss per document: {[f'{s.data:.4f}' for s in sub]}")
+print(f"dropout sub-document loss per document: {[f'{s:.4f}' for s in sub]}")
 
 loss, parts = total_loss(batch, objective, RngStream(6).child("dropout"))
 print(f"batch loss (mean of per-document totals) = {loss.data:.4f}")
-for i, part in enumerate(parts):
+for i in range(len(batch)):
     print(
-        f"  doc {i}: cross={part.l_cross.data:.4f} intra={part.l_intra.data:.4f} "
-        f"sub={part.l_sub.data:.4f} total={part.total.data:.4f} "
-        f"(own tk={part.s_pos:.4f}, own neg_tk={part.s_neg:.4f})"
+        f"  doc {i}: cross={parts['l_cross'][i]:.4f} intra={parts['l_intra'][i]:.4f} "
+        f"sub={parts['l_sub'][i]:.4f} total={parts['total'][i]:.4f} "
+        f"(own tk={parts['s_pos'][i]:.4f}, own neg_tk={parts['s_neg'][i]:.4f})"
     )
 
 print("\nswitching objectives off zeroes their terms:")
@@ -89,4 +89,4 @@ loss_c, parts_c = total_loss(
     use_cross=True, use_intra=False, use_sub=False,
 )
 print(f"cross-only batch loss = {loss_c.data:.4f} "
-      f"(intra now {parts_c[0].l_intra.data}, sub now {parts_c[0].l_sub.data})")
+      f"(intra now {parts_c['l_intra'][0]}, sub now {parts_c['l_sub'][0]})")

@@ -52,7 +52,6 @@ from .evalmetrics import (
     evaluate_matrices,
 )
 from .objective import (
-    LossBreakdown,
     ObjectiveConfig,
     cross_document_loss,
     dropout_subdoc_loss,
@@ -67,6 +66,7 @@ from .tensor import Tensor, backward, no_grad
 from .trainer import (
     TrainConfig,
     TrainResult,
+    TrainState,
     load_checkpoint,
     lr_at,
     save_checkpoint,
@@ -80,7 +80,6 @@ __all__ = [
     "DoclinkError",
     "EvalReport",
     "ImageRecord",
-    "LossBreakdown",
     "ModelConfig",
     "ModelParams",
     "ObjectiveConfig",
@@ -90,6 +89,7 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "TrainResult",
+    "TrainState",
     "backward",
     "batch_representations",
     "bias_report",

@@ -56,7 +56,10 @@ def _read_config_file(path) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return raw
@@ -141,15 +144,6 @@ def _splits_for(corpus_path, splits_path):
 def _require_documents(corpus, split: str) -> None:
     if not corpus.split_documents(split):
         raise CorpusValidationError(f"split {split!r} has no documents")
-
-
-def _model_config_from_checkpoint(path) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        return ModelConfig(**payload["config"]["model"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"checkpoint {path} lacks a readable model config") from exc
 
 
 def cmd_gen(args) -> int:
@@ -241,10 +235,9 @@ def cmd_eval(args) -> int:
     corpus = load_corpus(args.corpus, splits=splits)
     ks = _parse_ks(args.ks)
     _require_documents(corpus, args.split)
-    model_config = _model_config_from_checkpoint(args.checkpoint)
-    params, _, _ = load_checkpoint(args.checkpoint, model_config)
+    params, _, _ = load_checkpoint(args.checkpoint)
 
-    report = evaluate(corpus, args.split, params, model_config, ks=ks)
+    report = evaluate(corpus, args.split, params, params.config, ks=ks)
     paths = _prepare_out(args.out, ["eval-report.json", "eval-config.json"], args.force)
     _write_json(paths[0], report.to_json_dict())
     _write_json(
@@ -285,11 +278,7 @@ def cmd_diagnose(args) -> int:
     corpus = load_corpus(args.corpus, splits=splits)
     _require_documents(corpus, args.split)
 
-    params = None
-    model_config = None
-    if args.checkpoint:
-        model_config = _model_config_from_checkpoint(args.checkpoint)
-        params, _, _ = load_checkpoint(args.checkpoint, model_config)
+    params = load_checkpoint(args.checkpoint)[0] if args.checkpoint else None
     if args.learned and params is None:
         raise UsageError("--learned requires --checkpoint")
 
@@ -301,12 +290,12 @@ def cmd_diagnose(args) -> int:
         bins=args.bins,
         rng=rng,
         params=params if args.learned else None,
-        config=model_config if args.learned else None,
+        config=params.config if args.learned else None,
     )
 
     spreads = document_spreads(corpus, args.split, _word_table(args, corpus, params))
     if params is not None:
-        report = evaluate(corpus, args.split, params, model_config, ks=(1,))
+        report = evaluate(corpus, args.split, params, params.config, ks=(1,))
         auc_by_id = {row["id"]: row["auc"] for row in report.per_document}
     else:
         docs = corpus.split_documents(args.split)

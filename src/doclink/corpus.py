@@ -74,12 +74,6 @@ class Corpus:
             and self.splits == other.splits
         )
 
-    def by_id(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.id == doc_id:
-                return doc
-        raise KeyError(doc_id)
-
     def split_documents(self, split: str) -> list:
         ids = set(self.splits.get(split, []))
         return [d for d in self.documents if d.id in ids]
@@ -109,6 +103,10 @@ def validate_document(doc: Document, vocab_size: int, obj_dim: int) -> None:
             raise CorpusValidationError(
                 f"document {doc.id!r}: image {j} object width {img.objects.shape[1]} "
                 f"!= corpus object dimension {obj_dim}"
+            )
+        if not np.isfinite(img.objects).all():
+            raise CorpusValidationError(
+                f"document {doc.id!r}: image {j} has non-finite object features"
             )
         if len(img.concepts) != img.objects.shape[0]:
             raise CorpusValidationError(

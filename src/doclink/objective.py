@@ -52,19 +52,6 @@ class ObjectiveConfig:
             raise ConfigError(f"k_override must be >= 1, got {self.k_override}")
 
 
-@dataclass
-class LossBreakdown:
-    """Per-document objective values, detached from the graph: gradients
-    flow through the batch mean that :func:`total_loss` returns."""
-
-    l_cross: Tensor
-    l_intra: Tensor
-    l_sub: Tensor
-    total: Tensor
-    s_pos: float  # document-level positive similarity of the own matrix
-    s_neg: float  # document-level negative similarity of the own matrix
-
-
 def hinge(m, n, margin: float) -> Tensor:
     """max(0, n - m + margin); zero subgradient on the flat branch."""
     m = m if isinstance(m, Tensor) else Tensor(m)
@@ -100,11 +87,6 @@ def intra_document_loss(M: Tensor, config: ObjectiveConfig) -> Tensor:
     least-likely edge averages."""
     k = resolve_k(M.shape, config)
     return hinge(tk(M, k), neg_tk(M, k), config.alpha / 2.0)
-
-
-def _require_batch(batch) -> None:
-    if len(batch) < 2:
-        raise BatchError(f"hard negative mining needs >= 2 documents, got {len(batch)}")
 
 
 def _keep_count(count: int, p_sub: float) -> int:
@@ -196,15 +178,20 @@ def total_loss(
     use_intra: bool = True,
     use_sub: bool = True,
 ):
-    """Mean per-document total over the batch plus per-document breakdowns.
+    """``(batch_mean, parts)``: the mean per-document total over the batch,
+    the only graph node, and the per-document values as plain arrays.
 
     ``batch`` holds (sentence_reps, image_reps) tensor pairs, one per
     document.  ``rng`` drives the sub-document draws and may be None when
     ``use_sub`` is off.  The B x B tk table is computed once and shared by
-    all three objectives.
+    all three objectives.  ``parts`` maps ``l_cross``, ``l_intra``,
+    ``l_sub``, their sum ``total``, and the own matrix's ``s_pos`` (tk) and
+    ``s_neg`` (neg_tk) to (B,) float64 arrays; a disabled objective reads
+    zero.
     """
-    _require_batch(batch)
     size = len(batch)
+    if size < 2:
+        raise BatchError(f"hard negative mining needs >= 2 documents, got {size}")
     row_off = _offsets([sent.shape[0] for sent, _ in batch])
     col_off = _offsets([img.shape[0] for _, img in batch])
     S = similarity_matrix(concat([s for s, _ in batch]), concat([v for _, v in batch]))
@@ -220,17 +207,17 @@ def total_loss(
     hardest_for_images = max_reduce(others, axis=0)
 
     terms = []
-    per_doc = {name: np.zeros(size) for name in ("l_cross", "l_intra", "l_sub")}
+    parts = {name: np.zeros(size) for name in ("l_cross", "l_intra", "l_sub")}
     if use_cross:
         l_cross = hinge(s_pos, hardest_for_sentences, config.alpha) + hinge(
             s_pos, hardest_for_images, config.alpha
         )
         terms.append(l_cross)
-        per_doc["l_cross"] = l_cross.data
+        parts["l_cross"] = l_cross.data
     if use_intra:
         l_intra = hinge(s_pos, s_neg, config.alpha / 2.0)
         terms.append(l_intra)
-        per_doc["l_intra"] = l_intra.data
+        parts["l_intra"] = l_intra.data
     if use_sub:
         positives, kept = _subdoc_positives(S, row_off, col_off, config, rng)
         if positives is not None:
@@ -239,34 +226,23 @@ def total_loss(
                 positives, take(hardest_for_images, kept), half
             )
             terms.append(l_sub)
-            per_doc["l_sub"][kept] = l_sub.data
+            parts["l_sub"][kept] = l_sub.data
 
     batch_mean = concat(terms).sum() * (1.0 / size) if terms else Tensor(0.0)
-    totals = per_doc["l_cross"] + per_doc["l_intra"] + per_doc["l_sub"]
-    breakdowns = [
-        LossBreakdown(
-            l_cross=Tensor(per_doc["l_cross"][i]),
-            l_intra=Tensor(per_doc["l_intra"][i]),
-            l_sub=Tensor(per_doc["l_sub"][i]),
-            total=Tensor(totals[i]),
-            s_pos=float(s_pos.data[i]),
-            s_neg=float(s_neg.data[i]),
-        )
-        for i in range(size)
-    ]
-    return batch_mean, breakdowns
+    parts["total"] = parts["l_cross"] + parts["l_intra"] + parts["l_sub"]
+    parts["s_pos"] = s_pos.data
+    parts["s_neg"] = s_neg.data
+    return batch_mean, parts
 
 
-def cross_document_loss(batch: list, config: ObjectiveConfig) -> list:
+def cross_document_loss(batch: list, config: ObjectiveConfig) -> np.ndarray:
     """Per-document hinge against the hardest non-co-occurring pairing, in
     both directions: the cross-document part of :func:`total_loss`."""
-    _, parts = total_loss(batch, config, None, use_intra=False, use_sub=False)
-    return [part.l_cross for part in parts]
+    return total_loss(batch, config, None, use_intra=False, use_sub=False)[1]["l_cross"]
 
 
-def dropout_subdoc_loss(batch: list, config: ObjectiveConfig, rng: RngStream) -> list:
+def dropout_subdoc_loss(batch: list, config: ObjectiveConfig, rng: RngStream) -> np.ndarray:
     """Sub-document positives against full-document negatives (margin
     alpha/2): the sub-document part of :func:`total_loss`.  Degenerate
     draws (no sentences or no images kept) contribute zero with a warning."""
-    _, parts = total_loss(batch, config, rng, use_cross=False, use_intra=False)
-    return [part.l_sub for part in parts]
+    return total_loss(batch, config, rng, use_cross=False, use_intra=False)[1]["l_sub"]

@@ -70,12 +70,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 

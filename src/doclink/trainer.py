@@ -6,16 +6,19 @@ total loss fails to improve by more than 1e-6 for plateau_patience_epochs
 consecutive epochs, the rate drops by decay_factor.
 
 Determinism: one root seed fans out into named streams (init, batching,
-dropout), validation re-derives a fixed dropout stream each epoch so its
-loss is comparable across epochs, and checkpoints capture the exact
-generator states so a resumed run continues the unbroken sequence.
+dropout), and validation re-derives a fixed dropout stream each epoch so
+its loss is comparable across epochs.  A :class:`TrainState` holds what a
+run carries between epochs besides parameters and Adam moments; checkpoints
+store it verbatim, so a resumed run continues the unbroken sequence.
+:func:`load_checkpoint` is the only reader of the checkpoint layout, and a
+resume must request every stored setting unchanged except max_epochs.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -117,6 +120,21 @@ def make_batches(count: int, batch_size: int, rng: RngStream) -> list:
 
 
 @dataclass
+class TrainState:
+    """Where a run stands between epochs: schedule position, plateau
+    bookkeeping, history and the batching/dropout rng states.  A checkpoint
+    stores these fields verbatim, so a resumed run continues exactly."""
+
+    step: int = 0
+    epoch: int = 0
+    decays: int = 0
+    best_val: float | None = None
+    stall: int = 0
+    history: list = field(default_factory=list)
+    rng: dict = field(default_factory=dict)
+
+
+@dataclass
 class TrainResult:
     params: ModelParams
     optimizer: OptimizerState
@@ -124,28 +142,31 @@ class TrainResult:
     step: int = 0
 
 
-def _split_loss(
-    docs, params, model_config, objective_config, train_config, rng: RngStream
-) -> float | None:
+def _batch_loss(docs, batch_ids, params, objective_config, train_config, dropout):
+    """Encode one batch of ``docs`` and score it with every enabled
+    objective: ``total_loss``'s (batch_mean, parts)."""
+    reps = batch_representations([docs[i] for i in batch_ids], params, params.config)
+    return total_loss(
+        reps,
+        objective_config,
+        dropout,
+        use_cross=train_config.use_cross,
+        use_intra=train_config.use_intra,
+        use_sub=train_config.use_sub,
+    )
+
+
+def _split_loss(docs, params, objective_config, train_config, rng: RngStream) -> float | None:
     """Mean per-document total loss over a split, graph-free."""
     if len(docs) < 2:
         return None
     dropout = rng.child("dropout")
     with tensor.no_grad():
-        totals = []
-        for batch_ids in make_batches(len(docs), train_config.batch_size, rng.child("order")):
-            batch = [docs[i] for i in batch_ids]
-            reps = batch_representations(batch, params, model_config)
-            _, parts = total_loss(
-                reps,
-                objective_config,
-                dropout,
-                use_cross=train_config.use_cross,
-                use_intra=train_config.use_intra,
-                use_sub=train_config.use_sub,
-            )
-            totals.extend(float(b.total.data) for b in parts)
-    return float(np.mean(totals))
+        totals = [
+            _batch_loss(docs, batch_ids, params, objective_config, train_config, dropout)[1]["total"]
+            for batch_ids in make_batches(len(docs), train_config.batch_size, rng.child("order"))
+        ]
+    return float(np.mean(np.concatenate(totals)))
 
 
 def train(
@@ -161,10 +182,12 @@ def train(
 
     History holds one record per epoch: train loss (mean per-document total
     across the epoch) with its per-objective components, validation loss,
-    learning rate at epoch end, and the decay count.  If ``checkpoint_path`` is set, a checkpoint is written
-    after every epoch; a non-finite loss aborts, leaving the last epoch's
-    checkpoint in place.  ``resume_from`` restores parameters, optimizer,
-    rng states, and schedule position, then continues to max_epochs.
+    learning rate at epoch end, and the decay count.  If ``checkpoint_path``
+    is set, a checkpoint is written after every epoch; a non-finite loss
+    aborts, leaving the last epoch's checkpoint in place.  ``resume_from``
+    restores parameters, optimizer and :class:`TrainState`, then continues
+    to max_epochs; every stored setting except max_epochs must equal the
+    requested one.
     """
     train_docs = corpus.split_documents("train")
     if not train_docs:
@@ -183,106 +206,81 @@ def train(
     dropout = root.child("dropout")
 
     if resume_from is not None:
-        params, optimizer, extra = load_checkpoint(resume_from, model_config)
-        step = extra["step"]
-        start_epoch = extra["epoch"]
-        decays = extra["decays"]
-        best_val = extra["best_val"]
-        stall = extra["stall"]
-        history = extra["history"]
-        batching.set_state(extra["rng"]["batching"])
-        dropout.set_state(extra["rng"]["dropout"])
+        params, optimizer, state = load_checkpoint(
+            resume_from, model_config, objective_config, train_config
+        )
+        batching.set_state(state.rng["batching"])
+        dropout.set_state(state.rng["dropout"])
     else:
         params = init_params(model_config, root.child("init"), pretrained=pretrained)
         optimizer = OptimizerState(params.named_parameters().keys())
-        step = 0
-        start_epoch = 0
-        decays = 0
-        best_val = None
-        stall = 0
-        history = []
+        state = TrainState()
 
     named = params.named_parameters()
-    for epoch in range(start_epoch, train_config.max_epochs):
-        epoch_totals = []
-        epoch_parts = {"l_cross": [], "l_intra": [], "l_sub": []}
+    for epoch in range(state.epoch, train_config.max_epochs):
+        epoch_parts = []
         for batch_ids in make_batches(len(train_docs), train_config.batch_size, batching):
-            batch = [train_docs[i] for i in batch_ids]
-            reps = batch_representations(batch, params, model_config)
-            loss, parts = total_loss(
-                reps,
-                objective_config,
-                dropout,
-                use_cross=train_config.use_cross,
-                use_intra=train_config.use_intra,
-                use_sub=train_config.use_sub,
+            loss, parts = _batch_loss(
+                train_docs, batch_ids, params, objective_config, train_config, dropout
             )
             if not np.isfinite(loss.data):
                 raise NonFiniteError(
-                    f"non-finite loss at step {step}; last checkpoint retained"
+                    f"non-finite loss at step {state.step}; last checkpoint retained"
                 )
             tensor.backward(loss)
-            adam_step(named, optimizer, lr_at(step, train_config, decays))
-            step += 1
-            epoch_totals.extend(float(b.total.data) for b in parts)
-            epoch_parts["l_cross"].extend(float(b.l_cross.data) for b in parts)
-            epoch_parts["l_intra"].extend(float(b.l_intra.data) for b in parts)
-            epoch_parts["l_sub"].extend(float(b.l_sub.data) for b in parts)
+            adam_step(named, optimizer, lr_at(state.step, train_config, state.decays))
+            state.step += 1
+            epoch_parts.append(parts)
 
         # child() re-derives the same seed every epoch: validation sees a
         # fixed dropout pattern, keeping epoch losses comparable.
         val_loss = _split_loss(
-            val_docs, params, model_config, objective_config, train_config,
-            root.child("validation"),
+            val_docs, params, objective_config, train_config, root.child("validation")
         )
         if val_loss is not None:
-            if best_val is None or val_loss < best_val - 1e-6:
-                best_val = val_loss
-                stall = 0
+            if state.best_val is None or val_loss < state.best_val - 1e-6:
+                state.best_val = val_loss
+                state.stall = 0
             else:
-                stall += 1
-                if stall >= train_config.plateau_patience_epochs:
-                    decays += 1
-                    stall = 0
-        history.append(
+                state.stall += 1
+                if state.stall >= train_config.plateau_patience_epochs:
+                    state.decays += 1
+                    state.stall = 0
+        means = {
+            name: float(np.mean(np.concatenate([p[name] for p in epoch_parts])))
+            for name in ("total", "l_cross", "l_intra", "l_sub")
+        }
+        state.history.append(
             {
                 "epoch": epoch,
-                "total": float(np.mean(epoch_totals)),
-                "l_cross": float(np.mean(epoch_parts["l_cross"])),
-                "l_intra": float(np.mean(epoch_parts["l_intra"])),
-                "l_sub": float(np.mean(epoch_parts["l_sub"])),
+                **means,
                 "val_loss": val_loss,
-                "lr": lr_at(step, train_config, decays),
-                "decays": decays,
+                "lr": lr_at(state.step, train_config, state.decays),
+                "decays": state.decays,
             }
         )
+        state.epoch = epoch + 1
+        state.rng = {"batching": batching.state(), "dropout": dropout.state()}
         if checkpoint_path is not None:
             save_checkpoint(
-                checkpoint_path,
-                params,
-                optimizer,
-                step=step,
-                epoch=epoch + 1,
-                decays=decays,
-                best_val=best_val,
-                stall=stall,
-                history=history,
-                rng_states={"batching": batching.state(), "dropout": dropout.state()},
-                model_config=model_config,
-                objective_config=objective_config,
-                train_config=train_config,
+                checkpoint_path, params, optimizer, state,
+                model_config, objective_config, train_config,
             )
-    return TrainResult(params=params, optimizer=optimizer, history=history, step=step)
+    return TrainResult(params=params, optimizer=optimizer, history=state.history, step=state.step)
 
 
 # ---- checkpoint container ----------------------------------------------------
 
 
-def _array_to_json(arr: np.ndarray) -> dict:
+def _array_to_json(arr: np.ndarray | None) -> dict | None:
+    if arr is None:  # an Adam moment before the first step
+        return None
     return {"shape": list(arr.shape), "data": [float(x) for x in arr.reshape(-1)]}
 
 
-def _array_from_json(obj) -> np.ndarray:
+def _array_from_json(obj) -> np.ndarray | None:
+    if obj is None:
+        return None
     return np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
 
 
@@ -290,14 +288,7 @@ def save_checkpoint(
     path,
     params: ModelParams,
     optimizer: OptimizerState,
-    *,
-    step: int,
-    epoch: int,
-    decays: int,
-    best_val,
-    stall: int,
-    history: list,
-    rng_states: dict,
+    state: TrainState,
     model_config: ModelConfig,
     objective_config: ObjectiveConfig,
     train_config: TrainConfig,
@@ -306,27 +297,15 @@ def save_checkpoint(
     named = params.named_parameters()
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "step": step,
-        "epoch": epoch,
-        "decays": decays,
-        "best_val": best_val,
-        "stall": stall,
-        "history": history,
-        "rng": rng_states,
+        **asdict(state),
         "params": {name: _array_to_json(t.data) for name, t in named.items()},
         "adam": {
             "step": optimizer.step,
             "beta1": optimizer.beta1,
             "beta2": optimizer.beta2,
             "eps": optimizer.eps,
-            "m": {
-                name: (_array_to_json(v) if v is not None else None)
-                for name, v in optimizer.m.items()
-            },
-            "v": {
-                name: (_array_to_json(v) if v is not None else None)
-                for name, v in optimizer.v.items()
-            },
+            "m": {name: _array_to_json(m) for name, m in optimizer.m.items()},
+            "v": {name: _array_to_json(v) for name, v in optimizer.v.items()},
         },
         "config": {
             "model": vars(model_config).copy(),
@@ -340,52 +319,71 @@ def save_checkpoint(
     os.replace(tmp, path)
 
 
-def load_checkpoint(path, model_config: ModelConfig):
-    """Rebuild (params, optimizer, extra) from a checkpoint file.
-
-    The stored model config must match the requested one; the parameters
-    are reconstructed with the checkpointed values verbatim.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(
-            f"unrecognized checkpoint format {payload.get('format')!r} in {path}"
-        )
-    stored = payload["config"]["model"]
-    if stored != vars(model_config):
-        raise ConfigError(
-            f"checkpoint model config {stored} does not match requested "
-            f"{vars(model_config)}"
-        )
-    params = init_params(model_config, RngStream(0))
-    named = params.named_parameters()
-    if set(named) != set(payload["params"]):
-        raise ConfigError("checkpoint parameter names do not match the model")
-    for name, obj in payload["params"].items():
-        arr = _array_from_json(obj)
-        if arr.shape != named[name].data.shape:
+def _require_match(path, section: str, stored: dict, requested, skip=()) -> None:
+    """Every field of ``requested`` must equal the checkpoint's value."""
+    for key, value in vars(requested).items():
+        if key not in skip and stored.get(key) != value:
             raise ConfigError(
-                f"checkpoint parameter {name!r} has shape {arr.shape}, "
-                f"expected {named[name].data.shape}"
+                f"checkpoint {path} has {section} {key}={stored.get(key)!r}, "
+                f"but {key}={value!r} was requested"
             )
-        named[name].data = arr
-    adam = payload["adam"]
-    optimizer = OptimizerState(named.keys(), beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"])
-    optimizer.step = adam["step"]
-    for name in named:
-        m = adam["m"].get(name)
-        v = adam["v"].get(name)
-        optimizer.m[name] = _array_from_json(m) if m is not None else None
-        optimizer.v[name] = _array_from_json(v) if v is not None else None
-    extra = {
-        "step": payload["step"],
-        "epoch": payload["epoch"],
-        "decays": payload["decays"],
-        "best_val": payload["best_val"],
-        "stall": payload["stall"],
-        "history": payload["history"],
-        "rng": payload["rng"],
-        "config": payload["config"],
-    }
-    return params, optimizer, extra
+
+
+def load_checkpoint(
+    path,
+    model_config: ModelConfig | None = None,
+    objective_config: ObjectiveConfig | None = None,
+    train_config: TrainConfig | None = None,
+):
+    """Rebuild (params, optimizer, state) from a checkpoint file.
+
+    The model is built from the stored config, available as
+    ``params.config``, with the checkpointed values verbatim.  Each config
+    that is given must match the stored one field by field; ``max_epochs``
+    is exempt, so a run can be resumed to a later epoch.  An unreadable or
+    incomplete file raises ConfigError naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    try:
+        if payload.get("format") != CHECKPOINT_FORMAT:
+            raise ConfigError(
+                f"unrecognized checkpoint format {payload.get('format')!r} in {path}"
+            )
+        stored = payload["config"]
+        for section, requested, skip in (
+            ("model", model_config, ()),
+            ("objective", objective_config, ()),
+            ("train", train_config, ("max_epochs",)),
+        ):
+            if requested is not None:
+                _require_match(path, section, stored[section], requested, skip)
+        params = init_params(ModelConfig(**stored["model"]), RngStream(0))
+        named = params.named_parameters()
+        if set(named) != set(payload["params"]):
+            raise ConfigError(f"checkpoint {path} parameter names do not match the model")
+        for name, obj in payload["params"].items():
+            arr = _array_from_json(obj)
+            if arr.shape != named[name].data.shape:
+                raise ConfigError(
+                    f"checkpoint parameter {name!r} has shape {arr.shape}, "
+                    f"expected {named[name].data.shape}"
+                )
+            named[name].data = arr
+        adam = payload["adam"]
+        optimizer = OptimizerState(
+            named.keys(), beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"]
+        )
+        optimizer.step = adam["step"]
+        for name in named:
+            optimizer.m[name] = _array_from_json(adam["m"].get(name))
+            optimizer.v[name] = _array_from_json(adam["v"].get(name))
+        state = TrainState(**{f.name: payload[f.name] for f in fields(TrainState)})
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path} lacks the {exc} entry") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"checkpoint {path} is malformed: {exc}") from exc
+    return params, optimizer, state

@@ -174,6 +174,56 @@ class TestTrain:
         assert main(["train", "--corpus", corpus, "--out", str(b), "--config", str(config)]) == 0
         assert read_bytes(a / "history.json") == read_bytes(b / "history.json")
 
+    def test_resume_is_byte_exact(self, workspace, tmp_path):
+        """Two epochs, then a resume to three, write the bytes of an
+        unbroken three-epoch run: parameters, Adam moments, rng states,
+        best_val, stall and decays all round-trip."""
+        corpus = str(workspace / "data" / "corpus.jsonl")
+        full, half = tmp_path / "full.json", tmp_path / "half.json"
+        write_json(full, train_sections(max_epochs=3, plateau_patience_epochs=1))
+        write_json(half, train_sections(max_epochs=2, plateau_patience_epochs=1))
+        runs = tmp_path / "unbroken", tmp_path / "first", tmp_path / "resumed"
+        assert main(["train", "--corpus", corpus, "--out", str(runs[0]), "--config", str(full)]) == 0
+        assert main(["train", "--corpus", corpus, "--out", str(runs[1]), "--config", str(half)]) == 0
+        assert main(["train", "--corpus", corpus, "--out", str(runs[2]), "--config", str(full),
+                     "--resume", str(runs[1] / "checkpoint.json")]) == 0
+        for name in ("checkpoint.json", "history.json"):
+            assert read_bytes(runs[0] / name) == read_bytes(runs[2] / name)
+
+    def test_resume_with_changed_setting_is_data_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "train.json"
+        write_json(config, train_sections())
+        corpus = str(workspace / "data" / "corpus.jsonl")
+        first = tmp_path / "first"
+        assert main(["train", "--corpus", corpus, "--out", str(first), "--config", str(config)]) == 0
+        capsys.readouterr()
+        code = main(["train", "--corpus", corpus, "--out", str(tmp_path / "again"),
+                     "--config", str(config), "--seed", "4",
+                     "--resume", str(first / "checkpoint.json")])
+        assert code == 2
+        assert "seed=3, but seed=4 was requested" in capsys.readouterr().err
+
+    def test_malformed_config_json_is_usage_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "broken.json"
+        config.write_text('{"train": {"seed": 3,}}')
+        code = main(["train", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+                     "--out", str(tmp_path / "x"), "--config", str(config)])
+        assert code == 1
+        assert f"config file {config} is not valid JSON" in capsys.readouterr().err
+
+    def test_non_finite_object_features_is_data_error(self, workspace, tmp_path, capsys):
+        source = workspace / "data"
+        corpus = tmp_path / "nan.jsonl"
+        lines = (source / "corpus.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["images"][1]["objects"][0][2] = float("nan")
+        lines[0] = json.dumps(record)
+        corpus.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--corpus", str(corpus), "--splits", str(source / "splits.json"),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"document {record['id']!r}: image 1 has non-finite" in capsys.readouterr().err
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         code = main(
             ["train", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "x")]
@@ -332,6 +382,21 @@ class TestEval:
                            "--out", str(tmp_path / ("bad-" + command[0]))]
             )
             assert code == 1
+
+    def test_malformed_checkpoint_is_data_error(self, trained, tmp_path, capsys):
+        corpus, ckpt = trained
+        not_json = tmp_path / "not-json.json"
+        not_json.write_text("{truncated")
+        payload = json.loads(read_bytes(ckpt))
+        del payload["params"]
+        no_params = tmp_path / "no-params.json"
+        write_json(no_params, payload)
+        for bad, message in ((not_json, "is not valid JSON"), (no_params, "lacks the 'params'")):
+            for command in ("eval", "diagnose"):
+                code = main([command, "--corpus", str(corpus), "--checkpoint", str(bad),
+                             "--out", str(tmp_path / f"{command}-{bad.stem}")])
+                assert code == 2
+                assert f"checkpoint {bad} {message}" in capsys.readouterr().err
 
     def test_bad_ks_is_usage_error(self, trained, tmp_path):
         corpus, ckpt = trained

@@ -148,6 +148,22 @@ class TestLoadErrors:
         with pytest.raises(CorpusValidationError, match="doc-9"):
             load_corpus(path, vocab_size=10)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_object_features_name_document_and_image(self, tmp_path, bad):
+        record = {
+            "id": "doc-11",
+            "sentences": [{"tokens": [0]}],
+            "images": [
+                {"objects": [[0.0, 1.0]], "concepts": [[1]]},
+                {"objects": [[0.5, 0.5], [0.0, bad]], "concepts": [[1], [2]]},
+            ],
+            "gold_edges": [[0, 0]],
+        }
+        path = tmp_path / "nan.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(CorpusValidationError, match="'doc-11': image 1 has non-finite"):
+            load_corpus(path, vocab_size=10)
+
     def test_missing_gold_edges_warns(self, tmp_path):
         record = {
             "id": "doc-10",

@@ -1,6 +1,7 @@
-"""Smoke runs of the quick demos as separate processes.
+"""Smoke runs of every demo as a separate process.
 
-Demo 04 trains a model for a while and is left to manual runs.
+Demo 04 is the slowest (a few seconds): it is the only one that calls
+``train`` and prints the resulting history.
 """
 
 import os
@@ -18,6 +19,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         "01_autodiff_basics.py",
         "02_corpus_generation.py",
         "03_objectives.py",
+        "04_train_and_evaluate.py",
         "05_bias_diagnostics.py",
     ],
 )

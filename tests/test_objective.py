@@ -270,15 +270,14 @@ class TestTotalLoss:
         rng = np.random.default_rng(11)
         batch = [random_reps(rng, 3, 3), random_reps(rng, 4, 2), random_reps(rng, 2, 4)]
         mean_loss, parts = total_loss(batch, ObjectiveConfig(alpha=0.2, p_sub=0.8), RngStream(5))
-        for b in parts:
-            np.testing.assert_allclose(
-                b.total.item(), b.l_cross.item() + b.l_intra.item() + b.l_sub.item(), atol=1e-12
-            )
-            assert b.l_cross.item() >= 0 and b.l_intra.item() >= 0 and b.l_sub.item() >= 0
-            assert -1.0 <= b.s_neg <= b.s_pos <= 1.0
         np.testing.assert_allclose(
-            mean_loss.item(), np.mean([b.total.item() for b in parts]), atol=1e-12
+            parts["total"], parts["l_cross"] + parts["l_intra"] + parts["l_sub"], atol=1e-12
         )
+        for name in ("l_cross", "l_intra", "l_sub"):
+            assert (parts[name] >= 0).all()
+        assert (-1.0 <= parts["s_neg"]).all() and (parts["s_neg"] <= parts["s_pos"]).all()
+        assert (parts["s_pos"] <= 1.0).all()
+        np.testing.assert_allclose(mean_loss.item(), np.mean(parts["total"]), atol=1e-12)
 
     def test_toggles_disable_components(self):
         rng = np.random.default_rng(12)
@@ -292,8 +291,7 @@ class TestTotalLoss:
             use_sub=False,
         )
         assert mean_loss.item() == 0.0
-        for b in parts:
-            assert b.total.item() == 0.0
+        np.testing.assert_array_equal(parts["total"], np.zeros(2))
 
     def test_matches_standalone_components(self):
         rng = np.random.default_rng(13)
@@ -302,9 +300,8 @@ class TestTotalLoss:
         _, parts = total_loss(batch, config, RngStream(21))
         cross = cross_document_loss(batch, config)
         sub = dropout_subdoc_loss(batch, config, RngStream(21))
-        for i, b in enumerate(parts):
-            np.testing.assert_allclose(b.l_cross.item(), cross[i].item(), atol=1e-12)
-            np.testing.assert_allclose(b.l_sub.item(), sub[i].item(), atol=1e-12)
+        np.testing.assert_allclose(parts["l_cross"], cross, atol=1e-12)
+        np.testing.assert_allclose(parts["l_sub"], sub, atol=1e-12)
 
     def test_gradient_reaches_representations(self):
         rng = np.random.default_rng(14)
@@ -451,7 +448,7 @@ class TestBatchedTotalLoss:
             for i in range(size):
                 own = mats[i, i]
                 pos, low = pair_tk[i, i], -oracle_tk(-own, k_for(own))
-                np.testing.assert_allclose(parts[i].l_intra.item(),
+                np.testing.assert_allclose(parts["l_intra"][i],
                                            max(0.0, low - pos + alpha / 2), atol=1e-12)
                 kept = []
                 for count in own.shape:  # rows, then columns
@@ -459,14 +456,14 @@ class TestBatchedTotalLoss:
                     kept.append(np.sort(draws.choice(count, size=keep, replace=False))
                                 if keep >= 1 else np.array([], dtype=int))
                 if min(len(kept[0]), len(kept[1])) == 0:
-                    assert parts[i].l_sub.item() == 0.0
+                    assert parts["l_sub"][i] == 0.0
                     continue
                 sub = own[np.ix_(kept[0], kept[1])]
                 sub_pos = oracle_tk(sub, k_for(sub))
                 hard_s = max(pair_tk[i, j] for j in range(size) if j != i)
                 hard_v = max(pair_tk[j, i] for j in range(size) if j != i)
                 want = max(0.0, hard_s - sub_pos + alpha / 2) + max(0.0, hard_v - sub_pos + alpha / 2)
-                np.testing.assert_allclose(parts[i].l_sub.item(), want, atol=1e-12)
+                np.testing.assert_allclose(parts["l_sub"][i], want, atol=1e-12)
 
     def test_breakdowns_add_no_graph_nodes(self):
         rng = np.random.default_rng(22)
@@ -475,9 +472,9 @@ class TestBatchedTotalLoss:
             s.requires_grad = v.requires_grad = True
         loss, parts = total_loss(batch, ObjectiveConfig(), RngStream(2))
         assert loss.node is not None
-        for part in parts:
-            for value in (part.l_cross, part.l_intra, part.l_sub, part.total):
-                assert value.node is None
+        assert sorted(parts) == ["l_cross", "l_intra", "l_sub", "s_neg", "s_pos", "total"]
+        for value in parts.values():
+            assert type(value) is np.ndarray and value.shape == (2,)
 
 
 class TestKOverrideCheck:

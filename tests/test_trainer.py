@@ -12,6 +12,7 @@ from doclink.tensor import Tensor
 from doclink.trainer import (
     OptimizerState,
     TrainConfig,
+    TrainState,
     adam_step,
     load_checkpoint,
     lr_at,
@@ -250,6 +251,27 @@ class TestCheckpoint:
                 t.data, resumed.params.named_parameters()[name].data, atol=1e-10
             )
 
+    def test_resume_rejects_changed_settings(self, tmp_path):
+        """Any stored objective or train field but max_epochs must match."""
+        corpus = tiny_corpus()
+        model_config = tiny_model_config()
+        objective_config = ObjectiveConfig(alpha=0.2, p_sub=0.7)
+        ckpt = str(tmp_path / "c.json")
+        train(corpus, model_config, objective_config,
+              tiny_train_config(max_epochs=1), checkpoint_path=ckpt)
+        changes = [
+            (objective_config, tiny_train_config(max_epochs=2, batch_size=3),
+             "train batch_size=4, but batch_size=3"),
+            (objective_config, tiny_train_config(max_epochs=2, seed=2), "train seed=1, but seed=2"),
+            (objective_config, tiny_train_config(max_epochs=2, use_sub=False),
+             "train use_sub=True, but use_sub=False"),
+            (ObjectiveConfig(alpha=0.3, p_sub=0.7), tiny_train_config(max_epochs=2),
+             "objective alpha=0.2, but alpha=0.3"),
+        ]
+        for objective, train_config, message in changes:
+            with pytest.raises(ConfigError, match=message):
+                train(corpus, model_config, objective, train_config, resume_from=ckpt)
+
     def test_round_trip_preserves_exact_values(self, tmp_path):
         corpus = tiny_corpus()
         model_config = tiny_model_config()
@@ -258,31 +280,33 @@ class TestCheckpoint:
             tiny_train_config(max_epochs=1),
         )
         path = str(tmp_path / "ckpt.json")
+        state = TrainState(
+            step=result.step,
+            epoch=1,
+            decays=2,
+            best_val=0.125,
+            stall=1,
+            history=result.history,
+            rng={"batching": RngStream(9).state(), "dropout": RngStream(10).state()},
+        )
         save_checkpoint(
             path,
             result.params,
             result.optimizer,
-            step=result.step,
-            epoch=1,
-            decays=0,
-            best_val=None,
-            stall=0,
-            history=result.history,
-            rng_states={
-                "batching": RngStream(9).state(),
-                "dropout": RngStream(10).state(),
-            },
-            model_config=model_config,
-            objective_config=ObjectiveConfig(alpha=0.2, p_sub=0.7),
-            train_config=tiny_train_config(max_epochs=1),
+            state,
+            model_config,
+            ObjectiveConfig(alpha=0.2, p_sub=0.7),
+            tiny_train_config(max_epochs=1),
         )
-        params, optimizer, extra = load_checkpoint(path, model_config)
+        params, optimizer, loaded = load_checkpoint(path, model_config)
         for name, t in result.params.named_parameters().items():
             np.testing.assert_array_equal(t.data, params.named_parameters()[name].data)
         for name in optimizer.m:
             np.testing.assert_array_equal(optimizer.m[name], result.optimizer.m[name])
+            np.testing.assert_array_equal(optimizer.v[name], result.optimizer.v[name])
         assert optimizer.step == result.optimizer.step
-        assert extra["step"] == result.step
+        assert loaded == state
+        assert params.config == model_config
 
     def test_wrong_model_config_rejected(self, tmp_path):
         corpus = tiny_corpus()
