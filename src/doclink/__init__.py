@@ -37,11 +37,11 @@ from .encoder import (
     ModelConfig,
     ModelParams,
     batch_representations,
-    document_similarity_matrix,
     encode_images,
     encode_sentences,
     init_params,
     similarity_matrix,
+    split_representations,
 )
 from .errors import DoclinkError
 from .evalmetrics import (
@@ -97,7 +97,6 @@ __all__ = [
     "distance_samples",
     "document_auc",
     "document_precision_at_k",
-    "document_similarity_matrix",
     "document_spreads",
     "dropout_subdoc_loss",
     "encode_images",
@@ -119,6 +118,7 @@ __all__ = [
     "save_corpus",
     "save_split_manifest",
     "similarity_matrix",
+    "split_representations",
     "spread_regression",
     "tk",
     "token_overlap_scores",

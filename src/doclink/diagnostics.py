@@ -21,24 +21,14 @@ the phenomenon under study exists before any training.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import tensor
 from .corpus import Corpus, raw_feature_views
-from .encoder import ModelConfig, ModelParams, encode_images
+from .encoder import ModelConfig, ModelParams, split_representations
 from .errors import ConfigError, MissingGoldEdgesError
 from .rng import RngStream
-
-
-def _document_image_features(doc, params, config):
-    """One vector per image: mean object row, or the encoder output when
-    a model is supplied."""
-    if params is None:
-        return np.stack([img.objects.mean(axis=0) for img in doc.images])
-    with tensor.no_grad():
-        return encode_images(doc.images, params, config).data
 
 
 def distance_samples(
@@ -70,7 +60,12 @@ def distance_samples(
         if doc.gold_edges is None:
             raise MissingGoldEdgesError(f"document {doc.id!r} has no gold edges")
 
-    feats = [_document_image_features(doc, params, config) for doc in docs]
+    # One vector per image: its mean object row, or its encoder output when
+    # a model is supplied.
+    if params is None:
+        feats = [np.stack([img.objects.mean(axis=0) for img in doc.images]) for doc in docs]
+    else:
+        feats = [img.data for _, img in split_representations(docs, params, config)]
     pool_owner = np.concatenate(
         [np.full(len(doc.images), d, dtype=int) for d, doc in enumerate(docs)]
     )
@@ -138,16 +133,7 @@ class BiasReport:
     cross_counts: list
 
     def to_json_dict(self):
-        return {
-            "ks_statistic": self.ks_statistic,
-            "ks_p_value": self.ks_p_value,
-            "n_intra": self.n_intra,
-            "n_cross": self.n_cross,
-            "n_matched": self.n_matched,
-            "bin_edges": self.bin_edges,
-            "intra_counts": self.intra_counts,
-            "cross_counts": self.cross_counts,
-        }
+        return asdict(self)
 
 
 def bias_report(

@@ -13,6 +13,11 @@ transformer stack, and mean-pooled.
 The concept projection reuses the sentence projection weights, and concept
 token ids index the same word-embedding table as sentences, which is what
 lets gradients bridge the two modalities.
+
+Documents are encoded one way, by :func:`batch_representations`: one padded
+pass per modality over several documents.  Training calls it per batch;
+evaluation and diagnostics call :func:`split_representations`, its
+graph-free form over a split.  Input is checked on the padded arrays.
 """
 
 from __future__ import annotations
@@ -21,18 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Document, ImageRecord
 from .errors import (
     ConfigError,
     CorpusValidationError,
     DegenerateEmbeddingError,
+    NonFiniteError,
     SequenceLengthError,
     ShapeMismatchError,
     VocabularyError,
 )
 from .nn import LayerNormParams, TransformerLayerParams, linear, transformer_layer, xavier_uniform
 from .rng import RngStream
-from .tensor import Tensor, concat, embedding, matmul, normalize_rows, transpose
+from .tensor import Tensor, concat, embedding, matmul, no_grad, normalize_rows, transpose
+
+# Documents per graph-free pass: a default training batch, so evaluation never
+# holds more activations than one training step's forward pass.
+DOCS_PER_PASS = 11
 
 
 @dataclass
@@ -138,29 +147,37 @@ def init_params(config: ModelConfig, rng: RngStream, pretrained: dict | None = N
 # ---- sentence path ----------------------------------------------------------
 
 
-def _validate_sentence(tokens, config: ModelConfig) -> None:
-    if len(tokens) < 1:
-        raise SequenceLengthError("sentence has no tokens")
-    if len(tokens) > config.max_sentence_len:
-        raise SequenceLengthError(
-            f"sentence length {len(tokens)} exceeds max_sentence_len {config.max_sentence_len}"
+def _check_vocab(ids: np.ndarray, mask: np.ndarray, config: ModelConfig, what: str) -> None:
+    """Every real (masked-in) id must index the word-embedding table."""
+    bad = mask & ((ids < 0) | (ids >= config.vocab_size))
+    if bad.any():
+        raise VocabularyError(
+            f"{what} id {ids[bad][0]} outside vocabulary of size {config.vocab_size}"
         )
-    for t in tokens:
-        if not (0 <= int(t) < config.vocab_size):
-            raise VocabularyError(f"token id {t} outside vocabulary of size {config.vocab_size}")
+
+
+def _masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Mean of ``x`` over the mask's last axis; fully masked slots divide by one."""
+    weights = mask.astype(np.float64)[..., None]
+    counts = np.maximum(mask.sum(axis=-1), 1).astype(np.float64)
+    summed = (x * Tensor(weights)).sum(axis=mask.ndim - 1)
+    return summed * Tensor((1.0 / counts)[..., None])
 
 
 def encode_sentences(sentences: list, params: ModelParams, config: ModelConfig) -> Tensor:
     """Encode a batch of token-id sequences into (batch, embed_dim)."""
-    for tokens in sentences:
-        _validate_sentence(tokens, config)
-    batch = len(sentences)
-    length = max(len(s) for s in sentences)
-    ids = np.zeros((batch, length), dtype=np.int64)
-    mask = np.zeros((batch, length), dtype=bool)
-    for b, tokens in enumerate(sentences):
-        ids[b, : len(tokens)] = tokens
-        mask[b, : len(tokens)] = True
+    lengths = np.array([len(tokens) for tokens in sentences])
+    if lengths.min() < 1:
+        raise SequenceLengthError("sentence has no tokens")
+    if lengths.max() > config.max_sentence_len:
+        raise SequenceLengthError(
+            f"sentence length {lengths.max()} exceeds max_sentence_len {config.max_sentence_len}"
+        )
+    length = lengths.max()
+    mask = np.arange(length) < lengths[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask] = np.concatenate(sentences)
+    _check_vocab(ids, mask, config, "token")
 
     words = embedding(params.word_embed, ids)
     positions = embedding(params.pos_embed, np.arange(length)[None, :])
@@ -171,69 +188,43 @@ def encode_sentences(sentences: list, params: ModelParams, config: ModelConfig) 
     return _masked_mean(x, mask)
 
 
-def encode_sentence(tokens, params: ModelParams, config: ModelConfig) -> Tensor:
-    return encode_sentences([tokens], params, config)[0]
-
-
-def _masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
-    weights = mask.astype(np.float64)[:, :, None]
-    counts = mask.sum(axis=1).astype(np.float64)
-    summed = (x * Tensor(weights)).sum(axis=1)
-    return summed * Tensor((1.0 / counts)[:, None])
-
-
 # ---- image path --------------------------------------------------------------
-
-
-def _validate_image(image: ImageRecord, config: ModelConfig) -> None:
-    if image.objects.ndim != 2 or image.objects.shape[0] < 1:
-        raise ShapeMismatchError("image needs at least one object feature row")
-    if image.objects.shape[1] != config.obj_dim:
-        raise ShapeMismatchError(
-            f"object feature width {image.objects.shape[1]} != configured obj_dim {config.obj_dim}"
-        )
-    if len(image.concepts) != image.objects.shape[0]:
-        raise CorpusValidationError(
-            f"image has {image.objects.shape[0]} objects but {len(image.concepts)} concepts"
-        )
-    for concept in image.concepts:
-        if len(concept) < 1:
-            raise CorpusValidationError("empty concept token list")
-        for t in concept:
-            if not (0 <= int(t) < config.vocab_size):
-                raise VocabularyError(
-                    f"concept token id {t} outside vocabulary of size {config.vocab_size}"
-                )
 
 
 def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Tensor:
     """Encode a batch of ImageRecords into (batch, embed_dim)."""
     for image in images:
-        _validate_image(image, config)
-    batch = len(images)
-    mu = max(img.objects.shape[0] for img in images)
-    feats = np.zeros((batch, mu, config.obj_dim))
-    obj_mask = np.zeros((batch, mu), dtype=bool)
-    concept_len = max(len(c) for img in images for c in img.concepts)
-    concept_ids = np.zeros((batch, mu, concept_len), dtype=np.int64)
-    concept_mask = np.zeros((batch, mu, concept_len), dtype=bool)
-    for b, img in enumerate(images):
-        count = img.objects.shape[0]
-        feats[b, :count] = img.objects
-        obj_mask[b, :count] = True
-        for o, concept in enumerate(img.concepts):
-            concept_ids[b, o, : len(concept)] = concept
-            concept_mask[b, o, : len(concept)] = True
+        if image.objects.ndim != 2 or image.objects.shape[0] < 1:
+            raise ShapeMismatchError("image needs at least one object feature row")
+        if image.objects.shape[1] != config.obj_dim:
+            raise ShapeMismatchError(
+                f"object feature width {image.objects.shape[1]} != configured obj_dim "
+                f"{config.obj_dim}"
+            )
+        if len(image.concepts) != image.objects.shape[0]:
+            raise CorpusValidationError(
+                f"image has {image.objects.shape[0]} objects but {len(image.concepts)} concepts"
+            )
+    counts = np.array([img.objects.shape[0] for img in images])
+    obj_mask = np.arange(counts.max()) < counts[:, None]
+    feats = np.zeros(obj_mask.shape + (config.obj_dim,))
+    feats[obj_mask] = np.concatenate([img.objects for img in images])
+    concepts = [c for img in images for c in img.concepts]
+    concept_lens = np.zeros(obj_mask.shape, dtype=np.int64)
+    concept_lens[obj_mask] = [len(c) for c in concepts]
+    concept_mask = np.arange(concept_lens.max()) < concept_lens[..., None]
+    if not concept_mask[obj_mask].any(axis=-1).all():
+        raise CorpusValidationError("empty concept token list")
+    concept_ids = np.zeros(concept_mask.shape, dtype=np.int64)
+    concept_ids[concept_mask] = np.concatenate(concepts)
+    _check_vocab(concept_ids, concept_mask, config, "concept token")
 
     obj_tokens = linear(Tensor(feats), params.obj_proj_w, params.obj_proj_b)
     seg_obj = params.ln_obj_seg(params.seg_embed[0])
     obj_tokens = (params.ln_obj_feat(obj_tokens) + seg_obj) * 0.5
 
-    # Mean word embedding per concept entry; padded slots divide by one.
-    word_vecs = embedding(params.word_embed, concept_ids)
-    cmask = concept_mask.astype(np.float64)[..., None]
-    counts = np.maximum(concept_mask.sum(axis=2), 1).astype(np.float64)
-    mean_words = (word_vecs * Tensor(cmask)).sum(axis=2) * Tensor((1.0 / counts)[..., None])
+    # Mean word embedding per concept entry.
+    mean_words = _masked_mean(embedding(params.word_embed, concept_ids), concept_mask)
     con_tokens = linear(mean_words, params.text_proj_w, params.text_proj_b)
     seg_con = params.ln_concept_seg(params.seg_embed[1])
     con_tokens = (params.ln_concept_feat(con_tokens) + seg_con) * 0.5
@@ -245,10 +236,6 @@ def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Ten
     return _masked_mean(x, full_mask)
 
 
-def encode_image(image: ImageRecord, params: ModelParams, config: ModelConfig) -> Tensor:
-    return encode_images([image], params, config)[0]
-
-
 # ---- similarity ---------------------------------------------------------------
 
 
@@ -256,18 +243,15 @@ def similarity_matrix(sentence_reps: Tensor, image_reps: Tensor) -> Tensor:
     """Cosine similarity of every (sentence, image) pair: (n, m).
 
     Evaluation calls it per document; the objective calls it once per
-    batch, on all the batch's sentences against all its images."""
+    batch, on all the batch's sentences against all its images.  A
+    non-finite or zero-norm representation has no cosine and is rejected."""
     for name, reps in (("sentence", sentence_reps), ("image", image_reps)):
+        if not np.isfinite(reps.data).all():
+            raise NonFiniteError(f"non-finite {name} representation")
         norms = np.sqrt((reps.data**2).sum(axis=-1))
         if (norms == 0.0).any():
             raise DegenerateEmbeddingError(f"zero-norm {name} representation")
     return matmul(normalize_rows(sentence_reps), transpose(normalize_rows(image_reps)))
-
-
-def document_similarity_matrix(doc: Document, params: ModelParams, config: ModelConfig) -> Tensor:
-    sent = encode_sentences(doc.sentences, params, config)
-    img = encode_images(doc.images, params, config)
-    return similarity_matrix(sent, img)
 
 
 def batch_representations(docs: list, params: ModelParams, config: ModelConfig) -> list:
@@ -284,4 +268,14 @@ def batch_representations(docs: list, params: ModelParams, config: ModelConfig) 
         out.append((sent_reps[s_off : s_off + n], img_reps[v_off : v_off + m]))
         s_off += n
         v_off += m
+    return out
+
+
+def split_representations(docs: list, params: ModelParams, config: ModelConfig) -> list:
+    """Graph-free :func:`batch_representations` of any number of documents,
+    DOCS_PER_PASS documents per pass: [(sent_reps, img_reps), ...]."""
+    out = []
+    with no_grad():
+        for start in range(0, len(docs), DOCS_PER_PASS):
+            out.extend(batch_representations(docs[start : start + DOCS_PER_PASS], params, config))
     return out

@@ -13,25 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor
 from .corpus import Corpus
-from .encoder import ModelConfig, ModelParams, document_similarity_matrix
+from .encoder import ModelConfig, ModelParams, similarity_matrix, split_representations
 from .errors import ConfigError, MissingGoldEdgesError
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return ((last - counts + 1 + last) / 2.0)[inverse]
 
 
 def document_auc(scores: np.ndarray, gold: set) -> float | None:
@@ -133,16 +124,14 @@ def evaluate(
     config: ModelConfig,
     ks=(1, 5),
 ) -> EvalReport:
-    """Encode a split in no-graph mode and score every document."""
+    """Encode a split graph-free with :func:`split_representations` and
+    score every document."""
     docs = corpus.split_documents(split)
-    matrices = {}
-    golds = {}
-    with tensor.no_grad():
-        for doc in docs:
-            if doc.gold_edges is None:
-                raise MissingGoldEdgesError(
-                    f"document {doc.id!r} has no gold edges; cannot evaluate"
-                )
-            matrices[doc.id] = document_similarity_matrix(doc, params, config).data
-            golds[doc.id] = doc.gold_edges
-    return evaluate_matrices(matrices, golds, ks=ks)
+    for doc in docs:
+        if doc.gold_edges is None:
+            raise MissingGoldEdgesError(
+                f"document {doc.id!r} has no gold edges; cannot evaluate"
+            )
+    reps = split_representations(docs, params, config)
+    matrices = {doc.id: similarity_matrix(sent, img).data for doc, (sent, img) in zip(docs, reps)}
+    return evaluate_matrices(matrices, {doc.id: doc.gold_edges for doc in docs}, ks=ks)

@@ -26,7 +26,6 @@ B-vector, so the graph size does not grow with the batch.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,8 @@ class ObjectiveConfig:
     k_override: int | None = None  # None: k = min(rows, cols) per matrix
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        # Each check is written to fail for NaN, which compares false.
+        if not self.alpha > 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if not (0.0 < self.p_sub <= 1.0):
             raise ConfigError(f"p_sub must lie in (0, 1], got {self.p_sub}")
@@ -100,6 +100,18 @@ def _sample_subdocument(count: int, p_sub: float, rng: RngStream) -> np.ndarray:
     return np.sort(rng.choice(count, size=keep, replace=False))
 
 
+def degenerate_subdocuments(shapes: list, p_sub: float) -> list:
+    """Ids among ``shapes`` (document id, sentences, images) whose every
+    sub-document draw is empty, keeping no sentence or no image
+    (floor(p_sub * count) < 1); such a document contributes zero
+    sub-document loss."""
+    return [
+        doc_id
+        for doc_id, n, m in shapes
+        if min(_keep_count(n, p_sub), _keep_count(m, p_sub)) < 1
+    ]
+
+
 def check_k_override(shapes: list, config: ObjectiveConfig, use_sub: bool = True) -> None:
     """Reject a ``k_override`` that some block of a batch drawn from these
     documents could not satisfy, before any training step runs.
@@ -149,10 +161,6 @@ def _subdoc_positives(S: Tensor, row_off, col_off, config: ObjectiveConfig, rng:
         r = _sample_subdocument(row_off[i + 1] - row_off[i], config.p_sub, rng)
         c = _sample_subdocument(col_off[i + 1] - col_off[i], config.p_sub, rng)
         if r.size == 0 or c.size == 0:
-            warnings.warn(
-                f"document {i} in batch: sub-document degenerate under "
-                f"p_sub={config.p_sub}; contributing zero"
-            )
             continue
         rows.append(r + row_off[i])
         cols.append(c + col_off[i])
@@ -244,5 +252,6 @@ def cross_document_loss(batch: list, config: ObjectiveConfig) -> np.ndarray:
 def dropout_subdoc_loss(batch: list, config: ObjectiveConfig, rng: RngStream) -> np.ndarray:
     """Sub-document positives against full-document negatives (margin
     alpha/2): the sub-document part of :func:`total_loss`.  Degenerate
-    draws (no sentences or no images kept) contribute zero with a warning."""
+    draws (no sentences or no images kept) contribute zero; see
+    :func:`degenerate_subdocuments`."""
     return total_loss(batch, config, rng, use_cross=False, use_intra=False)[1]["l_sub"]

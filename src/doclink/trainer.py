@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import tensor
 from .corpus import Corpus
 from .encoder import ModelConfig, ModelParams, batch_representations, init_params
 from .errors import BatchError, ConfigError, NonFiniteError
-from .objective import ObjectiveConfig, check_k_override, total_loss
+from .objective import ObjectiveConfig, check_k_override, degenerate_subdocuments, total_loss
 from .rng import RngStream
 
 CHECKPOINT_FORMAT = "doclink-checkpoint-v1"
@@ -47,11 +48,12 @@ class TrainConfig:
     use_sub: bool = True
 
     def __post_init__(self):
-        if self.start_lr >= self.max_lr:
+        # Each check is written to fail for NaN, which compares false.
+        if not self.start_lr < self.max_lr:
             raise ConfigError(
                 f"start_lr {self.start_lr} must be below max_lr {self.max_lr}"
             )
-        if self.decay_factor <= 1.0:
+        if not self.decay_factor > 1.0:
             raise ConfigError(f"decay_factor must exceed 1, got {self.decay_factor}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
@@ -187,19 +189,25 @@ def train(
     aborts, leaving the last epoch's checkpoint in place.  ``resume_from``
     restores parameters, optimizer and :class:`TrainState`, then continues
     to max_epochs; every stored setting except max_epochs must equal the
-    requested one.
+    requested one.  With ``use_sub`` on, one warning before the first step
+    names the train and val documents whose sub-document draw is always
+    degenerate (see :func:`degenerate_subdocuments`).
     """
     train_docs = corpus.split_documents("train")
     if not train_docs:
         raise BatchError("train split is empty")
     val_docs = corpus.split_documents("val")
+    degenerate = []
     for docs in (train_docs, val_docs):
         if len(docs) >= 2:  # a single document never forms a batch
-            check_k_override(
-                [(d.id, len(d.sentences), len(d.images)) for d in docs],
-                objective_config,
-                use_sub=train_config.use_sub,
-            )
+            shapes = [(d.id, len(d.sentences), len(d.images)) for d in docs]
+            check_k_override(shapes, objective_config, use_sub=train_config.use_sub)
+            degenerate += degenerate_subdocuments(shapes, objective_config.p_sub)
+    if train_config.use_sub and degenerate:
+        warnings.warn(
+            f"documents {degenerate} keep no sentence or no image in a sub-document "
+            f"draw under p_sub={objective_config.p_sub}; their sub-document loss is zero"
+        )
 
     root = RngStream(train_config.seed)
     batching = root.child("batching")

@@ -224,6 +224,25 @@ class TestTrain:
         assert code == 2
         assert f"document {record['id']!r}: image 1 has non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key", [("objective", "alpha"), ("train", "max_lr")])
+    def test_nan_setting_is_usage_error(self, workspace, tmp_path, capsys, section, key):
+        config = tmp_path / "nan.json"
+        config.write_text(f'{{"{section}": {{"{key}": NaN}}}}')
+        code = main(["train", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+                     "--out", str(tmp_path / "x"), "--config", str(config)])
+        assert code == 1
+        assert "nan" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "checkpoint.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_parameters_are_numeric_failure(self, workspace, tmp_path, capsys):
+        config = tmp_path / "train.json"
+        write_json(config, train_sections(max_lr=1e200, warmup_steps=0))
+        code = main(["train", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+                     "--out", str(tmp_path / "x"), "--config", str(config)])
+        assert code == 3
+        assert "numeric failure: non-finite sentence representation" in capsys.readouterr().err
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         code = main(
             ["train", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "x")]

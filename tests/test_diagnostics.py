@@ -74,6 +74,21 @@ class TestKs:
         with pytest.raises(ConfigError):
             ks_two_sample([], [1.0])
 
+    def test_matches_scipy_statistic_and_kolmogorov_tail(self):
+        """D against ks_2samp; p against scipy's Kolmogorov survival
+        function at the same effective-size-corrected lambda."""
+        stats = pytest.importorskip("scipy.stats")
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            a = np.round(rng.normal(size=rng.integers(1, 60)), 1)  # force ties
+            b = np.round(rng.normal(loc=rng.uniform(0, 1.5), size=rng.integers(1, 60)), 1)
+            d, p = ks_two_sample(a, b)
+            assert abs(d - stats.ks_2samp(a, b).statistic) <= 1e-15  # ECDF gaps round apart
+            n_eff = a.size * b.size / (a.size + b.size)
+            lam = d * (np.sqrt(n_eff) + 0.12 + 0.11 / np.sqrt(n_eff))
+            assert abs(p - special.kolmogorov(lam)) <= 1e-12
+
 
 def diag_corpus(sigma=0.1, doc_center_scale=0.0, seed=5, density=1 / 3, docs=6):
     config = SynthConfig(

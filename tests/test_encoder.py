@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from doclink import tensor
-from doclink.corpus import ImageRecord
+from doclink.corpus import Document, ImageRecord
 from doclink.encoder import (
     ModelConfig,
-    encode_image,
+    DOCS_PER_PASS,
     encode_images,
-    encode_sentence,
     encode_sentences,
     init_params,
     similarity_matrix,
+    split_representations,
 )
 from doclink.errors import (
     ConfigError,
+    CorpusValidationError,
     DegenerateEmbeddingError,
+    NonFiniteError,
     SequenceLengthError,
     ShapeMismatchError,
     VocabularyError,
@@ -97,7 +99,7 @@ class TestSentenceEncoder:
         """lambda=1: pooling over one element returns that element."""
         config, params = tiny_model()
         tokens = [7]
-        out = encode_sentence(tokens, params, config)
+        out = encode_sentences([tokens], params, config)[0]
 
         words = params.word_embed.data[[7]]
         pos = params.pos_embed.data[[0]]
@@ -108,8 +110,8 @@ class TestSentenceEncoder:
 
     def test_positions_break_permutation_symmetry(self):
         config, params = tiny_model()
-        a = encode_sentence([1, 2, 3, 4], params, config)
-        b = encode_sentence([4, 3, 2, 1], params, config)
+        a = encode_sentences([[1, 2, 3, 4]], params, config)[0]
+        b = encode_sentences([[4, 3, 2, 1]], params, config)[0]
         assert np.abs(a.data - b.data).max() > 1e-8
 
     def test_batched_matches_single(self):
@@ -117,17 +119,19 @@ class TestSentenceEncoder:
         sents = [[1, 2, 3], [4, 5], [6]]
         batch = encode_sentences(sents, params, config)
         for i, s in enumerate(sents):
-            single = encode_sentence(s, params, config)
+            single = encode_sentences([s], params, config)[0]
             np.testing.assert_allclose(batch.data[i], single.data, atol=1e-12)
 
     def test_length_and_vocab_validation(self):
         config, params = tiny_model(max_len=4)
-        with pytest.raises(SequenceLengthError):
-            encode_sentence([1, 2, 3, 4, 5], params, config)
-        with pytest.raises(SequenceLengthError):
-            encode_sentence([], params, config)
-        with pytest.raises(VocabularyError):
-            encode_sentence([999], params, config)
+        with pytest.raises(SequenceLengthError, match="length 5 exceeds max_sentence_len 4"):
+            encode_sentences([[1, 2], [1, 2, 3, 4, 5]], params, config)
+        with pytest.raises(SequenceLengthError, match="no tokens"):
+            encode_sentences([[1], []], params, config)
+        with pytest.raises(VocabularyError, match="token id 999 outside vocabulary of size 30"):
+            encode_sentences([[1, 2, 3], [999]], params, config)
+        with pytest.raises(VocabularyError, match="token id -1 "):
+            encode_sentences([[1, -1]], params, config)
 
     def test_word_embedding_gradient(self):
         config, params = tiny_model()
@@ -152,8 +156,8 @@ class TestImageEncoder:
         shuffled = ImageRecord(
             objects=img.objects[perm], concepts=[img.concepts[p] for p in perm]
         )
-        a = encode_image(img, params, config)
-        b = encode_image(shuffled, params, config)
+        a = encode_images([img], params, config)[0]
+        b = encode_images([shuffled], params, config)[0]
         np.testing.assert_allclose(a.data, b.data, atol=1e-10)
 
     def test_identical_images_identical_outputs(self):
@@ -161,8 +165,8 @@ class TestImageEncoder:
         rng = np.random.default_rng(2)
         img = make_image(rng, mu=1)
         twin = ImageRecord(objects=img.objects.copy(), concepts=[list(c) for c in img.concepts])
-        a = encode_image(img, params, config)
-        b = encode_image(twin, params, config)
+        a = encode_images([img], params, config)[0]
+        b = encode_images([twin], params, config)[0]
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_batched_matches_single(self):
@@ -171,14 +175,31 @@ class TestImageEncoder:
         imgs = [make_image(rng, mu=2), make_image(rng, mu=4), make_image(rng, mu=1)]
         batch = encode_images(imgs, params, config)
         for i, img in enumerate(imgs):
-            single = encode_image(img, params, config)
+            single = encode_images([img], params, config)[0]
             np.testing.assert_allclose(batch.data[i], single.data, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         config, params = tiny_model(obj_dim=5)
         bad = ImageRecord(objects=np.zeros((2, 4)), concepts=[[1], [2]])
-        with pytest.raises(ShapeMismatchError):
-            encode_image(bad, params, config)
+        with pytest.raises(ShapeMismatchError, match="width 4 != configured obj_dim 5"):
+            encode_images([bad], params, config)
+
+    @pytest.mark.parametrize(
+        "objects,concepts,error,message",
+        [
+            (np.zeros((0, 5)), [], ShapeMismatchError, "at least one object"),
+            (np.zeros(5), [[1]], ShapeMismatchError, "at least one object"),
+            (np.zeros((2, 5)), [[1]], CorpusValidationError, "2 objects but 1 concepts"),
+            (np.zeros((2, 5)), [[1], []], CorpusValidationError, "empty concept"),
+            (np.zeros((2, 5)), [[1], [2, 30]], VocabularyError, "concept token id 30 "),
+            (np.zeros((1, 5)), [[-4]], VocabularyError, "concept token id -4 "),
+        ],
+    )
+    def test_malformed_image_rejected(self, objects, concepts, error, message):
+        config, params = tiny_model(obj_dim=5)
+        good = make_image(np.random.default_rng(0), obj_dim=5, mu=3, concept_len=3)
+        with pytest.raises(error, match=message):
+            encode_images([good, ImageRecord(objects=objects, concepts=concepts)], params, config)
 
     def test_object_projection_gradient(self):
         config, params = tiny_model()
@@ -206,14 +227,14 @@ class TestSharedTable:
         config, params = tiny_model()
         rng = np.random.default_rng(5)
         img = ImageRecord(objects=rng.normal(size=(2, 5)), concepts=[[9, 1], [2]])
-        s_before = encode_sentence([9, 3], params, config).data.copy()
-        v_before = encode_image(img, params, config).data.copy()
-        other_before = encode_sentence([4, 5], params, config).data.copy()
+        s_before = encode_sentences([[9, 3]], params, config)[0].data.copy()
+        v_before = encode_images([img], params, config)[0].data.copy()
+        other_before = encode_sentences([[4, 5]], params, config)[0].data.copy()
 
         params.word_embed.data[9, 0] += 0.5
-        s_after = encode_sentence([9, 3], params, config).data
-        v_after = encode_image(img, params, config).data
-        other_after = encode_sentence([4, 5], params, config).data
+        s_after = encode_sentences([[9, 3]], params, config)[0].data
+        v_after = encode_images([img], params, config)[0].data
+        other_after = encode_sentences([[4, 5]], params, config)[0].data
 
         assert np.abs(s_after - s_before).max() > 1e-6
         assert np.abs(v_after - v_before).max() > 1e-6
@@ -224,7 +245,7 @@ class TestSharedTable:
         rng = np.random.default_rng(6)
         img = ImageRecord(objects=rng.normal(size=(1, 5)), concepts=[[11, 12]])
         params.zero_grads()
-        tensor.backward(encode_image(img, params, config).sum())
+        tensor.backward(encode_images([img], params, config)[0].sum())
         grad_rows = np.abs(params.word_embed.grad).sum(axis=1)
         assert grad_rows[11] > 0 and grad_rows[12] > 0
         assert grad_rows[0] == 0
@@ -252,6 +273,16 @@ class TestSimilarityMatrix:
         with pytest.raises(DegenerateEmbeddingError):
             similarity_matrix(Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 3))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_naming_side(self, bad):
+        finite = np.ones((2, 3))
+        broken = finite.copy()
+        broken[1, 2] = bad
+        with pytest.raises(NonFiniteError, match="non-finite sentence representation"):
+            similarity_matrix(Tensor(broken), Tensor(finite))
+        with pytest.raises(NonFiniteError, match="non-finite image representation"):
+            similarity_matrix(Tensor(finite), Tensor(broken))
+
     def test_gradient(self):
         rng = np.random.default_rng(8)
         s = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
@@ -265,3 +296,36 @@ class TestSimilarityMatrix:
         for leaf in (s, v):
             fd = central_diff(build, leaf)
             np.testing.assert_allclose(leaf.grad, fd, rtol=1e-5, atol=1e-7)
+
+
+class TestSplitRepresentations:
+    def test_ragged_split_matches_per_document_encoding(self):
+        """Groups of DOCS_PER_PASS documents padded to their longest
+        sentence, object count and concept give every document the
+        representations it gets when encoded alone."""
+        config, params = tiny_model(max_len=12)
+        rng = np.random.default_rng(11)
+        docs = []
+        for d in range(2 * DOCS_PER_PASS + 3):
+            sentences = [
+                [int(t) for t in rng.integers(0, 30, size=rng.integers(1, 13))]
+                for _ in range(rng.integers(1, 5))
+            ]
+            images = [
+                make_image(rng, mu=int(rng.integers(1, 5)), concept_len=int(rng.integers(1, 4)))
+                for _ in range(rng.integers(1, 4))
+            ]
+            docs.append(Document(id=f"d{d}", sentences=sentences, images=images))
+
+        reps = split_representations(docs, params, config)
+        assert len(reps) == len(docs)
+        for doc, (sent, img) in zip(docs, reps):
+            assert sent.node is None and img.node is None
+            alone_sent = encode_sentences(doc.sentences, params, config)
+            alone_img = encode_images(doc.images, params, config)
+            np.testing.assert_allclose(sent.data, alone_sent.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(img.data, alone_img.data, rtol=0, atol=1e-12)
+
+    def test_empty_split_has_no_representations(self):
+        config, params = tiny_model()
+        assert split_representations([], params, config) == []

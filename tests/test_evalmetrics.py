@@ -7,6 +7,7 @@ from doclink.corpus import SynthConfig, generate_synthetic, token_overlap_scores
 from doclink.encoder import ModelConfig, init_params
 from doclink.errors import ConfigError, MissingGoldEdgesError
 from doclink.evalmetrics import (
+    _average_ranks,
     document_auc,
     document_precision_at_k,
     evaluate,
@@ -31,6 +32,45 @@ def pairwise_auc_oracle(scores, gold):
         for q in neg:
             total += 1.0 if p > q else (0.5 if p == q else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def loop_ranks_oracle(values):
+    """Average ranks by walking tie runs of a stable sort."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestScipyOracles:
+    def test_average_ranks_match_loop_and_rankdata(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            values = np.round(rng.normal(size=rng.integers(1, 80)), 1)  # force ties
+            ranks = _average_ranks(values)
+            np.testing.assert_array_equal(ranks, loop_ranks_oracle(values))
+            np.testing.assert_array_equal(ranks, stats.rankdata(values))
+
+    def test_auc_is_normalised_mann_whitney_u(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            rows, cols = rng.integers(1, 7, size=2)
+            scores = np.round(rng.uniform(size=(rows, cols)), 1)
+            labels = rng.uniform(size=(rows, cols)) < 0.4
+            if labels.all() or not labels.any():
+                continue
+            gold = {(int(m), int(n)) for m, n in zip(*np.nonzero(labels))}
+            u = stats.mannwhitneyu(scores[labels], scores[~labels]).statistic
+            assert document_auc(scores, gold) == u / (labels.sum() * (~labels).sum())
 
 
 class TestDocumentAuc:

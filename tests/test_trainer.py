@@ -1,5 +1,7 @@
 """Optimizer, schedule, and training-loop checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,21 @@ class TestSchedule:
             tiny_train_config(decay_factor=1.0)
         with pytest.raises(ConfigError):
             tiny_train_config(batch_size=1)
+
+
+@pytest.mark.parametrize(
+    "cls,field",
+    [
+        (ObjectiveConfig, "alpha"),
+        (ObjectiveConfig, "p_sub"),
+        (TrainConfig, "start_lr"),
+        (TrainConfig, "max_lr"),
+        (TrainConfig, "decay_factor"),
+    ],
+)
+def test_nan_setting_rejected(cls, field):
+    with pytest.raises(ConfigError, match="nan"):
+        cls(**{field: float("nan")})
 
 
 class TestAdam:
@@ -205,6 +222,40 @@ class TestTrainLoop:
         corpus.splits["train"] = []
         with pytest.raises(BatchError):
             train(corpus, tiny_model_config(), ObjectiveConfig(), tiny_train_config())
+
+    def test_degenerate_subdocuments_warned_once_by_id(self):
+        """floor(0.6 * 1) = 0: a one-sentence train document and a
+        one-image validation document never draw a sub-document.  Both are
+        named in one warning before the first step, not once per step."""
+        corpus = tiny_corpus()
+        short_text = corpus.split_documents("train")[2]
+        short_text.sentences = short_text.sentences[:1]
+        short_text.gold_edges = {(0, n) for n in range(3)}
+        one_image = corpus.split_documents("val")[1]
+        one_image.images = one_image.images[:1]
+        one_image.gold_edges = {(m, 0) for m in range(3)}
+        config = tiny_train_config(max_epochs=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = train(corpus, tiny_model_config(), ObjectiveConfig(p_sub=0.6), config)
+        assert result.step == 4
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert repr([short_text.id, one_image.id]) in message and "p_sub=0.6" in message
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train(corpus, tiny_model_config(), ObjectiveConfig(p_sub=0.6),
+                  tiny_train_config(max_epochs=1, use_sub=False))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_parameters_are_non_finite_error(self):
+        """An lr of 1e200 overflows the parameters at step 0; step 1 then
+        stops at the non-finite representations."""
+        corpus = tiny_corpus()
+        config = tiny_train_config(max_lr=1e200, warmup_steps=0)
+        with pytest.raises(NonFiniteError, match="non-finite (sentence|image) representation"):
+            train(corpus, tiny_model_config(), ObjectiveConfig(), config)
 
     def test_non_finite_loss_aborts(self, monkeypatch):
         corpus = tiny_corpus()
