@@ -17,21 +17,8 @@ import numpy as np
 
 from doclink import tensor
 from doclink.corpus import SynthConfig, generate_synthetic
-from doclink.encoder import (
-    ModelConfig,
-    batch_representations,
-    init_params,
-    similarity_matrix,
-)
-from doclink.objective import (
-    ObjectiveConfig,
-    cross_document_loss,
-    dropout_subdoc_loss,
-    intra_document_loss,
-    neg_tk,
-    tk,
-    total_loss,
-)
+from doclink.encoder import ModelConfig, batch_representations, init_params
+from doclink.objective import ObjectiveConfig, neg_tk, tk, total_loss
 from doclink.rng import RngStream
 from doclink.tensor import Tensor
 
@@ -65,17 +52,10 @@ params = init_params(config, RngStream(5))
 batch = batch_representations(corpus.documents, params, config)
 objective = ObjectiveConfig(alpha=0.2, p_sub=0.6)
 
-cross = cross_document_loss(batch, objective)
-print(f"\ncross-document loss per document: {[f'{c:.4f}' for c in cross]}")
-
-own = similarity_matrix(batch[0][0], batch[0][1])
-print(f"intra-document loss for doc 0: {intra_document_loss(own, objective).data:.4f}")
-
-sub = dropout_subdoc_loss(batch, objective, RngStream(6).child("dropout"))
-print(f"dropout sub-document loss per document: {[f'{s:.4f}' for s in sub]}")
-
+# total_loss computes all three terms at once from one B x B table of tk
+# values; each document's terms come back as plain arrays in ``parts``.
 loss, parts = total_loss(batch, objective, RngStream(6).child("dropout"))
-print(f"batch loss (mean of per-document totals) = {loss.data:.4f}")
+print(f"\nbatch loss (mean of per-document totals) = {loss.data:.4f}")
 for i in range(len(batch)):
     print(
         f"  doc {i}: cross={parts['l_cross'][i]:.4f} intra={parts['l_intra'][i]:.4f} "

@@ -53,10 +53,7 @@ from .evalmetrics import (
 )
 from .objective import (
     ObjectiveConfig,
-    cross_document_loss,
-    dropout_subdoc_loss,
     hinge,
-    intra_document_loss,
     neg_tk,
     tk,
     total_loss,
@@ -93,12 +90,10 @@ __all__ = [
     "backward",
     "batch_representations",
     "bias_report",
-    "cross_document_loss",
     "distance_samples",
     "document_auc",
     "document_precision_at_k",
     "document_spreads",
-    "dropout_subdoc_loss",
     "encode_images",
     "encode_sentences",
     "evaluate",
@@ -106,7 +101,6 @@ __all__ = [
     "generate_synthetic",
     "hinge",
     "init_params",
-    "intra_document_loss",
     "ks_two_sample",
     "load_checkpoint",
     "load_corpus",

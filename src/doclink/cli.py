@@ -274,6 +274,9 @@ def _word_table(args, corpus, params):
 
 
 def cmd_diagnose(args) -> int:
+    for flag, value in (("--samples", args.samples), ("--bins", args.bins)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     splits = _splits_for(args.corpus, args.splits)
     corpus = load_corpus(args.corpus, splits=splits)
     _require_documents(corpus, args.split)

@@ -158,7 +158,7 @@ def _doc_to_record(doc: Document) -> dict:
         "sentences": [{"tokens": [int(t) for t in s]} for s in doc.sentences],
         "images": [
             {
-                "objects": [[float(x) for x in row] for row in img.objects],
+                "objects": np.asarray(img.objects, np.float64).tolist(),
                 "concepts": [[int(t) for t in c] for c in img.concepts],
             }
             for img in doc.images
@@ -169,21 +169,37 @@ def _doc_to_record(doc: Document) -> dict:
     return record
 
 
+def _int_ids(values, what: str) -> list:
+    """``values`` as a list, each a JSON integer: 3.7, true and "2" fail."""
+    values = list(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} {v!r} is not an integer")
+    return values
+
+
 def _doc_from_record(record: dict, line_no: int) -> Document:
+    doc_id = record.get("id") if isinstance(record, dict) else None
     try:
-        sentences = [[int(t) for t in s["tokens"]] for s in record["sentences"]]
+        sentences = [
+            _int_ids(s["tokens"], f"sentence {i} token") for i, s in enumerate(record["sentences"])
+        ]
         images = [
             ImageRecord(
                 objects=np.array(img["objects"], dtype=np.float64),
-                concepts=[[int(t) for t in c] for c in img["concepts"]],
+                concepts=[_int_ids(c, f"image {j} concept token") for c in img["concepts"]],
             )
-            for img in record["images"]
+            for j, img in enumerate(record["images"])
         ]
         gold = record.get("gold_edges")
-        edges = {(int(m), int(n)) for m, n in gold} if gold is not None else None
+        edges = None
+        if gold is not None:
+            edges = {(m, n) for m, n in (_int_ids(e, "gold edge index") for e in gold)}
         return Document(id=str(record["id"]), sentences=sentences, images=images, gold_edges=edges)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"malformed document record: {exc}", line=line_no) from exc
+        raise CorpusFormatError(
+            f"malformed record of document {doc_id!r}: {exc}", line=line_no
+        ) from exc
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -256,7 +272,14 @@ def save_split_manifest(splits: dict, path) -> None:
 
 def load_split_manifest(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise CorpusFormatError(f"split manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or not all(isinstance(raw.get(n, []), list) for n in SPLITS):
+        raise CorpusFormatError(
+            f"split manifest {path} must be a JSON object of id lists per split"
+        )
     return {name: [str(i) for i in raw.get(name, [])] for name in SPLITS}
 
 
@@ -270,16 +293,28 @@ def save_pretrained_embeddings(rows: dict, path) -> None:
 
 
 def load_pretrained_embeddings(path) -> dict:
+    """{token_id: vector}; every row must hold an integer id and a vector
+    of the first row's width."""
     rows = {}
+    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                rows[int(record["id"])] = np.array(record["vec"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                token_id = _int_ids([record["id"]], "id")[0]
+                vec = np.array(record["vec"], dtype=np.float64)
+                if vec.ndim != 1 or vec.size == 0:
+                    raise ValueError(f"'vec' must be a non-empty flat list, got shape {vec.shape}")
+                if width is not None and vec.size != width:
+                    raise ValueError(f"vector width {vec.size}, but the first row has {width}")
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"malformed embedding row: {exc}", line=line_no) from exc
+            width = vec.size
+            rows[token_id] = vec
+    if not rows:
+        raise CorpusValidationError(f"embedding file {path} has no rows")
     return rows
 
 
@@ -320,6 +355,27 @@ class SynthConfig:
     sigma: float = 0.1
     token_noise: float = 0.0
     doc_center_scale: float = 0.0
+
+    def __post_init__(self):
+        # Each check is written to fail for NaN, which compares false.
+        least_of = dict.fromkeys(("train_docs", "val_docs", "test_docs"), 0)
+        least_of.update(dict.fromkeys((
+            "sentences_per_doc", "images_per_doc", "vocab_size", "obj_dim",
+            "objects_per_image", "sentence_len", "concept_len", "tokens_per_cluster",
+        ), 1))
+        if self.clusters_per_doc is not None:
+            least_of["clusters_per_doc"] = 1
+        for name, least in least_of.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (0.0 < self.density <= 1.0):
+            raise ConfigError(f"density must lie in (0, 1], got {self.density}")
+        for name in ("sigma", "doc_center_scale"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not (0.0 <= self.token_noise <= 1.0):
+            raise ConfigError(f"token_noise must lie in [0, 1], got {self.token_noise}")
 
 
 def _edge_cells(n: int, m: int, count: int) -> list:
@@ -381,39 +437,17 @@ def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Docu
 
     # Cluster assignment: one cluster per connected match group, one per
     # unmatched sentence/image so distractors never match each other.
+    # Match groups are numbered first, in order of their lowest node (the
+    # union-find root), then unmatched sentences, then unmatched images.
     uf = _UnionFind(n + m)
     for i, j in edges:
         uf.union(i, n + j)
-    cluster_of = {}
-    next_cluster = 0
-    matched_s = {i for i, _ in edges}
-    matched_v = {j for _, j in edges}
-    for node in range(n + m):
-        is_sentence = node < n
-        if is_sentence and node not in matched_s:
-            continue
-        if not is_sentence and (node - n) not in matched_v:
-            continue
-        root = uf.find(node)
-        if root not in cluster_of:
-            cluster_of[root] = next_cluster
-            next_cluster += 1
-    sentence_cluster = {}
-    image_cluster = {}
-    for i in range(n):
-        if i in matched_s:
-            sentence_cluster[i] = cluster_of[uf.find(i)]
-        else:
-            sentence_cluster[i] = next_cluster
-            next_cluster += 1
-    for j in range(m):
-        if j in matched_v:
-            image_cluster[j] = cluster_of[uf.find(n + j)]
-        else:
-            image_cluster[j] = next_cluster
-            next_cluster += 1
+    matched = {i for i, _ in edges} | {n + j for _, j in edges}
+    keys = [(node not in matched, uf.find(node)) for node in range(n + m)]
+    number = {key: c for c, key in enumerate(sorted(set(keys)))}
+    cluster = [number[key] for key in keys]
 
-    needed = next_cluster
+    needed = len(number)
     clusters = needed if config.clusters_per_doc is None else config.clusters_per_doc
     if clusters < needed:
         raise ConfigError(
@@ -431,10 +465,13 @@ def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Docu
     center = rng.normal(size=config.obj_dim) * config.doc_center_scale
     prototypes = center[None, :] + rng.normal(size=(clusters, config.obj_dim))
 
+    def draw(subset, size: int) -> list:
+        # The same draws as rng.choice(subset, size), from the same stream use.
+        return subset[rng.integers(0, len(subset), size)].tolist()
+
     sentences = []
     for i in range(n):
-        tokens = rng.choice(subsets[sentence_cluster[i]], size=config.sentence_len, replace=True)
-        tokens = [int(t) for t in tokens]
+        tokens = draw(subsets[cluster[i]], config.sentence_len)
         if config.token_noise > 0.0:
             flips = rng.uniform(size=config.sentence_len) < config.token_noise
             for pos in np.flatnonzero(flips):
@@ -443,10 +480,10 @@ def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Docu
 
     images = []
     for j in range(m):
-        proto = prototypes[image_cluster[j]]
+        proto = prototypes[cluster[n + j]]
         noise = rng.normal(size=(config.objects_per_image, config.obj_dim)) * config.sigma
         concepts = [
-            [int(t) for t in rng.choice(subsets[image_cluster[j]], size=config.concept_len, replace=True)]
+            draw(subsets[cluster[n + j]], config.concept_len)
             for _ in range(config.objects_per_image)
         ]
         images.append(ImageRecord(objects=proto[None, :] + noise, concepts=concepts))
@@ -466,16 +503,6 @@ def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Docu
 
 def generate_synthetic(config: SynthConfig, rng: RngStream) -> Corpus:
     """Deterministic synthetic corpus with known gold edges."""
-    if not (0.0 < config.density <= 1.0):
-        raise ConfigError(f"density must lie in (0, 1], got {config.density}")
-    for name in ("train_docs", "val_docs", "test_docs"):
-        if getattr(config, name) < 0:
-            raise ConfigError(f"{name} must be non-negative")
-    if config.sentences_per_doc < 1 or config.images_per_doc < 1:
-        raise ConfigError("documents need at least one sentence and one image")
-    if config.sentence_len < 1 or config.concept_len < 1 or config.objects_per_image < 1:
-        raise ConfigError("sentence_len, concept_len, objects_per_image must be >= 1")
-
     documents = []
     splits = {}
     for split, count in (

@@ -2,8 +2,9 @@
 
 Layers follow the post-layer-norm residual arrangement with a 4x-wide ReLU
 feed-forward sublayer.  Weights are stored (out_dim, in_dim) so a projection
-reads ``x @ W.T + b``.  Masks are key-padding masks: boolean, True where a
-position is real, one entry per token.
+reads ``x @ W.T + b``.  Inputs are batches of shape (B, L, d), and
+attention is self-attention only.  Masks are key-padding masks of shape
+(B, L): boolean, True where a position is real.
 """
 
 from __future__ import annotations
@@ -86,51 +87,39 @@ class TransformerLayerParams:
         yield from self.ln_ff.named(f"{prefix}.ln_ff")
 
 
-def multihead_attention(q, k, v, params: AttentionParams, heads: int, mask=None) -> Tensor:
-    """Scaled dot-product attention with per-head 1/sqrt(d/heads) scaling.
+def multihead_attention(x: Tensor, params: AttentionParams, heads: int, mask=None) -> Tensor:
+    """Self-attention over a batch ``x`` of shape (B, L, d), with per-head
+    1/sqrt(d/heads) scaling.
 
-    Accepts (L, d) or batched (B, L, d) inputs.  ``mask`` marks real key
-    positions: shape (L,) or (B, L); padded keys receive exactly zero weight.
+    ``mask`` (B, L) marks real key positions; padded keys receive exactly
+    zero weight.
     """
-    dim = q.shape[-1]
+    batch, length, dim = x.shape
     if dim % heads != 0:
         raise ConfigError(f"attention width {dim} is not divisible by {heads} heads")
-    squeeze = q.ndim == 2
-    if squeeze:
-        q = reshape(q, (1,) + q.shape)
-        k = reshape(k, (1,) + k.shape)
-        v = reshape(v, (1,) + v.shape)
-    batch, length = q.shape[0], q.shape[1]
     head_dim = dim // heads
 
-    def split_heads(x):
-        x = reshape(x, (batch, x.shape[1], heads, head_dim))
-        return swapaxes(x, 1, 2)  # (B, H, L, dh)
+    def split_heads(y):
+        return swapaxes(reshape(y, (batch, length, heads, head_dim)), 1, 2)  # (B, H, L, dh)
 
-    qh = split_heads(linear(q, params.wq, params.bq))
-    kh = split_heads(linear(k, params.wk, params.bk))
-    vh = split_heads(linear(v, params.wv, params.bv))
+    qh = split_heads(linear(x, params.wq, params.bq))
+    kh = split_heads(linear(x, params.wk, params.bk))
+    vh = split_heads(linear(x, params.wv, params.bv))
 
     scores = matmul(qh, swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(head_dim))
-    key_mask = None
-    if mask is not None:
-        key_mask = np.asarray(mask, dtype=bool)
-        if key_mask.ndim == 1:
-            key_mask = key_mask[None, :]
-        key_mask = key_mask[:, None, None, :]  # broadcast over heads and queries
+    # Broadcast the key mask over heads and queries.
+    key_mask = None if mask is None else np.asarray(mask, dtype=bool)[:, None, None, :]
     weights = softmax(scores, mask=key_mask, axis=-1)
 
     mixed = matmul(weights, vh)  # (B, H, L, dh)
     merged = reshape(swapaxes(mixed, 1, 2), (batch, length, dim))
-    out = linear(merged, params.wo, params.bo)
-    if squeeze:
-        out = reshape(out, out.shape[1:])
-    return out
+    return linear(merged, params.wo, params.bo)
 
 
 def transformer_layer(x: Tensor, params: TransformerLayerParams, heads: int, mask=None) -> Tensor:
-    """One encoder layer: post-norm residual attention, then post-norm FFN."""
-    attended = multihead_attention(x, x, x, params.attn, heads, mask=mask)
+    """One encoder layer over (B, L, d): post-norm residual attention, then
+    post-norm FFN."""
+    attended = multihead_attention(x, params.attn, heads, mask=mask)
     x = params.ln_attn(x + attended)
     hidden = relu(linear(x, params.ff_w1, params.ff_b1))
     x = params.ln_ff(x + linear(hidden, params.ff_w2, params.ff_b2))

@@ -1,6 +1,7 @@
 """Document-level similarity (top-k edge averages) and the three
 unsupervised objectives: cross-document, intra-document, and dropout
-sub-document, summed into the per-document total.
+sub-document, summed into the per-document total by :func:`total_loss`,
+their only implementation.
 
 Document similarity: each row's best column defines one candidate edge and
 each column's best row another; the strongest k of each side are averaged
@@ -19,9 +20,9 @@ the same op on the negated matrix gives the own documents' neg_tk, and on
 the gathered sub-document rows and columns of the diagonal blocks it gives
 the dropout positives.  Hardest negatives are maxima over the table's
 off-diagonal (ties go to the lowest document index), and every hinge is a
-B-vector, so the graph size does not grow with the batch.
-:func:`cross_document_loss` and :func:`dropout_subdoc_loss` are views of
-:func:`total_loss`.
+B-vector, so the graph size does not grow with the batch.  Each term is
+read per document from the ``parts`` that :func:`total_loss` returns:
+``total_loss(...)[1]["l_cross" | "l_intra" | "l_sub"]``.
 """
 
 from __future__ import annotations
@@ -59,11 +60,6 @@ def hinge(m, n, margin: float) -> Tensor:
     return relu(n - m + margin)
 
 
-def resolve_k(shape, config: ObjectiveConfig) -> int:
-    rows, cols = shape
-    return min(rows, cols) if config.k_override is None else config.k_override
-
-
 def tk(M: Tensor, k: int) -> Tensor:
     """Mean similarity of the selected edge multiset.
 
@@ -80,13 +76,6 @@ def tk(M: Tensor, k: int) -> Tensor:
 def neg_tk(M: Tensor, k: int) -> Tensor:
     """Mean similarity of the least-likely edges: exactly -tk(-M, k)."""
     return neg(tk(neg(M), k))
-
-
-def intra_document_loss(M: Tensor, config: ObjectiveConfig) -> Tensor:
-    """Hinge (margin alpha/2) between the document's own most-likely and
-    least-likely edge averages."""
-    k = resolve_k(M.shape, config)
-    return hinge(tk(M, k), neg_tk(M, k), config.alpha / 2.0)
 
 
 def _keep_count(count: int, p_sub: float) -> int:
@@ -242,16 +231,3 @@ def total_loss(
     parts["s_neg"] = s_neg.data
     return batch_mean, parts
 
-
-def cross_document_loss(batch: list, config: ObjectiveConfig) -> np.ndarray:
-    """Per-document hinge against the hardest non-co-occurring pairing, in
-    both directions: the cross-document part of :func:`total_loss`."""
-    return total_loss(batch, config, None, use_intra=False, use_sub=False)[1]["l_cross"]
-
-
-def dropout_subdoc_loss(batch: list, config: ObjectiveConfig, rng: RngStream) -> np.ndarray:
-    """Sub-document positives against full-document negatives (margin
-    alpha/2): the sub-document part of :func:`total_loss`.  Degenerate
-    draws (no sentences or no images kept) contribute zero; see
-    :func:`degenerate_subdocuments`."""
-    return total_loss(batch, config, rng, use_cross=False, use_intra=False)[1]["l_sub"]

@@ -267,16 +267,13 @@ def matmul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward_fn, "matmul")
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a) -> Tensor:
+    """Reverse all axes (the matrix transpose in 2-D)."""
     a = _wrap(a)
-    out_data = np.transpose(a.data, axes)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = np.argsort(axes)
+    out_data = np.transpose(a.data)
 
     def backward_fn(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g),)
 
     return _make(out_data, (a,), backward_fn, "transpose")
 

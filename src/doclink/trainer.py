@@ -283,7 +283,7 @@ def train(
 def _array_to_json(arr: np.ndarray | None) -> dict | None:
     if arr is None:  # an Adam moment before the first step
         return None
-    return {"shape": list(arr.shape), "data": [float(x) for x in arr.reshape(-1)]}
+    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
 
 def _array_from_json(obj) -> np.ndarray | None:
@@ -323,7 +323,9 @@ def save_checkpoint(
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        # One dumps call uses the C encoder; json.dump streams through the
+        # pure-Python one.  The bytes are the same.
+        fh.write(json.dumps(payload))
     os.replace(tmp, path)
 
 

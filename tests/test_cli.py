@@ -112,6 +112,19 @@ class TestGen:
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("sigma", float("nan")), ("token_noise", 1.5), ("doc_center_scale", -1.0),
+         ("train_docs", float("nan")), ("train_docs", 2.5), ("clusters_per_doc", 0)],
+    )
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "bad.json"
+        write_json(config, {"synth": synth_section(**{key: value})})
+        code = main(["gen", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o" / "corpus.jsonl").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_history_and_echo(self, workspace, tmp_path):
@@ -467,3 +480,81 @@ class TestDiagnose:
              "--out", str(tmp_path / "d3")]
         )
         assert read_bytes(corpus) == before
+
+    @pytest.mark.parametrize("flag", ["--bins", "--samples"])
+    def test_count_below_one_is_usage_error(self, workspace, tmp_path, capsys, flag):
+        code = main(
+            ["diagnose", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+             "--split", "train", "--out", str(tmp_path / "d"), flag, "0"]
+        )
+        assert code == 1
+        assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([], "has no rows"),
+            ([{"id": 0, "vec": [0.1, 0.2]}, {"id": 1, "vec": [0.3]}],
+             "line 2: malformed embedding row: vector width 1, but the first row has 2"),
+            ([{"id": 0, "vec": [0.1, 0.2]}, {"id": "1", "vec": [0.3, 0.4]}],
+             "line 2: malformed embedding row: id '1' is not an integer"),
+        ],
+    )
+    def test_malformed_pretrained_file_is_data_error(
+        self, workspace, tmp_path, capsys, rows, message
+    ):
+        pretrained = tmp_path / "emb.jsonl"
+        pretrained.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code = main(
+            ["diagnose", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+             "--split", "train", "--out", str(tmp_path / "d"), "--pretrained", str(pretrained)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"train": 5}'])
+    def test_malformed_split_manifest_is_data_error(self, workspace, tmp_path, capsys, text):
+        manifest = tmp_path / "splits.json"
+        manifest.write_text(text)
+        code = main(
+            ["diagnose", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+             "--splits", str(manifest), "--split", "train", "--out", str(tmp_path / "d")]
+        )
+        assert code == 2
+        assert f"split manifest {manifest}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where,value,message",
+        [
+            (("sentences", 0, "tokens", 0), 3.7, "sentence 0 token 3.7"),
+            (("sentences", 0, "tokens", 0), True, "sentence 0 token True"),
+            (("sentences", 0, "tokens", 0), "2", "sentence 0 token '2'"),
+            (("images", 0, "concepts", 0, 0), 1.5, "image 0 concept token 1.5"),
+            (("gold_edges", 0), [0.2, 0], "gold edge index 0.2"),
+        ],
+    )
+    def test_non_integer_id_is_data_error(
+        self, workspace, tmp_path, capsys, where, value, message
+    ):
+        """JSON integers only: int() used to load 3.7 as 3, true as 1 and
+        "2" as 2 without a word."""
+        source = workspace / "data"
+        lines = (source / "corpus.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        target = record
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        lines[1] = json.dumps(record)
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["diagnose", "--corpus", str(corpus), "--splits", str(source / "splits.json"),
+             "--split", "train", "--out", str(tmp_path / "d")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line 2: malformed record of document {record['id']!r}" in err
+        assert f"{message} is not an integer" in err

@@ -103,10 +103,11 @@ class TestSentenceEncoder:
 
         words = params.word_embed.data[[7]]
         pos = params.pos_embed.data[[0]]
-        h = tensor.layernorm(Tensor(words + pos), params.ln_token.gain, params.ln_token.bias)
+        h = Tensor((words + pos)[None])  # a batch of one sentence
+        h = tensor.layernorm(h, params.ln_token.gain, params.ln_token.bias)
         x = linear(h, params.text_proj_w, params.text_proj_b)
         x = transformer_layer(x, params.sent_layers[0], config.heads)
-        np.testing.assert_allclose(out.data, x.data[0], atol=1e-12)
+        np.testing.assert_allclose(out.data, x.data[0, 0], atol=1e-12)
 
     def test_positions_break_permutation_symmetry(self):
         config, params = tiny_model()

@@ -28,8 +28,8 @@ class TestMultiheadAttention:
         the value projection followed by the output projection."""
         dim = 4
         p = make_attention(dim)
-        x = Tensor(np.random.default_rng(0).normal(size=(1, dim)))
-        out = multihead_attention(x, x, x, p, heads=2)
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 1, dim)))
+        out = multihead_attention(x, p, heads=2)
         value = linear(x, p.wv, p.bv)
         expected = linear(value, p.wo, p.bo)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
@@ -38,50 +38,48 @@ class TestMultiheadAttention:
         rng = np.random.default_rng(1)
         dim, length = 6, 5
         p = make_attention(dim, seed=3)
-        x = rng.normal(size=(length, dim))
+        x = rng.normal(size=(2, length, dim))
         perm = rng.permutation(length)
-        out = multihead_attention(Tensor(x), Tensor(x), Tensor(x), p, heads=3)
-        out_perm = multihead_attention(
-            Tensor(x[perm]), Tensor(x[perm]), Tensor(x[perm]), p, heads=3
-        )
-        np.testing.assert_allclose(out.data[perm], out_perm.data, atol=1e-12)
+        out = multihead_attention(Tensor(x), p, heads=3)
+        out_perm = multihead_attention(Tensor(x[:, perm]), p, heads=3)
+        np.testing.assert_allclose(out.data[:, perm], out_perm.data, atol=1e-12)
 
     def test_permutation_equivariance_with_mask(self):
         rng = np.random.default_rng(2)
         dim, length = 4, 6
         p = make_attention(dim, seed=4)
-        x = rng.normal(size=(length, dim))
-        mask = np.array([True, True, False, True, False, True])
+        x = rng.normal(size=(2, length, dim))
+        mask = np.array([[True, True, False, True, False, True],
+                         [True, False, True, True, True, False]])
         perm = rng.permutation(length)
-        out = multihead_attention(Tensor(x), Tensor(x), Tensor(x), p, heads=2, mask=mask)
-        out_perm = multihead_attention(
-            Tensor(x[perm]), Tensor(x[perm]), Tensor(x[perm]), p, heads=2, mask=mask[perm]
-        )
-        np.testing.assert_allclose(out.data[perm], out_perm.data, atol=1e-12)
+        out = multihead_attention(Tensor(x), p, heads=2, mask=mask)
+        out_perm = multihead_attention(Tensor(x[:, perm]), p, heads=2, mask=mask[:, perm])
+        np.testing.assert_allclose(out.data[:, perm], out_perm.data, atol=1e-12)
 
     def test_masked_keys_have_no_influence(self):
         """Changing a masked key's features leaves unmasked outputs alone."""
         rng = np.random.default_rng(3)
         dim = 4
         p = make_attention(dim, seed=5)
-        x = rng.normal(size=(3, dim))
-        mask = np.array([True, True, False])
-        base = multihead_attention(Tensor(x), Tensor(x), Tensor(x), p, heads=2, mask=mask)
+        x = rng.normal(size=(2, 3, dim))
+        mask = np.array([[True, True, False], [True, False, True]])
+        base = multihead_attention(Tensor(x), p, heads=2, mask=mask)
         x2 = x.copy()
-        x2[2] = 99.0
-        bumped = multihead_attention(Tensor(x2), Tensor(x2), Tensor(x2), p, heads=2, mask=mask)
-        np.testing.assert_allclose(base.data[:2], bumped.data[:2], atol=1e-12)
+        x2[~mask] = 99.0
+        bumped = multihead_attention(Tensor(x2), p, heads=2, mask=mask)
+        np.testing.assert_allclose(base.data[mask], bumped.data[mask], atol=1e-12)
 
     def test_gradients_tiny_instance(self):
-        """L=3, d=4, heads=2 gradient check against finite differences."""
+        """B=2, L=3, d=4, heads=2 gradient check against finite differences."""
         rng = np.random.default_rng(4)
         p = make_attention(4, seed=6)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 4)))
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 4)))
+        mask = np.array([[True, True, True], [True, False, True]])
         leaves = [x, p.wq, p.wk, p.wv, p.wo, p.bq, p.bk, p.bv, p.bo]
 
         def build():
-            return (multihead_attention(x, x, x, p, heads=2) * w).sum()
+            return (multihead_attention(x, p, heads=2, mask=mask) * w).sum()
 
         loss = build()
         tensor.backward(loss)
@@ -90,50 +88,50 @@ class TestMultiheadAttention:
             np.testing.assert_allclose(leaf.grad, fd, rtol=1e-4, atol=1e-7)
 
     def test_batched_matches_loop(self):
+        """Each batch row attends only within itself: the batched output
+        equals one call per row."""
         rng = np.random.default_rng(5)
         dim = 4
         p = make_attention(dim, seed=7)
         xs = rng.normal(size=(3, 5, dim))
         mask = rng.uniform(size=(3, 5)) < 0.8
         mask[:, 0] = True
-        batched = multihead_attention(Tensor(xs), Tensor(xs), Tensor(xs), p, heads=2, mask=mask)
+        batched = multihead_attention(Tensor(xs), p, heads=2, mask=mask)
         for b in range(3):
-            single = multihead_attention(
-                Tensor(xs[b]), Tensor(xs[b]), Tensor(xs[b]), p, heads=2, mask=mask[b]
-            )
-            np.testing.assert_allclose(batched.data[b], single.data, atol=1e-12)
+            single = multihead_attention(Tensor(xs[b:b + 1]), p, heads=2, mask=mask[b:b + 1])
+            np.testing.assert_allclose(batched.data[b], single.data[0], atol=1e-12)
 
     def test_indivisible_heads_rejected(self):
         p = make_attention(4, seed=8)
-        x = Tensor(np.zeros((2, 4)))
+        x = Tensor(np.zeros((1, 2, 4)))
         with pytest.raises(ConfigError):
-            multihead_attention(x, x, x, p, heads=3)
+            multihead_attention(x, p, heads=3)
 
 
 class TestTransformerLayer:
     def test_shape_preserved_and_deterministic(self):
         rng = np.random.default_rng(6)
         p = TransformerLayerParams(6, RngStream(9))
-        x = Tensor(rng.normal(size=(4, 6)))
+        x = Tensor(rng.normal(size=(2, 4, 6)))
         one = transformer_layer(x, p, heads=2)
         two = transformer_layer(x, p, heads=2)
-        assert one.shape == (4, 6)
+        assert one.shape == (2, 4, 6)
         np.testing.assert_array_equal(one.data, two.data)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         p = TransformerLayerParams(4, RngStream(10))
-        x = rng.normal(size=(5, 4))
+        x = rng.normal(size=(1, 5, 4))
         perm = rng.permutation(5)
         out = transformer_layer(Tensor(x), p, heads=2)
-        out_perm = transformer_layer(Tensor(x[perm]), p, heads=2)
-        np.testing.assert_allclose(out.data[perm], out_perm.data, atol=1e-10)
+        out_perm = transformer_layer(Tensor(x[:, perm]), p, heads=2)
+        np.testing.assert_allclose(out.data[:, perm], out_perm.data, atol=1e-10)
 
     def test_gradients_through_layer(self):
         rng = np.random.default_rng(8)
         p = TransformerLayerParams(4, RngStream(11))
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 4)))
+        x = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(1, 3, 4)))
         leaves = [x, p.ff_w1, p.ff_b2, p.ln_attn.gain, p.ln_ff.bias, p.attn.wq]
 
         def build():

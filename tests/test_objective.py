@@ -10,10 +10,7 @@ from doclink.errors import BatchError, ConfigError
 from doclink.objective import (
     ObjectiveConfig,
     check_k_override,
-    cross_document_loss,
-    dropout_subdoc_loss,
     hinge,
-    intra_document_loss,
     neg_tk,
     tk,
     total_loss,
@@ -40,6 +37,12 @@ def oracle_cosine(s: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def random_reps(rng, n, m, dim=6):
     return Tensor(rng.normal(size=(n, dim))), Tensor(rng.normal(size=(m, dim)))
+
+
+def terms(batch, config, rng=None):
+    """Per-document ``parts`` of total_loss; the sub-document term is on
+    only when ``rng`` is given to drive its draws."""
+    return total_loss(batch, config, rng, use_sub=rng is not None)[1]
 
 
 class TestHinge:
@@ -161,9 +164,8 @@ class TestCrossDocument:
     def test_identical_documents_cost_two_margins(self):
         rng = np.random.default_rng(4)
         s, v = random_reps(rng, 3, 3)
-        losses = cross_document_loss([(s, v), (s, v)], self.config())
-        for loss in losses:
-            np.testing.assert_allclose(loss.item(), 0.4, atol=1e-12)
+        losses = terms([(s, v), (s, v)], self.config())["l_cross"]
+        np.testing.assert_allclose(losses, [0.4, 0.4], atol=1e-12)
 
     def test_satisfied_margin_is_free(self):
         """Positives at 1, negatives far below the margin: zero loss."""
@@ -171,15 +173,14 @@ class TestCrossDocument:
         v0 = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
         s1 = Tensor(np.array([[0.0, 1.0], [0.0, 1.0]]))
         v1 = Tensor(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        losses = cross_document_loss([(s0, v0), (s1, v1)], self.config())
-        for loss in losses:
-            np.testing.assert_allclose(loss.item(), 0.0)
+        losses = terms([(s0, v0), (s1, v1)], self.config())["l_cross"]
+        np.testing.assert_allclose(losses, [0.0, 0.0])
 
     def test_three_document_brute_force(self):
         rng = np.random.default_rng(5)
         batch = [random_reps(rng, n, m) for n, m in ((3, 4), (2, 5), (4, 2))]
         config = self.config()
-        losses = cross_document_loss(batch, config)
+        losses = terms(batch, config)["l_cross"]
 
         mats = {}
         for i, (s, _) in enumerate(batch):
@@ -197,45 +198,53 @@ class TestCrossDocument:
                 for j in range(3)
                 if j != i
             )
-            np.testing.assert_allclose(losses[i].item(), sent + img, atol=1e-12)
+            np.testing.assert_allclose(losses[i], sent + img, atol=1e-12)
 
     def test_small_batch_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(BatchError):
-            cross_document_loss([random_reps(rng, 2, 2)], self.config())
+            terms([random_reps(rng, 2, 2)], self.config())
 
 
 class TestIntraDocument:
+    """Document 0's own cosine matrix is set through its representations;
+    document 1 only completes the batch."""
+
     def test_constant_matrix_costs_half_margin(self):
-        M = Tensor(np.full((3, 3), 0.4))
-        loss = intra_document_loss(M, ObjectiveConfig(alpha=0.2))
-        np.testing.assert_allclose(loss.item(), 0.1)
+        s = Tensor(np.tile([1.0, 0.0], (3, 1)))
+        v = Tensor(np.tile([0.4, np.sqrt(1.0 - 0.16)], (3, 1)))
+        np.testing.assert_allclose(oracle_cosine(s.data, v.data), np.full((3, 3), 0.4))
+        batch = [(s, v), random_reps(np.random.default_rng(23), 3, 3, dim=2)]
+        losses = terms(batch, ObjectiveConfig(alpha=0.2))["l_intra"]
+        np.testing.assert_allclose(losses[0], 0.1)
 
     def test_large_gap_is_free(self):
-        M = Tensor([[1.0, -1.0], [-1.0, 1.0]])
-        loss = intra_document_loss(M, ObjectiveConfig(alpha=0.2, k_override=1))
-        np.testing.assert_allclose(loss.item(), 0.0)
+        e = np.array([[1.0, 0.0], [-1.0, 0.0]])  # cosine matrix [[1, -1], [-1, 1]]
+        batch = [(Tensor(e), Tensor(e)), random_reps(np.random.default_rng(24), 2, 2, dim=2)]
+        losses = terms(batch, ObjectiveConfig(alpha=0.2, k_override=1))["l_intra"]
+        np.testing.assert_allclose(losses[0], 0.0)
 
     def test_random_matches_direct_formula(self):
         rng = np.random.default_rng(7)
+        config = ObjectiveConfig(alpha=0.2)
         for _ in range(50):
-            data = rng.normal(size=(4, 5))
-            config = ObjectiveConfig(alpha=0.2)
-            loss = intra_document_loss(Tensor(data), config)
+            batch = [random_reps(rng, 4, 5), random_reps(rng, 5, 4)]
+            losses = terms(batch, config)["l_intra"]
             k = 4
-            want = max(0.0, -oracle_tk(-data, k) - oracle_tk(data, k) + 0.1)
-            np.testing.assert_allclose(loss.item(), want, atol=1e-12)
-            assert (loss.item() > 0) == (oracle_tk(data, k) + oracle_tk(-data, k) < 0.1)
+            for (s, v), loss in zip(batch, losses):
+                data = oracle_cosine(s.data, v.data)
+                want = max(0.0, -oracle_tk(-data, k) - oracle_tk(data, k) + 0.1)
+                np.testing.assert_allclose(loss, want, atol=1e-12)
+                assert (loss > 0) == (oracle_tk(data, k) + oracle_tk(-data, k) < 0.1)
 
 
 class TestDropoutSubdocument:
     def test_identity_dropout_matches_cross_at_half_margin(self):
         rng = np.random.default_rng(8)
         batch = [random_reps(rng, 3, 4), random_reps(rng, 4, 3), random_reps(rng, 2, 2)]
-        full = dropout_subdoc_loss(batch, ObjectiveConfig(alpha=0.2, p_sub=1.0), RngStream(0))
-        halved = cross_document_loss(batch, ObjectiveConfig(alpha=0.1))
-        for a, b in zip(full, halved):
-            np.testing.assert_allclose(a.item(), b.item(), atol=1e-12)
+        full = terms(batch, ObjectiveConfig(alpha=0.2, p_sub=1.0), RngStream(0))["l_sub"]
+        halved = terms(batch, ObjectiveConfig(alpha=0.1))["l_cross"]
+        np.testing.assert_allclose(full, halved, atol=1e-12)
 
     def test_keep_counts_floor(self):
         from doclink.objective import _sample_subdocument
@@ -250,10 +259,9 @@ class TestDropoutSubdocument:
         rng = np.random.default_rng(9)
         batch = [random_reps(rng, 5, 5), random_reps(rng, 5, 5)]
         config = ObjectiveConfig(alpha=0.2, p_sub=0.6)
-        a = dropout_subdoc_loss(batch, config, RngStream(77))
-        b = dropout_subdoc_loss(batch, config, RngStream(77))
-        for x, y in zip(a, b):
-            assert x.item() == y.item()
+        a = terms(batch, config, RngStream(77))["l_sub"]
+        b = terms(batch, config, RngStream(77))["l_sub"]
+        np.testing.assert_array_equal(a, b)
 
     def test_degenerate_draw_zeroes_without_warning(self):
         """The per-run warning comes from train(); the step stays silent."""
@@ -262,9 +270,9 @@ class TestDropoutSubdocument:
         config = ObjectiveConfig(alpha=0.2, p_sub=0.6)  # floor(0.6*1)=0 sentences
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            losses = dropout_subdoc_loss(batch, config, RngStream(3))
-        assert losses[0].item() == 0.0
-        assert losses[1].item() >= 0.0
+            losses = terms(batch, config, RngStream(3))["l_sub"]
+        assert losses[0] == 0.0
+        assert losses[1] >= 0.0
 
 
 class TestTotalLoss:
@@ -294,16 +302,6 @@ class TestTotalLoss:
         )
         assert mean_loss.item() == 0.0
         np.testing.assert_array_equal(parts["total"], np.zeros(2))
-
-    def test_matches_standalone_components(self):
-        rng = np.random.default_rng(13)
-        batch = [random_reps(rng, 4, 4), random_reps(rng, 3, 5)]
-        config = ObjectiveConfig(alpha=0.2, p_sub=0.8)
-        _, parts = total_loss(batch, config, RngStream(21))
-        cross = cross_document_loss(batch, config)
-        sub = dropout_subdoc_loss(batch, config, RngStream(21))
-        np.testing.assert_allclose(parts["l_cross"], cross, atol=1e-12)
-        np.testing.assert_allclose(parts["l_sub"], sub, atol=1e-12)
 
     def test_gradient_reaches_representations(self):
         rng = np.random.default_rng(14)
