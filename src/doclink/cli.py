@@ -403,6 +403,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # Every --seed seeds PCG64, which takes no negative seed.
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, CorpusFormatError, CorpusValidationError
+from .errors import ConfigError, CorpusFormatError, CorpusValidationError, check_settings, setting
 from .rng import RngStream
 
 SPLITS = ("train", "val", "test")
@@ -339,43 +339,28 @@ class SynthConfig:
     replaces sentence tokens with uniform vocabulary draws.
     """
 
-    train_docs: int = 8
-    val_docs: int = 2
-    test_docs: int = 2
-    sentences_per_doc: int = 5
-    images_per_doc: int = 5
-    density: float = 0.2
-    vocab_size: int = 400
-    obj_dim: int = 2048
-    objects_per_image: int = 36
-    sentence_len: int = 8
-    concept_len: int = 2
-    tokens_per_cluster: int = 6
-    clusters_per_doc: int | None = None  # None: exactly as many as needed
-    sigma: float = 0.1
-    token_noise: float = 0.0
-    doc_center_scale: float = 0.0
+    train_docs: int = setting(8, low=0)
+    val_docs: int = setting(2, low=0)
+    test_docs: int = setting(2, low=0)
+    sentences_per_doc: int = setting(5, low=1)
+    images_per_doc: int = setting(5, low=1)
+    density: float = setting(0.2, above=0, high=1)
+    vocab_size: int = setting(400, low=1)
+    obj_dim: int = setting(2048, low=1)
+    objects_per_image: int = setting(36, low=1)
+    sentence_len: int = setting(8, low=1)
+    concept_len: int = setting(2, low=1)
+    tokens_per_cluster: int = setting(6, low=1)
+    clusters_per_doc: int | None = setting(None, low=1)  # None: exactly as many as needed
+    sigma: float = setting(0.1, low=0)
+    token_noise: float = setting(0.0, low=0, high=1)
+    doc_center_scale: float = setting(0.0, low=0)
 
     def __post_init__(self):
-        # Each check is written to fail for NaN, which compares false.
-        least_of = dict.fromkeys(("train_docs", "val_docs", "test_docs"), 0)
-        least_of.update(dict.fromkeys((
-            "sentences_per_doc", "images_per_doc", "vocab_size", "obj_dim",
-            "objects_per_image", "sentence_len", "concept_len", "tokens_per_cluster",
-        ), 1))
-        if self.clusters_per_doc is not None:
-            least_of["clusters_per_doc"] = 1
-        for name, least in least_of.items():
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (0.0 < self.density <= 1.0):
-            raise ConfigError(f"density must lie in (0, 1], got {self.density}")
-        for name in ("sigma", "doc_center_scale"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not (0.0 <= self.token_noise <= 1.0):
-            raise ConfigError(f"token_noise must lie in [0, 1], got {self.token_noise}")
+        check_settings(self)
+        total = self.train_docs + self.val_docs + self.test_docs
+        if total < 1:
+            raise ConfigError(f"train_docs + val_docs + test_docs must be >= 1, got {total}")
 
 
 def _edge_cells(n: int, m: int, count: int) -> list:

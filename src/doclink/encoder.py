@@ -18,6 +18,9 @@ Documents are encoded one way, by :func:`batch_representations`: one padded
 pass per modality over several documents.  Training calls it per batch;
 evaluation and diagnostics call :func:`split_representations`, its
 graph-free form over a split.  Input is checked on the padded arrays.
+
+:class:`ModelParams` names its tensors by attribute (``nn.Params``), so
+its constructor's assignment order is the checkpoint layout.
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ from .errors import (
     SequenceLengthError,
     ShapeMismatchError,
     VocabularyError,
+    check_settings,
+    setting,
 )
-from .nn import LayerNormParams, TransformerLayerParams, linear, transformer_layer, xavier_uniform
+from .nn import LayerNormParams, Params, TransformerLayerParams
+from .nn import linear, transformer_layer, xavier_uniform
 from .rng import RngStream
 from .tensor import Tensor, concat, embedding, matmul, no_grad, normalize_rows, transpose
 
@@ -46,28 +52,25 @@ DOCS_PER_PASS = 11
 
 @dataclass
 class ModelConfig:
-    vocab_size: int
-    obj_dim: int
-    embed_dim: int = 1024
-    sentence_layers: int = 3
-    image_layers: int = 3
-    heads: int = 8
-    word_dim: int = 300
-    max_sentence_len: int = 64
+    vocab_size: int = setting(low=1)
+    obj_dim: int = setting(low=1)
+    embed_dim: int = setting(1024, low=1)
+    sentence_layers: int = setting(3, low=1)
+    image_layers: int = setting(3, low=1)
+    heads: int = setting(8, low=1)
+    word_dim: int = setting(300, low=1)
+    max_sentence_len: int = setting(64, low=1)
 
     def __post_init__(self):
+        check_settings(self)
         if self.embed_dim % self.heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
             )
-        if self.sentence_layers < 1 or self.image_layers < 1:
-            raise ConfigError("transformer depths must be at least 1")
-        if min(self.vocab_size, self.obj_dim, self.word_dim, self.max_sentence_len) < 1:
-            raise ConfigError("vocab_size, obj_dim, word_dim, max_sentence_len must be >= 1")
 
 
-class ModelParams:
-    """All learnable tensors, addressable by stable names for checkpoints."""
+class ModelParams(Params):
+    """All learnable tensors, named by their attributes for checkpoints."""
 
     def __init__(self, config: ModelConfig, rng: RngStream, pretrained: dict | None = None):
         c = config
@@ -88,7 +91,6 @@ class ModelParams:
         self.pos_embed = Tensor(
             rng.uniform(-0.02, 0.02, size=(c.max_sentence_len, c.word_dim)), requires_grad=True
         )
-        self.ln_token = LayerNormParams(c.word_dim)
 
         # text_proj is shared by the sentence path and the concept path.
         self.text_proj_w = xavier_uniform(rng, c.embed_dim, c.word_dim)
@@ -97,6 +99,7 @@ class ModelParams:
         self.obj_proj_b = Tensor(np.zeros(c.embed_dim), requires_grad=True)
 
         self.seg_embed = Tensor(rng.uniform(-0.02, 0.02, size=(2, c.embed_dim)), requires_grad=True)
+        self.ln_token = LayerNormParams(c.word_dim)
         self.ln_obj_feat = LayerNormParams(c.embed_dim)
         self.ln_obj_seg = LayerNormParams(c.embed_dim)
         self.ln_concept_feat = LayerNormParams(c.embed_dim)
@@ -104,37 +107,6 @@ class ModelParams:
 
         self.sent_layers = [TransformerLayerParams(c.embed_dim, rng) for _ in range(c.sentence_layers)]
         self.img_layers = [TransformerLayerParams(c.embed_dim, rng) for _ in range(c.image_layers)]
-
-    def named_parameters(self) -> dict:
-        out = {
-            "word_embed": self.word_embed,
-            "pos_embed": self.pos_embed,
-            "text_proj_w": self.text_proj_w,
-            "text_proj_b": self.text_proj_b,
-            "obj_proj_w": self.obj_proj_w,
-            "obj_proj_b": self.obj_proj_b,
-            "seg_embed": self.seg_embed,
-        }
-        for prefix, ln in (
-            ("ln_token", self.ln_token),
-            ("ln_obj_feat", self.ln_obj_feat),
-            ("ln_obj_seg", self.ln_obj_seg),
-            ("ln_concept_feat", self.ln_concept_feat),
-            ("ln_concept_seg", self.ln_concept_seg),
-        ):
-            for name, t in ln.named(prefix):
-                out[name] = t
-        for i, layer in enumerate(self.sent_layers):
-            for name, t in layer.named(f"sent_layers.{i}"):
-                out[name] = t
-        for i, layer in enumerate(self.img_layers):
-            for name, t in layer.named(f"img_layers.{i}"):
-                out[name] = t
-        return out
-
-    def zero_grads(self) -> None:
-        for t in self.named_parameters().values():
-            t.grad = None
 
 
 def init_params(config: ModelConfig, rng: RngStream, pretrained: dict | None = None) -> ModelParams:

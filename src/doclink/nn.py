@@ -5,6 +5,9 @@ feed-forward sublayer.  Weights are stored (out_dim, in_dim) so a projection
 reads ``x @ W.T + b``.  Inputs are batches of shape (B, L, d), and
 attention is self-attention only.  Masks are key-padding masks of shape
 (B, L): boolean, True where a position is real.
+
+Parameter containers subclass :class:`Params`: their parameters are the
+tensors their constructors assign, named by attribute, in that order.
 """
 
 from __future__ import annotations
@@ -34,7 +37,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return matmul(x, transpose(w)) + b
 
 
-class LayerNormParams:
+class Params:
+    """Learnable tensors named by attribute: Tensor attributes are parameters,
+    ``Params`` attributes and lists of them add theirs under dotted names
+    (``sent_layers.0.attn.wq``), and other attributes, such as a config, are not."""
+
+    def named_parameters(self, prefix: str = "") -> dict:
+        """Name -> tensor, in attribute assignment order."""
+        named = {}
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                named[prefix + attr] = value
+            elif isinstance(value, Params):
+                named.update(value.named_parameters(f"{prefix}{attr}."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    named.update(item.named_parameters(f"{prefix}{attr}.{i}."))
+        return named
+
+    def zero_grads(self) -> None:
+        for t in self.named_parameters().values():
+            t.grad = None
+
+
+class LayerNormParams(Params):
     """Learned affine of one named layer norm."""
 
     def __init__(self, dim: int):
@@ -44,12 +70,8 @@ class LayerNormParams:
     def __call__(self, x: Tensor) -> Tensor:
         return layernorm(x, self.gain, self.bias)
 
-    def named(self, prefix: str):
-        yield f"{prefix}.gain", self.gain
-        yield f"{prefix}.bias", self.bias
 
-
-class AttentionParams:
+class AttentionParams(Params):
     def __init__(self, dim: int, rng: RngStream):
         self.wq = xavier_uniform(rng, dim, dim)
         self.wk = xavier_uniform(rng, dim, dim)
@@ -60,12 +82,8 @@ class AttentionParams:
         self.bv = Tensor(np.zeros(dim), requires_grad=True)
         self.bo = Tensor(np.zeros(dim), requires_grad=True)
 
-    def named(self, prefix: str):
-        for tag in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo"):
-            yield f"{prefix}.{tag}", getattr(self, tag)
 
-
-class TransformerLayerParams:
+class TransformerLayerParams(Params):
     """Self-attention sublayer + feed-forward sublayer, each post-normed."""
 
     def __init__(self, dim: int, rng: RngStream):
@@ -76,15 +94,6 @@ class TransformerLayerParams:
         self.ff_w2 = xavier_uniform(rng, dim, 4 * dim)
         self.ff_b2 = Tensor(np.zeros(dim), requires_grad=True)
         self.ln_ff = LayerNormParams(dim)
-
-    def named(self, prefix: str):
-        yield from self.attn.named(f"{prefix}.attn")
-        yield from self.ln_attn.named(f"{prefix}.ln_attn")
-        yield f"{prefix}.ff_w1", self.ff_w1
-        yield f"{prefix}.ff_b1", self.ff_b1
-        yield f"{prefix}.ff_w2", self.ff_w2
-        yield f"{prefix}.ff_b2", self.ff_b2
-        yield from self.ln_ff.named(f"{prefix}.ln_ff")
 
 
 def multihead_attention(x: Tensor, params: AttentionParams, heads: int, mask=None) -> Tensor:

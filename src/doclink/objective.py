@@ -32,25 +32,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import similarity_matrix
-from .errors import BatchError, ConfigError
+from .errors import BatchError, ConfigError, check_settings, setting
 from .rng import RngStream
 from .tensor import Tensor, block_tk, concat, max_reduce, neg, relu, take
 
 
 @dataclass
 class ObjectiveConfig:
-    alpha: float = 0.2
-    p_sub: float = 0.6
-    k_override: int | None = None  # None: k = min(rows, cols) per matrix
+    alpha: float = setting(0.2, above=0)
+    p_sub: float = setting(0.6, above=0, high=1)
+    k_override: int | None = setting(None, low=1)  # None: k = min(rows, cols) per matrix
 
     def __post_init__(self):
-        # Each check is written to fail for NaN, which compares false.
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if not (0.0 < self.p_sub <= 1.0):
-            raise ConfigError(f"p_sub must lie in (0, 1], got {self.p_sub}")
-        if self.k_override is not None and self.k_override < 1:
-            raise ConfigError(f"k_override must be >= 1, got {self.k_override}")
+        check_settings(self)
 
 
 def hinge(m, n, margin: float) -> Tensor:

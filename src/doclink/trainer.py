@@ -12,6 +12,8 @@ run carries between epochs besides parameters and Adam moments; checkpoints
 store it verbatim, so a resumed run continues the unbroken sequence.
 :func:`load_checkpoint` is the only reader of the checkpoint layout, and a
 resume must request every stored setting unchanged except max_epochs.
+Adam moments are allocated as zeros beside the named parameters, so every
+checkpoint stores one moment pair per parameter.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import tensor
 from .corpus import Corpus
 from .encoder import ModelConfig, ModelParams, batch_representations, init_params
-from .errors import BatchError, ConfigError, NonFiniteError
+from .errors import BatchError, ConfigError, NonFiniteError, check_settings, setting
 from .objective import ObjectiveConfig, check_k_override, degenerate_subdocuments, total_loss
 from .rng import RngStream
 
@@ -36,29 +38,23 @@ CHECKPOINT_FORMAT = "doclink-checkpoint-v1"
 @dataclass
 class TrainConfig:
     max_lr: float = 5e-5
-    warmup_steps: int = 4000
-    start_lr: float = 1e-7
-    batch_size: int = 11
-    plateau_patience_epochs: int = 3
-    decay_factor: float = 5.0
-    max_epochs: int = 10
-    seed: int = 0
+    warmup_steps: int = setting(4000, low=0)
+    start_lr: float = setting(1e-7, low=0)
+    batch_size: int = setting(11, low=2)
+    plateau_patience_epochs: int = setting(3, low=0)
+    decay_factor: float = setting(5.0, above=1)
+    max_epochs: int = setting(10, low=0)
+    seed: int = setting(0, low=0)
     use_cross: bool = True
     use_intra: bool = True
     use_sub: bool = True
 
     def __post_init__(self):
-        # Each check is written to fail for NaN, which compares false.
+        check_settings(self)
         if not self.start_lr < self.max_lr:
             raise ConfigError(
                 f"start_lr {self.start_lr} must be below max_lr {self.max_lr}"
             )
-        if not self.decay_factor > 1.0:
-            raise ConfigError(f"decay_factor must exceed 1, got {self.decay_factor}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.warmup_steps < 0 or self.max_epochs < 0:
-            raise ConfigError("warmup_steps and max_epochs must be non-negative")
 
 
 def lr_at(step: int, config: TrainConfig, decays: int = 0) -> float:
@@ -74,15 +70,16 @@ def lr_at(step: int, config: TrainConfig, decays: int = 0) -> float:
 
 
 class OptimizerState:
-    """Adam accumulators keyed by parameter name."""
+    """Adam accumulators keyed by parameter name, allocated as zeros beside
+    the named parameters (name -> tensor) they update."""
 
-    def __init__(self, names, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = {name: None for name in names}
-        self.v = {name: None for name in names}
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
 def adam_step(params: dict, state: OptimizerState, lr: float) -> None:
@@ -98,9 +95,6 @@ def adam_step(params: dict, state: OptimizerState, lr: float) -> None:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
-        if state.m[name] is None:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
         state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
         state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g**2
         m_hat = state.m[name] / (1.0 - state.beta1**t)
@@ -221,7 +215,7 @@ def train(
         dropout.set_state(state.rng["dropout"])
     else:
         params = init_params(model_config, root.child("init"), pretrained=pretrained)
-        optimizer = OptimizerState(params.named_parameters().keys())
+        optimizer = OptimizerState(params.named_parameters())
         state = TrainState()
 
     named = params.named_parameters()
@@ -280,16 +274,18 @@ def train(
 # ---- checkpoint container ----------------------------------------------------
 
 
-def _array_to_json(arr: np.ndarray | None) -> dict | None:
-    if arr is None:  # an Adam moment before the first step
-        return None
+def _array_to_json(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
 
 
-def _array_from_json(obj) -> np.ndarray | None:
-    if obj is None:
-        return None
-    return np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
+def _array_from_json(path, table: dict, name: str, shape: tuple, what: str) -> np.ndarray:
+    obj = table[name]
+    arr = np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
+    if arr.shape != shape:
+        raise ConfigError(
+            f"checkpoint {path} {what} {name!r} has shape {arr.shape}, expected {shape}"
+        )
+    return arr
 
 
 def save_checkpoint(
@@ -375,22 +371,15 @@ def load_checkpoint(
         named = params.named_parameters()
         if set(named) != set(payload["params"]):
             raise ConfigError(f"checkpoint {path} parameter names do not match the model")
-        for name, obj in payload["params"].items():
-            arr = _array_from_json(obj)
-            if arr.shape != named[name].data.shape:
-                raise ConfigError(
-                    f"checkpoint parameter {name!r} has shape {arr.shape}, "
-                    f"expected {named[name].data.shape}"
-                )
-            named[name].data = arr
         adam = payload["adam"]
         optimizer = OptimizerState(
-            named.keys(), beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"]
+            named, beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"]
         )
         optimizer.step = adam["step"]
-        for name in named:
-            optimizer.m[name] = _array_from_json(adam["m"].get(name))
-            optimizer.v[name] = _array_from_json(adam["v"].get(name))
+        for name, t in named.items():
+            t.data = _array_from_json(path, payload["params"], name, t.data.shape, "parameter")
+            optimizer.m[name] = _array_from_json(path, adam["m"], name, t.data.shape, "Adam m of")
+            optimizer.v[name] = _array_from_json(path, adam["v"], name, t.data.shape, "Adam v of")
         state = TrainState(**{f.name: payload[f.name] for f in fields(TrainState)})
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} lacks the {exc} entry") from exc

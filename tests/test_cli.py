@@ -1,13 +1,19 @@
 """End-to-end command-line runs via main(); exit codes and file outputs."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doclink.cli import main
-from doclink.corpus import load_corpus
+from doclink.cli import UsageError, _build_config, main
+from doclink.corpus import SynthConfig, load_corpus
+from doclink.encoder import ModelConfig
+from doclink.objective import ObjectiveConfig
+from doclink.trainer import TrainConfig
 
 
 def write_json(path, payload):
@@ -115,7 +121,8 @@ class TestGen:
     @pytest.mark.parametrize(
         "key,value",
         [("sigma", float("nan")), ("token_noise", 1.5), ("doc_center_scale", -1.0),
-         ("train_docs", float("nan")), ("train_docs", 2.5), ("clusters_per_doc", 0)],
+         ("train_docs", float("nan")), ("train_docs", 2.5), ("clusters_per_doc", 0),
+         ("density", "0.2"), ("sigma", "0.1"), ("sigma", float("inf"))],
     )
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, key, value):
         config = tmp_path / "bad.json"
@@ -558,3 +565,85 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"line 2: malformed record of document {record['id']!r}" in err
         assert f"{message} is not an integer" in err
+
+
+class TestConfigChecks:
+    """Every config value has its declared type, is finite and lies in its
+    range, or the command exits 1 naming the field or flag."""
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("train", "batch_size", 2.5),
+            ("train", "max_epochs", 1.5),
+            ("model", "heads", 2.0),
+            ("train", "warmup_steps", "5"),
+            ("objective", "alpha", "0.2"),
+            ("model", "embed_dim", "8"),
+            ("train", "seed", 1.5),
+            ("train", "use_cross", "no"),
+            ("train", "plateau_patience_epochs", 0.5),
+            ("objective", "k_override", 1.5),
+            ("train", "max_lr", float("inf")),
+        ],
+    )
+    def test_mistyped_train_setting_is_usage_error(
+        self, workspace, tmp_path, capsys, section, key, value
+    ):
+        sections = train_sections()
+        sections.setdefault(section, {})[key] = value
+        config = tmp_path / "bad.json"
+        write_json(config, sections)
+        code = main(["train", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+                     "--out", str(tmp_path / "x"), "--config", str(config)])
+        assert code == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "train", "diagnose"])
+    def test_negative_seed_is_usage_error(self, workspace, tmp_path, capsys, command):
+        args = {
+            "gen": [],
+            "train": ["--corpus", str(workspace / "data" / "corpus.jsonl")],
+            "diagnose": ["--corpus", str(workspace / "data" / "corpus.jsonl"), "--split", "train"],
+        }[command]
+        capsys.readouterr()
+        code = main([command, *args, "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert code == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_generated_corpus_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "empty.json"
+        write_json(config, {"synth": synth_section(train_docs=0, val_docs=0, test_docs=0)})
+        code = main(["gen", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert code == 1
+        assert "train_docs + val_docs + test_docs must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "corpus.jsonl").exists()
+
+
+ANY_VALUE = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+@pytest.mark.parametrize("cls", [SynthConfig, ModelConfig, ObjectiveConfig, TrainConfig])
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_build_config_raises_only_usage_error(cls, data):
+    """Any JSON-shaped value in any field gives a config holding exactly
+    those values, or a UsageError; never another exception."""
+    fields = dataclasses.fields(cls)
+    required = {f.name: ANY_VALUE for f in fields if f.default is dataclasses.MISSING}
+    optional = {f.name: ANY_VALUE for f in fields if f.name not in required}
+    section = data.draw(st.fixed_dictionaries(required, optional=optional))
+    try:
+        config = _build_config(cls, section)
+    except UsageError:
+        return
+    for key, value in section.items():
+        assert getattr(config, key) is value

@@ -93,6 +93,32 @@ class TestInit:
         assert len(names) == len(set(names))
         assert names == list(params.named_parameters())
 
+    def test_named_parameters_pin_the_checkpoint_layout(self):
+        """Names and order are the checkpoint layout: attribute assignment
+        order, dotted below layer norms and transformer layers."""
+        config = ModelConfig(vocab_size=10, obj_dim=3, embed_dim=4, heads=2,
+                             sentence_layers=2, image_layers=1, word_dim=4)
+        layer = [
+            "attn.wq", "attn.wk", "attn.wv", "attn.wo",
+            "attn.bq", "attn.bk", "attn.bv", "attn.bo",
+            "ln_attn.gain", "ln_attn.bias",
+            "ff_w1", "ff_b1", "ff_w2", "ff_b2",
+            "ln_ff.gain", "ln_ff.bias",
+        ]
+        want = [
+            "word_embed", "pos_embed",
+            "text_proj_w", "text_proj_b", "obj_proj_w", "obj_proj_b", "seg_embed",
+            "ln_token.gain", "ln_token.bias",
+            "ln_obj_feat.gain", "ln_obj_feat.bias",
+            "ln_obj_seg.gain", "ln_obj_seg.bias",
+            "ln_concept_feat.gain", "ln_concept_feat.bias",
+            "ln_concept_seg.gain", "ln_concept_seg.bias",
+            *[f"sent_layers.0.{name}" for name in layer],
+            *[f"sent_layers.1.{name}" for name in layer],
+            *[f"img_layers.0.{name}" for name in layer],
+        ]
+        assert list(init_params(config, RngStream(0)).named_parameters()) == want
+
 
 class TestSentenceEncoder:
     def test_single_token_pooling_is_identity(self):

@@ -144,6 +144,7 @@ class TestTransformerLayer:
 
     def test_named_parameters_unique_and_complete(self):
         p = TransformerLayerParams(4, RngStream(12))
-        names = [name for name, _ in p.named("layer0")]
+        names = list(p.named_parameters("layer0."))
+        assert all(name.startswith("layer0.") for name in names)
         assert len(names) == len(set(names))
         assert len(names) == 8 + 2 + 4 + 2  # attention, ln_attn, ffn, ln_ff

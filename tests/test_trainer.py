@@ -1,5 +1,6 @@
 """Optimizer, schedule, and training-loop checks."""
 
+import json
 import warnings
 
 import numpy as np
@@ -104,7 +105,7 @@ class TestAdam:
         p = Tensor(1.0, requires_grad=True)
         g = 0.4  # d(0.2 p^2)/dp at p=1
         p.grad = np.array(g)
-        state = OptimizerState(["p"])
+        state = OptimizerState({"p": p})
         adam_step({"p": p}, state, lr=0.1)
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
@@ -115,13 +116,13 @@ class TestAdam:
 
     def test_zero_gradients_leave_parameters(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
-        state = OptimizerState(["p"])
+        state = OptimizerState({"p": p})
         adam_step({"p": p}, state, lr=0.1)  # grad is None
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
     def test_constant_gradient_moves_against_sign(self):
         p = Tensor([0.0, 0.0], requires_grad=True)
-        state = OptimizerState(["p"])
+        state = OptimizerState({"p": p})
         for _ in range(50):
             p.grad = np.array([1.0, -2.0])
             adam_step({"p": p}, state, lr=0.01)
@@ -131,7 +132,7 @@ class TestAdam:
         p = Tensor(1.0, requires_grad=True)
         p.grad = np.array(np.nan)
         with pytest.raises(NonFiniteError, match="word_embed"):
-            adam_step({"word_embed": p}, OptimizerState(["word_embed"]), lr=0.1)
+            adam_step({"word_embed": p}, OptimizerState({"word_embed": p}), lr=0.1)
 
 
 class TestBatching:
@@ -358,6 +359,27 @@ class TestCheckpoint:
         assert optimizer.step == result.optimizer.step
         assert loaded == state
         assert params.config == model_config
+
+    @pytest.mark.parametrize(
+        "moment,entry,message",
+        [("m", {"shape": [1], "data": [0.0]}, r"Adam m of 'seg_embed' has shape \(1,\)"),
+         ("v", None, "lacks the 'seg_embed' entry")],
+    )
+    def test_bad_adam_moment_rejected(self, tmp_path, moment, entry, message):
+        """Every parameter has both moments, of its own shape."""
+        ckpt = tmp_path / "c.json"
+        train(
+            tiny_corpus(), tiny_model_config(), ObjectiveConfig(alpha=0.2, p_sub=0.7),
+            tiny_train_config(max_epochs=1), checkpoint_path=str(ckpt),
+        )
+        payload = json.loads(ckpt.read_text())
+        if entry is None:
+            del payload["adam"][moment]["seg_embed"]
+        else:
+            payload["adam"][moment]["seg_embed"] = entry
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=message):
+            load_checkpoint(str(ckpt))
 
     def test_wrong_model_config_rejected(self, tmp_path):
         corpus = tiny_corpus()
