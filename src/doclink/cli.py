@@ -27,6 +27,7 @@ from .corpus import (
     save_split_manifest,
     save_vocab,
     token_overlap_scores,
+    validate_document,
 )
 from .diagnostics import bias_report, document_spreads, spread_regression
 from .encoder import ModelConfig
@@ -146,10 +147,31 @@ def _require_documents(corpus, split: str) -> None:
         raise CorpusValidationError(f"split {split!r} has no documents")
 
 
+def _require_fit(docs, config: ModelConfig) -> None:
+    """Every document the command encodes must fit the model's settings;
+    the error names the document and the setting."""
+    for doc in docs:
+        try:
+            validate_document(doc, config.vocab_size, config.obj_dim)
+        except CorpusValidationError as exc:
+            raise CorpusValidationError(
+                f"{exc} (model vocab_size={config.vocab_size}, obj_dim={config.obj_dim})"
+            ) from None
+        longest = max(len(tokens) for tokens in doc.sentences)
+        if longest > config.max_sentence_len:
+            raise CorpusValidationError(
+                f"document {doc.id!r}: sentence length {longest} exceeds model "
+                f"max_sentence_len={config.max_sentence_len}"
+            )
+
+
 def cmd_gen(args) -> int:
     config_file = _read_config_file(args.config)
     synth = _build_config(SynthConfig, _section(config_file, "synth", ["synth"]))
-    corpus = generate_synthetic(synth, RngStream(args.seed))
+    try:
+        corpus = generate_synthetic(synth, RngStream(args.seed))
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from exc
 
     paths = _prepare_out(
         args.out, ["corpus.jsonl", "vocab.json", "splits.json", "gen-config.json"],
@@ -194,6 +216,7 @@ def cmd_train(args) -> int:
     train_config = _build_config(
         TrainConfig, _section(config_file, "train", sections), overrides
     )
+    _require_fit(corpus.split_documents("train") + corpus.split_documents("val"), model_config)
 
     pretrained = (
         load_pretrained_embeddings(args.pretrained) if args.pretrained else None
@@ -236,6 +259,7 @@ def cmd_eval(args) -> int:
     ks = _parse_ks(args.ks)
     _require_documents(corpus, args.split)
     params, _, _ = load_checkpoint(args.checkpoint)
+    _require_fit(corpus.split_documents(args.split), params.config)
 
     report = evaluate(corpus, args.split, params, params.config, ks=ks)
     paths = _prepare_out(args.out, ["eval-report.json", "eval-config.json"], args.force)
@@ -284,6 +308,8 @@ def cmd_diagnose(args) -> int:
     params = load_checkpoint(args.checkpoint)[0] if args.checkpoint else None
     if args.learned and params is None:
         raise UsageError("--learned requires --checkpoint")
+    if params is not None:
+        _require_fit(corpus.split_documents(args.split), params.config)
 
     rng = RngStream(args.seed).child("diagnostics")
     bias = bias_report(

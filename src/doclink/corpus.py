@@ -41,38 +41,20 @@ class ImageRecord:
         )
 
 
-@dataclass(eq=False)
+@dataclass
 class Document:
     id: str
     sentences: list  # list of token-id lists
     images: list  # list of ImageRecord
     gold_edges: set | None = None  # {(sentence_idx, image_idx)}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Document)
-            and self.id == other.id
-            and self.sentences == other.sentences
-            and self.images == other.images
-            and self.gold_edges == other.gold_edges
-        )
 
-
-@dataclass(eq=False)
+@dataclass
 class Corpus:
     documents: list
     vocab_size: int
     obj_dim: int
     splits: dict = field(default_factory=dict)  # {"train": [ids], ...}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Corpus)
-            and self.documents == other.documents
-            and self.vocab_size == other.vocab_size
-            and self.obj_dim == other.obj_dim
-            and self.splits == other.splits
-        )
 
     def split_documents(self, split: str) -> list:
         ids = set(self.splits.get(split, []))
@@ -102,7 +84,7 @@ def validate_document(doc: Document, vocab_size: int, obj_dim: int) -> None:
         if img.objects.shape[1] != obj_dim:
             raise CorpusValidationError(
                 f"document {doc.id!r}: image {j} object width {img.objects.shape[1]} "
-                f"!= corpus object dimension {obj_dim}"
+                f"!= object dimension {obj_dim}"
             )
         if not np.isfinite(img.objects).all():
             raise CorpusValidationError(

@@ -6,6 +6,11 @@ forward pass and walked once, in reverse topological order, by
 :func:`backward`.  Everything is 64-bit: the models here are desk-scale and
 gradient checks against central finite differences demand the precision.
 
+Primitives, each with a backward hook: add, neg, mul, power, relu, exp,
+log, matmul, swapaxes, reshape, take, concat, tsum, max_reduce, softmax,
+layernorm, normalize_rows and block_tk.  Compositions of them: embedding,
+transpose (``Tensor.T``), sqrt, stack and tmean (``Tensor.mean``).
+
 Convention at non-differentiable points: the subgradient of the
 first-encountered / left branch is used (``relu'(0) == 0``, ties in ``max``
 route to the lowest index), so finite-difference checks should avoid kinks.
@@ -235,13 +240,7 @@ def log(a) -> Tensor:
 
 
 def sqrt(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.sqrt(a.data)
-
-    def backward_fn(g):
-        return (g * 0.5 / out_data,)
-
-    return _make(out_data, (a,), backward_fn, "sqrt")
+    return power(a, 0.5)
 
 
 # ---- linear algebra -------------------------------------------------------
@@ -270,12 +269,9 @@ def matmul(a, b) -> Tensor:
 def transpose(a) -> Tensor:
     """Reverse all axes (the matrix transpose in 2-D)."""
     a = _wrap(a)
-    out_data = np.transpose(a.data)
-
-    def backward_fn(g):
-        return (np.transpose(g),)
-
-    return _make(out_data, (a,), backward_fn, "transpose")
+    for i in range(a.ndim // 2):
+        a = swapaxes(a, i, a.ndim - 1 - i)
+    return a
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
@@ -314,43 +310,22 @@ def take(a, idx) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward_fn(g):
-        grads = []
-        for i in range(len(tensors)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
+        return tuple(np.split(g, offsets[1:-1], axis=axis))
 
     return _make(out_data, tuple(tensors), backward_fn, "concat")
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward_fn(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(moved[i] for i in range(len(tensors)))
-
-    return _make(out_data, tuple(tensors), backward_fn, "stack")
+    return concat([reshape(t, np.expand_dims(t.data, axis).shape) for t in tensors], axis)
 
 
 def embedding(table, ids) -> Tensor:
     """Row lookup ``table[ids]``; backward scatter-adds into the table."""
-    table = _wrap(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    out_data = table.data[ids]
-
-    def backward_fn(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return (buf,)
-
-    return _make(out_data, (table,), backward_fn, "embedding")
+    return take(table, np.asarray(ids, dtype=np.int64))
 
 
 # ---- reductions -----------------------------------------------------------
@@ -361,7 +336,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward_fn(g):
-        g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
@@ -370,19 +344,10 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """The sum scaled by out.size / in.size; an empty input gives nan."""
     a = _wrap(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-
-    def backward_fn(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape) / count,)
-
-    return _make(out_data, (a,), backward_fn, "mean")
+    out = tsum(a, axis=axis, keepdims=keepdims)
+    return out * (out.data.size / a.data.size if a.data.size else np.nan)
 
 
 def max_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -391,7 +356,6 @@ def max_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.max(axis=axis, keepdims=keepdims)
 
     def backward_fn(g):
-        g = np.asarray(g)
         if axis is None:
             buf = np.zeros_like(a.data)
             buf.reshape(-1)[np.argmax(a.data)] = g
@@ -635,12 +599,10 @@ def backward(loss: Tensor) -> None:
             if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)
-            if pid in local:
-                local[pid] = local[pid] + pg
-            else:
-                local[pid] = np.array(pg, dtype=np.float64, copy=True)
             if parent.node is None:
                 # Leaf: persist into .grad so optimizers can read it.
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad = parent.grad + pg
+                parent.grad = np.array(pg) if parent.grad is None else parent.grad + pg
+            elif pid in local:
+                local[pid] = local[pid] + pg
+            else:
+                local[pid] = np.array(pg)

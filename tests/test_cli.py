@@ -133,6 +133,24 @@ class TestGen:
         assert not (tmp_path / "o" / "corpus.jsonl").exists()
 
 
+    @pytest.mark.parametrize(
+        "synth,message",
+        [
+            ({"vocab_size": 10}, "vocab_size=10 cannot hold 5 disjoint token subsets of 6"),
+            ({"clusters_per_doc": 1}, "clusters_per_doc=1 too small"),
+        ],
+    )
+    def test_setting_rejected_during_generation_is_usage_error(
+        self, tmp_path, capsys, synth, message
+    ):
+        config = tmp_path / "bad.json"
+        write_json(config, {"synth": synth})
+        code = main(["gen", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "corpus.jsonl").exists()
+
+
 class TestTrain:
     def test_writes_checkpoint_history_and_echo(self, workspace, tmp_path):
         config = tmp_path / "train.json"
@@ -565,6 +583,90 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"line 2: malformed record of document {record['id']!r}" in err
         assert f"{message} is not an integer" in err
+
+
+def small_corpus(tmp_path, name, **synth):
+    """A 3x3-document corpus (object width 4, vocabulary 60, sentences of 4
+    tokens) with two train documents and one val document."""
+    config = tmp_path / f"{name}.json"
+    shape = dict(train_docs=2, val_docs=1, test_docs=0, obj_dim=4, vocab_size=60)
+    write_json(config, {"synth": synth_section(**{**shape, **synth})})
+    assert main(["gen", "--out", str(tmp_path / name), "--config", str(config)]) == 0
+    return tmp_path / name / "corpus.jsonl"
+
+
+def first_misfit(corpus_path, splits, misfit) -> str:
+    corpus = load_corpus(str(corpus_path))
+    docs = [doc for split in splits for doc in corpus.split_documents(split)]
+    return next(doc.id for doc in docs if misfit(doc))
+
+
+def longest_sentence(doc):
+    return max(len(tokens) for tokens in doc.sentences)
+
+
+def largest_token(doc):
+    concepts = [t for img in doc.images for concept in img.concepts for t in concept]
+    return max(concepts + [t for tokens in doc.sentences for t in tokens])
+
+
+def object_width(doc):
+    return doc.images[0].objects.shape[1]
+
+
+class TestModelFit:
+    """A corpus the model cannot encode exits 2 before the first step,
+    naming the document and the model setting."""
+
+    @pytest.mark.parametrize(
+        "key,value,misfit",
+        [
+            ("max_sentence_len", 2, lambda doc: longest_sentence(doc) > 2),
+            ("vocab_size", 10, lambda doc: largest_token(doc) >= 10),
+            ("obj_dim", 5, lambda doc: object_width(doc) != 5),
+        ],
+    )
+    def test_train_names_document_and_setting(self, tmp_path, capsys, key, value, misfit):
+        corpus = small_corpus(tmp_path, "small")
+        sections = train_sections()
+        sections["model"][key] = value
+        config = tmp_path / "train.json"
+        write_json(config, sections)
+        code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                     "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"document {first_misfit(corpus, ('train', 'val'), misfit)!r}" in err
+        assert f"{key}={value}" in err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "synth,setting,misfit",
+        [
+            ({"sentence_len": 10}, "max_sentence_len=8", lambda doc: longest_sentence(doc) > 8),
+            ({"vocab_size": 600}, "vocab_size=60", lambda doc: largest_token(doc) >= 60),
+            ({"obj_dim": 5}, "obj_dim=4", lambda doc: object_width(doc) != 4),
+        ],
+    )
+    def test_checkpoint_commands_name_document_and_setting(
+        self, tmp_path, capsys, synth, setting, misfit
+    ):
+        config = tmp_path / "train.json"
+        write_json(config, train_sections(max_epochs=1))
+        fitted = small_corpus(tmp_path, "fitted")
+        ckpt = tmp_path / "run" / "checkpoint.json"
+        assert main(["train", "--corpus", str(fitted), "--out", str(tmp_path / "run"),
+                     "--config", str(config)]) == 0
+        other = small_corpus(tmp_path, "other", **synth)
+        expected = f"document {first_misfit(other, ('train',), misfit)!r}"
+        for command in (["eval"], ["diagnose"], ["diagnose", "--learned"]):
+            capsys.readouterr()
+            code = main(command + ["--corpus", str(other), "--checkpoint", str(ckpt),
+                                   "--split", "train", "--out", str(tmp_path / "o")])
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert expected in err and setting in err, command
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigChecks:

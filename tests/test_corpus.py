@@ -1,5 +1,6 @@
 """Corpus model, formats, and synthetic generator checks."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -86,6 +87,44 @@ class TestRoundTrip:
         loaded = load_pretrained_embeddings(epath)
         assert set(loaded) == {0, 7}
         np.testing.assert_array_equal(loaded[7], rows[7])
+
+
+class TestEquality:
+    @staticmethod
+    def document(**changes):
+        fields = dict(
+            id="d0",
+            sentences=[[1, 2]],
+            images=[ImageRecord(np.ones((1, 3)), [[4]])],
+            gold_edges={(0, 0)},
+        )
+        return Document(**{**fields, **changes})
+
+    def corpus(self, **changes):
+        fields = dict(documents=[self.document()], vocab_size=5, obj_dim=3, splits={"train": ["d0"]})
+        return Corpus(**{**fields, **changes})
+
+    def test_any_single_field_difference_breaks_equality(self):
+        """Equality compares every field, each on its own."""
+        for make, changes in (
+            (self.document, dict(
+                id="d1",
+                sentences=[[1, 3]],
+                images=[ImageRecord(np.zeros((1, 3)), [[4]])],
+                gold_edges=None,
+            )),
+            (self.corpus, dict(
+                documents=[self.document(id="d1")],
+                vocab_size=6,
+                obj_dim=4,
+                splits={"test": ["d0"]},
+            )),
+        ):
+            assert make() == make()
+            assert set(changes) == {f.name for f in dataclasses.fields(make())}
+            for name, value in changes.items():
+                assert make() != make(**{name: value}), name
+            assert make() != "d0"
 
 
 class TestLoadErrors:

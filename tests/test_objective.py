@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from doclink import tensor
+from doclink.corpus import SynthConfig, generate_synthetic
+from doclink.encoder import ModelConfig, batch_representations, init_params
 from doclink.errors import BatchError, ConfigError
 from doclink.objective import (
     ObjectiveConfig,
@@ -320,6 +322,41 @@ class TestTotalLoss:
         for leaf in (s0, v0, s1, v1):
             fd = central_diff(build, leaf)
             np.testing.assert_allclose(leaf.grad, fd, rtol=1e-4, atol=1e-7)
+
+    def test_training_graph_uses_only_the_primitives(self):
+        """One training step at the acceptance shape (11 documents of 5x5,
+        3 objects of width 16, embed 16) builds its graph from exactly these
+        ops; the composed ones (embedding, transpose, mean, ...) leave no
+        node of their own."""
+        corpus = generate_synthetic(
+            SynthConfig(
+                train_docs=11, val_docs=0, test_docs=0,
+                sentences_per_doc=5, images_per_doc=5, density=0.2,
+                vocab_size=200, obj_dim=16, objects_per_image=3,
+                sentence_len=8, concept_len=2, tokens_per_cluster=4, sigma=0.1,
+            ),
+            RngStream(100),
+        )
+        config = ModelConfig(
+            vocab_size=200, obj_dim=16, embed_dim=16, sentence_layers=1,
+            image_layers=1, heads=2, word_dim=16, max_sentence_len=12,
+        )
+        params = init_params(config, RngStream(0))
+        reps = batch_representations(corpus.split_documents("train"), params, config)
+        loss, _ = total_loss(reps, ObjectiveConfig(), RngStream(1))
+        names, seen, todo = set(), set(), [loss]
+        while todo:
+            t = todo.pop()
+            if t.node is not None and id(t) not in seen:
+                seen.add(id(t))
+                names.add(t.node.name)
+                todo.extend(t.node.parents)
+        assert names == {
+            "add", "block_tk", "concat", "layernorm", "matmul", "max", "mul", "neg",
+            "normalize", "relu", "reshape", "softmax", "sum", "swapaxes", "take",
+        }
+        tensor.backward(loss)
+        assert all(p.grad is not None for p in params.named_parameters().values())
 
 
 def ragged_batch(rng, size, least=1, most=6, dim=6):

@@ -117,6 +117,24 @@ class TestReductions:
         check_grads(lambda: (a.mean(axis=0, keepdims=True) ** 2.0).sum(), [a], rtol=1e-6)
         check_grads(lambda: a.mean(), [a], rtol=1e-6)
 
+    def test_mean_tuple_axis_and_keepdims(self):
+        rng = np.random.default_rng(14)
+        a = leaf(rng, 2, 3, 4)
+        for axis, keepdims in (((0, 2), False), ((0, 2), True), (1, True), (None, True)):
+            np.testing.assert_allclose(
+                a.mean(axis=axis, keepdims=keepdims).data,
+                a.data.mean(axis=axis, keepdims=keepdims),
+                rtol=1e-15,
+            )
+        w = Tensor(rng.normal(size=(1, 3, 1)))
+        check_grads(lambda: (a.mean(axis=(0, 2), keepdims=True) * w).sum(), [a], rtol=1e-6)
+        check_grads(lambda: (a.mean(axis=(0, 2)) ** 2.0).sum(), [a], rtol=1e-6)
+
+    def test_mean_of_empty_input_is_nan(self):
+        empty = Tensor(np.zeros((0, 3)))
+        assert np.isnan(empty.mean().item())
+        assert np.isnan(empty.mean(axis=0).data).all()
+
     def test_max_values_and_gradients(self):
         rng = np.random.default_rng(5)
         base = rng.normal(size=(4, 5))
@@ -170,6 +188,43 @@ class TestShapeOps:
         np.testing.assert_allclose(out.data[0, 0], [5.0, 6.0])
         tensor.backward(out.sum())
         np.testing.assert_allclose(table.grad, [[2.0, 2.0], [1.0, 1.0], [1.0, 1.0]])
+
+
+    def test_embedding_and_take_agree_bitwise_on_duplicate_ids(self):
+        """Equal bits forward and backward, and the table gradient equals a
+        scatter-add over the flattened ids."""
+        ids = np.array([[3, 1, 3], [0, 3, 1]])
+        g = np.random.default_rng(10).normal(size=(2, 3, 4))
+        results = []
+        for op in (tensor.embedding, tensor.take):
+            table = leaf(np.random.default_rng(11), 5, 4)
+            out = op(table, ids)
+            tensor.backward((out * Tensor(g)).sum())
+            results.append((out.data, table.grad))
+        (emb_out, emb_grad), (take_out, take_grad) = results
+        flat = np.zeros((5, 4))
+        np.add.at(flat, ids.reshape(-1), g.reshape(-1, 4))
+        assert np.array_equal(emb_out, take_out)
+        assert np.array_equal(emb_grad, take_grad)
+        assert np.array_equal(emb_grad, flat)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (2, 1, 3, 2)])
+    def test_transpose_matches_numpy(self, shape):
+        rng = np.random.default_rng(12)
+        a = leaf(rng, *shape)
+        w = Tensor(rng.normal(size=shape[::-1]))
+        assert np.array_equal(tensor.transpose(a).data, np.transpose(a.data))
+        assert np.array_equal(a.T.data, np.transpose(a.data))
+        check_grads(lambda: (tensor.transpose(a) * w).sum(), [a], rtol=1e-6)
+
+    def test_stack_negative_axis(self):
+        rng = np.random.default_rng(13)
+        a, b = leaf(rng, 2, 3), leaf(rng, 2, 3)
+        for axis in (-1, -2, -3):
+            got = tensor.stack([a, b], axis=axis).data
+            assert np.array_equal(got, np.stack([a.data, b.data], axis=axis))
+        w = Tensor(rng.normal(size=(2, 3, 2)))
+        check_grads(lambda: (tensor.stack([a, b], axis=-1) * w).sum(), [a, b], rtol=1e-6)
 
 
 class TestActivations:
@@ -280,6 +335,37 @@ class TestBackwardEngine:
         tensor.backward((p * 3.0).sum())
         tensor.backward((p * 3.0).sum())
         np.testing.assert_allclose(p.grad, [6.0, 6.0])
+
+    def test_leaf_gradient_is_an_exact_private_sum(self):
+        """A leaf read by three consumers gets the exact sum of their
+        contributions in a writable array that shares memory neither with
+        its data nor with any gradient a backward hook returned."""
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        hook_grads = []
+
+        def recording(hook):
+            def run(g):
+                grads = hook(g)
+                hook_grads.extend(grads)
+                return grads
+
+            return run
+
+        consumers = [x.reshape(3, 2), x * 2.0, tensor.concat([x, Tensor(np.ones((1, 3)))])]
+        for c in consumers:
+            c.node.backward_fn = recording(c.node.backward_fn)
+        tensor.backward(sum((c * float(i + 1)).sum() for i, c in enumerate(consumers)))
+        assert np.array_equal(x.grad, np.full((2, 3), 1.0 + 4.0 + 3.0))
+        assert x.grad.flags.writeable
+        for other in [x.data] + [g for g in hook_grads if g is not None]:
+            assert not np.shares_memory(x.grad, other)
+
+        y = Tensor(np.ones((2, 3)), requires_grad=True)
+        view = y.reshape(3, 2)
+        view.node.backward_fn = recording(view.node.backward_fn)
+        tensor.backward(view.sum())
+        assert y.grad.flags.writeable
+        assert not any(np.shares_memory(y.grad, g) for g in hook_grads[-1:])
 
     def test_non_scalar_loss_rejected(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
