@@ -25,7 +25,6 @@ from .corpus import (
     load_split_manifest,
     save_corpus,
     save_split_manifest,
-    save_vocab,
     token_overlap_scores,
     validate_document,
 )
@@ -173,14 +172,10 @@ def cmd_gen(args) -> int:
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
 
-    paths = _prepare_out(
-        args.out, ["corpus.jsonl", "vocab.json", "splits.json", "gen-config.json"],
-        args.force,
-    )
+    paths = _prepare_out(args.out, ["corpus.jsonl", "splits.json", "gen-config.json"], args.force)
     save_corpus(corpus, paths[0])
-    save_vocab({f"tok-{i:05d}": i for i in range(corpus.vocab_size)}, paths[1])
-    save_split_manifest(corpus.splits, paths[2])
-    _write_json(paths[3], {"seed": args.seed, "synth": dataclasses.asdict(synth)})
+    save_split_manifest(corpus.splits, paths[1])
+    _write_json(paths[2], {"seed": args.seed, "synth": dataclasses.asdict(synth)})
 
     densities, n_sent, n_img = [], [], []
     for doc in corpus.documents:
@@ -439,7 +434,7 @@ def main(argv=None) -> int:
     except (NonFiniteError, DegenerateEmbeddingError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DoclinkError, FileNotFoundError) as exc:
+    except (DoclinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

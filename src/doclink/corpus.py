@@ -7,7 +7,6 @@ time and required for evaluation.
 
 On-disk formats (all UTF-8, LF endings):
   corpus     JSON Lines, one document per line
-  vocabulary JSON object {"token_string": id}
   embeddings JSON Lines {"id": int, "vec": [float, ...]}
   splits     JSON object {"train": [ids], "val": [ids], "test": [ids]}
 """
@@ -81,6 +80,8 @@ def validate_document(doc: Document, vocab_size: int, obj_dim: int) -> None:
             raise CorpusValidationError(
                 f"document {doc.id!r}: image {j} needs at least one object row"
             )
+        if img.objects.shape[1] < 1:
+            raise CorpusValidationError(f"document {doc.id!r}: image {j} has empty object rows")
         if img.objects.shape[1] != obj_dim:
             raise CorpusValidationError(
                 f"document {doc.id!r}: image {j} object width {img.objects.shape[1]} "
@@ -178,7 +179,7 @@ def _doc_from_record(record: dict, line_no: int) -> Document:
         if gold is not None:
             edges = {(m, n) for m, n in (_int_ids(e, "gold edge index") for e in gold)}
         return Document(id=str(record["id"]), sentences=sentences, images=images, gold_edges=edges)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorpusFormatError(
             f"malformed record of document {doc_id!r}: {exc}", line=line_no
         ) from exc
@@ -200,14 +201,14 @@ def load_corpus(path, vocab_size: int | None = None, splits: dict | None = None)
     constant.  ``splits`` defaults to everything in "train".
     """
     documents = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc}", line=line_no) from exc
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # a UnicodeDecodeError is a ValueError
+                raise CorpusFormatError(f"invalid UTF-8 JSON: {exc}", line=line_no) from exc
             documents.append(_doc_from_record(record, line_no))
     if not documents:
         raise CorpusValidationError("no documents")
@@ -221,8 +222,9 @@ def load_corpus(path, vocab_size: int | None = None, splits: dict | None = None)
                 for c in img.concepts:
                     top = max(top, max(c, default=-1))
         vocab_size = top + 1
-    first = documents[0].images[0].objects
-    obj_dim = int(first.shape[1]) if first.ndim == 2 else 0
+    # Validation rejects a first document without images or object rows.
+    images = documents[0].images
+    obj_dim = int(images[0].objects.shape[1]) if images and images[0].objects.ndim == 2 else 0
 
     if splits is None:
         splits = {"train": [d.id for d in documents], "val": [], "test": []}
@@ -231,18 +233,6 @@ def load_corpus(path, vocab_size: int | None = None, splits: dict | None = None)
     if any(doc.gold_edges is None for doc in documents):
         warnings.warn("corpus has documents without gold edges; evaluation will reject them")
     return corpus
-
-
-def save_vocab(vocab: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(vocab, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
-
-
-def load_vocab(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {str(tok): int(idx) for tok, idx in raw.items()}
 
 
 def save_split_manifest(splits: dict, path) -> None:
@@ -265,33 +255,24 @@ def load_split_manifest(path) -> dict:
     return {name: [str(i) for i in raw.get(name, [])] for name in SPLITS}
 
 
-def save_pretrained_embeddings(rows: dict, path) -> None:
-    """rows: {token_id: vector}; written one JSON object per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for token_id in sorted(rows):
-            vec = [float(x) for x in rows[token_id]]
-            fh.write(json.dumps({"id": int(token_id), "vec": vec}))
-            fh.write("\n")
-
-
 def load_pretrained_embeddings(path) -> dict:
     """{token_id: vector}; every row must hold an integer id and a vector
     of the first row's width."""
     rows = {}
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 token_id = _int_ids([record["id"]], "id")[0]
                 vec = np.array(record["vec"], dtype=np.float64)
                 if vec.ndim != 1 or vec.size == 0:
                     raise ValueError(f"'vec' must be a non-empty flat list, got shape {vec.shape}")
                 if width is not None and vec.size != width:
                     raise ValueError(f"vector width {vec.size}, but the first row has {width}")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorpusFormatError(f"malformed embedding row: {exc}", line=line_no) from exc
             width = vec.size
             rows[token_id] = vec
@@ -333,7 +314,6 @@ class SynthConfig:
     sentence_len: int = setting(8, low=1)
     concept_len: int = setting(2, low=1)
     tokens_per_cluster: int = setting(6, low=1)
-    clusters_per_doc: int | None = setting(None, low=1)  # None: exactly as many as needed
     sigma: float = setting(0.1, low=0)
     token_noise: float = setting(0.0, low=0, high=1)
     doc_center_scale: float = setting(0.0, low=0)
@@ -414,13 +394,7 @@ def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Docu
     number = {key: c for c, key in enumerate(sorted(set(keys)))}
     cluster = [number[key] for key in keys]
 
-    needed = len(number)
-    clusters = needed if config.clusters_per_doc is None else config.clusters_per_doc
-    if clusters < needed:
-        raise ConfigError(
-            f"clusters_per_doc={clusters} too small: document needs {needed} "
-            f"(match groups plus distractors)"
-        )
+    clusters = len(number)
     if clusters * config.tokens_per_cluster > config.vocab_size:
         raise ConfigError(
             f"vocab_size={config.vocab_size} cannot hold {clusters} disjoint "

@@ -13,7 +13,9 @@ store it verbatim, so a resumed run continues the unbroken sequence.
 :func:`load_checkpoint` is the only reader of the checkpoint layout, and a
 resume must request every stored setting unchanged except max_epochs.
 Adam moments are allocated as zeros beside the named parameters, so every
-checkpoint stores one moment pair per parameter.
+checkpoint stores one moment pair per parameter.  Adam's betas and eps are
+the constants BETA1, BETA2 and EPS, and its bias correction counts steps
+with ``TrainState.step``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .objective import ObjectiveConfig, check_k_override, degenerate_subdocument
 from .rng import RngStream
 
 CHECKPOINT_FORMAT = "doclink-checkpoint-v1"
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -70,36 +73,31 @@ def lr_at(step: int, config: TrainConfig, decays: int = 0) -> float:
 
 
 class OptimizerState:
-    """Adam accumulators keyed by parameter name, allocated as zeros beside
-    the named parameters (name -> tensor) they update."""
+    """Adam moments keyed by parameter name, allocated as zeros beside the
+    named parameters (name -> tensor) they update."""
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.step = 0
+    def __init__(self, params: dict):
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
-def adam_step(params: dict, state: OptimizerState, lr: float) -> None:
-    """One Adam update with bias correction; gradients are cleared after.
+def adam_step(params: dict, state: OptimizerState, lr: float, t: int) -> None:
+    """Adam update number ``t`` (from 1) with bias correction; gradients are
+    cleared after.
 
     ``params`` maps names to tensors whose .grad was populated by backward;
     a missing gradient counts as zero.  Any non-finite gradient aborts,
     naming the parameter.
     """
-    state.step += 1
-    t = state.step
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g**2
-        m_hat = state.m[name] / (1.0 - state.beta1**t)
-        v_hat = state.v[name] / (1.0 - state.beta2**t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g**2
+        m_hat = state.m[name] / (1.0 - BETA1**t)
+        v_hat = state.v[name] / (1.0 - BETA2**t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
         p.grad = None
 
 
@@ -230,7 +228,8 @@ def train(
                     f"non-finite loss at step {state.step}; last checkpoint retained"
                 )
             tensor.backward(loss)
-            adam_step(named, optimizer, lr_at(state.step, train_config, state.decays))
+            lr = lr_at(state.step, train_config, state.decays)
+            adam_step(named, optimizer, lr, t=state.step + 1)
             state.step += 1
             epoch_parts.append(parts)
 
@@ -304,10 +303,12 @@ def save_checkpoint(
         **asdict(state),
         "params": {name: _array_to_json(t.data) for name, t in named.items()},
         "adam": {
-            "step": optimizer.step,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
+            # Format v1 records Adam's step count and constants, which are
+            # never read back.
+            "step": state.step,
+            "beta1": BETA1,
+            "beta2": BETA2,
+            "eps": EPS,
             "m": {name: _array_to_json(m) for name, m in optimizer.m.items()},
             "v": {name: _array_to_json(v) for name, v in optimizer.v.items()},
         },
@@ -372,10 +373,7 @@ def load_checkpoint(
         if set(named) != set(payload["params"]):
             raise ConfigError(f"checkpoint {path} parameter names do not match the model")
         adam = payload["adam"]
-        optimizer = OptimizerState(
-            named, beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"]
-        )
-        optimizer.step = adam["step"]
+        optimizer = OptimizerState(named)
         for name, t in named.items():
             t.data = _array_from_json(path, payload["params"], name, t.data.shape, "parameter")
             optimizer.m[name] = _array_from_json(path, adam["m"], name, t.data.shape, "Adam m of")
@@ -383,6 +381,6 @@ def load_checkpoint(
         state = TrainState(**{f.name: payload[f.name] for f in fields(TrainState)})
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} lacks the {exc} entry") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"checkpoint {path} is malformed: {exc}") from exc
     return params, optimizer, state

@@ -71,18 +71,22 @@ def read_bytes(path):
         return fh.read()
 
 
+def as_flags(files: dict) -> list:
+    """``["--flag", "path", ...]`` for every flag given a path."""
+    return [arg for flag, path in files.items() if path for arg in (flag, str(path))]
+
+
 class TestGen:
-    def test_emits_corpus_vocab_and_manifest(self, workspace, capsys):
+    def test_emits_corpus_manifest_and_config(self, workspace, capsys):
         data = workspace / "data"
-        for name in ("corpus.jsonl", "vocab.json", "splits.json", "gen-config.json"):
-            assert (data / name).exists()
+        assert sorted(os.listdir(data)) == ["corpus.jsonl", "gen-config.json", "splits.json"]
 
     def test_same_seed_same_bytes(self, workspace, tmp_path):
         config = tmp_path / "gen2.json"
         write_json(config, {"synth": synth_section()})
         other = tmp_path / "data2"
         assert main(["gen", "--out", str(other), "--config", str(config), "--seed", "7"]) == 0
-        for name in ("corpus.jsonl", "vocab.json", "splits.json"):
+        for name in ("corpus.jsonl", "splits.json"):
             assert read_bytes(workspace / "data" / name) == read_bytes(other / name)
 
     def test_reported_density_matches_recount(self, workspace, capsys, tmp_path):
@@ -135,10 +139,7 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "synth,message",
-        [
-            ({"vocab_size": 10}, "vocab_size=10 cannot hold 5 disjoint token subsets of 6"),
-            ({"clusters_per_doc": 1}, "clusters_per_doc=1 too small"),
-        ],
+        [({"vocab_size": 10}, "vocab_size=10 cannot hold 5 disjoint token subsets of 6")],
     )
     def test_setting_rejected_during_generation_is_usage_error(
         self, tmp_path, capsys, synth, message
@@ -583,6 +584,105 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"line 2: malformed record of document {record['id']!r}" in err
         assert f"{message} is not an integer" in err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("train", "--corpus"), ("train", "--config"), ("train", "--splits"),
+         ("train", "--pretrained"), ("eval", "--checkpoint")],
+    )
+    def test_directory_for_a_file_is_data_error(
+        self, workspace, tmp_path, capsys, command, flag
+    ):
+        data, folder = workspace / "data", tmp_path / "folder"
+        folder.mkdir()
+        files = {"--corpus": data / "corpus.jsonl", "--splits": data / "splits.json"}
+        files[flag] = folder
+        code = main([command, *as_flags(files), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"Is a directory: {str(folder)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_gen_out_naming_a_file_is_data_error(self, tmp_path, capsys):
+        config, out = tmp_path / "gen.json", tmp_path / "taken"
+        write_json(config, {"synth": synth_section()})
+        out.write_text("")
+        code = main(["gen", "--out", str(out), "--config", str(config)])
+        assert code == 2
+        assert f"File exists: {str(out)!r}" in capsys.readouterr().err
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("flag", ["--corpus", "--pretrained"])
+    def test_non_utf8_byte_names_the_line(self, workspace, tmp_path, capsys, flag):
+        data, emb = workspace / "data", tmp_path / "emb.jsonl"
+        emb.write_text('{"id": 0, "vec": [0.1]}\n{"id": 1, "vec": [0.2]}\n')
+        files = {"--corpus": data / "corpus.jsonl", "--pretrained": emb}
+        lines = read_bytes(files[flag]).splitlines()
+        lines[1] += b" \xff"
+        files[flag] = tmp_path / "bad.jsonl"
+        files[flag].write_bytes(b"\n".join(lines) + b"\n")
+        code = main(
+            ["diagnose", *as_flags(files), "--splits", str(data / "splits.json"), "--split", "train",
+             "--out", str(tmp_path / "d")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 2: " in err and "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--corpus", "line 2: malformed record of document"),
+         ("--pretrained", "line 1: malformed embedding row"),
+         ("--checkpoint", "is malformed")],
+    )
+    def test_int_beyond_float_range_is_data_error(self, trained, tmp_path, capsys, flag, message):
+        """1 followed by 400 zeros is a JSON integer that no float64 holds."""
+        corpus, ckpt = trained
+        bad = tmp_path / "bad.json"
+        files = {"--corpus": corpus, "--checkpoint": ckpt, "--pretrained": bad}
+        if flag == "--corpus":
+            lines = corpus.read_text().splitlines()
+            record = json.loads(lines[1])
+            record["images"][0]["objects"][0][0] = 10**400
+            lines[1] = json.dumps(record)
+            bad.write_text("\n".join(lines) + "\n")
+            files["--corpus"] = bad
+        elif flag == "--pretrained":
+            bad.write_text(json.dumps({"id": 0, "vec": [10**400]}) + "\n")
+        else:
+            payload = json.loads(ckpt.read_text())
+            next(iter(payload["params"].values()))["data"][0] = 10**400
+            bad.write_text(json.dumps(payload))
+            files["--checkpoint"] = bad
+            files["--pretrained"] = None
+        code = main(
+            ["diagnose", *as_flags(files), "--splits", str(corpus.parent / "splits.json"),
+             "--split", "train", "--out", str(tmp_path / "d")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "int too large to convert to float" in err
+
+    @pytest.mark.parametrize(
+        "images,message",
+        [([], "document 'a': needs at least one image"),
+         ([{"objects": [[]], "concepts": [[1]]}], "document 'a': image 0 has empty object rows")],
+    )
+    def test_first_document_without_object_features_is_data_error(
+        self, tmp_path, capsys, images, message
+    ):
+        """obj_dim is inferred from the first document's first image."""
+        first = {"id": "a", "sentences": [{"tokens": [0]}], "images": images, "gold_edges": []}
+        second = {
+            "id": "b",
+            "sentences": [{"tokens": [1]}],
+            "images": [{"objects": [[0.5]], "concepts": [[1]]}],
+            "gold_edges": [[0, 0]],
+        }
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 def small_corpus(tmp_path, name, **synth):

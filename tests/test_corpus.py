@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doclink.corpus import (
     Corpus,
@@ -15,15 +20,12 @@ from doclink.corpus import (
     load_corpus,
     load_pretrained_embeddings,
     load_split_manifest,
-    load_vocab,
     raw_feature_views,
     save_corpus,
-    save_pretrained_embeddings,
     save_split_manifest,
-    save_vocab,
     token_overlap_scores,
 )
-from doclink.errors import ConfigError, CorpusFormatError, CorpusValidationError
+from doclink.errors import ConfigError, CorpusFormatError, CorpusValidationError, DoclinkError
 from doclink.rng import RngStream
 
 
@@ -69,12 +71,7 @@ class TestRoundTrip:
         for before, after in zip(corpus.documents, loaded.documents):
             assert before.gold_edges == after.gold_edges
 
-    def test_vocab_manifest_embedding_files(self, tmp_path):
-        vocab = {"cat": 0, "sat": 1, "mat": 2}
-        vpath = tmp_path / "vocab.json"
-        save_vocab(vocab, vpath)
-        assert load_vocab(vpath) == vocab
-
+    def test_manifest_and_embedding_files(self, tmp_path):
         splits = {"train": ["a", "b"], "val": ["c"], "test": []}
         mpath = tmp_path / "splits.json"
         save_split_manifest(splits, mpath)
@@ -83,7 +80,9 @@ class TestRoundTrip:
         rng = np.random.default_rng(0)
         rows = {0: rng.normal(size=4), 7: rng.normal(size=4)}
         epath = tmp_path / "emb.jsonl"
-        save_pretrained_embeddings(rows, epath)
+        epath.write_text(
+            "".join(json.dumps({"id": i, "vec": v.tolist()}) + "\n" for i, v in rows.items())
+        )
         loaded = load_pretrained_embeddings(epath)
         assert set(loaded) == {0, 7}
         np.testing.assert_array_equal(loaded[7], rows[7])
@@ -273,8 +272,6 @@ class TestGenerator:
             generate_synthetic(tiny_config(density=1.5), RngStream(0))
 
     def test_cluster_budget_validation(self):
-        with pytest.raises(ConfigError, match="clusters_per_doc"):
-            generate_synthetic(tiny_config(clusters_per_doc=1), RngStream(0))
         with pytest.raises(ConfigError, match="vocab_size"):
             generate_synthetic(tiny_config(vocab_size=10), RngStream(0))
 
@@ -320,3 +317,92 @@ class TestFeatureViews:
         for j, rec in enumerate(doc.images):
             manual = rec.objects.sum(axis=0) / rec.objects.shape[0]
             np.testing.assert_allclose(img[j], manual, atol=1e-12)
+
+
+# ---- fuzzed JSONL files -----------------------------------------------------
+
+RECORD_KEYS = ["id", "sentences", "tokens", "images", "objects", "concepts", "gold_edges", "vec"]
+INDEX = st.integers(-1, 6)
+SPECIAL = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400])
+ANY = st.recursive(
+    st.one_of(INDEX, SPECIAL, st.floats(), st.booleans(), st.none(), st.text(max_size=2)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(RECORD_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+VALUE = st.integers(-2, 6) | st.floats(-1e3, 1e3)
+
+
+def mostly(common, rare=ANY, one_in=8):
+    """``common``, or one time in ``one_in`` ``rare`` in its place."""
+    return st.integers(1, one_in).flatmap(lambda k: rare if k == one_in else common)
+
+
+def rarely_odd(common, rare=ANY):
+    """``mostly`` for leaves: a record holds dozens, so each is replaced
+    one time in forty."""
+    return mostly(common, rare, one_in=40)
+
+
+def items(strategy, count):
+    """``count`` items, or one time in eight an empty list or any JSON value."""
+    return mostly(st.lists(strategy, min_size=count, max_size=count), st.just([]) | ANY)
+
+
+def some(strategy):
+    """One to three ``items``."""
+    return st.integers(1, 3).flatmap(lambda count: items(strategy, count))
+
+
+def document(width):
+    """Corpus records whose object rows mostly hold ``width`` numbers."""
+    row = items(rarely_odd(VALUE, SPECIAL | ANY), width)  # ragged when a row is replaced
+    image = st.integers(1, 3).flatmap(
+        lambda count: st.fixed_dictionaries(
+            {"objects": items(row, count), "concepts": items(some(rarely_odd(INDEX)), count)}
+        )
+    )
+    return st.fixed_dictionaries(
+        {
+            "id": mostly(st.text(max_size=2)),
+            "sentences": some(mostly(st.fixed_dictionaries({"tokens": some(rarely_odd(INDEX))}))),
+            "images": some(mostly(image)),
+        },
+        optional={"gold_edges": some(items(mostly(INDEX), 2))},
+    )
+
+
+def embedding_row(width):
+    return st.fixed_dictionaries(
+        {"id": mostly(INDEX), "vec": items(rarely_odd(VALUE, SPECIAL | ANY), width)}
+    )
+
+
+def jsonl_lines(record):
+    """Up to three lines: a JSON record, any JSON value, or raw bytes."""
+    line = mostly(mostly(record).map(lambda r: json.dumps(r).encode()), st.binary(max_size=6))
+    return st.lists(line, max_size=3)
+
+
+@pytest.mark.parametrize(
+    "loader,record",
+    [(load_corpus, document), (load_pretrained_embeddings, embedding_row)],
+    ids=["corpus", "embeddings"],
+)
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_loader_returns_or_raises_doclink_error(loader, record, data):
+    """Wrong types, empty and ragged lists, NaN and ints beyond the float
+    range load or raise a DoclinkError; never another exception."""
+    width = data.draw(mostly(st.integers(1, 2), st.just(0)))
+    lines = data.draw(jsonl_lines(record(width)))
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "fuzz.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(line + b"\n" for line in lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                loader(path)
+            except DoclinkError:
+                pass

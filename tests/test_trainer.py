@@ -106,33 +106,32 @@ class TestAdam:
         g = 0.4  # d(0.2 p^2)/dp at p=1
         p.grad = np.array(g)
         state = OptimizerState({"p": p})
-        adam_step({"p": p}, state, lr=0.1)
+        adam_step({"p": p}, state, lr=0.1, t=1)
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
         want = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
         np.testing.assert_allclose(float(p.data), want, rtol=1e-15)
         assert p.grad is None
-        assert state.step == 1
 
     def test_zero_gradients_leave_parameters(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         state = OptimizerState({"p": p})
-        adam_step({"p": p}, state, lr=0.1)  # grad is None
+        adam_step({"p": p}, state, lr=0.1, t=1)  # grad is None
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
     def test_constant_gradient_moves_against_sign(self):
         p = Tensor([0.0, 0.0], requires_grad=True)
         state = OptimizerState({"p": p})
-        for _ in range(50):
+        for t in range(1, 51):
             p.grad = np.array([1.0, -2.0])
-            adam_step({"p": p}, state, lr=0.01)
+            adam_step({"p": p}, state, lr=0.01, t=t)
         assert p.data[0] < 0 and p.data[1] > 0
 
     def test_nan_gradient_names_parameter(self):
         p = Tensor(1.0, requires_grad=True)
         p.grad = np.array(np.nan)
         with pytest.raises(NonFiniteError, match="word_embed"):
-            adam_step({"word_embed": p}, OptimizerState({"word_embed": p}), lr=0.1)
+            adam_step({"word_embed": p}, OptimizerState({"word_embed": p}), lr=0.1, t=1)
 
 
 class TestBatching:
@@ -356,7 +355,12 @@ class TestCheckpoint:
         for name in optimizer.m:
             np.testing.assert_array_equal(optimizer.m[name], result.optimizer.m[name])
             np.testing.assert_array_equal(optimizer.v[name], result.optimizer.v[name])
-        assert optimizer.step == result.optimizer.step
+        with open(path, encoding="utf-8") as fh:
+            adam = json.load(fh)["adam"]
+        # Format v1 keeps Adam's step count and constants beside the moments.
+        assert [adam[k] for k in ("step", "beta1", "beta2", "eps")] == [
+            state.step, 0.9, 0.999, 1e-8
+        ]
         assert loaded == state
         assert params.config == model_config
 
