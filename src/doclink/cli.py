@@ -151,17 +151,11 @@ def _require_fit(docs, config: ModelConfig) -> None:
     the error names the document and the setting."""
     for doc in docs:
         try:
-            validate_document(doc, config.vocab_size, config.obj_dim)
+            validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
         except CorpusValidationError as exc:
             raise CorpusValidationError(
                 f"{exc} (model vocab_size={config.vocab_size}, obj_dim={config.obj_dim})"
             ) from None
-        longest = max(len(tokens) for tokens in doc.sentences)
-        if longest > config.max_sentence_len:
-            raise CorpusValidationError(
-                f"document {doc.id!r}: sentence length {longest} exceeds model "
-                f"max_sentence_len={config.max_sentence_len}"
-            )
 
 
 def cmd_gen(args) -> int:

@@ -60,59 +60,59 @@ class Corpus:
         return [d for d in self.documents if d.id in ids]
 
 
-def validate_document(doc: Document, vocab_size: int, obj_dim: int) -> None:
-    """Enforce every structural invariant; raises CorpusValidationError."""
+def _first_problem(doc: Document, vocab_size: int, obj_dim: int, max_sentence_len) -> str | None:
+    """The first invariant ``doc`` breaks, or None."""
+
+    def stray(tokens):  # the first token outside the vocabulary, or None
+        for t in tokens:
+            if not 0 <= int(t) < vocab_size:
+                return t
+        return None
+
+    outside = f"outside vocabulary of size {vocab_size}"
+
     if len(doc.sentences) < 1:
-        raise CorpusValidationError(f"document {doc.id!r}: needs at least one sentence")
+        return "needs at least one sentence"
     if len(doc.images) < 1:
-        raise CorpusValidationError(f"document {doc.id!r}: needs at least one image")
+        return "needs at least one image"
     for s, tokens in enumerate(doc.sentences):
         if len(tokens) < 1:
-            raise CorpusValidationError(f"document {doc.id!r}: sentence {s} is empty")
-        for t in tokens:
-            if not (0 <= int(t) < vocab_size):
-                raise CorpusValidationError(
-                    f"document {doc.id!r}: sentence {s} token {t} outside vocabulary "
-                    f"of size {vocab_size}"
-                )
+            return f"sentence {s} is empty"
+        if (t := stray(tokens)) is not None:
+            return f"sentence {s} token {t} {outside}"
     for j, img in enumerate(doc.images):
-        if img.objects.ndim != 2 or img.objects.shape[0] < 1:
-            raise CorpusValidationError(
-                f"document {doc.id!r}: image {j} needs at least one object row"
-            )
-        if img.objects.shape[1] < 1:
-            raise CorpusValidationError(f"document {doc.id!r}: image {j} has empty object rows")
-        if img.objects.shape[1] != obj_dim:
-            raise CorpusValidationError(
-                f"document {doc.id!r}: image {j} object width {img.objects.shape[1]} "
-                f"!= object dimension {obj_dim}"
-            )
+        rows = img.objects.shape[0] if img.objects.ndim == 2 else 0
+        if rows < 1:
+            return f"image {j} needs at least one object row"
+        width = img.objects.shape[1]
+        if width < 1:
+            return f"image {j} has empty object rows"
+        if width != obj_dim:
+            return f"image {j} object width {width} != object dimension {obj_dim}"
         if not np.isfinite(img.objects).all():
-            raise CorpusValidationError(
-                f"document {doc.id!r}: image {j} has non-finite object features"
-            )
-        if len(img.concepts) != img.objects.shape[0]:
-            raise CorpusValidationError(
-                f"document {doc.id!r}: image {j} has {img.objects.shape[0]} objects "
-                f"but {len(img.concepts)} concept entries"
-            )
+            return f"image {j} has non-finite object features"
+        if len(img.concepts) != rows:
+            return f"image {j} has {rows} objects but {len(img.concepts)} concept entries"
         for c, concept in enumerate(img.concepts):
             if len(concept) < 1:
-                raise CorpusValidationError(
-                    f"document {doc.id!r}: image {j} concept {c} is empty"
-                )
-            for t in concept:
-                if not (0 <= int(t) < vocab_size):
-                    raise CorpusValidationError(
-                        f"document {doc.id!r}: image {j} concept token {t} outside "
-                        f"vocabulary of size {vocab_size}"
-                    )
-    if doc.gold_edges is not None:
-        for m, n in doc.gold_edges:
-            if not (0 <= m < len(doc.sentences) and 0 <= n < len(doc.images)):
-                raise CorpusValidationError(
-                    f"document {doc.id!r}: gold edge ({m},{n}) out of range"
-                )
+                return f"image {j} concept {c} is empty"
+            if (t := stray(concept)) is not None:
+                return f"image {j} concept token {t} {outside}"
+    for m, n in doc.gold_edges or ():
+        if not (0 <= m < len(doc.sentences) and 0 <= n < len(doc.images)):
+            return f"gold edge ({m},{n}) out of range"
+    if max_sentence_len is not None:
+        longest = max(len(tokens) for tokens in doc.sentences)
+        if longest > max_sentence_len:
+            return f"sentence length {longest} exceeds model max_sentence_len={max_sentence_len}"
+    return None
+
+
+def validate_document(doc: Document, vocab_size: int, obj_dim: int, max_sentence_len=None) -> None:
+    """Enforce every structural invariant, and with ``max_sentence_len`` a
+    bound on sentence length; raises CorpusValidationError naming the document."""
+    if (problem := _first_problem(doc, vocab_size, obj_dim, max_sentence_len)) is not None:
+        raise CorpusValidationError(f"document {doc.id!r}: {problem}")
 
 
 def validate_corpus(corpus: Corpus) -> None:
@@ -185,6 +185,20 @@ def _doc_from_record(record: dict, line_no: int) -> Document:
         ) from exc
 
 
+def _jsonl_values(path):
+    """(line number, parsed value) for each non-blank line of a JSON Lines
+    file; an undecodable line raises CorpusFormatError naming it."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # a UnicodeDecodeError is a ValueError
+                raise CorpusFormatError(f"invalid UTF-8 JSON: {exc}", line=line_no) from exc
+            yield line_no, value
+
+
 def save_corpus(corpus: Corpus, path) -> None:
     """One JSON document per line, deterministic field ordering."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -200,16 +214,7 @@ def load_corpus(path, vocab_size: int | None = None, splits: dict | None = None)
     object dimension is inferred from the first object row and must be
     constant.  ``splits`` defaults to everything in "train".
     """
-    documents = []
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # a UnicodeDecodeError is a ValueError
-                raise CorpusFormatError(f"invalid UTF-8 JSON: {exc}", line=line_no) from exc
-            documents.append(_doc_from_record(record, line_no))
+    documents = [_doc_from_record(record, line_no) for line_no, record in _jsonl_values(path)]
     if not documents:
         raise CorpusValidationError("no documents")
 
@@ -260,22 +265,18 @@ def load_pretrained_embeddings(path) -> dict:
     of the first row's width."""
     rows = {}
     width = None
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-                token_id = _int_ids([record["id"]], "id")[0]
-                vec = np.array(record["vec"], dtype=np.float64)
-                if vec.ndim != 1 or vec.size == 0:
-                    raise ValueError(f"'vec' must be a non-empty flat list, got shape {vec.shape}")
-                if width is not None and vec.size != width:
-                    raise ValueError(f"vector width {vec.size}, but the first row has {width}")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise CorpusFormatError(f"malformed embedding row: {exc}", line=line_no) from exc
-            width = vec.size
-            rows[token_id] = vec
+    for line_no, record in _jsonl_values(path):
+        try:
+            token_id = _int_ids([record["id"]], "id")[0]
+            vec = np.array(record["vec"], dtype=np.float64)
+            if vec.ndim != 1 or vec.size == 0:
+                raise ValueError(f"'vec' must be a non-empty flat list, got shape {vec.shape}")
+            if width is not None and vec.size != width:
+                raise ValueError(f"vector width {vec.size}, but the first row has {width}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorpusFormatError(f"malformed embedding row: {exc}", line=line_no) from exc
+        width = vec.size
+        rows[token_id] = vec
     if not rows:
         raise CorpusValidationError(f"embedding file {path} has no rows")
     return rows
@@ -328,48 +329,15 @@ class SynthConfig:
 def _edge_cells(n: int, m: int, count: int) -> list:
     """First ``count`` cells of an (n x m) grid in star-friendly order.
 
-    Matched pairs come first along the diagonal; leftover rows or columns
-    attach round-robin so every group stays a star while count <= max(n, m);
-    diagonal stripes fill the remainder.
+    The cover stripe (t % n, t % m) for t < max(n, m) comes first: the
+    diagonal, then the leftover rows or columns round-robin, so every group
+    stays a star while count <= max(n, m).  The diagonal stripes
+    (i, (i + offset) % m) for offset 1..m-1, each over i = 0..n-1, fill
+    the remainder.
     """
-    cells = []
-    used = set()
-
-    def push(cell):
-        if cell not in used:
-            used.add(cell)
-            cells.append(cell)
-
-    for e in range(min(n, m)):
-        push((e, e))
-    if m > n:
-        for j in range(n, m):
-            push((j % n, j))
-    elif n > m:
-        for i in range(m, n):
-            push((i, i % m))
-    offset = 1
-    while len(cells) < min(count, n * m):
-        for i in range(n):
-            push((i, (i + offset) % m))
-        offset += 1
-    return cells[:count]
-
-
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    cover = [(t % n, t % m) for t in range(max(n, m))]
+    stripes = [(i, (i + offset) % m) for offset in range(1, m) for i in range(n)]
+    return list(dict.fromkeys(cover + stripes))[:count]
 
 
 def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Document:
@@ -385,12 +353,21 @@ def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Docu
     # Cluster assignment: one cluster per connected match group, one per
     # unmatched sentence/image so distractors never match each other.
     # Match groups are numbered first, in order of their lowest node (the
-    # union-find root), then unmatched sentences, then unmatched images.
-    uf = _UnionFind(n + m)
+    # group's root: the larger root always goes under the smaller), then
+    # unmatched sentences, then unmatched images.
+    parent = list(range(n + m))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
     for i, j in edges:
-        uf.union(i, n + j)
+        ra, rb = root(i), root(n + j)
+        parent[max(ra, rb)] = min(ra, rb)
     matched = {i for i, _ in edges} | {n + j for _, j in edges}
-    keys = [(node not in matched, uf.find(node)) for node in range(n + m)]
+    keys = [(node not in matched, root(node)) for node in range(n + m)]
     number = {key: c for c, key in enumerate(sorted(set(keys)))}
     cluster = [number[key] for key in keys]
 

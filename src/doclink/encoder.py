@@ -75,9 +75,14 @@ class ModelParams(Params):
     def __init__(self, config: ModelConfig, rng: RngStream, pretrained: dict | None = None):
         c = config
         self.config = c
-        self.word_embed = Tensor(
-            rng.uniform(-0.02, 0.02, size=(c.vocab_size, c.word_dim)), requires_grad=True
-        )
+        try:
+            table = rng.uniform(-0.02, 0.02, size=(c.vocab_size, c.word_dim))
+        except (ValueError, MemoryError) as exc:  # numpy refuses the shape
+            raise ConfigError(
+                f"cannot allocate the word table: vocab_size={c.vocab_size}, "
+                f"word_dim={c.word_dim}: {exc}"
+            ) from exc
+        self.word_embed = Tensor(table, requires_grad=True)
         if pretrained:
             for token_id, vec in pretrained.items():
                 vec = np.asarray(vec, dtype=np.float64)

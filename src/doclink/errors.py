@@ -27,7 +27,14 @@ def setting(default=dataclasses.MISSING, *, low=None, above=None, high=None):
     return dataclasses.field(default=default, metadata={"low": low, "above": above, "high": high})
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", type(None): "None"}
+_KIND_NAMES = {
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    list: "a list",
+    dict: "an object",
+    type(None): "None",
+}
 
 
 def _is_kind(value, kind) -> bool:

@@ -117,15 +117,20 @@ def make_batches(count: int, batch_size: int, rng: RngStream) -> list:
 class TrainState:
     """Where a run stands between epochs: schedule position, plateau
     bookkeeping, history and the batching/dropout rng states.  A checkpoint
-    stores these fields verbatim, so a resumed run continues exactly."""
+    stores these fields verbatim, so a resumed run continues exactly; they
+    are checked like config fields, so a stored state of the wrong type
+    fails to load."""
 
-    step: int = 0
-    epoch: int = 0
-    decays: int = 0
+    step: int = setting(0, low=0)
+    epoch: int = setting(0, low=0)
+    decays: int = setting(0, low=0)
     best_val: float | None = None
-    stall: int = 0
+    stall: int = setting(0, low=0)
     history: list = field(default_factory=list)
     rng: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_settings(self)
 
 
 @dataclass
@@ -239,6 +244,10 @@ def train(
             val_docs, params, objective_config, train_config, root.child("validation")
         )
         if val_loss is not None:
+            if not np.isfinite(val_loss):
+                raise NonFiniteError(
+                    f"non-finite validation loss in epoch {epoch}; last checkpoint retained"
+                )
             if state.best_val is None or val_loss < state.best_val - 1e-6:
                 state.best_val = val_loss
                 state.stall = 0
@@ -348,7 +357,8 @@ def load_checkpoint(
     ``params.config``, with the checkpointed values verbatim.  Each config
     that is given must match the stored one field by field; ``max_epochs``
     is exempt, so a run can be resumed to a later epoch.  An unreadable or
-    incomplete file raises ConfigError naming it.
+    incomplete file, a run state field of the wrong type or range, and an
+    rng state that PCG64 rejects raise ConfigError naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -378,7 +388,17 @@ def load_checkpoint(
             t.data = _array_from_json(path, payload["params"], name, t.data.shape, "parameter")
             optimizer.m[name] = _array_from_json(path, adam["m"], name, t.data.shape, "Adam m of")
             optimizer.v[name] = _array_from_json(path, adam["v"], name, t.data.shape, "Adam v of")
-        state = TrainState(**{f.name: payload[f.name] for f in fields(TrainState)})
+        try:
+            state = TrainState(**{f.name: payload[f.name] for f in fields(TrainState)})
+        except ConfigError as exc:
+            raise ConfigError(f"checkpoint {path} run state: {exc}") from exc
+        for stream in ("batching", "dropout"):
+            try:
+                np.random.PCG64(0).state = state.rng[stream]
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"checkpoint {path} rng {stream!r} is not a PCG64 state: {exc}"
+                ) from exc
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} lacks the {exc} entry") from exc
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:

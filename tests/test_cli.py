@@ -516,6 +516,28 @@ class TestDiagnose:
         assert code == 1
         assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_pretrained_word_table_feeds_text_spreads(self, workspace, tmp_path, capsys):
+        """Rows inside the vocabulary fill the table; an id beyond it is
+        skipped."""
+        pretrained = tmp_path / "emb.jsonl"
+        rows = [{"id": i, "vec": [np.sin(i), np.cos(i), 0.1 * i]} for i in range(150)]
+        rows.append({"id": 10**6, "vec": [1.0, 2.0, 3.0]})
+        pretrained.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "d"
+        code = main(
+            ["diagnose", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+             "--split", "train", "--out", str(out), "--pretrained", str(pretrained)]
+        )
+        assert code == 0
+        assert "spread R^2=" in capsys.readouterr().out
+        spread = json.loads(read_bytes(out / "spread-report.json"))
+        assert len(spread["per_document"]) == 8
+        main(["diagnose", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+              "--split", "train", "--out", str(tmp_path / "random-table")])
+        assert read_bytes(tmp_path / "random-table" / "spread-report.json") != read_bytes(
+            out / "spread-report.json"
+        )
+
     @pytest.mark.parametrize(
         "rows,message",
         [
@@ -683,6 +705,118 @@ class TestMalformedInputs:
         code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+def two_documents() -> list:
+    """Records of a valid two-document corpus: 'a' has one sentence and
+    one image, 'b' two sentences and two images, the first of two objects."""
+    return [
+        {"id": "a", "sentences": [{"tokens": [0, 1]}],
+         "images": [{"objects": [[0.5, 1.0]], "concepts": [[1]]}], "gold_edges": [[0, 0]]},
+        {"id": "b", "sentences": [{"tokens": [2]}, {"tokens": [3]}],
+         "images": [{"objects": [[0.1, 1.0], [0.2, 0.3]], "concepts": [[3], [2]]},
+                    {"objects": [[0.4, 0.4]], "concepts": [[4]]}],
+         "gold_edges": [[0, 0], [1, 1]]},
+    ]
+
+
+class TestCorpusInvariants:
+    """A corpus that parses but breaks an invariant exits 2 at load, naming
+    the document and the item."""
+
+    def run_train(self, tmp_path, records, splits=None) -> int:
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+        if splits is not None:  # found as the corpus's sibling
+            write_json(tmp_path / "splits.json", splits)
+        return main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize(
+        "where,value,message",
+        [
+            (("id",), "a", "duplicate document id 'a'"),
+            (("sentences", 1, "tokens"), [], "document 'b': sentence 1 is empty"),
+            (("images", 1, "objects"), [], "document 'b': image 1 needs at least one object row"),
+            (("images", 0, "concepts", 1), [], "document 'b': image 0 concept 1 is empty"),
+            (("images", 0, "concepts", 1), [-1],
+             "document 'b': image 0 concept token -1 outside vocabulary of size 5"),
+        ],
+    )
+    def test_broken_document_is_data_error(self, tmp_path, capsys, where, value, message):
+        records = two_documents()
+        target = records[1]
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        assert self.run_train(tmp_path, records) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "splits,message",
+        [
+            ({"train": ["a", "b"], "val": ["b"]}, "splits are not disjoint"),
+            ({"train": ["a"]}, "splits do not cover all documents exactly"),
+        ],
+    )
+    def test_bad_split_manifest_is_data_error(self, tmp_path, capsys, splits, message):
+        assert self.run_train(tmp_path, two_documents(), splits) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_valid_corpus_loads(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in two_documents()))
+        loaded = load_corpus(str(corpus))
+        assert (loaded.vocab_size, loaded.obj_dim) == (5, 2)
+
+    @pytest.mark.filterwarnings("ignore:documents \\['a'\\] keep no sentence")
+    def test_word_table_numpy_refuses_is_data_error(self, tmp_path, capsys):
+        """A token id of 10**23 infers a vocabulary beyond numpy's largest
+        dimension; numpy refuses the table's shape before allocating."""
+        records = two_documents()
+        records[0]["sentences"][0]["tokens"][1] = 10**23
+        assert self.run_train(tmp_path, records) == 2
+        err = capsys.readouterr().err
+        assert f"vocab_size={10**23 + 1}" in err and "word_dim=300" in err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
+class TestStoredRunState:
+    """The run state a checkpoint stores is checked when it loads: a wrong
+    field makes ``train --resume`` and ``eval`` exit 2 naming it."""
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda p: p.update(step="abc"), "step must be an integer, got 'abc'"),
+            (lambda p: p.update(epoch=1.5), "epoch must be an integer, got 1.5"),
+            (lambda p: p.update(decays="2"), "decays must be an integer, got '2'"),
+            (lambda p: p.update(best_val="x"), "best_val must be a number or None, got 'x'"),
+            (lambda p: p.update(history={}), "history must be a list, got {}"),
+            (lambda p: p.update(rng={}), "lacks the 'batching' entry"),
+            (lambda p: p["rng"]["batching"].update(bit_generator="MT19937"),
+             "rng 'batching' is not a PCG64 state"),
+        ],
+        ids=["step", "epoch", "decays", "best_val", "history", "rng", "batching"],
+    )
+    def test_bad_field_is_data_error(self, trained, tmp_path, capsys, mutate, message):
+        corpus, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        mutate(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        config = tmp_path / "resume.json"
+        write_json(config, train_sections(max_epochs=3))
+        for argv in (
+            ["train", "--config", str(config), "--resume", str(bad)],
+            ["eval", "--checkpoint", str(bad)],
+        ):
+            code = main(argv + ["--corpus", str(corpus), "--out", str(tmp_path / "o")])
+            assert code == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"checkpoint {bad}" in err and message in err, argv[0]
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
 
 
 def small_corpus(tmp_path, name, **synth):

@@ -1,6 +1,8 @@
 """Corpus model, formats, and synthetic generator checks."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -214,6 +216,11 @@ class TestLoadErrors:
             load_corpus(path, vocab_size=10)
 
 
+# save_corpus bytes over sentences x images x density x seed, with token noise
+# and document centers on; the grid holds n > m, n < m and m == 1.
+PINNED_GRID_SHA256 = "55c497bc9ce6bfa6b4f0dbe16cf416b10a2d15e7876c12ce8d7ffc4fba85f7e3"
+
+
 class TestGenerator:
     def test_split_sizes_match_config(self):
         corpus = generate_synthetic(tiny_config(), RngStream(2))
@@ -274,6 +281,21 @@ class TestGenerator:
     def test_cluster_budget_validation(self):
         with pytest.raises(ConfigError, match="vocab_size"):
             generate_synthetic(tiny_config(vocab_size=10), RngStream(0))
+
+    def test_bytes_are_pinned(self, tmp_path):
+        """The same seed and settings give the same corpus bytes; a change to
+        the edge layout, the match groups or the draw order shows here."""
+        digest = hashlib.sha256()
+        path = tmp_path / "corpus.jsonl"
+        grid = itertools.product((1, 3, 8), (1, 4, 9), (0.05, 0.3, 0.6, 1.0), (0, 1))
+        for n, m, density, seed in grid:
+            config = tiny_config(
+                train_docs=2, val_docs=0, test_docs=1, sentences_per_doc=n, images_per_doc=m,
+                density=density, obj_dim=3, token_noise=0.2, doc_center_scale=1.5,
+            )
+            save_corpus(generate_synthetic(config, RngStream(seed)), path)
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == PINNED_GRID_SHA256
 
     def test_document_invariants_hold(self):
         corpus = generate_synthetic(tiny_config(token_noise=0.3), RngStream(8))

@@ -1,17 +1,23 @@
 """Optimizer, schedule, and training-loop checks."""
 
+import functools
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doclink.corpus import SynthConfig, generate_synthetic
 from doclink.encoder import ModelConfig
-from doclink.errors import BatchError, ConfigError, NonFiniteError
+from doclink.errors import BatchError, ConfigError, DoclinkError, NonFiniteError
 from doclink.objective import ObjectiveConfig
 from doclink.rng import RngStream
 from doclink.tensor import Tensor
+from doclink import trainer
 from doclink.trainer import (
     OptimizerState,
     TrainConfig,
@@ -323,6 +329,18 @@ class TestCheckpoint:
             with pytest.raises(ConfigError, match=message):
                 train(corpus, model_config, objective, train_config, resume_from=ckpt)
 
+    def test_non_finite_validation_loss_aborts(self, tmp_path, monkeypatch):
+        """A run never stores a non-finite best_val, which no checkpoint
+        could load back."""
+        ckpt = tmp_path / "c.json"
+        monkeypatch.setattr(trainer, "_split_loss", lambda *args: float("nan"))
+        with pytest.raises(NonFiniteError, match="non-finite validation loss in epoch 0"):
+            train(
+                tiny_corpus(), tiny_model_config(), ObjectiveConfig(alpha=0.2, p_sub=0.7),
+                tiny_train_config(max_epochs=1), checkpoint_path=str(ckpt),
+            )
+        assert not ckpt.exists()
+
     def test_round_trip_preserves_exact_values(self, tmp_path):
         corpus = tiny_corpus()
         model_config = tiny_model_config()
@@ -399,3 +417,80 @@ class TestCheckpoint:
         )
         with pytest.raises(ConfigError):
             load_checkpoint(ckpt, other)
+
+
+# ---- fuzzed checkpoints -------------------------------------------------------
+
+FUZZ_OBJECTIVE = ObjectiveConfig(alpha=0.2, p_sub=0.7)
+STATE_FIELDS = ["step", "epoch", "decays", "best_val", "stall", "history", "rng"]
+SPECIAL = st.sampled_from([float("nan"), float("inf"), 10**400, -1, 2**64])
+JUNK = st.recursive(
+    st.one_of(SPECIAL, st.integers(0, 3), st.floats(), st.booleans(), st.none(),
+              st.text(max_size=2)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["state", "inc", "shape", "data"]), inner, max_size=2),
+    max_leaves=6,
+)
+# Three times in four a scalar, which often leaves the file loadable.
+VALUE = st.one_of(st.integers(0, 3), st.floats(-2, 2), SPECIAL, JUNK)
+
+
+@functools.lru_cache(maxsize=None)
+def small_checkpoint() -> str:
+    """The JSON text of a one-epoch checkpoint of the tiny model."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "c.json")
+        train(tiny_corpus(), tiny_model_config(), FUZZ_OBJECTIVE,
+              tiny_train_config(max_epochs=1), checkpoint_path=path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def mutate(payload: dict, data) -> None:
+    """One mutation of a run-state field, an rng state, a parameter or Adam
+    entry, or the format tag; the stored configs are never touched, since a
+    fuzzed model size could ask for gigabytes."""
+    target = data.draw(st.sampled_from(["state", "rng", "tensor", "format"]))
+    if target == "state":
+        parent, key = payload, data.draw(st.sampled_from(STATE_FIELDS))
+    elif target == "rng":
+        parent = payload["rng"][data.draw(st.sampled_from(["batching", "dropout"]))]
+        if data.draw(st.booleans()):
+            parent = parent["state"]
+        key = data.draw(st.sampled_from(sorted(parent)))
+    elif target == "tensor":
+        table = data.draw(st.sampled_from(["params", "m", "v"]))
+        parent = payload["params"] if table == "params" else payload["adam"][table]
+        key = data.draw(st.sampled_from(sorted(parent)))
+        if data.draw(st.booleans()):
+            parent, key = parent[key], data.draw(st.sampled_from(["shape", "data"]))
+            if key == "data" and data.draw(st.booleans()):
+                parent, key = parent["data"], 0
+    else:
+        parent, key = payload, "format"
+    if data.draw(st.integers(0, 4)) == 0 and isinstance(parent, dict):
+        del parent[key]
+    else:
+        parent[key] = data.draw(VALUE)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_checkpoint_reader_returns_or_raises_doclink_error(data):
+    """A mutated checkpoint loads or raises a DoclinkError; a state that
+    loads resumes to its own epoch without error."""
+    payload = json.loads(small_checkpoint())
+    mutate(payload, data)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        try:
+            params, _, state = load_checkpoint(path)
+        except DoclinkError:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            resumed = train(tiny_corpus(), params.config, FUZZ_OBJECTIVE,
+                            tiny_train_config(max_epochs=state.epoch), resume_from=path)
+        assert resumed.step == state.step
