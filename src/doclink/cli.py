@@ -210,6 +210,10 @@ def cmd_train(args) -> int:
     pretrained = (
         load_pretrained_embeddings(args.pretrained) if args.pretrained else None
     )
+    if args.resume is not None:
+        # A resume that cannot load fails before --out is made; train()
+        # reads the checkpoint again.
+        load_checkpoint(args.resume, model_config, objective_config, train_config)
     paths = _prepare_out(
         args.out, ["checkpoint.json", "history.json", "train-config.json"], args.force
     )

@@ -10,19 +10,22 @@ dropout), and validation re-derives a fixed dropout stream each epoch so
 its loss is comparable across epochs.  A :class:`TrainState` holds what a
 run carries between epochs besides parameters and Adam moments; checkpoints
 store it verbatim, so a resumed run continues the unbroken sequence.
-:func:`load_checkpoint` is the only reader of the checkpoint layout, and a
-resume must request every stored setting unchanged except max_epochs.
-Adam moments are allocated as zeros beside the named parameters, so every
-checkpoint stores one moment pair per parameter.  Adam's betas and eps are
-the constants BETA1, BETA2 and EPS, and its bias correction counts steps
-with ``TrainState.step``.
+A checkpoint (format ``doclink-checkpoint-v2``) is a zip of a JSON header
+and three flat float64 arrays: the parameters and Adam's two moments, each
+packed in ``named_parameters()`` order.  :func:`save_checkpoint` is its
+only writer and :func:`load_checkpoint` its only reader, and a resume must
+request every stored setting unchanged except max_epochs.  Adam's betas
+and eps are the constants BETA1, BETA2 and EPS, so no checkpoint stores
+them, and its bias correction counts steps with ``TrainState.step``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
+import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -34,7 +37,7 @@ from .errors import BatchError, ConfigError, NonFiniteError, check_settings, set
 from .objective import ObjectiveConfig, check_k_override, degenerate_subdocuments, total_loss
 from .rng import RngStream
 
-CHECKPOINT_FORMAT = "doclink-checkpoint-v1"
+CHECKPOINT_FORMAT = "doclink-checkpoint-v2"
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
@@ -118,8 +121,9 @@ class TrainState:
     """Where a run stands between epochs: schedule position, plateau
     bookkeeping, history and the batching/dropout rng states.  A checkpoint
     stores these fields verbatim, so a resumed run continues exactly; they
-    are checked like config fields, so a stored state of the wrong type
-    fails to load."""
+    are checked like config fields, and each history record must map names
+    to finite numbers or None, so a stored state of the wrong type fails to
+    load."""
 
     step: int = setting(0, low=0)
     epoch: int = setting(0, low=0)
@@ -131,6 +135,18 @@ class TrainState:
 
     def __post_init__(self):
         check_settings(self)
+        for i, record in enumerate(self.history):
+            # An int beyond the float range fails in math.isfinite.
+            if not isinstance(record, dict) or not all(
+                value is None
+                or (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and math.isfinite(value))
+                for value in record.values()
+            ):
+                raise ConfigError(
+                    f"history record {i} must map names to finite numbers or None, "
+                    f"got {record!r}"
+                )
 
 
 @dataclass
@@ -281,19 +297,23 @@ def train(
 
 # ---- checkpoint container ----------------------------------------------------
 
+ARRAYS = ("params", "m", "v")
+ZIP_MAGIC = b"PK\x03\x04"
 
-def _array_to_json(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+
+def _entry(name: str) -> zipfile.ZipInfo:
+    # A fixed entry time (ZipInfo's default, 1980-01-01): the same state
+    # always gives the same bytes, where np.savez stamps the wall clock.
+    return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
 
 
-def _array_from_json(path, table: dict, name: str, shape: tuple, what: str) -> np.ndarray:
-    obj = table[name]
-    arr = np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
-    if arr.shape != shape:
-        raise ConfigError(
-            f"checkpoint {path} {what} {name!r} has shape {arr.shape}, expected {shape}"
-        )
-    return arr
+def _layout(named: dict) -> dict:
+    """Each parameter's [offset, shape] in the flat arrays, in order."""
+    layout, offset = {}, 0
+    for name, t in named.items():
+        layout[name] = [offset, list(t.data.shape)]
+        offset += t.data.size
+    return layout
 
 
 def save_checkpoint(
@@ -305,33 +325,39 @@ def save_checkpoint(
     objective_config: ObjectiveConfig,
     train_config: TrainConfig,
 ) -> None:
-    """Self-describing JSON container; floats round-trip exactly."""
+    """Write a ``doclink-checkpoint-v2`` file: a zip of a JSON header and
+    three flat float64 ``.npy`` arrays, ``params``, ``m`` and ``v``.
+
+    The header holds the format tag, the :class:`TrainState` fields, the
+    three configs and a table mapping each parameter name, in
+    ``named_parameters()`` order, to its [offset, shape] in every array.
+    The file is written beside ``path`` and moved into place, so a crash
+    never leaves half a checkpoint; the same state always gives the same
+    bytes.
+    """
     named = params.named_parameters()
-    payload = {
+    header = {
         "format": CHECKPOINT_FORMAT,
         **asdict(state),
-        "params": {name: _array_to_json(t.data) for name, t in named.items()},
-        "adam": {
-            # Format v1 records Adam's step count and constants, which are
-            # never read back.
-            "step": state.step,
-            "beta1": BETA1,
-            "beta2": BETA2,
-            "eps": EPS,
-            "m": {name: _array_to_json(m) for name, m in optimizer.m.items()},
-            "v": {name: _array_to_json(v) for name, v in optimizer.v.items()},
-        },
         "config": {
             "model": vars(model_config).copy(),
             "objective": vars(objective_config).copy(),
             "train": vars(train_config).copy(),
         },
+        "table": _layout(named),
+    }
+    arrays = {
+        "params": [t.data for t in named.values()],
+        "m": [optimizer.m[name] for name in named],
+        "v": [optimizer.v[name] for name in named],
     }
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        # One dumps call uses the C encoder; json.dump streams through the
-        # pure-Python one.  The bytes are the same.
-        fh.write(json.dumps(payload))
+    with zipfile.ZipFile(tmp, "w") as zf:
+        zf.writestr(_entry("header.json"), json.dumps(header))
+        for key, parts in arrays.items():
+            flat = np.concatenate([a.ravel() for a in parts], dtype="<f8")
+            with zf.open(_entry(f"{key}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, flat, allow_pickle=False)
     os.replace(tmp, path)
 
 
@@ -351,45 +377,63 @@ def load_checkpoint(
     objective_config: ObjectiveConfig | None = None,
     train_config: TrainConfig | None = None,
 ):
-    """Rebuild (params, optimizer, state) from a checkpoint file.
+    """Rebuild (params, optimizer, state) from a ``doclink-checkpoint-v2``
+    file, recognised by its zip magic whatever its name.
 
     The model is built from the stored config, available as
     ``params.config``, with the checkpointed values verbatim.  Each config
     that is given must match the stored one field by field; ``max_epochs``
-    is exempt, so a run can be resumed to a later epoch.  An unreadable or
-    incomplete file, a run state field of the wrong type or range, and an
-    rng state that PCG64 rejects raise ConfigError naming the file.
+    is exempt, so a run can be resumed to a later epoch.  Arrays are read
+    with ``allow_pickle=False``.  Any other content (a v1 JSON checkpoint
+    too), a missing member, a header table or array that does not fit the
+    model, a run state field of the wrong type or range, and an rng state
+    that PCG64 rejects raise ConfigError naming the file.
     """
+    with open(path, "rb") as fh:
+        if fh.read(len(ZIP_MAGIC)) != ZIP_MAGIC:
+            raise ConfigError(f"checkpoint {path} is not a {CHECKPOINT_FORMAT} zip")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:
-        raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    try:
-        if payload.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(
-                f"unrecognized checkpoint format {payload.get('format')!r} in {path}"
-            )
-        stored = payload["config"]
-        for section, requested, skip in (
-            ("model", model_config, ()),
-            ("objective", objective_config, ()),
-            ("train", train_config, ("max_epochs",)),
-        ):
-            if requested is not None:
-                _require_match(path, section, stored[section], requested, skip)
-        params = init_params(ModelConfig(**stored["model"]), RngStream(0))
-        named = params.named_parameters()
-        if set(named) != set(payload["params"]):
-            raise ConfigError(f"checkpoint {path} parameter names do not match the model")
-        adam = payload["adam"]
+        with np.load(path, allow_pickle=False) as npz:
+            for key in ("header.json", *ARRAYS):
+                if key not in npz:
+                    raise KeyError(key)
+            header = json.loads(npz["header.json"])
+            if header.get("format") != CHECKPOINT_FORMAT:
+                raise ConfigError(
+                    f"unrecognized checkpoint format {header.get('format')!r} in {path}"
+                )
+            stored = header["config"]
+            for section, requested, skip in (
+                ("model", model_config, ()),
+                ("objective", objective_config, ()),
+                ("train", train_config, ("max_epochs",)),
+            ):
+                if requested is not None:
+                    _require_match(path, section, stored[section], requested, skip)
+            params = init_params(ModelConfig(**stored["model"]), RngStream(0))
+            named = params.named_parameters()
+            layout = _layout(named)
+            if header["table"] != layout:
+                raise ConfigError(f"checkpoint {path} table does not match the model's parameters")
+            total = sum(t.data.size for t in named.values())
+            arrays = {}
+            for key in ARRAYS:
+                arr = np.asarray(npz[key])  # a member that is not .npy reads as bytes
+                if arr.dtype != "<f8" or arr.shape != (total,):
+                    raise ConfigError(
+                        f"checkpoint {path} array {key!r} has dtype {arr.dtype.str} and "
+                        f"shape {arr.shape}, expected <f8 and ({total},)"
+                    )
+                arrays[key] = arr
         optimizer = OptimizerState(named)
         for name, t in named.items():
-            t.data = _array_from_json(path, payload["params"], name, t.data.shape, "parameter")
-            optimizer.m[name] = _array_from_json(path, adam["m"], name, t.data.shape, "Adam m of")
-            optimizer.v[name] = _array_from_json(path, adam["v"], name, t.data.shape, "Adam v of")
+            shape, offset = t.data.shape, layout[name][0]
+            span = slice(offset, offset + t.data.size)
+            t.data = arrays["params"][span].reshape(shape)
+            optimizer.m[name] = arrays["m"][span].reshape(shape)
+            optimizer.v[name] = arrays["v"][span].reshape(shape)
         try:
-            state = TrainState(**{f.name: payload[f.name] for f in fields(TrainState)})
+            state = TrainState(**{f.name: header[f.name] for f in fields(TrainState)})
         except ConfigError as exc:
             raise ConfigError(f"checkpoint {path} run state: {exc}") from exc
         for stream in ("batching", "dropout"):
@@ -401,6 +445,8 @@ def load_checkpoint(
                 ) from exc
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} lacks the {exc} entry") from exc
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError, EOFError, MemoryError,
+            zipfile.BadZipFile) as exc:
+        # MemoryError: a .npy header may claim more values than memory holds.
         raise ConfigError(f"checkpoint {path} is malformed: {exc}") from exc
     return params, optimizer, state

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checkpoint_edit import rewrite_checkpoint
 from doclink.cli import UsageError, _build_config, main
 from doclink.corpus import SynthConfig, load_corpus
 from doclink.encoder import ModelConfig
@@ -443,13 +444,23 @@ class TestEval:
 
     def test_malformed_checkpoint_is_data_error(self, trained, tmp_path, capsys):
         corpus, ckpt = trained
+        not_zip = tmp_path / "not-zip.json"
+        not_zip.write_text("{truncated")
+        v1 = tmp_path / "v1.json"
+        write_json(v1, {"format": "doclink-checkpoint-v1", "params": {}})
         not_json = tmp_path / "not-json.json"
-        not_json.write_text("{truncated")
-        payload = json.loads(read_bytes(ckpt))
-        del payload["params"]
+        rewrite_checkpoint(ckpt, not_json, header=b"{truncated")
         no_params = tmp_path / "no-params.json"
-        write_json(no_params, payload)
-        for bad, message in ((not_json, "is not valid JSON"), (no_params, "lacks the 'params'")):
+        rewrite_checkpoint(ckpt, no_params, params=None)
+        pickled = tmp_path / "pickled.json"
+        rewrite_checkpoint(ckpt, pickled, m=np.array([{"x": 1}], dtype=object))
+        for bad, message in (
+            (not_zip, "is not a doclink-checkpoint-v2 zip"),
+            (v1, "is not a doclink-checkpoint-v2 zip"),
+            (not_json, "is malformed: Expecting property name"),
+            (no_params, "lacks the 'params'"),
+            (pickled, "is malformed: Object arrays cannot be loaded when allow_pickle=False"),
+        ):
             for command in ("eval", "diagnose"):
                 code = main([command, "--corpus", str(corpus), "--checkpoint", str(bad),
                              "--out", str(tmp_path / f"{command}-{bad.stem}")])
@@ -671,9 +682,7 @@ class TestMalformedInputs:
         elif flag == "--pretrained":
             bad.write_text(json.dumps({"id": 0, "vec": [10**400]}) + "\n")
         else:
-            payload = json.loads(ckpt.read_text())
-            next(iter(payload["params"].values()))["data"][0] = 10**400
-            bad.write_text(json.dumps(payload))
+            rewrite_checkpoint(ckpt, bad, lambda h: h["history"][0].update(total=10**400))
             files["--checkpoint"] = bad
             files["--pretrained"] = None
         code = main(
@@ -784,7 +793,8 @@ class TestCorpusInvariants:
 
 class TestStoredRunState:
     """The run state a checkpoint stores is checked when it loads: a wrong
-    field makes ``train --resume`` and ``eval`` exit 2 naming it."""
+    field makes ``train --resume`` and ``eval`` exit 2 naming it, before
+    either makes its --out folder."""
 
     @pytest.mark.parametrize(
         "mutate,message",
@@ -794,18 +804,21 @@ class TestStoredRunState:
             (lambda p: p.update(decays="2"), "decays must be an integer, got '2'"),
             (lambda p: p.update(best_val="x"), "best_val must be a number or None, got 'x'"),
             (lambda p: p.update(history={}), "history must be a list, got {}"),
+            (lambda p: p.update(history=[1]),
+             "history record 0 must map names to finite numbers or None, got 1"),
+            (lambda p: p.update(history=[{"total": "x"}]),
+             "history record 0 must map names to finite numbers or None, got {'total': 'x'}"),
             (lambda p: p.update(rng={}), "lacks the 'batching' entry"),
             (lambda p: p["rng"]["batching"].update(bit_generator="MT19937"),
              "rng 'batching' is not a PCG64 state"),
         ],
-        ids=["step", "epoch", "decays", "best_val", "history", "rng", "batching"],
+        ids=["step", "epoch", "decays", "best_val", "history", "history-int", "history-str",
+             "rng", "batching"],
     )
     def test_bad_field_is_data_error(self, trained, tmp_path, capsys, mutate, message):
         corpus, ckpt = trained
-        payload = json.loads(ckpt.read_text())
-        mutate(payload)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        rewrite_checkpoint(ckpt, bad, mutate)
         config = tmp_path / "resume.json"
         write_json(config, train_sections(max_epochs=3))
         for argv in (
@@ -816,7 +829,7 @@ class TestStoredRunState:
             assert code == 2, argv[0]
             err = capsys.readouterr().err
             assert f"checkpoint {bad}" in err and message in err, argv[0]
-        assert not (tmp_path / "o" / "checkpoint.json").exists()
+        assert not (tmp_path / "o").exists()
 
 
 def small_corpus(tmp_path, name, **synth):

@@ -1,16 +1,21 @@
 """Optimizer, schedule, and training-loop checks."""
 
 import functools
+import io
 import json
 import os
 import tempfile
+import time
 import warnings
+import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checkpoint_edit import rewrite_checkpoint
 from doclink.corpus import SynthConfig, generate_synthetic
 from doclink.encoder import ModelConfig
 from doclink.errors import BatchError, ConfigError, DoclinkError, NonFiniteError
@@ -373,35 +378,55 @@ class TestCheckpoint:
         for name in optimizer.m:
             np.testing.assert_array_equal(optimizer.m[name], result.optimizer.m[name])
             np.testing.assert_array_equal(optimizer.v[name], result.optimizer.v[name])
-        with open(path, encoding="utf-8") as fh:
-            adam = json.load(fh)["adam"]
-        # Format v1 keeps Adam's step count and constants beside the moments.
-        assert [adam[k] for k in ("step", "beta1", "beta2", "eps")] == [
-            state.step, 0.9, 0.999, 1e-8
-        ]
+        with zipfile.ZipFile(path) as zf:
+            assert json.loads(zf.read("header.json"))["format"] == "doclink-checkpoint-v2"
         assert loaded == state
         assert params.config == model_config
 
+    def test_same_state_same_bytes(self, tmp_path, monkeypatch):
+        """No wall-clock time reaches the file."""
+        result = train(
+            tiny_corpus(), tiny_model_config(), ObjectiveConfig(alpha=0.2, p_sub=0.7),
+            tiny_train_config(max_epochs=1),
+        )
+        state = TrainState(step=result.step, epoch=1, history=result.history)
+        blobs = []
+        for clock in (1e9, 2e9):
+            monkeypatch.setattr(time, "time", lambda: clock)
+            path = tmp_path / f"{clock}.json"
+            save_checkpoint(
+                path, result.params, result.optimizer, state, tiny_model_config(),
+                ObjectiveConfig(alpha=0.2, p_sub=0.7), tiny_train_config(max_epochs=1),
+            )
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
     @pytest.mark.parametrize(
         "moment,entry,message",
-        [("m", {"shape": [1], "data": [0.0]}, r"Adam m of 'seg_embed' has shape \(1,\)"),
-         ("v", None, "lacks the 'seg_embed' entry")],
+        [("m", np.zeros(1), r"array 'm' has dtype <f8 and shape \(1,\)"),
+         ("v", None, "lacks the 'v' entry")],
     )
     def test_bad_adam_moment_rejected(self, tmp_path, moment, entry, message):
-        """Every parameter has both moments, of its own shape."""
+        """Both moments are stored, each as long as the parameters."""
         ckpt = tmp_path / "c.json"
         train(
             tiny_corpus(), tiny_model_config(), ObjectiveConfig(alpha=0.2, p_sub=0.7),
             tiny_train_config(max_epochs=1), checkpoint_path=str(ckpt),
         )
-        payload = json.loads(ckpt.read_text())
-        if entry is None:
-            del payload["adam"][moment]["seg_embed"]
-        else:
-            payload["adam"][moment]["seg_embed"] = entry
-        ckpt.write_text(json.dumps(payload))
+        rewrite_checkpoint(ckpt, ckpt.with_name("bad.json"), **{moment: entry})
         with pytest.raises(ConfigError, match=message):
-            load_checkpoint(str(ckpt))
+            load_checkpoint(str(ckpt.with_name("bad.json")))
+
+    def test_table_entry_must_fit_the_model(self, tmp_path):
+        ckpt = tmp_path / "c.json"
+        train(
+            tiny_corpus(), tiny_model_config(), ObjectiveConfig(alpha=0.2, p_sub=0.7),
+            tiny_train_config(max_epochs=1), checkpoint_path=str(ckpt),
+        )
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(ckpt, bad, lambda h: h["table"].update(seg_embed=[0, [1]]))
+        with pytest.raises(ConfigError, match="table does not match the model's parameters"):
+            load_checkpoint(str(bad))
 
     def test_wrong_model_config_rejected(self, tmp_path):
         corpus = tiny_corpus()
@@ -433,60 +458,99 @@ JUNK = st.recursive(
 )
 # Three times in four a scalar, which often leaves the file loadable.
 VALUE = st.one_of(st.integers(0, 3), st.floats(-2, 2), SPECIAL, JUNK)
+# Replacements for one stored array, given the stored one.
+ARRAY_EDITS = st.sampled_from([
+    lambda a: a,
+    lambda a: None,
+    lambda a: a.astype(np.float32),
+    lambda a: a.astype(">f8"),
+    lambda a: a.astype(object),
+    lambda a: np.array([{"x": 1}], dtype=object),
+    lambda a: a.reshape(1, -1),
+    lambda a: a[:-1],
+    lambda a: np.append(a, 0.0),
+    lambda a: b"not an array",
+    lambda a: npy_claiming(10**12),
+])
+
+
+def npy_claiming(count: int) -> bytes:
+    """A .npy member whose header claims ``count`` float64 values but that
+    holds one."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": "<f8", "fortran_order": False, "shape": (count,)})
+    return buffer.getvalue() + bytes(8)
 
 
 @functools.lru_cache(maxsize=None)
-def small_checkpoint() -> str:
-    """The JSON text of a one-epoch checkpoint of the tiny model."""
+def small_checkpoint() -> bytes:
+    """The bytes of a one-epoch checkpoint of the tiny model."""
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "c.json")
         train(tiny_corpus(), tiny_model_config(), FUZZ_OBJECTIVE,
               tiny_train_config(max_epochs=1), checkpoint_path=path)
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
 
 
-def mutate(payload: dict, data) -> None:
-    """One mutation of a run-state field, an rng state, a parameter or Adam
-    entry, or the format tag; the stored configs are never touched, since a
-    fuzzed model size could ask for gigabytes."""
-    target = data.draw(st.sampled_from(["state", "rng", "tensor", "format"]))
+def mutate(header: dict, data) -> None:
+    """One mutation of a run-state field, a history record, an rng state, a
+    table entry or the format tag; the stored configs are never touched,
+    since a fuzzed model size could ask for gigabytes."""
+    target = data.draw(st.sampled_from(["state", "record", "rng", "table", "format"]))
     if target == "state":
-        parent, key = payload, data.draw(st.sampled_from(STATE_FIELDS))
+        parent, key = header, data.draw(st.sampled_from(STATE_FIELDS))
+    elif target == "record":
+        parent = header["history"][0]
+        key = data.draw(st.sampled_from(sorted(parent)))
     elif target == "rng":
-        parent = payload["rng"][data.draw(st.sampled_from(["batching", "dropout"]))]
+        parent = header["rng"][data.draw(st.sampled_from(["batching", "dropout"]))]
         if data.draw(st.booleans()):
             parent = parent["state"]
         key = data.draw(st.sampled_from(sorted(parent)))
-    elif target == "tensor":
-        table = data.draw(st.sampled_from(["params", "m", "v"]))
-        parent = payload["params"] if table == "params" else payload["adam"][table]
-        key = data.draw(st.sampled_from(sorted(parent)))
+    elif target == "table":
+        parent, key = header, "table"
         if data.draw(st.booleans()):
-            parent, key = parent[key], data.draw(st.sampled_from(["shape", "data"]))
-            if key == "data" and data.draw(st.booleans()):
-                parent, key = parent["data"], 0
+            parent, key = parent["table"], data.draw(st.sampled_from(sorted(parent["table"])))
+            if data.draw(st.booleans()):
+                parent, key = parent[key], data.draw(st.sampled_from([0, 1]))
     else:
-        parent, key = payload, "format"
+        parent, key = header, "format"
     if data.draw(st.integers(0, 4)) == 0 and isinstance(parent, dict):
         del parent[key]
     else:
         parent[key] = data.draw(VALUE)
 
 
+def _never_unpickle(*args, **kwargs):
+    raise AssertionError("the checkpoint reader unpickled")
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_checkpoint_reader_returns_or_raises_doclink_error(data):
-    """A mutated checkpoint loads or raises a DoclinkError; a state that
+    """A mutated header, a replaced or missing array, or a truncated file
+    loads or raises a DoclinkError, and nothing is unpickled; a state that
     loads resumes to its own epoch without error."""
-    payload = json.loads(small_checkpoint())
-    mutate(payload, data)
+    blob = small_checkpoint()
+    target = data.draw(st.sampled_from(["header", "array", "truncate"]))
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "c.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        if target == "header":
+            rewrite_checkpoint(io.BytesIO(blob), path, lambda header: mutate(header, data))
+        elif target == "array":
+            key = data.draw(st.sampled_from(trainer.ARRAYS))
+            with np.load(io.BytesIO(blob)) as npz:
+                stored = npz[key]
+            rewrite_checkpoint(io.BytesIO(blob), path, **{key: data.draw(ARRAY_EDITS)(stored)})
+        else:
+            with open(path, "wb") as fh:
+                fh.write(blob[: data.draw(st.integers(0, len(blob) - 1))])
         try:
-            params, _, state = load_checkpoint(path)
+            with mock.patch("pickle.load", _never_unpickle), \
+                    mock.patch("pickle.loads", _never_unpickle):
+                params, _, state = load_checkpoint(path)
         except DoclinkError:
             return
         with warnings.catch_warnings():
