@@ -74,7 +74,7 @@ with tempfile.TemporaryDirectory() as tmp:
     save_split_manifest(corpus.splits, os.path.join(tmp, "splits.json"))
     size = os.path.getsize(corpus_path)
     reloaded = load_corpus(corpus_path, splits=corpus.splits)
-    print(f"\nround trip through {size}-byte JSONL: "
+    print(f"\nround trip through a {size}-byte doclink-corpus-v2 zip: "
           f"equal={corpora_equal(reloaded, corpus)}")
 
 centers = generate_synthetic(

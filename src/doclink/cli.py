@@ -29,7 +29,7 @@ from .corpus import (
     validate_document,
 )
 from .diagnostics import bias_report, document_spreads, spread_regression
-from .encoder import ModelConfig
+from .encoder import ModelConfig, split_representations
 from .errors import (
     ConfigError,
     CorpusValidationError,
@@ -37,7 +37,7 @@ from .errors import (
     DoclinkError,
     NonFiniteError,
 )
-from .evalmetrics import evaluate, evaluate_matrices
+from .evalmetrics import evaluate, evaluate_matrices, similarity_matrices
 from .objective import ObjectiveConfig
 from .rng import RngStream
 from .trainer import TrainConfig, load_checkpoint, train
@@ -117,7 +117,8 @@ def _parse_ks(text: str) -> tuple:
 
 
 def _prepare_out(out_dir, filenames, force: bool):
-    os.makedirs(out_dir, exist_ok=True)
+    """The output paths, once no existing file would be overwritten without
+    --force; the folder itself is made by the first write."""
     existing = [n for n in filenames if os.path.exists(os.path.join(out_dir, n))]
     if existing and not force:
         raise UsageError(
@@ -127,6 +128,7 @@ def _prepare_out(out_dir, filenames, force: bool):
 
 
 def _write_json(path, payload) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -210,10 +212,6 @@ def cmd_train(args) -> int:
     pretrained = (
         load_pretrained_embeddings(args.pretrained) if args.pretrained else None
     )
-    if args.resume is not None:
-        # A resume that cannot load fails before --out is made; train()
-        # reads the checkpoint again.
-        load_checkpoint(args.resume, model_config, objective_config, train_config)
     paths = _prepare_out(
         args.out, ["checkpoint.json", "history.json", "train-config.json"], args.force
     )
@@ -301,32 +299,29 @@ def cmd_diagnose(args) -> int:
     params = load_checkpoint(args.checkpoint)[0] if args.checkpoint else None
     if args.learned and params is None:
         raise UsageError("--learned requires --checkpoint")
+    docs = corpus.split_documents(args.split)
+    reps = None
     if params is not None:
-        _require_fit(corpus.split_documents(args.split), params.config)
+        _require_fit(docs, params.config)
+        # One encoding serves the learned bias probe and the model AUC.
+        reps = split_representations(docs, params, params.config)
 
-    rng = RngStream(args.seed).child("diagnostics")
     bias = bias_report(
         corpus,
         args.split,
         samples_per_sentence=args.samples,
         bins=args.bins,
-        rng=rng,
-        params=params if args.learned else None,
-        config=params.config if args.learned else None,
+        rng=RngStream(args.seed).child("diagnostics"),
+        image_reps=[img.data for _, img in reps] if args.learned else None,
     )
 
     spreads = document_spreads(corpus, args.split, _word_table(args, corpus, params))
-    if params is not None:
-        report = evaluate(corpus, args.split, params, params.config, ks=(1,))
-        auc_by_id = {row["id"]: row["auc"] for row in report.per_document}
-    else:
-        docs = corpus.split_documents(args.split)
-        oracle = evaluate_matrices(
-            {d.id: token_overlap_scores(d) for d in docs},
-            {d.id: d.gold_edges for d in docs},
-            ks=(1,),
-        )
-        auc_by_id = {row["id"]: row["auc"] for row in oracle.per_document}
+    if reps is not None:
+        matrices = similarity_matrices(docs, reps)
+    else:  # the model-free token-overlap oracle
+        matrices = {d.id: token_overlap_scores(d) for d in docs}
+    report = evaluate_matrices(matrices, {d.id: d.gold_edges for d in docs}, ks=(1,))
+    auc_by_id = {row["id"]: row["auc"] for row in report.per_document}
     rows = [
         (doc_id, img, txt, auc_by_id[doc_id])
         for doc_id, img, txt in spreads
@@ -373,7 +368,9 @@ def build_parser() -> _Parser:
     gen.set_defaults(func=cmd_gen)
 
     tr = sub.add_parser("train", help="train a model on a corpus")
-    tr.add_argument("--corpus", required=True, help="corpus JSONL path")
+    tr.add_argument(
+        "--corpus", required=True, help="corpus file: a doclink-corpus-v2 zip or JSON Lines"
+    )
     tr.add_argument("--splits", help="split manifest (default: sibling splits.json)")
     tr.add_argument("--out", required=True)
     tr.add_argument("--config", help="JSON config: model/objective/train sections")

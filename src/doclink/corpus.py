@@ -5,20 +5,31 @@ image carries object feature rows plus one concept token sequence per
 object.  Gold edges (sentence index, image index) are optional at training
 time and required for evaluation.
 
-On-disk formats (all UTF-8, LF endings):
-  corpus     JSON Lines, one document per line
+On-disk formats:
+  corpus     written as a ``doclink-corpus-v2`` zip (see save_corpus): a
+             ``header.json`` with the format tag and the document ids, and
+             flat ``.npy`` arrays of counts, tokens, object rows and gold
+             edges.  load_corpus also reads JSON Lines, one document per
+             line, for corpora written by hand:
+             {"id": str, "sentences": [{"tokens": [int, ...]}, ...],
+              "images": [{"objects": [[float, ...], ...],
+                          "concepts": [[int, ...], ...]}, ...],
+              "gold_edges": [[sentence, image], ...]}  (gold_edges optional)
   embeddings JSON Lines {"id": int, "vec": [float, ...]}
   splits     JSON object {"train": [ids], "val": [ids], "test": [ids]}
+JSON files are UTF-8 with LF endings.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .archive import is_zip, save_zip
 from .errors import ConfigError, CorpusFormatError, CorpusValidationError, check_settings, setting
 from .rng import RngStream
 
@@ -134,22 +145,145 @@ def validate_corpus(corpus: Corpus) -> None:
 
 # ---- serialization ---------------------------------------------------------
 
+CORPUS_FORMAT = "doclink-corpus-v2"
+# The zip's array members, in order: name -> (dtype, ndim).  The counts hold
+# one entry per document, sentence, image or object; they cut the tokens,
+# concept tokens, gold edges and object rows into their owners' pieces.
+MEMBERS = {
+    "sentences_per_doc": ("<i8", 1),
+    "images_per_doc": ("<i8", 1),
+    "edges_per_doc": ("<i8", 1),  # -1: no gold edges (None)
+    "sentence_lengths": ("<i8", 1),
+    "tokens": ("<i8", 1),
+    "objects_per_image": ("<i8", 1),
+    "concept_lengths": ("<i8", 1),
+    "concept_tokens": ("<i8", 1),
+    "edges": ("<i8", 2),  # (E, 2) (sentence, image) pairs, sorted per document
+    "objects": ("<f8", 2),  # (rows, obj_dim)
+}
+PER_DOC = ("sentences_per_doc", "images_per_doc", "edges_per_doc")
+# (counts, counted): the counts sum to the number of rows of ``counted``.
+COUNTED = (
+    ("sentences_per_doc", "sentence_lengths"),
+    ("sentence_lengths", "tokens"),
+    ("images_per_doc", "objects_per_image"),
+    ("objects_per_image", "concept_lengths"),
+    ("objects_per_image", "objects"),
+    ("concept_lengths", "concept_tokens"),
+    ("edges_per_doc", "edges"),
+)
 
-def _doc_to_record(doc: Document) -> dict:
-    record = {
-        "id": doc.id,
-        "sentences": [{"tokens": [int(t) for t in s]} for s in doc.sentences],
-        "images": [
-            {
-                "objects": np.asarray(img.objects, np.float64).tolist(),
-                "concepts": [[int(t) for t in c] for c in img.concepts],
-            }
-            for img in doc.images
-        ],
+
+def save_corpus(corpus: Corpus, path) -> None:
+    """Write a ``doclink-corpus-v2`` zip: the document ids in the header,
+    then the flat arrays of MEMBERS.  The same corpus always gives the same
+    bytes."""
+    docs = corpus.documents
+    sentences = [s for doc in docs for s in doc.sentences]
+    images = [img for doc in docs for img in doc.images]
+    concepts = [c for img in images for c in img.concepts]
+    golds = [None if doc.gold_edges is None else sorted(doc.gold_edges) for doc in docs]
+    columns = {
+        "sentences_per_doc": [len(doc.sentences) for doc in docs],
+        "images_per_doc": [len(doc.images) for doc in docs],
+        "edges_per_doc": [-1 if gold is None else len(gold) for gold in golds],
+        "sentence_lengths": [len(s) for s in sentences],
+        "tokens": [t for s in sentences for t in s],
+        "objects_per_image": [len(img.objects) for img in images],
+        "concept_lengths": [len(c) for c in concepts],
+        "concept_tokens": [t for c in concepts for t in c],
+        "edges": [edge for gold in golds for edge in gold or ()],
     }
-    if doc.gold_edges is not None:
-        record["gold_edges"] = [[int(m), int(n)] for m, n in sorted(doc.gold_edges)]
-    return record
+    arrays = {name: np.array(values, dtype="<i8") for name, values in columns.items()}
+    arrays["edges"] = arrays["edges"].reshape(-1, 2)
+    rows = [img.objects for img in images] or [np.empty((0, corpus.obj_dim))]
+    arrays["objects"] = np.concatenate(rows, dtype="<f8")
+    save_zip(path, {"format": CORPUS_FORMAT, "ids": [doc.id for doc in docs]}, arrays.items())
+
+
+def _split(flat, counts) -> list:
+    """``flat`` cut into consecutive pieces of the given lengths."""
+    pieces, start = [], 0
+    for count in counts:
+        pieces.append(flat[start : start + count])
+        start += count
+    return pieces
+
+
+def _read_zip(path) -> list:
+    """The documents of a ``doclink-corpus-v2`` zip.  A missing member, a
+    member of the wrong dtype or ndim, a negative count, counts that do not
+    sum to the rows they index, and ids that are not unique strings, one
+    per document, raise CorpusFormatError naming the file and the member."""
+
+    def fail(member, problem):
+        return CorpusFormatError(f"corpus {path} member {member!r} {problem}")
+
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            members = {}
+            for name in ("header.json", *MEMBERS):
+                try:
+                    members[name] = npz[name]  # a member that is not .npy reads as bytes
+                except KeyError:
+                    raise fail(name, "is missing") from None
+                except (ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
+                    # MemoryError: a .npy header may claim more values than memory holds.
+                    raise fail(name, f"is malformed: {exc}") from exc
+    except zipfile.BadZipFile as exc:
+        raise CorpusFormatError(f"corpus {path} is malformed: {exc}") from exc
+
+    try:
+        header = json.loads(members.pop("header.json"))
+    except (TypeError, ValueError) as exc:
+        raise fail("header.json", f"is not JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
+        raise fail("header.json", f"lacks the {CORPUS_FORMAT!r} format tag")
+    ids = header.get("ids")
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids) \
+            or len(set(ids)) != len(ids):
+        raise fail("header.json", "ids must be a list of unique strings")
+    for name, (dtype, ndim) in MEMBERS.items():
+        array = np.asarray(members[name])
+        if array.dtype != dtype or array.ndim != ndim:
+            raise fail(name, f"has dtype {array.dtype.str} and {array.ndim} dimensions, "
+                             f"expected {dtype} and {ndim}")
+        members[name] = array
+    if members["edges"].shape[1] != 2:
+        raise fail("edges", f"has shape {members['edges'].shape}, expected (edges, 2)")
+
+    values = {name: members[name].tolist() for name in MEMBERS if name != "objects"}
+    for name in PER_DOC:
+        if len(values[name]) != len(ids):
+            raise fail(name, f"has {len(values[name])} entries for {len(ids)} documents")
+    for counts, counted in COUNTED:
+        low = -1 if counts == "edges_per_doc" else 0
+        if min(values[counts], default=low) < low:
+            raise fail(counts, f"holds a count below {low}")
+        total = sum(max(count, 0) for count in values[counts])
+        if total != len(members[counted]):
+            raise fail(counted, f"has {len(members[counted])} rows, but {counts} sums to {total}")
+
+    sentences = _split(_split(values["tokens"], values["sentence_lengths"]),
+                       values["sentences_per_doc"])
+    concepts = _split(values["concept_tokens"], values["concept_lengths"])
+    images = [
+        ImageRecord(objects=rows, concepts=entries)
+        for rows, entries in zip(
+            _split(members["objects"], values["objects_per_image"]),
+            _split(concepts, values["objects_per_image"]),
+        )
+    ]
+    edges = _split([tuple(e) for e in values["edges"]],
+                   [max(count, 0) for count in values["edges_per_doc"]])
+    return [
+        Document(id=doc_id, sentences=sents, images=imgs,
+                 gold_edges=None if count < 0 else set(pairs))
+        for doc_id, sents, imgs, pairs, count in zip(
+            ids, sentences, _split(images, values["images_per_doc"]), edges,
+            values["edges_per_doc"],
+        )
+    ]
 
 
 def _int_ids(values, what: str) -> list:
@@ -199,22 +333,18 @@ def _jsonl_values(path):
             yield line_no, value
 
 
-def save_corpus(corpus: Corpus, path) -> None:
-    """One JSON document per line, deterministic field ordering."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for doc in corpus.documents:
-            fh.write(json.dumps(_doc_to_record(doc), ensure_ascii=False))
-            fh.write("\n")
-
-
 def load_corpus(path, vocab_size: int | None = None, splits: dict | None = None) -> Corpus:
-    """Parse and fully validate a JSONL corpus file.
+    """Parse and fully validate a corpus file: a ``doclink-corpus-v2`` zip,
+    recognised by its magic whatever its name, or else JSON Lines.
 
     ``vocab_size`` defaults to (max token id + 1) over the whole file; the
     object dimension is inferred from the first object row and must be
     constant.  ``splits`` defaults to everything in "train".
     """
-    documents = [_doc_from_record(record, line_no) for line_no, record in _jsonl_values(path)]
+    if is_zip(path):
+        documents = _read_zip(path)
+    else:
+        documents = [_doc_from_record(record, line_no) for line_no, record in _jsonl_values(path)]
     if not documents:
         raise CorpusValidationError("no documents")
 

@@ -38,6 +38,7 @@ def distance_samples(
     rng: RngStream | None = None,
     params: ModelParams | None = None,
     config: ModelConfig | None = None,
+    image_reps: list | None = None,
 ):
     """Distance samples around each gold-matched sentence.
 
@@ -47,7 +48,10 @@ def distance_samples(
     images outside the gold set, cross holds distances to
     samples_per_sentence images drawn without replacement from the other
     documents of the split, and matched holds distances to the sentence's
-    remaining gold images.
+    remaining gold images.  Distances are between raw image features (mean
+    object rows), or between encoder outputs: ``image_reps``, one
+    (images, d) array per split document, or else the encoding by
+    ``params``.
     """
     if samples_per_sentence < 0:
         raise ConfigError(
@@ -60,9 +64,10 @@ def distance_samples(
         if doc.gold_edges is None:
             raise MissingGoldEdgesError(f"document {doc.id!r} has no gold edges")
 
-    # One vector per image: its mean object row, or its encoder output when
-    # a model is supplied.
-    if params is None:
+    # One vector per image.
+    if image_reps is not None:
+        feats = image_reps
+    elif params is None:
         feats = [np.stack([img.objects.mean(axis=0) for img in doc.images]) for doc in docs]
     else:
         feats = [img.data for _, img in split_representations(docs, params, config)]
@@ -144,11 +149,13 @@ def bias_report(
     rng: RngStream | None = None,
     params: ModelParams | None = None,
     config: ModelConfig | None = None,
+    image_reps: list | None = None,
 ) -> BiasReport:
     """KS comparison of intra- versus cross-document negative distances,
-    with shared-bin histograms of both samples."""
+    with shared-bin histograms of both samples; the image vectors are
+    chosen as in :func:`distance_samples`."""
     intra, cross, matched = distance_samples(
-        corpus, split, samples_per_sentence, rng, params, config
+        corpus, split, samples_per_sentence, rng, params, config, image_reps
     )
     d, p = ks_two_sample(intra, cross)
     combined = np.concatenate([intra, cross])

@@ -132,6 +132,11 @@ def evaluate(
             raise MissingGoldEdgesError(
                 f"document {doc.id!r} has no gold edges; cannot evaluate"
             )
-    reps = split_representations(docs, params, config)
-    matrices = {doc.id: similarity_matrix(sent, img).data for doc, (sent, img) in zip(docs, reps)}
+    matrices = similarity_matrices(docs, split_representations(docs, params, config))
     return evaluate_matrices(matrices, {doc.id: doc.gold_edges for doc in docs}, ks=ks)
+
+
+def similarity_matrices(docs: list, reps: list) -> dict:
+    """{doc id: (n, m) cosine array} from the documents' encoded
+    (sentences, images) pairs, as :func:`split_representations` returns them."""
+    return {doc.id: similarity_matrix(sent, img).data for doc, (sent, img) in zip(docs, reps)}

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
@@ -31,6 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import tensor
+from .archive import is_zip, save_zip
 from .corpus import Corpus
 from .encoder import ModelConfig, ModelParams, batch_representations, init_params
 from .errors import BatchError, ConfigError, NonFiniteError, check_settings, setting
@@ -298,13 +298,6 @@ def train(
 # ---- checkpoint container ----------------------------------------------------
 
 ARRAYS = ("params", "m", "v")
-ZIP_MAGIC = b"PK\x03\x04"
-
-
-def _entry(name: str) -> zipfile.ZipInfo:
-    # A fixed entry time (ZipInfo's default, 1980-01-01): the same state
-    # always gives the same bytes, where np.savez stamps the wall clock.
-    return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
 
 
 def _layout(named: dict) -> dict:
@@ -351,14 +344,11 @@ def save_checkpoint(
         "m": [optimizer.m[name] for name in named],
         "v": [optimizer.v[name] for name in named],
     }
-    tmp = f"{path}.tmp"
-    with zipfile.ZipFile(tmp, "w") as zf:
-        zf.writestr(_entry("header.json"), json.dumps(header))
-        for key, parts in arrays.items():
-            flat = np.concatenate([a.ravel() for a in parts], dtype="<f8")
-            with zf.open(_entry(f"{key}.npy"), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, flat, allow_pickle=False)
-    os.replace(tmp, path)
+    # A generator: one flat array is held at a time.
+    save_zip(path, header, (
+        (key, np.concatenate([a.ravel() for a in parts], dtype="<f8"))
+        for key, parts in arrays.items()
+    ))
 
 
 def _require_match(path, section: str, stored: dict, requested, skip=()) -> None:
@@ -389,9 +379,8 @@ def load_checkpoint(
     model, a run state field of the wrong type or range, and an rng state
     that PCG64 rejects raise ConfigError naming the file.
     """
-    with open(path, "rb") as fh:
-        if fh.read(len(ZIP_MAGIC)) != ZIP_MAGIC:
-            raise ConfigError(f"checkpoint {path} is not a {CHECKPOINT_FORMAT} zip")
+    if not is_zip(path):
+        raise ConfigError(f"checkpoint {path} is not a {CHECKPOINT_FORMAT} zip")
     try:
         with np.load(path, allow_pickle=False) as npz:
             for key in ("header.json", *ARRAYS):

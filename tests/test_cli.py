@@ -10,11 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from checkpoint_edit import rewrite_checkpoint
+from corpus_edit import rewrite_corpus, rewrite_zip
+import doclink.encoder
 from doclink.cli import UsageError, _build_config, main
-from doclink.corpus import SynthConfig, load_corpus
+from doclink.corpus import SynthConfig, load_corpus, load_split_manifest
+from doclink.diagnostics import bias_report
 from doclink.encoder import ModelConfig
+from doclink.evalmetrics import evaluate
 from doclink.objective import ObjectiveConfig
-from doclink.trainer import TrainConfig
+from doclink.rng import RngStream
+from doclink.trainer import TrainConfig, load_checkpoint
 
 
 def write_json(path, payload):
@@ -254,11 +259,11 @@ class TestTrain:
     def test_non_finite_object_features_is_data_error(self, workspace, tmp_path, capsys):
         source = workspace / "data"
         corpus = tmp_path / "nan.jsonl"
-        lines = (source / "corpus.jsonl").read_text().splitlines()
-        record = json.loads(lines[0])
-        record["images"][1]["objects"][0][2] = float("nan")
-        lines[0] = json.dumps(record)
-        corpus.write_text("\n".join(lines) + "\n")
+
+        def poison(records):
+            records[0]["images"][1]["objects"][0][2] = float("nan")
+
+        record = rewrite_corpus(source / "corpus.jsonl", corpus, poison)[0]
         code = main(["train", "--corpus", str(corpus), "--splits", str(source / "splits.json"),
                      "--out", str(tmp_path / "x")])
         assert code == 2
@@ -308,6 +313,7 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "3x3 sub-document of document" in err and "k_override=4" in err
+        assert not (tmp_path / "run").exists()
 
     def test_numeric_failure_exit_code(self, workspace, tmp_path, monkeypatch):
         from doclink.errors import NonFiniteError
@@ -358,14 +364,13 @@ class TestEval:
         write_json(config, {"synth": synth_section(train_docs=2, val_docs=2, test_docs=50)})
         data = tmp_path / "big"
         main(["gen", "--out", str(data), "--config", str(config), "--seed", "21"])
-        with open(data / "corpus.jsonl") as fh:
-            records = [json.loads(line) for line in fh]
-        for record in records:
-            for sentence in record["sentences"]:
-                sentence["tokens"] = [t + 150 for t in sentence["tokens"]]
-        with open(data / "corpus.jsonl", "w") as fh:
+
+        def shift(records):
             for record in records:
-                fh.write(json.dumps(record) + "\n")
+                for sentence in record["sentences"]:
+                    sentence["tokens"] = [t + 150 for t in sentence["tokens"]]
+
+        rewrite_corpus(data / "corpus.jsonl", data / "corpus.jsonl", shift)
         traincfg = tmp_path / "train-frozen.json"
         write_json(
             traincfg,
@@ -387,11 +392,12 @@ class TestEval:
     def test_missing_gold_edges_exit_two(self, trained, tmp_path):
         corpus_path, ckpt = trained
         stripped = tmp_path / "stripped.jsonl"
-        with open(corpus_path) as fh, open(stripped, "w") as out:
-            for line in fh:
-                record = json.loads(line)
+
+        def strip(records):
+            for record in records:
                 record.pop("gold_edges", None)
-                out.write(json.dumps(record) + "\n")
+
+        rewrite_corpus(corpus_path, stripped, strip)
         import shutil
 
         shutil.copy(os.path.join(os.path.dirname(corpus_path), "splits.json"),
@@ -420,9 +426,12 @@ class TestEval:
         """No gold edges: every document's AUC is undefined."""
         corpus, ckpt = trained
         edgeless = tmp_path / "edgeless.jsonl"
-        with open(corpus) as fh, open(edgeless, "w") as out:
-            for line in fh:
-                out.write(json.dumps({**json.loads(line), "gold_edges": []}) + "\n")
+
+        def empty(records):
+            for record in records:
+                record["gold_edges"] = []
+
+        rewrite_corpus(corpus, edgeless, empty)
         code = main(
             ["eval", "--corpus", str(edgeless), "--checkpoint", str(ckpt),
              "--splits", str(corpus.parent / "splits.json"), "--split", "test",
@@ -499,15 +508,33 @@ class TestDiagnose:
         )
         assert code == 1
 
-    def test_learned_mode_with_checkpoint(self, trained, tmp_path):
+    def test_learned_mode_with_checkpoint(self, trained, tmp_path, monkeypatch):
+        """One encoding of the split serves the bias probe and the AUC; the
+        reports equal the library's, which encodes for each."""
         corpus, ckpt = trained
         out = tmp_path / "diag-learned"
+        passes = []
+        encode = doclink.encoder.encode_images
+        monkeypatch.setattr(
+            "doclink.encoder.encode_images", lambda *a, **kw: passes.append(1) or encode(*a, **kw)
+        )
         code = main(
             ["diagnose", "--corpus", str(corpus), "--split", "train",
              "--out", str(out), "--checkpoint", str(ckpt), "--learned"]
         )
         assert code == 0
-        assert (out / "bias-report.json").exists()
+        assert len(passes) == 1  # the 8 train documents fit one encoder pass
+        params = load_checkpoint(ckpt)[0]
+        loaded = load_corpus(corpus, splits=load_split_manifest(corpus.parent / "splits.json"))
+        bias = bias_report(loaded, "train", rng=RngStream(0).child("diagnostics"),
+                           params=params, config=params.config)
+        assert json.loads(read_bytes(out / "bias-report.json")) == bias.to_json_dict()
+        report = evaluate(loaded, "train", params, params.config, ks=(1,))
+        auc = {row["id"]: row["auc"] for row in report.per_document}
+        spread = json.loads(read_bytes(out / "spread-report.json"))
+        assert [row["auc"] for row in spread["per_document"]] == [
+            auc[row["id"]] for row in spread["per_document"]
+        ]
 
     def test_input_corpus_untouched(self, workspace, tmp_path):
         corpus = workspace / "data" / "corpus.jsonl"
@@ -600,15 +627,15 @@ class TestMalformedInputs:
         """JSON integers only: int() used to load 3.7 as 3, true as 1 and
         "2" as 2 without a word."""
         source = workspace / "data"
-        lines = (source / "corpus.jsonl").read_text().splitlines()
-        record = json.loads(lines[1])
-        target = record
-        for key in where[:-1]:
-            target = target[key]
-        target[where[-1]] = value
-        lines[1] = json.dumps(record)
+
+        def replace(records):
+            target = records[1]
+            for key in where[:-1]:
+                target = target[key]
+            target[where[-1]] = value
+
         corpus = tmp_path / "bad.jsonl"
-        corpus.write_text("\n".join(lines) + "\n")
+        record = rewrite_corpus(source / "corpus.jsonl", corpus, replace)[1]
         code = main(
             ["diagnose", "--corpus", str(corpus), "--splits", str(source / "splits.json"),
              "--split", "train", "--out", str(tmp_path / "d")]
@@ -617,6 +644,21 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"line 2: malformed record of document {record['id']!r}" in err
         assert f"{message} is not an integer" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "diagnose"])
+    def test_corpus_member_with_object_dtype_is_data_error(
+        self, trained, tmp_path, capsys, command
+    ):
+        """The corpus reader never unpickles: an object array exits 2."""
+        corpus, ckpt = trained
+        bad = tmp_path / "pickled.jsonl"
+        rewrite_zip(corpus, bad, tokens=np.array([{"x": 1}], dtype=object))
+        extra = ["--checkpoint", str(ckpt)] if command == "eval" else []
+        code = main([command, "--corpus", str(bad), *extra,
+                     "--splits", str(corpus.parent / "splits.json"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: corpus {bad} member 'tokens' is malformed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command,flag",
@@ -648,7 +690,8 @@ class TestMalformedInputs:
     def test_non_utf8_byte_names_the_line(self, workspace, tmp_path, capsys, flag):
         data, emb = workspace / "data", tmp_path / "emb.jsonl"
         emb.write_text('{"id": 0, "vec": [0.1]}\n{"id": 1, "vec": [0.2]}\n')
-        files = {"--corpus": data / "corpus.jsonl", "--pretrained": emb}
+        files = {"--corpus": tmp_path / "corpus.jsonl", "--pretrained": emb}
+        rewrite_corpus(data / "corpus.jsonl", files["--corpus"])
         lines = read_bytes(files[flag]).splitlines()
         lines[1] += b" \xff"
         files[flag] = tmp_path / "bad.jsonl"
@@ -673,11 +716,11 @@ class TestMalformedInputs:
         bad = tmp_path / "bad.json"
         files = {"--corpus": corpus, "--checkpoint": ckpt, "--pretrained": bad}
         if flag == "--corpus":
-            lines = corpus.read_text().splitlines()
-            record = json.loads(lines[1])
-            record["images"][0]["objects"][0][0] = 10**400
-            lines[1] = json.dumps(record)
-            bad.write_text("\n".join(lines) + "\n")
+
+            def overflow(records):
+                records[1]["images"][0]["objects"][0][0] = 10**400
+
+            rewrite_corpus(corpus, bad, overflow)
             files["--corpus"] = bad
         elif flag == "--pretrained":
             bad.write_text(json.dumps({"id": 0, "vec": [10**400]}) + "\n")

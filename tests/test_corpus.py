@@ -1,18 +1,24 @@
 """Corpus model, formats, and synthetic generator checks."""
 
 import dataclasses
+import functools
 import hashlib
+import io
 import itertools
 import json
 import os
 import tempfile
+import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus_edit import jsonl_bytes, rewrite_zip
+from doclink import corpus as corpus_module
 from doclink.corpus import (
     Corpus,
     Document,
@@ -134,12 +140,14 @@ class TestLoadErrors:
         path.write_text("")
         with pytest.raises(CorpusValidationError, match="no documents"):
             load_corpus(path)
+        save_corpus(Corpus(documents=[], vocab_size=5, obj_dim=3), path)
+        with pytest.raises(CorpusValidationError, match="no documents"):
+            load_corpus(path)
 
     def test_bad_json_reports_line_number(self, tmp_path):
         corpus = generate_synthetic(tiny_config(), RngStream(1))
         path = tmp_path / "broken.jsonl"
-        save_corpus(corpus, path)
-        lines = path.read_text().splitlines()
+        lines = jsonl_bytes(corpus.documents).decode().splitlines()
         lines[1] = "{not json"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorpusFormatError) as err:
@@ -216,8 +224,87 @@ class TestLoadErrors:
             load_corpus(path, vocab_size=10)
 
 
-# save_corpus bytes over sentences x images x density x seed, with token noise
-# and document centers on; the grid holds n > m, n < m and m == 1.
+def small_corpus() -> Corpus:
+    """A generated corpus whose second document has no gold edges and whose
+    third has an empty gold set."""
+    corpus = generate_synthetic(tiny_config(), RngStream(12))
+    corpus.documents[1].gold_edges = None
+    corpus.documents[2].gold_edges = set()
+    return corpus
+
+
+def load_quietly(path, **kwargs) -> Corpus:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return load_corpus(path, **kwargs)
+
+
+class TestColumnar:
+    def test_same_corpus_same_bytes(self, tmp_path, monkeypatch):
+        """No wall-clock time reaches the file."""
+        blobs = []
+        for clock in (1e9, 2e9):
+            monkeypatch.setattr(time, "time", lambda: clock)
+            path = tmp_path / f"{clock}.jsonl"
+            save_corpus(small_corpus(), path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].startswith(b"PK\x03\x04")
+        assert sorted(os.listdir(tmp_path)) == ["1000000000.0.jsonl", "2000000000.0.jsonl"]
+
+    def test_none_and_empty_gold_sets_round_trip_apart(self, tmp_path):
+        corpus = small_corpus()
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        loaded = load_quietly(path, vocab_size=corpus.vocab_size, splits=corpus.splits)
+        assert loaded.documents[1].gold_edges is None
+        assert loaded.documents[2].gold_edges == set()
+        assert loaded == corpus
+
+    def test_zip_and_its_jsonl_rendering_load_equal(self, tmp_path):
+        corpus = small_corpus()
+        binary, text = tmp_path / "corpus.zip", tmp_path / "corpus.jsonl"
+        save_corpus(corpus, binary)
+        text.write_bytes(jsonl_bytes(corpus.documents))
+        from_zip, from_text = load_quietly(binary), load_quietly(text)
+        assert from_zip == from_text
+        assert from_zip.vocab_size == from_text.vocab_size
+        assert all(
+            type(t) is int for doc in from_zip.documents for s in doc.sentences for t in s
+        )
+
+    @pytest.mark.parametrize(
+        "edit,members,message",
+        [
+            (lambda h: h.pop("format"), {}, "member 'header.json' lacks the 'doclink-corpus-v2'"),
+            (lambda h: h["ids"].__setitem__(1, h["ids"][0]), {},
+             "member 'header.json' ids must be a list of unique strings"),
+            (lambda h: h["ids"].pop(), {}, "member 'sentences_per_doc' has 5 entries for 4"),
+            (None, {"tokens": None}, "member 'tokens' is missing"),
+            (None, {"header": b"{"}, "member 'header.json' is not JSON"),
+            (None, {"objects": np.zeros((1, 6), np.float32)},
+             "member 'objects' has dtype <f4 and 2 dimensions, expected <f8 and 2"),
+            (None, {"edges": np.zeros(4, "<i8")},
+             "member 'edges' has dtype <i8 and 1 dimensions, expected <i8 and 2"),
+            (None, {"concept_tokens": np.array([{"x": 1}], dtype=object)},
+             "member 'concept_tokens' is malformed: Object arrays cannot be loaded"),
+            (None, {"sentence_lengths": np.full(20, -1, "<i8")},
+             "member 'sentence_lengths' holds a count below 0"),
+            (None, {"tokens": np.zeros(99, "<i8")},
+             "member 'tokens' has 99 rows, but sentence_lengths sums to 100"),
+        ],
+    )
+    def test_malformed_zip_names_file_and_member(self, tmp_path, edit, members, message):
+        source, path = tmp_path / "corpus.jsonl", tmp_path / "bad.jsonl"
+        save_corpus(small_corpus(), source)
+        rewrite_zip(source, path, edit, **members)
+        with pytest.raises(CorpusFormatError, match=f"corpus {path} {message}"):
+            load_quietly(path)
+
+
+# JSON Lines bytes of generated corpora over sentences x images x density x
+# seed, with token noise and document centers on; the grid holds n > m, n < m
+# and m == 1.
 PINNED_GRID_SHA256 = "55c497bc9ce6bfa6b4f0dbe16cf416b10a2d15e7876c12ce8d7ffc4fba85f7e3"
 
 
@@ -282,19 +369,17 @@ class TestGenerator:
         with pytest.raises(ConfigError, match="vocab_size"):
             generate_synthetic(tiny_config(vocab_size=10), RngStream(0))
 
-    def test_bytes_are_pinned(self, tmp_path):
-        """The same seed and settings give the same corpus bytes; a change to
-        the edge layout, the match groups or the draw order shows here."""
+    def test_bytes_are_pinned(self):
+        """The same seed and settings give the same corpus; a change to the
+        edge layout, the match groups or the draw order shows here."""
         digest = hashlib.sha256()
-        path = tmp_path / "corpus.jsonl"
         grid = itertools.product((1, 3, 8), (1, 4, 9), (0.05, 0.3, 0.6, 1.0), (0, 1))
         for n, m, density, seed in grid:
             config = tiny_config(
                 train_docs=2, val_docs=0, test_docs=1, sentences_per_doc=n, images_per_doc=m,
                 density=density, obj_dim=3, token_noise=0.2, doc_center_scale=1.5,
             )
-            save_corpus(generate_synthetic(config, RngStream(seed)), path)
-            digest.update(path.read_bytes())
+            digest.update(jsonl_bytes(generate_synthetic(config, RngStream(seed)).documents))
         assert digest.hexdigest() == PINNED_GRID_SHA256
 
     def test_document_invariants_hold(self):
@@ -426,5 +511,85 @@ def test_loader_returns_or_raises_doclink_error(loader, record, data):
             warnings.simplefilter("ignore")
             try:
                 loader(path)
+            except DoclinkError:
+                pass
+
+
+# ---- fuzzed corpus zips ----------------------------------------------------
+
+MEMBER_EDITS = st.sampled_from([
+    lambda a: None,
+    lambda a: a.astype(np.float32),
+    lambda a: a.astype(a.dtype.newbyteorder(">")),
+    lambda a: a.astype(object),
+    lambda a: np.array([{"x": 1}], dtype=object),
+    lambda a: a.reshape(1, -1),
+    lambda a: a[:-1],
+    lambda a: np.concatenate([a, a[:1]]),
+    lambda a: b"not an array",
+])
+COUNTS = [name for name, _ in corpus_module.COUNTED]
+
+
+@functools.lru_cache(maxsize=None)
+def small_corpus_zip() -> bytes:
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "corpus.jsonl")
+        save_corpus(small_corpus(), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def mutate_header(header: dict, data) -> None:
+    """The format tag or the ids: missing, duplicated, or not strings."""
+    key = data.draw(st.sampled_from(["format", "ids"]))
+    how = data.draw(st.sampled_from(["missing", "duplicated", "not strings"]))
+    if how == "missing":
+        del header[key]
+    elif key == "format":
+        header[key] = data.draw(st.sampled_from([1, None, "doclink-checkpoint-v2", ["x"]]))
+    elif how == "duplicated":
+        header[key].append(header[key][0])
+    else:
+        index = data.draw(st.integers(0, len(header[key]) - 1))
+        header[key][index] = data.draw(st.sampled_from([1, None, 2.5, ["a"]]))
+
+
+def _never_unpickle(*args, **kwargs):
+    raise AssertionError("the corpus reader unpickled")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_corpus_zip_reader_returns_or_raises_doclink_error(data):
+    """A mutated header, a replaced or missing member, a wrong count or a
+    truncated file loads or raises a DoclinkError, and nothing is
+    unpickled."""
+    blob = small_corpus_zip()
+    target = data.draw(st.sampled_from(["header", "member", "count", "truncate"]))
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "corpus.jsonl")
+        if target == "header":
+            rewrite_zip(io.BytesIO(blob), path, lambda header: mutate_header(header, data))
+        elif target in ("member", "count"):
+            name = data.draw(st.sampled_from(COUNTS if target == "count" else sorted(
+                corpus_module.MEMBERS)))
+            with np.load(io.BytesIO(blob)) as npz:
+                stored = npz[name]
+            if target == "member":
+                stored = data.draw(MEMBER_EDITS)(stored)
+            else:
+                stored = stored.copy()
+                index = data.draw(st.integers(0, len(stored) - 1))
+                stored[index] = data.draw(st.sampled_from([-2, -1, stored[index] - 1,
+                                                           stored[index] + 1]))
+            rewrite_zip(io.BytesIO(blob), path, **{name: stored})
+        else:
+            with open(path, "wb") as fh:
+                fh.write(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with mock.patch("pickle.load", _never_unpickle), \
+                mock.patch("pickle.loads", _never_unpickle):
+            try:
+                load_quietly(path)
             except DoclinkError:
                 pass
