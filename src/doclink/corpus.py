@@ -210,8 +210,9 @@ def _split(flat, counts) -> list:
     return pieces
 
 
-def _read_zip(path) -> list:
-    """The documents of a ``doclink-corpus-v2`` zip.  A missing member, a
+def _read_zip(path) -> tuple:
+    """The documents of a ``doclink-corpus-v2`` zip and its largest token
+    id (at least 0), from the flat token arrays.  A missing member, a
     member of the wrong dtype or ndim, a negative count, counts that do not
     sum to the rows they index, and ids that are not unique strings, one
     per document, raise CorpusFormatError naming the file and the member."""
@@ -276,7 +277,7 @@ def _read_zip(path) -> list:
     ]
     edges = _split([tuple(e) for e in values["edges"]],
                    [max(count, 0) for count in values["edges_per_doc"]])
-    return [
+    documents = [
         Document(id=doc_id, sentences=sents, images=imgs,
                  gold_edges=None if count < 0 else set(pairs))
         for doc_id, sents, imgs, pairs, count in zip(
@@ -284,6 +285,8 @@ def _read_zip(path) -> list:
             values["edges_per_doc"],
         )
     ]
+    top = max(int(members[name].max(initial=0)) for name in ("tokens", "concept_tokens"))
+    return documents, top
 
 
 def _int_ids(values, what: str) -> list:
@@ -342,21 +345,20 @@ def load_corpus(path, vocab_size: int | None = None, splits: dict | None = None)
     constant.  ``splits`` defaults to everything in "train".
     """
     if is_zip(path):
-        documents = _read_zip(path)
+        documents, top = _read_zip(path)
     else:
         documents = [_doc_from_record(record, line_no) for line_no, record in _jsonl_values(path)]
+        top = max(
+            (t for doc in documents
+             for tokens in doc.sentences + [c for img in doc.images for c in img.concepts]
+             for t in tokens),
+            default=0,
+        )
     if not documents:
         raise CorpusValidationError("no documents")
 
     if vocab_size is None:
-        top = 0
-        for doc in documents:
-            for s in doc.sentences:
-                top = max(top, max(s, default=-1))
-            for img in doc.images:
-                for c in img.concepts:
-                    top = max(top, max(c, default=-1))
-        vocab_size = top + 1
+        vocab_size = max(top, 0) + 1
     # Validation rejects a first document without images or object rows.
     images = documents[0].images
     obj_dim = int(images[0].objects.shape[1]) if images and images[0].objects.ndim == 2 else 0

@@ -41,9 +41,10 @@ from .errors import (
     setting,
 )
 from .nn import LayerNormParams, Params, TransformerLayerParams
-from .nn import linear, transformer_layer, xavier_uniform
+from .nn import transformer_layer, xavier_uniform
 from .rng import RngStream
-from .tensor import Tensor, concat, embedding, matmul, no_grad, normalize_rows, transpose
+from .tensor import Tensor, concat, embedding, linear, masked_mean, matmul, no_grad
+from .tensor import normalize_rows, transpose
 
 # Documents per graph-free pass: a default training batch, so evaluation never
 # holds more activations than one training step's forward pass.
@@ -133,14 +134,6 @@ def _check_vocab(ids: np.ndarray, mask: np.ndarray, config: ModelConfig, what: s
         )
 
 
-def _masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean of ``x`` over the mask's last axis; fully masked slots divide by one."""
-    weights = mask.astype(np.float64)[..., None]
-    counts = np.maximum(mask.sum(axis=-1), 1).astype(np.float64)
-    summed = (x * Tensor(weights)).sum(axis=mask.ndim - 1)
-    return summed * Tensor((1.0 / counts)[..., None])
-
-
 def encode_sentences(sentences: list, params: ModelParams, config: ModelConfig) -> Tensor:
     """Encode a batch of token-id sequences into (batch, embed_dim)."""
     lengths = np.array([len(tokens) for tokens in sentences])
@@ -162,7 +155,7 @@ def encode_sentences(sentences: list, params: ModelParams, config: ModelConfig) 
     x = linear(hidden, params.text_proj_w, params.text_proj_b)
     for layer in params.sent_layers:
         x = transformer_layer(x, layer, config.heads, mask=mask)
-    return _masked_mean(x, mask)
+    return masked_mean(x, mask)
 
 
 # ---- image path --------------------------------------------------------------
@@ -201,7 +194,7 @@ def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Ten
     obj_tokens = (params.ln_obj_feat(obj_tokens) + seg_obj) * 0.5
 
     # Mean word embedding per concept entry.
-    mean_words = _masked_mean(embedding(params.word_embed, concept_ids), concept_mask)
+    mean_words = masked_mean(embedding(params.word_embed, concept_ids), concept_mask)
     con_tokens = linear(mean_words, params.text_proj_w, params.text_proj_b)
     seg_con = params.ln_concept_seg(params.seg_embed[1])
     con_tokens = (params.ln_concept_feat(con_tokens) + seg_con) * 0.5
@@ -210,7 +203,7 @@ def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Ten
     full_mask = np.concatenate([obj_mask, obj_mask], axis=1)
     for layer in params.img_layers:
         x = transformer_layer(x, layer, config.heads, mask=full_mask)
-    return _masked_mean(x, full_mask)
+    return masked_mean(x, full_mask)
 
 
 # ---- similarity ---------------------------------------------------------------

@@ -4,7 +4,9 @@ Layers follow the post-layer-norm residual arrangement with a 4x-wide ReLU
 feed-forward sublayer.  Weights are stored (out_dim, in_dim) so a projection
 reads ``x @ W.T + b``.  Inputs are batches of shape (B, L, d), and
 attention is self-attention only.  Masks are key-padding masks of shape
-(B, L): boolean, True where a position is real.
+(B, L): boolean, True where a position is real.  Projections and the whole
+attention sublayer are the tensor core's fused ``linear`` and ``attention``
+ops, so a layer adds eight graph nodes.
 
 Parameter containers subclass :class:`Params`: their parameters are the
 tensors their constructors assign, named by attribute, in that order.
@@ -16,25 +18,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import RngStream
-from .tensor import (
-    Tensor,
-    layernorm,
-    matmul,
-    relu,
-    reshape,
-    softmax,
-    swapaxes,
-    transpose,
-)
+from .tensor import Tensor, attention, layernorm, linear, relu
 
 
 def xavier_uniform(rng: RngStream, fan_out: int, fan_in: int) -> Tensor:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=(fan_out, fan_in)), requires_grad=True)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return matmul(x, transpose(w)) + b
 
 
 class Params:
@@ -98,31 +87,16 @@ class TransformerLayerParams(Params):
 
 def multihead_attention(x: Tensor, params: AttentionParams, heads: int, mask=None) -> Tensor:
     """Self-attention over a batch ``x`` of shape (B, L, d), with per-head
-    1/sqrt(d/heads) scaling.
+    1/sqrt(d/heads) scaling: one ``tensor.attention`` node.
 
     ``mask`` (B, L) marks real key positions; padded keys receive exactly
     zero weight.
     """
-    batch, length, dim = x.shape
+    dim = x.shape[-1]
     if dim % heads != 0:
         raise ConfigError(f"attention width {dim} is not divisible by {heads} heads")
-    head_dim = dim // heads
-
-    def split_heads(y):
-        return swapaxes(reshape(y, (batch, length, heads, head_dim)), 1, 2)  # (B, H, L, dh)
-
-    qh = split_heads(linear(x, params.wq, params.bq))
-    kh = split_heads(linear(x, params.wk, params.bk))
-    vh = split_heads(linear(x, params.wv, params.bv))
-
-    scores = matmul(qh, swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(head_dim))
-    # Broadcast the key mask over heads and queries.
-    key_mask = None if mask is None else np.asarray(mask, dtype=bool)[:, None, None, :]
-    weights = softmax(scores, mask=key_mask, axis=-1)
-
-    mixed = matmul(weights, vh)  # (B, H, L, dh)
-    merged = reshape(swapaxes(mixed, 1, 2), (batch, length, dim))
-    return linear(merged, params.wo, params.bo)
+    p = params
+    return attention(x, (p.wq, p.wk, p.wv, p.wo), (p.bq, p.bk, p.bv, p.bo), heads, mask=mask)
 
 
 def transformer_layer(x: Tensor, params: TransformerLayerParams, heads: int, mask=None) -> Tensor:

@@ -8,8 +8,10 @@ gradient checks against central finite differences demand the precision.
 
 Primitives, each with a backward hook: add, neg, mul, power, relu, exp,
 log, matmul, swapaxes, reshape, take, concat, tsum, max_reduce, softmax,
-layernorm, normalize_rows and block_tk.  Compositions of them: embedding,
-transpose (``Tensor.T``), sqrt, stack and tmean (``Tensor.mean``).
+layernorm, normalize_rows and block_tk, plus the encoder's fused ops
+linear, attention and masked_mean, each one node with a hand-written
+backward.  Compositions of them: embedding, transpose (``Tensor.T``), sqrt,
+stack and tmean (``Tensor.mean``).
 
 Convention at non-differentiable points: the subgradient of the
 first-encountered / left branch is used (``relu'(0) == 0``, ties in ``max``
@@ -384,18 +386,144 @@ def softmax(x, mask=None, axis: int = -1) -> Tensor:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
         if not mask.any(axis=axis).all():
             raise InvalidMaskError("softmax mask leaves at least one row fully masked")
-        shifted = np.where(mask, x.data, -np.inf)
+        out_data = _softmax_(np.where(mask, x.data, -np.inf), axis)
     else:
-        shifted = x.data
-    shifted = shifted - shifted.max(axis=axis, keepdims=True)
-    expd = np.exp(shifted)
-    out_data = expd / expd.sum(axis=axis, keepdims=True)
+        out_data = _softmax_(x.data.copy(), axis)
 
     def backward_fn(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (g - inner),)
+        return (_softmax_backward_(g.copy(), out_data, axis),)
 
     return _make(out_data, (x,), backward_fn, "softmax")
+
+
+def _softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Overwrite ``x`` with its softmax along ``axis``; -inf entries become
+    exact zeros.  Each slice needs one finite entry."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
+def _softmax_backward_(g: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Overwrite ``g``, the gradient at softmax output ``probs``, with the
+    gradient at its input: probs * (g - sum(g * probs))."""
+    g -= (g * probs).sum(axis=axis, keepdims=True)
+    g *= probs
+    return g
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w.T + b`` over the last axis of ``x``, with ``w`` stored (out, in).
+
+    One 2-D product on ``x`` flattened to rows, forward and backward, so the
+    weight gradient is one product too, with no per-batch temporaries.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[1:] \
+            or b.data.shape != w.data.shape[:1]:
+        raise ShapeMismatchError(
+            f"linear needs x (..., in), w (out, in) and b (out,), got "
+            f"{x.data.shape}, {w.data.shape} and {b.data.shape}"
+        )
+    out_dim, in_dim = w.data.shape
+    rows = x.data.reshape(-1, in_dim)
+    out_data = rows @ w.data.T
+    out_data += b.data
+
+    def backward_fn(g):
+        g = g.reshape(-1, out_dim)
+        gx = (g @ w.data).reshape(x.data.shape) if x.requires_grad else None
+        return gx, g.T @ rows, g.sum(axis=0)
+
+    out_data = out_data.reshape(x.data.shape[:-1] + (out_dim,))
+    return _make(out_data, (x, w, b), backward_fn, "linear")
+
+
+def attention(x, weights, biases, heads: int, mask=None) -> Tensor:
+    """Multi-head self-attention over ``x`` (B, L, d) as one op.
+
+    ``weights`` holds the (d, d) query, key, value and output projections,
+    stored (out, in), and ``biases`` their (d,) offsets.  Each of ``heads``
+    heads scores its queries against its keys, scaled by 1/sqrt(d / heads),
+    softmaxes over the keys and mixes the values; the merged heads go
+    through the output projection.  ``mask`` (B, L) marks real keys: padded
+    keys get exactly zero weight, and a batch row with no real key raises
+    :class:`InvalidMaskError`.
+    """
+    x = _wrap(x)
+    weights = [_wrap(w) for w in weights]
+    biases = [_wrap(b) for b in biases]
+    batch, length, dim = x.data.shape
+    head_dim = dim // heads
+    scale = 1.0 / np.sqrt(head_dim)
+    key_bias = None
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (batch, length):
+            raise ShapeMismatchError(
+                f"attention mask must be ({batch}, {length}), got {mask.shape}"
+            )
+        if not mask.any(axis=-1).all():
+            raise InvalidMaskError("attention mask leaves at least one row fully masked")
+        if not mask.all():
+            key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
+
+    rows = x.data.reshape(-1, dim)
+    w_qkv = np.concatenate([w.data for w in weights[:3]])
+    qkv = rows @ w_qkv.T
+    qkv += np.concatenate([b.data for b in biases[:3]])
+    # Views of shape (B, heads, L, head_dim) into the one projection.
+    q, k, v = qkv.reshape(batch, length, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
+    probs = q @ k.swapaxes(-1, -2)
+    probs *= scale
+    if key_bias is not None:
+        probs += key_bias
+    _softmax_(probs)
+    merged = (probs @ v).swapaxes(1, 2).reshape(-1, dim)
+    w_out = weights[3].data
+    out_data = merged @ w_out.T
+    out_data += biases[3].data
+
+    def backward_fn(g):
+        g = g.reshape(-1, dim)
+        g_mixed = (g @ w_out).reshape(batch, length, heads, head_dim).swapaxes(1, 2)
+        g_qkv = np.empty((batch, length, 3, heads, head_dim))
+        gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
+        gv[...] = probs.swapaxes(-1, -2) @ g_mixed
+        g_scores = _softmax_backward_(g_mixed @ v.swapaxes(-1, -2), probs)
+        g_scores *= scale
+        gq[...] = g_scores @ k
+        gk[...] = g_scores.swapaxes(-1, -2) @ q
+        g_qkv = g_qkv.reshape(-1, 3 * dim)
+        gx = (g_qkv @ w_qkv).reshape(x.data.shape) if x.requires_grad else None
+        return (
+            gx,
+            *np.split(g_qkv.T @ rows, 3),
+            g.T @ merged,
+            *np.split(g_qkv.sum(axis=0), 3),
+            g.sum(axis=0),
+        )
+
+    parents = (x, *weights, *biases)
+    return _make(out_data.reshape(x.data.shape), parents, backward_fn, "attention")
+
+
+def masked_mean(x, mask) -> Tensor:
+    """Mean of ``x`` (..., L, d) over the positions ``mask`` (..., L) marks
+    real; a slot with no real position gives zeros."""
+    x = _wrap(x)
+    mask = np.asarray(mask, dtype=bool)
+    if x.data.shape[:-1] != mask.shape:
+        raise ShapeMismatchError(f"mask {mask.shape} does not cover x {x.data.shape}")
+    # Per-position weights 1/count, with count clamped to one.
+    weights = (mask / np.maximum(mask.sum(axis=-1, keepdims=True), 1))[..., None, :]
+    out_data = (weights @ x.data)[..., 0, :]
+
+    def backward_fn(g):
+        return (np.swapaxes(weights, -1, -2) * g[..., None, :],)
+
+    return _make(out_data, (x,), backward_fn, "masked_mean")
 
 
 def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -451,7 +579,7 @@ def _block_offsets(offsets, size: int, side: str) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != size:
         raise ShapeMismatchError(f"{side} offsets must run from 0 to {size}, got {offsets}")
-    if (np.diff(offsets) < 1).any():
+    if (offsets[1:] <= offsets[:-1]).any():
         raise ShapeMismatchError(f"{side} blocks must be non-empty, got offsets {offsets}")
     return offsets
 
@@ -470,6 +598,47 @@ def _strongest(best: np.ndarray, offsets: np.ndarray, limit: np.ndarray) -> np.n
     rank = np.empty_like(order)
     rank[order, np.arange(best.shape[1])] = (np.arange(len(block)) - offsets[block])[:, None]
     return rank < limit
+
+
+def _k_error(k, rows: int, cols: int) -> ConfigError:
+    return ConfigError(
+        f"k={k} invalid for a {rows}x{cols} matrix; need 1 <= k <= {max(rows, cols)}"
+    )
+
+
+def _one_block_tk(s: Tensor, k, diagonal: bool) -> Tensor:
+    """:func:`block_tk` of a single block, with the same selection and sums
+    but none of the per-block bookkeeping."""
+    data = s.data
+    rows, cols = data.shape
+    if k is None:
+        k = min(rows, cols)
+    elif not 1 <= k <= max(rows, cols):
+        raise _k_error(k, rows, cols)
+    scale = 1.0 / (min(k, rows) + min(k, cols))
+    # Each row's first best column and each column's first best row; a
+    # stable sort of the maxima keeps the lower index first among ties.
+    row_arg, col_arg = data.argmax(axis=1), data.argmax(axis=0)
+    row_best, col_best = data.max(axis=1), data.max(axis=0)
+    r = np.argsort(-row_best, kind="stable")[:k]
+    c = np.argsort(-col_best, kind="stable")[:k]
+    row_kept, col_kept = np.zeros(rows, dtype=bool), np.zeros(cols, dtype=bool)
+    row_kept[r] = col_kept[c] = True
+    # reduceat adds in the general path's order, so both paths agree bitwise.
+    row_sum = np.add.reduceat(np.where(row_kept, row_best, 0.0), [0])
+    col_sum = np.add.reduceat(np.where(col_kept, col_best, 0.0), [0])
+    out_data = (row_sum + col_sum) * scale
+    if not diagonal:
+        out_data = out_data.reshape(1, 1)
+
+    weights = np.zeros_like(data)
+    weights[r, row_arg[r]] += 1.0
+    weights[col_arg[c], c] += 1.0
+
+    def backward_fn(g):
+        return (weights * (g.reshape(()) * scale),)
+
+    return _make(out_data, (s,), backward_fn, "block_tk")
 
 
 def block_tk(s, row_offsets, col_offsets, k=None, diagonal: bool = False) -> Tensor:
@@ -493,6 +662,8 @@ def block_tk(s, row_offsets, col_offsets, k=None, diagonal: bool = False) -> Ten
     rows, cols = data.shape
     row_off = _block_offsets(row_offsets, rows, "row")
     col_off = _block_offsets(col_offsets, cols, "column")
+    if len(row_off) == len(col_off) == 2:
+        return _one_block_tk(s, k, diagonal)
     n_r, n_c = np.diff(row_off), np.diff(col_off)
     if diagonal and len(n_r) != len(n_c):
         raise ShapeMismatchError(
@@ -505,10 +676,7 @@ def block_tk(s, row_offsets, col_offsets, k=None, diagonal: bool = False) -> Ten
         bad = np.argwhere(wanted & ((k < 1) | (k > np.maximum.outer(n_r, n_c))))
         if len(bad):
             i, j = bad[0]
-            raise ConfigError(
-                f"k={k} invalid for a {n_r[i]}x{n_c[j]} matrix; "
-                f"need 1 <= k <= {max(n_r[i], n_c[j])}"
-            )
+            raise _k_error(k, n_r[i], n_c[j])
         k_table = np.full(wanted.shape, k)
     k_rows = np.minimum(k_table, n_r[:, None])
     k_cols = np.minimum(k_table, n_c[None, :])

@@ -273,6 +273,18 @@ class TestColumnar:
             type(t) is int for doc in from_zip.documents for s in doc.sentences for t in s
         )
 
+    def test_inferred_vocab_counts_an_id_found_only_in_a_concept(self, tmp_path):
+        """Both formats infer vocab_size as the largest id plus one, over
+        sentence and concept tokens."""
+        corpus = small_corpus()
+        largest = max(t for doc in corpus.documents for s in doc.sentences for t in s)
+        corpus.documents[3].images[1].concepts[0] = [largest + 7]
+        binary, text = tmp_path / "corpus.zip", tmp_path / "corpus.jsonl"
+        save_corpus(corpus, binary)
+        text.write_bytes(jsonl_bytes(corpus.documents))
+        assert load_quietly(binary).vocab_size == largest + 8
+        assert load_quietly(text).vocab_size == largest + 8
+
     @pytest.mark.parametrize(
         "edit,members,message",
         [

@@ -8,7 +8,7 @@ import pytest
 from doclink import tensor
 from doclink.corpus import SynthConfig, generate_synthetic
 from doclink.encoder import ModelConfig, batch_representations, init_params
-from doclink.errors import BatchError, ConfigError
+from doclink.errors import BatchError, ConfigError, ShapeMismatchError
 from doclink.objective import (
     ObjectiveConfig,
     check_k_override,
@@ -29,6 +29,19 @@ def oracle_tk(data: np.ndarray, k: int) -> float:
     row_top = np.sort(data.max(axis=1))[::-1][: min(k, rows)]
     col_top = np.sort(data.max(axis=0))[::-1][: min(k, cols)]
     return float(np.concatenate([row_top, col_top]).mean())
+
+
+def oracle_tk_weights(data: np.ndarray, k: int) -> np.ndarray:
+    """d tk / d data, by rule: the strongest min(k, n) rows (columns) by
+    their maximum, lower index first among ties, each put 1 on its first
+    best cell; the counts are divided by their total."""
+    rows, cols = data.shape
+    weights = np.zeros_like(data)
+    for i in sorted(range(rows), key=lambda i: (-data[i].max(), i))[: min(k, rows)]:
+        weights[i, list(data[i]).index(data[i].max())] += 1.0
+    for j in sorted(range(cols), key=lambda j: (-data[:, j].max(), j))[: min(k, cols)]:
+        weights[list(data[:, j]).index(data[:, j].max()), j] += 1.0
+    return weights / weights.sum()
 
 
 def oracle_cosine(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -323,11 +336,11 @@ class TestTotalLoss:
             fd = central_diff(build, leaf)
             np.testing.assert_allclose(leaf.grad, fd, rtol=1e-4, atol=1e-7)
 
-    def test_training_graph_uses_only_the_primitives(self):
-        """One training step at the acceptance shape (11 documents of 5x5,
-        3 objects of width 16, embed 16) builds its graph from exactly these
-        ops; the composed ones (embedding, transpose, mean, ...) leave no
-        node of their own."""
+    @staticmethod
+    def acceptance_step():
+        """The representations, loss and parameters of one training step at
+        the acceptance shape: 11 documents of 5x5, 3 objects of width 16,
+        embed 16, one layer per tower."""
         corpus = generate_synthetic(
             SynthConfig(
                 train_docs=11, val_docs=0, test_docs=0,
@@ -344,6 +357,14 @@ class TestTotalLoss:
         params = init_params(config, RngStream(0))
         reps = batch_representations(corpus.split_documents("train"), params, config)
         loss, _ = total_loss(reps, ObjectiveConfig(), RngStream(1))
+        return reps, loss, params
+
+    def test_training_graph_uses_only_the_primitives(self):
+        """One training step at the acceptance shape builds its graph from
+        exactly these ops; the composed ones (embedding, transpose, mean, ...)
+        leave no node of their own, and the fused encoder ops leave no
+        softmax or reshape."""
+        _, loss, params = self.acceptance_step()
         names, seen, todo = set(), set(), [loss]
         while todo:
             t = todo.pop()
@@ -352,11 +373,19 @@ class TestTotalLoss:
                 names.add(t.node.name)
                 todo.extend(t.node.parents)
         assert names == {
-            "add", "block_tk", "concat", "layernorm", "matmul", "max", "mul", "neg",
-            "normalize", "relu", "reshape", "softmax", "sum", "swapaxes", "take",
+            "add", "attention", "block_tk", "concat", "layernorm", "linear", "masked_mean",
+            "matmul", "max", "mul", "neg", "normalize", "relu", "sum", "swapaxes", "take",
         }
         tensor.backward(loss)
         assert all(p.grad is not None for p in params.named_parameters().values())
+
+    def test_step_graph_size_at_b11(self):
+        """At the acceptance shape a step's graph has 103 nodes: 60 from the
+        encoder (the representations and everything below them; 128 before
+        linear, attention and masked_mean were fused) and the objective's 43."""
+        reps, loss, _ = self.acceptance_step()
+        encoder = count_nodes(*(t for pair in reps for t in pair))
+        assert (encoder, count_nodes(loss)) == (60, 103)
 
 
 def ragged_batch(rng, size, least=1, most=6, dim=6):
@@ -370,8 +399,8 @@ def offsets(sizes):
     return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
 
 
-def count_nodes(root) -> int:
-    seen, stack = set(), [root]
+def count_nodes(*roots) -> int:
+    seen, stack = set(), list(roots)
     while stack:
         t = stack.pop()
         if t.node is not None and id(t) not in seen:
@@ -398,6 +427,26 @@ class TestBlockTk:
                         block = data[ro[i]:ro[i + 1], co[j]:co[j + 1]]
                         want = oracle_tk(block, min(block.shape) if k is None else k)
                         np.testing.assert_allclose(table[i, j], want, atol=1e-12)
+
+    def test_single_block_matches_oracle(self):
+        """One block (the path ``tk`` takes): the oracle's value, and the
+        gradient 1/(kr + kc) per selection, where ties pick the lower index
+        and a cell chosen by both sides counts twice."""
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
+            data = np.round(rng.normal(size=(rows, cols)))  # many ties
+            for k in (None, *range(1, max(rows, cols) + 1)):
+                kk = min(rows, cols) if k is None else k
+                for diagonal in (False, True):
+                    S = Tensor(data, requires_grad=True)
+                    out = block_tk(S, [0, rows], [0, cols], k, diagonal=diagonal)
+                    assert out.shape == ((1,) if diagonal else (1, 1))
+                    np.testing.assert_allclose(out.data.sum(), oracle_tk(data, kk), atol=1e-12)
+                    tensor.backward(out.sum())
+                    np.testing.assert_allclose(S.grad, oracle_tk_weights(data, kk), atol=1e-12)
+        with pytest.raises(ConfigError, match=r"^k=4 invalid for a 2x3 matrix; need 1 <= k <= 3$"):
+            block_tk(Tensor(np.zeros((2, 3))), [0, 2], [0, 3], 4)
 
     def test_gradient_is_the_per_block_tk_gradient(self):
         rng = np.random.default_rng(16)
@@ -430,6 +479,17 @@ class TestBlockTk:
         assert block_tk(Tensor(data), ro, co, 3, diagonal=True).shape == (2,)
         with pytest.raises(ConfigError, match="1x1"):
             block_tk(Tensor(data), ro, co, 3)
+
+    @pytest.mark.parametrize("row_offsets,message", [
+        ([0, 2, 2, 4], "row blocks must be non-empty"),
+        ([0, 3, 2, 4], "row blocks must be non-empty"),
+        ([1, 4], "row offsets must run from 0 to 4"),
+        ([0, 3], "row offsets must run from 0 to 4"),
+        ([0], "row offsets must run from 0 to 4"),
+    ])
+    def test_bad_offsets_rejected(self, row_offsets, message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            block_tk(Tensor(np.zeros((4, 3))), row_offsets, [0, 3])
 
     def test_finite_differences(self):
         rng = np.random.default_rng(18)

@@ -281,6 +281,139 @@ class TestSoftmax:
         assert abs(out.data.sum() - 1.0) <= 1e-12
 
 
+# ---- the compositions that linear, attention and masked_mean replaced -------
+
+
+def composed_linear(x, w, b):
+    return tensor.matmul(x, tensor.transpose(w)) + b
+
+
+def composed_attention(x, weights, biases, heads, mask=None):
+    batch, length, dim = x.shape
+    head_dim = dim // heads
+
+    def split_heads(y):
+        return tensor.swapaxes(tensor.reshape(y, (batch, length, heads, head_dim)), 1, 2)
+
+    qh, kh, vh = (split_heads(composed_linear(x, w, b)) for w, b in zip(weights[:3], biases[:3]))
+    scores = tensor.matmul(qh, tensor.swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(head_dim))
+    key_mask = None if mask is None else mask[:, None, None, :]
+    mixed = tensor.matmul(tensor.softmax(scores, mask=key_mask, axis=-1), vh)
+    merged = tensor.reshape(tensor.swapaxes(mixed, 1, 2), (batch, length, dim))
+    return composed_linear(merged, weights[3], biases[3])
+
+
+def composed_masked_mean(x, mask):
+    weights = mask.astype(np.float64)[..., None]
+    counts = np.maximum(mask.sum(axis=-1), 1).astype(np.float64)
+    summed = (x * Tensor(weights)).sum(axis=mask.ndim - 1)
+    return summed * Tensor((1.0 / counts)[..., None])
+
+
+def attention_leaves(rng, batch, length, dim):
+    x = leaf(rng, batch, length, dim)
+    weights = [leaf(rng, dim, dim) for _ in range(4)]
+    biases = [leaf(rng, dim) for _ in range(4)]
+    return x, weights, biases
+
+
+RAGGED = np.array([[True, True, False, True], [True, False, False, False], [True] * 4])
+
+
+class TestFusedOps:
+    """linear, attention and masked_mean: finite differences, parity with
+    the primitive compositions they replaced, and their edge cases."""
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    def test_linear_gradients(self, shape):
+        rng = np.random.default_rng(30)
+        x, w, b = leaf(rng, *shape), leaf(rng, 3, 4), leaf(rng, 3)
+        up = Tensor(rng.normal(size=shape[:-1] + (3,)))
+        check_grads(lambda: (tensor.linear(x, w, b) * up).sum(), [x, w, b], rtol=1e-6)
+
+    @pytest.mark.parametrize("mask", [RAGGED, np.ones((3, 4), bool), None])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_gradients(self, mask, heads):
+        rng = np.random.default_rng(31)
+        x, weights, biases = attention_leaves(rng, 3, 4, 4)
+        up = Tensor(rng.normal(size=(3, 4, 4)))
+
+        def build():
+            return (tensor.attention(x, weights, biases, heads, mask=mask) * up).sum()
+
+        # The key bias cancels in the softmax, so its gradient is rounding
+        # noise; every other leaf is checked against finite differences.
+        check_grads(build, [x, *weights, *biases[:1], *biases[2:]], rtol=1e-6)
+        np.testing.assert_allclose(biases[1].grad, 0.0, atol=1e-12)
+
+    def test_masked_mean_gradients_and_empty_slot(self):
+        rng = np.random.default_rng(32)
+        x = leaf(rng, 2, 3, 4, 5)
+        mask = rng.uniform(size=(2, 3, 4)) < 0.6
+        mask[0, 1] = False
+        up = Tensor(rng.normal(size=(2, 3, 5)))
+        check_grads(lambda: (tensor.masked_mean(x, mask) * up).sum(), [x], rtol=1e-6)
+        np.testing.assert_array_equal(tensor.masked_mean(x, mask).data[0, 1], 0.0)
+        np.testing.assert_array_equal(x.grad[0, 1], 0.0)
+
+    @pytest.mark.parametrize("op", ["linear", "attention", "masked_mean"])
+    def test_parity_with_composition(self, op):
+        """Forward values and every gradient agree to 1e-12."""
+        rng = np.random.default_rng(33)
+        if op == "linear":
+            x, w, b = leaf(rng, 3, 5, 6), leaf(rng, 4, 6), leaf(rng, 4)
+            leaves = [x, w, b]
+            fused, composed = tensor.linear(x, w, b), composed_linear(x, w, b)
+        elif op == "attention":
+            x, weights, biases = attention_leaves(rng, 3, 4, 6)
+            leaves = [x, *weights, *biases]
+            fused = tensor.attention(x, weights, biases, 3, mask=RAGGED)
+            composed = composed_attention(x, weights, biases, 3, mask=RAGGED)
+        else:
+            x = leaf(rng, 3, 4, 6)
+            mask = RAGGED.copy()
+            mask[1] = False
+            leaves = [x]
+            fused, composed = tensor.masked_mean(x, mask), composed_masked_mean(x, mask)
+        np.testing.assert_allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+        up = Tensor(rng.normal(size=fused.shape))
+        grads = []
+        for out in (fused, composed):
+            for t in leaves:
+                t.zero_grad()
+            tensor.backward((out * up).sum())
+            grads.append([t.grad for t in leaves])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_attention_row_without_real_key_rejected(self):
+        rng = np.random.default_rng(34)
+        x, weights, biases = attention_leaves(rng, 3, 4, 4)
+        mask = RAGGED.copy()
+        mask[2] = False
+        with pytest.raises(InvalidMaskError):
+            tensor.attention(x, weights, biases, 2, mask=mask)
+
+    def test_all_real_mask_matches_no_mask(self):
+        rng = np.random.default_rng(35)
+        x, weights, biases = attention_leaves(rng, 3, 4, 4)
+        full = tensor.attention(x, weights, biases, 2, mask=np.ones((3, 4), bool))
+        np.testing.assert_array_equal(full.data, tensor.attention(x, weights, biases, 2).data)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(37)
+        x, w, b = leaf(rng, 2, 3), leaf(rng, 4, 3), leaf(rng, 4)
+        with pytest.raises(ShapeMismatchError, match="linear"):
+            tensor.linear(x, w.T, b)
+        with pytest.raises(ShapeMismatchError, match="linear"):
+            tensor.linear(x, w, leaf(rng, 3))
+        with pytest.raises(ShapeMismatchError):
+            tensor.masked_mean(x, np.ones(3, bool))
+        x, weights, biases = attention_leaves(rng, 3, 4, 4)
+        with pytest.raises(ShapeMismatchError):
+            tensor.attention(x, weights, biases, 2, mask=np.ones((3, 5), bool))
+
+
 class TestLayernorm:
     def test_constant_vector_collapses_to_bias(self):
         out = tensor.layernorm(
