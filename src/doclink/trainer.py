@@ -10,13 +10,14 @@ dropout), and validation re-derives a fixed dropout stream each epoch so
 its loss is comparable across epochs.  A :class:`TrainState` holds what a
 run carries between epochs besides parameters and Adam moments; checkpoints
 store it verbatim, so a resumed run continues the unbroken sequence.
-A checkpoint (format ``doclink-checkpoint-v2``) is a zip of a JSON header
-and three flat float64 arrays: the parameters and Adam's two moments, each
-packed in ``named_parameters()`` order.  :func:`save_checkpoint` is its
-only writer and :func:`load_checkpoint` its only reader, and a resume must
-request every stored setting unchanged except max_epochs.  Adam's betas
-and eps are the constants BETA1, BETA2 and EPS, so no checkpoint stores
-them, and its bias correction counts steps with ``TrainState.step``.
+Memory and checkpoint share one layout: :class:`OptimizerState` moves the
+parameters into a flat float64 vector beside Adam's two moments, and a
+checkpoint (``doclink-checkpoint-v2``) is a zip of a JSON header and those
+three vectors.  :func:`save_checkpoint` is its only writer and
+:func:`load_checkpoint` its only reader; a resume must request every
+stored setting unchanged except max_epochs.  Adam's betas and eps are the
+constants BETA1, BETA2 and EPS, stored in no checkpoint, and its bias
+correction counts steps with ``TrainState.step``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .rng import RngStream
 
 CHECKPOINT_FORMAT = "doclink-checkpoint-v2"
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+ARRAYS = ("params", "m", "v")
 
 
 @dataclass
@@ -75,32 +77,56 @@ def lr_at(step: int, config: TrainConfig, decays: int = 0) -> float:
     return base / config.decay_factor**decays
 
 
-class OptimizerState:
-    """Adam moments keyed by parameter name, allocated as zeros beside the
-    named parameters (name -> tensor) they update."""
+def _layout(named: dict) -> dict:
+    """Each parameter's [offset, shape] in the flat arrays, in order."""
+    layout, offset = {}, 0
+    for name, t in named.items():
+        layout[name] = [offset, list(t.data.shape)]
+        offset += t.data.size
+    return layout
 
-    def __init__(self, params: dict):
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+class OptimizerState:
+    """Training state as three flat float64 vectors in the checkpoint's
+    :func:`_layout`: ``flat["params"]``, ``flat["m"]`` and ``flat["v"]``.
+    Each tensor of ``params`` (name -> tensor) is rebound to a view of its
+    span, the only rebinding of a parameter's .data, and ``m`` / ``v`` map
+    names to views of the moments.  A given ``flat`` (a checkpoint's arrays)
+    is adopted; otherwise the values are packed and the moments are zero."""
+
+    def __init__(self, params: dict, flat: dict | None = None):
+        self.layout = _layout(params)
+        if flat is None:
+            values = np.concatenate([p.data.ravel() for p in params.values()])
+            flat = {"params": values, "m": np.zeros_like(values), "v": np.zeros_like(values)}
+        self.flat = flat
+        self.m, self.v = {}, {}
+        for name, p in params.items():
+            offset, shape = self.layout[name]
+            span = slice(offset, offset + p.data.size)
+            p.data = flat["params"][span].reshape(shape)
+            self.m[name] = flat["m"][span].reshape(shape)
+            self.v[name] = flat["v"][span].reshape(shape)
 
 
 def adam_step(params: dict, state: OptimizerState, lr: float, t: int) -> None:
-    """Adam update number ``t`` (from 1) with bias correction; gradients are
-    cleared after.
-
-    ``params`` maps names to tensors whose .grad was populated by backward;
-    a missing gradient counts as zero.  Any non-finite gradient aborts,
-    naming the parameter.
-    """
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
-        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g**2
-        m_hat = state.m[name] / (1.0 - BETA1**t)
-        v_hat = state.v[name] / (1.0 - BETA2**t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
+    """Adam update number ``t`` (from 1) with bias correction, in place on
+    ``state.flat``, for the ``params`` dict ``state`` was built from; their
+    gradients (missing counts as zero) are cleared after.  A non-finite
+    gradient aborts before anything changes, naming its parameter."""
+    g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                        for p in params.values()])
+    if not np.isfinite(g).all():
+        first = np.flatnonzero(~np.isfinite(g))[0]
+        name = next(n for n, (offset, _) in reversed(state.layout.items()) if offset <= first)
+        raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
+    theta, m, v = state.flat["params"], state.flat["m"], state.flat["v"]
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g**2
+    theta -= lr * (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
+    for p in params.values():
         p.grad = None
 
 
@@ -297,17 +323,6 @@ def train(
 
 # ---- checkpoint container ----------------------------------------------------
 
-ARRAYS = ("params", "m", "v")
-
-
-def _layout(named: dict) -> dict:
-    """Each parameter's [offset, shape] in the flat arrays, in order."""
-    layout, offset = {}, 0
-    for name, t in named.items():
-        layout[name] = [offset, list(t.data.shape)]
-        offset += t.data.size
-    return layout
-
 
 def save_checkpoint(
     path,
@@ -322,13 +337,13 @@ def save_checkpoint(
     three flat float64 ``.npy`` arrays, ``params``, ``m`` and ``v``.
 
     The header holds the format tag, the :class:`TrainState` fields, the
-    three configs and a table mapping each parameter name, in
-    ``named_parameters()`` order, to its [offset, shape] in every array.
+    three configs and ``optimizer.layout``, mapping each parameter name, in
+    ``named_parameters()`` order, to its [offset, shape] in every array;
+    the arrays are ``optimizer.flat`` as it is, which ``params`` views.
     The file is written beside ``path`` and moved into place, so a crash
     never leaves half a checkpoint; the same state always gives the same
     bytes.
     """
-    named = params.named_parameters()
     header = {
         "format": CHECKPOINT_FORMAT,
         **asdict(state),
@@ -337,18 +352,9 @@ def save_checkpoint(
             "objective": vars(objective_config).copy(),
             "train": vars(train_config).copy(),
         },
-        "table": _layout(named),
+        "table": optimizer.layout,
     }
-    arrays = {
-        "params": [t.data for t in named.values()],
-        "m": [optimizer.m[name] for name in named],
-        "v": [optimizer.v[name] for name in named],
-    }
-    # A generator: one flat array is held at a time.
-    save_zip(path, header, (
-        (key, np.concatenate([a.ravel() for a in parts], dtype="<f8"))
-        for key, parts in arrays.items()
-    ))
+    save_zip(path, header, ((key, optimizer.flat[key]) for key in ARRAYS))
 
 
 def _require_match(path, section: str, stored: dict, requested, skip=()) -> None:
@@ -401,9 +407,6 @@ def load_checkpoint(
                     _require_match(path, section, stored[section], requested, skip)
             params = init_params(ModelConfig(**stored["model"]), RngStream(0))
             named = params.named_parameters()
-            layout = _layout(named)
-            if header["table"] != layout:
-                raise ConfigError(f"checkpoint {path} table does not match the model's parameters")
             total = sum(t.data.size for t in named.values())
             arrays = {}
             for key in ARRAYS:
@@ -414,13 +417,9 @@ def load_checkpoint(
                         f"shape {arr.shape}, expected <f8 and ({total},)"
                     )
                 arrays[key] = arr
-        optimizer = OptimizerState(named)
-        for name, t in named.items():
-            shape, offset = t.data.shape, layout[name][0]
-            span = slice(offset, offset + t.data.size)
-            t.data = arrays["params"][span].reshape(shape)
-            optimizer.m[name] = arrays["m"][span].reshape(shape)
-            optimizer.v[name] = arrays["v"][span].reshape(shape)
+        optimizer = OptimizerState(named, arrays)
+        if header["table"] != optimizer.layout:
+            raise ConfigError(f"checkpoint {path} table does not match the model's parameters")
         try:
             state = TrainState(**{f.name: header[f.name] for f in fields(TrainState)})
         except ConfigError as exc:

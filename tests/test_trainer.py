@@ -17,13 +17,16 @@ from hypothesis import strategies as st
 
 from checkpoint_edit import rewrite_checkpoint
 from doclink.corpus import SynthConfig, generate_synthetic
-from doclink.encoder import ModelConfig
+from doclink.encoder import ModelConfig, init_params
 from doclink.errors import BatchError, ConfigError, DoclinkError, NonFiniteError
 from doclink.objective import ObjectiveConfig
 from doclink.rng import RngStream
 from doclink.tensor import Tensor
 from doclink import trainer
 from doclink.trainer import (
+    BETA1,
+    BETA2,
+    EPS,
     OptimizerState,
     TrainConfig,
     TrainState,
@@ -144,6 +147,111 @@ class TestAdam:
         with pytest.raises(NonFiniteError, match="word_embed"):
             adam_step({"word_embed": p}, OptimizerState({"word_embed": p}), lr=0.1, t=1)
 
+    @pytest.mark.parametrize("bad", ["a", "b", "c"])
+    def test_non_finite_gradient_aborts_before_anything_moves(self, bad):
+        """The error names the tensor holding the first non-finite value,
+        and no parameter, moment or gradient has changed."""
+        named = {"a": Tensor(np.arange(6.0).reshape(2, 3)), "b": Tensor([1.0, -2.0]),
+                 "c": Tensor(0.5)}
+        state = OptimizerState(named)
+        for p in named.values():
+            p.grad = np.full(p.data.shape, 0.25)
+        adam_step(named, state, lr=0.1, t=1)  # moments become non-zero
+        for name, p in named.items():
+            p.grad = np.full(p.data.shape, -0.5)
+            if name == bad:
+                p.grad.flat[-1] = np.nan
+        if bad == "b":  # a later one too: the first is named
+            named["c"].grad = np.array(np.inf)
+        before = {key: state.flat[key].copy() for key in trainer.ARRAYS}
+        grads = [p.grad for p in named.values()]
+        with pytest.raises(NonFiniteError, match=f"parameter '{bad}'"):
+            adam_step(named, state, lr=0.1, t=2)
+        for key in trainer.ARRAYS:
+            assert state.flat[key].tobytes() == before[key].tobytes()
+        assert all(p.grad is g for p, g in zip(named.values(), grads))
+
+
+def reference_adam_step(params: dict, m: dict, v: dict, lr: float, t: int) -> None:
+    """The per-tensor Adam loop that the flat update replaced: the oracle
+    for its bits."""
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m[name] = BETA1 * m[name] + (1.0 - BETA1) * g
+        v[name] = BETA2 * v[name] + (1.0 - BETA2) * g**2
+        m_hat = m[name] / (1.0 - BETA1**t)
+        v_hat = v[name] / (1.0 - BETA2**t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        p.grad = None
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_views(named: dict, optimizer: OptimizerState):
+    """Every parameter's .data and both its moments are the views of the
+    flat vectors at the offset and shape that _layout gives them."""
+    for name, (offset, shape) in trainer._layout(named).items():
+        for key, array in (("params", named[name].data), ("m", optimizer.m[name]),
+                           ("v", optimizer.v[name])):
+            flat = optimizer.flat[key]
+            assert np.shares_memory(array, flat), (name, key)
+            assert array.shape == tuple(shape), (name, key)
+            assert array.ctypes.data == flat.ctypes.data + offset * flat.itemsize, (name, key)
+
+
+class TestFlatStore:
+    def test_flat_step_matches_per_tensor_reference_bit_for_bit(self):
+        """50 steps on the acceptance-shape model plus a 0-d tensor, with
+        random gradients of many scales, some of them missing."""
+        config = ModelConfig(vocab_size=200, obj_dim=16, embed_dim=16, sentence_layers=1,
+                             image_layers=1, heads=2, word_dim=16, max_sentence_len=12)
+        named = dict(init_params(config, RngStream(4)).named_parameters(),
+                     scalar=Tensor(0.75, requires_grad=True))
+        reference = {name: Tensor(t.data.copy()) for name, t in named.items()}
+        m = {name: np.zeros_like(t.data) for name, t in named.items()}
+        v = {name: np.zeros_like(t.data) for name, t in named.items()}
+        state = OptimizerState(named)
+        rng = np.random.default_rng(5)
+        for t in range(1, 51):
+            for name, p in named.items():
+                if rng.random() < 0.2:
+                    continue
+                g = rng.normal(size=p.data.shape) * 10.0 ** rng.uniform(-6, 2)
+                p.grad, reference[name].grad = g, g.copy()
+            lr = 1e-3 * rng.uniform(0.1, 2.0)
+            adam_step(named, state, lr, t)
+            reference_adam_step(reference, m, v, lr, t)
+        assert all(p.grad is None for p in named.values())
+        for name, p in named.items():
+            assert_same_bits(p.data, reference[name].data)
+            assert_same_bits(state.m[name], m[name])
+            assert_same_bits(state.v[name], v[name])
+        assert_views(named, state)
+
+    def test_parameters_stay_views_through_train_and_load(self, tmp_path):
+        named = init_params(tiny_model_config(), RngStream(0)).named_parameters()
+        assert_views(named, OptimizerState(named))
+
+        ckpt = str(tmp_path / "c.json")
+        result = train(
+            tiny_corpus(), tiny_model_config(), ObjectiveConfig(alpha=0.2, p_sub=0.7),
+            tiny_train_config(max_epochs=2), checkpoint_path=ckpt,
+        )
+        assert_views(result.params.named_parameters(), result.optimizer)
+
+        params, optimizer, _ = load_checkpoint(ckpt)
+        named = params.named_parameters()
+        assert_views(named, optimizer)
+        before = {name: t.data.copy() for name, t in named.items()}
+        for t in named.values():
+            t.grad = np.ones(t.data.shape)
+        adam_step(named, optimizer, lr=1e-3, t=3)
+        # A fresh walk of the model sees every value moved.
+        for name, t in params.named_parameters().items():
+            assert (t.data != before[name]).all(), name
+
 
 class TestBatching:
     def test_two_documents_one_batch(self):
@@ -192,8 +300,6 @@ class TestTrainLoop:
         corpus = tiny_corpus()
         config = tiny_train_config(max_epochs=2, use_cross=False, use_intra=False, use_sub=False)
         result = train(corpus, tiny_model_config(), ObjectiveConfig(), config)
-        from doclink.encoder import init_params
-
         fresh = init_params(tiny_model_config(), RngStream(config.seed).child("init"))
         for name, t in result.params.named_parameters().items():
             np.testing.assert_array_equal(t.data, fresh.named_parameters()[name].data)
