@@ -26,10 +26,9 @@ from .corpus import (
     save_corpus,
     save_split_manifest,
     token_overlap_scores,
-    validate_document,
 )
 from .diagnostics import bias_report, document_spreads, spread_regression
-from .encoder import ModelConfig, split_representations
+from .encoder import ModelConfig, split_representations, word_table
 from .errors import (
     ConfigError,
     CorpusValidationError,
@@ -148,18 +147,6 @@ def _require_documents(corpus, split: str) -> None:
         raise CorpusValidationError(f"split {split!r} has no documents")
 
 
-def _require_fit(docs, config: ModelConfig) -> None:
-    """Every document the command encodes must fit the model's settings;
-    the error names the document and the setting."""
-    for doc in docs:
-        try:
-            validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
-        except CorpusValidationError as exc:
-            raise CorpusValidationError(
-                f"{exc} (model vocab_size={config.vocab_size}, obj_dim={config.obj_dim})"
-            ) from None
-
-
 def cmd_gen(args) -> int:
     config_file = _read_config_file(args.config)
     synth = _build_config(SynthConfig, _section(config_file, "synth", ["synth"]))
@@ -167,6 +154,9 @@ def cmd_gen(args) -> int:
         corpus = generate_synthetic(synth, RngStream(args.seed))
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
+    except MemoryError as exc:  # numpy refuses the object rows these settings ask for
+        raise UsageError(f"cannot allocate the corpus: synth obj_dim={synth.obj_dim}, "
+                         f"objects_per_image={synth.objects_per_image}: {exc}") from exc
 
     paths = _prepare_out(args.out, ["corpus.jsonl", "splits.json", "gen-config.json"], args.force)
     save_corpus(corpus, paths[0])
@@ -207,7 +197,6 @@ def cmd_train(args) -> int:
     train_config = _build_config(
         TrainConfig, _section(config_file, "train", sections), overrides
     )
-    _require_fit(corpus.split_documents("train") + corpus.split_documents("val"), model_config)
 
     pretrained = (
         load_pretrained_embeddings(args.pretrained) if args.pretrained else None
@@ -250,7 +239,6 @@ def cmd_eval(args) -> int:
     ks = _parse_ks(args.ks)
     _require_documents(corpus, args.split)
     params, _, _ = load_checkpoint(args.checkpoint)
-    _require_fit(corpus.split_documents(args.split), params.config)
 
     report = evaluate(corpus, args.split, params, params.config, ks=ks)
     paths = _prepare_out(args.out, ["eval-report.json", "eval-config.json"], args.force)
@@ -275,17 +263,11 @@ def _word_table(args, corpus, params):
     table, else a fixed random table (content-free but deterministic)."""
     if args.pretrained:
         rows = load_pretrained_embeddings(args.pretrained)
-        dim = len(next(iter(rows.values())))
-        table = np.zeros((corpus.vocab_size, dim))
-        for token_id, vec in rows.items():
-            if 0 <= token_id < corpus.vocab_size:
-                table[token_id] = vec
-        return table
+        return word_table(corpus.vocab_size, len(next(iter(rows.values()))), np.zeros, rows)
     if params is not None:
         return params.word_embed.data
-    return RngStream(args.seed).child("wordtable").normal(
-        size=(corpus.vocab_size, 32)
-    )
+    rng = RngStream(args.seed).child("wordtable")
+    return word_table(corpus.vocab_size, 32, lambda size: rng.normal(size=size))
 
 
 def cmd_diagnose(args) -> int:
@@ -302,18 +284,20 @@ def cmd_diagnose(args) -> int:
     docs = corpus.split_documents(args.split)
     reps = None
     if params is not None:
-        _require_fit(docs, params.config)
         # One encoding serves the learned bias probe and the model AUC.
-        reps = split_representations(docs, params, params.config)
+        reps = split_representations(corpus, args.split, params, params.config)
 
-    bias = bias_report(
-        corpus,
-        args.split,
-        samples_per_sentence=args.samples,
-        bins=args.bins,
-        rng=RngStream(args.seed).child("diagnostics"),
-        image_reps=[img.data for _, img in reps] if args.learned else None,
-    )
+    try:
+        bias = bias_report(
+            corpus,
+            args.split,
+            samples_per_sentence=args.samples,
+            bins=args.bins,
+            rng=RngStream(args.seed).child("diagnostics"),
+            image_reps=[img.data for _, img in reps] if args.learned else None,
+        )
+    except MemoryError as exc:  # numpy refuses the histogram's bin edges
+        raise UsageError(f"--bins {args.bins} needs more memory than is free: {exc}") from exc
 
     spreads = document_spreads(corpus, args.split, _word_table(args, corpus, params))
     if reps is not None:

@@ -120,9 +120,11 @@ def _first_problem(doc: Document, vocab_size: int, obj_dim: int, max_sentence_le
 
 
 def validate_document(doc: Document, vocab_size: int, obj_dim: int, max_sentence_len=None) -> None:
-    """Enforce every structural invariant, and with ``max_sentence_len`` a
-    bound on sentence length; raises CorpusValidationError naming the document."""
+    """Raise CorpusValidationError naming the document and its first broken
+    invariant; with ``max_sentence_len``, against a model's three limits."""
     if (problem := _first_problem(doc, vocab_size, obj_dim, max_sentence_len)) is not None:
+        if max_sentence_len is not None:
+            problem += f" (model vocab_size={vocab_size}, obj_dim={obj_dim})"
         raise CorpusValidationError(f"document {doc.id!r}: {problem}")
 
 

@@ -70,7 +70,7 @@ def distance_samples(
     elif params is None:
         feats = [np.stack([img.objects.mean(axis=0) for img in doc.images]) for doc in docs]
     else:
-        feats = [img.data for _, img in split_representations(docs, params, config)]
+        feats = [img.data for _, img in split_representations(corpus, split, params, config)]
     pool_owner = np.concatenate(
         [np.full(len(doc.images), d, dtype=int) for d, doc in enumerate(docs)]
     )

@@ -17,7 +17,8 @@ lets gradients bridge the two modalities.
 Documents are encoded one way, by :func:`batch_representations`: one padded
 pass per modality over several documents.  Training calls it per batch;
 evaluation and diagnostics call :func:`split_representations`, its
-graph-free form over a split.  Input is checked on the padded arrays.
+graph-free form over a split.  That form and ``train`` run :func:`check_fit`,
+the one fit check; encoders check only what their padded arrays show.
 
 :class:`ModelParams` names its tensors by attribute (``nn.Params``), so
 its constructor's assignment order is the checkpoint layout.
@@ -29,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import Corpus, validate_document
 from .errors import (
     ConfigError,
     CorpusValidationError,
     DegenerateEmbeddingError,
     NonFiniteError,
     SequenceLengthError,
-    ShapeMismatchError,
     VocabularyError,
     check_settings,
     setting,
@@ -49,6 +50,29 @@ from .tensor import normalize_rows, transpose
 # Documents per graph-free pass: a default training batch, so evaluation never
 # holds more activations than one training step's forward pass.
 DOCS_PER_PASS = 11
+# Largest word table, in bytes; training holds four (parameters, m, v, gradient).
+MAX_WORD_TABLE_BYTES = 2**30
+
+
+def word_table(vocab_size: int, width: int, fill, pretrained: dict | None = None) -> np.ndarray:
+    """``fill((vocab_size, width))`` plus the in-range ``pretrained`` rows; a table
+    over MAX_WORD_TABLE_BYTES, or one memory refuses, raises ConfigError naming it."""
+    problem = f"cannot allocate the word table: vocab_size={vocab_size}, word_dim={width}"
+    if vocab_size * width * 8 > MAX_WORD_TABLE_BYTES:
+        raise ConfigError(f"{problem}: more than {MAX_WORD_TABLE_BYTES} bytes")
+    try:
+        table = fill((vocab_size, width))
+    except MemoryError as exc:
+        raise ConfigError(f"{problem}: {exc}") from exc
+    for token_id, vec in (pretrained or {}).items():
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (width,):
+            raise ConfigError(
+                f"pretrained vector for id {token_id} has width {vec.shape}, expected ({width},)"
+            )
+        if 0 <= token_id < vocab_size:
+            table[token_id] = vec
+    return table
 
 
 @dataclass
@@ -76,24 +100,10 @@ class ModelParams(Params):
     def __init__(self, config: ModelConfig, rng: RngStream, pretrained: dict | None = None):
         c = config
         self.config = c
-        try:
-            table = rng.uniform(-0.02, 0.02, size=(c.vocab_size, c.word_dim))
-        except (ValueError, MemoryError) as exc:  # numpy refuses the shape
-            raise ConfigError(
-                f"cannot allocate the word table: vocab_size={c.vocab_size}, "
-                f"word_dim={c.word_dim}: {exc}"
-            ) from exc
+        table = word_table(
+            c.vocab_size, c.word_dim, lambda size: rng.uniform(-0.02, 0.02, size), pretrained
+        )
         self.word_embed = Tensor(table, requires_grad=True)
-        if pretrained:
-            for token_id, vec in pretrained.items():
-                vec = np.asarray(vec, dtype=np.float64)
-                if vec.shape != (c.word_dim,):
-                    raise ConfigError(
-                        f"pretrained vector for id {token_id} has width {vec.shape}, "
-                        f"expected ({c.word_dim},)"
-                    )
-                if 0 <= token_id < c.vocab_size:
-                    self.word_embed.data[token_id] = vec
         self.pos_embed = Tensor(
             rng.uniform(-0.02, 0.02, size=(c.max_sentence_len, c.word_dim)), requires_grad=True
         )
@@ -162,22 +172,10 @@ def encode_sentences(sentences: list, params: ModelParams, config: ModelConfig) 
 
 
 def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Encode a batch of ImageRecords into (batch, embed_dim)."""
-    for image in images:
-        if image.objects.ndim != 2 or image.objects.shape[0] < 1:
-            raise ShapeMismatchError("image needs at least one object feature row")
-        if image.objects.shape[1] != config.obj_dim:
-            raise ShapeMismatchError(
-                f"object feature width {image.objects.shape[1]} != configured obj_dim "
-                f"{config.obj_dim}"
-            )
-        if len(image.concepts) != image.objects.shape[0]:
-            raise CorpusValidationError(
-                f"image has {image.objects.shape[0]} objects but {len(image.concepts)} concepts"
-            )
+    """Encode a batch of ImageRecords, as :func:`check_fit` passes them, into (batch, embed_dim)."""
     counts = np.array([img.objects.shape[0] for img in images])
     obj_mask = np.arange(counts.max()) < counts[:, None]
-    feats = np.zeros(obj_mask.shape + (config.obj_dim,))
+    feats = np.zeros(obj_mask.shape + images[0].objects.shape[1:])
     feats[obj_mask] = np.concatenate([img.objects for img in images])
     concepts = [c for img in images for c in img.concepts]
     concept_lens = np.zeros(obj_mask.shape, dtype=np.int64)
@@ -241,9 +239,22 @@ def batch_representations(docs: list, params: ModelParams, config: ModelConfig) 
     return out
 
 
-def split_representations(docs: list, params: ModelParams, config: ModelConfig) -> list:
-    """Graph-free :func:`batch_representations` of any number of documents,
-    DOCS_PER_PASS documents per pass: [(sent_reps, img_reps), ...]."""
+def check_fit(corpus: Corpus, docs: list, config: ModelConfig) -> None:
+    """Raise CorpusValidationError naming the first of ``docs`` the model cannot
+    encode.  Load validated ``corpus`` against its own vocab_size and obj_dim:
+    if the model covers both and the longest sentence fits, none is walked."""
+    longest = max((len(tokens) for doc in docs for tokens in doc.sentences), default=0)
+    if (config.vocab_size < corpus.vocab_size or config.obj_dim != corpus.obj_dim
+            or longest > config.max_sentence_len):
+        for doc in docs:
+            validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
+
+
+def split_representations(corpus: Corpus, split: str, params: ModelParams, config: ModelConfig):
+    """Graph-free :func:`batch_representations` of a split's documents once
+    :func:`check_fit` passes them, DOCS_PER_PASS documents per pass."""
+    docs = corpus.split_documents(split)
+    check_fit(corpus, docs, config)
     out = []
     with no_grad():
         for start in range(0, len(docs), DOCS_PER_PASS):

@@ -132,7 +132,7 @@ def evaluate(
             raise MissingGoldEdgesError(
                 f"document {doc.id!r} has no gold edges; cannot evaluate"
             )
-    matrices = similarity_matrices(docs, split_representations(docs, params, config))
+    matrices = similarity_matrices(docs, split_representations(corpus, split, params, config))
     return evaluate_matrices(matrices, {doc.id: doc.gold_edges for doc in docs}, ks=ks)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import tensor
 from .archive import is_zip, save_zip
 from .corpus import Corpus
-from .encoder import ModelConfig, ModelParams, batch_representations, init_params
+from .encoder import ModelConfig, ModelParams, batch_representations, check_fit, init_params
 from .errors import BatchError, ConfigError, NonFiniteError, check_settings, setting
 from .objective import ObjectiveConfig, check_k_override, degenerate_subdocuments, total_loss
 from .rng import RngStream
@@ -228,14 +228,15 @@ def train(
     aborts, leaving the last epoch's checkpoint in place.  ``resume_from``
     restores parameters, optimizer and :class:`TrainState`, then continues
     to max_epochs; every stored setting except max_epochs must equal the
-    requested one.  With ``use_sub`` on, one warning before the first step
-    names the train and val documents whose sub-document draw is always
-    degenerate (see :func:`degenerate_subdocuments`).
+    requested one.  Train and val documents pass :func:`check_fit` before the
+    first step; with ``use_sub`` on, one warning names those whose
+    sub-document draw is always degenerate (see :func:`degenerate_subdocuments`).
     """
     train_docs = corpus.split_documents("train")
+    val_docs = corpus.split_documents("val")
+    check_fit(corpus, train_docs + val_docs, model_config)
     if not train_docs:
         raise BatchError("train split is empty")
-    val_docs = corpus.split_documents("val")
     degenerate = []
     for docs in (train_docs, val_docs):
         if len(docs) >= 2:  # a single document never forms a batch

@@ -145,7 +145,9 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "synth,message",
-        [({"vocab_size": 10}, "vocab_size=10 cannot hold 5 disjoint token subsets of 6")],
+        [({"vocab_size": 10}, "vocab_size=10 cannot hold 5 disjoint token subsets of 6"),
+         # numpy refuses an 8 TB prototype at once, before writing anything
+         ({"obj_dim": 10**12}, f"cannot allocate the corpus: synth obj_dim={10**12}")],
     )
     def test_setting_rejected_during_generation_is_usage_error(
         self, tmp_path, capsys, synth, message
@@ -575,6 +577,34 @@ class TestDiagnose:
         assert read_bytes(tmp_path / "random-table" / "spread-report.json") != read_bytes(
             out / "spread-report.json"
         )
+
+    @pytest.mark.parametrize("pretrained", [False, True], ids=["random", "pretrained"])
+    def test_word_table_over_the_bound_is_data_error(self, tmp_path, capsys, pretrained):
+        """A token id of 10**23 infers a vocabulary whose word table is far
+        over the bound, for the random table and a pretrained file's alike."""
+        records = two_documents()
+        records[0]["sentences"][0]["tokens"][1] = 10**23
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+        argv = ["diagnose", "--corpus", str(corpus), "--split", "train",
+                "--out", str(tmp_path / "d")]
+        if pretrained:
+            (tmp_path / "emb.jsonl").write_text(json.dumps({"id": 1, "vec": [0.1, 0.2, 0.3]}))
+            argv += ["--pretrained", str(tmp_path / "emb.jsonl")]
+        assert main(argv) == 2
+        width = 3 if pretrained else 32
+        assert f"vocab_size={10**23 + 1}, word_dim={width}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_bins_beyond_memory_is_usage_error(self, workspace, tmp_path, capsys):
+        """numpy refuses 10**12 + 1 bin edges (8 TB) at once."""
+        code = main(
+            ["diagnose", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+             "--split", "train", "--out", str(tmp_path / "d"), "--bins", str(10**12)]
+        )
+        assert code == 1
+        assert f"--bins {10**12} needs more memory" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
         "rows,message",

@@ -32,6 +32,7 @@ from doclink.corpus import (
     save_corpus,
     save_split_manifest,
     token_overlap_scores,
+    validate_document,
 )
 from doclink.errors import ConfigError, CorpusFormatError, CorpusValidationError, DoclinkError
 from doclink.rng import RngStream
@@ -222,6 +223,30 @@ class TestLoadErrors:
         path.write_text(json.dumps(record) + "\n")
         with pytest.warns(UserWarning, match="gold edges"):
             load_corpus(path, vocab_size=10)
+
+
+class TestValidateDocument:
+    """An image fault is named with its document and image by the check that
+    load and the model-fit check share."""
+
+    @pytest.mark.parametrize(
+        "objects,concepts,problem",
+        [
+            (np.zeros((0, 5)), [], "image 1 needs at least one object row"),
+            (np.zeros(5), [[1]], "image 1 needs at least one object row"),
+            (np.zeros((2, 5)), [[1]], "image 1 has 2 objects but 1 concept entries"),
+            (np.zeros((2, 4)), [[1], [2]], "image 1 object width 4 != object dimension 5"),
+        ],
+    )
+    def test_malformed_image_names_document(self, objects, concepts, problem):
+        good = ImageRecord(objects=np.ones((3, 5)), concepts=[[1], [2], [3]])
+        doc = Document("d", sentences=[[1]], images=[good, ImageRecord(objects, concepts)])
+        with pytest.raises(CorpusValidationError) as err:
+            validate_document(doc, vocab_size=30, obj_dim=5)
+        assert str(err.value) == f"document 'd': {problem}"
+        with pytest.raises(CorpusValidationError) as err:  # against a model's limits
+            validate_document(doc, vocab_size=30, obj_dim=5, max_sentence_len=8)
+        assert str(err.value) == f"document 'd': {problem} (model vocab_size=30, obj_dim=5)"
 
 
 def small_corpus() -> Corpus:

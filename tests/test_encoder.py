@@ -1,13 +1,19 @@
-"""Encoder behavior: pooling, sharing, permutation symmetry, gradients."""
+"""Encoder behavior: pooling, sharing, permutation symmetry, gradients,
+and the one check that a corpus fits the model."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from doclink import tensor
-from doclink.corpus import Document, ImageRecord
+from doclink.corpus import Corpus, Document, ImageRecord, SynthConfig, generate_synthetic
+from doclink.diagnostics import bias_report
 from doclink.encoder import (
+    MAX_WORD_TABLE_BYTES,
     ModelConfig,
     DOCS_PER_PASS,
+    check_fit,
     encode_images,
     encode_sentences,
     init_params,
@@ -23,9 +29,12 @@ from doclink.errors import (
     ShapeMismatchError,
     VocabularyError,
 )
+from doclink.evalmetrics import evaluate
 from doclink.nn import linear, transformer_layer
+from doclink.objective import ObjectiveConfig
 from doclink.rng import RngStream
 from doclink.tensor import Tensor
+from doclink.trainer import TrainConfig, train
 
 from test_tensor import central_diff
 
@@ -86,6 +95,16 @@ class TestInit:
         config = ModelConfig(vocab_size=20, obj_dim=4, embed_dim=8, heads=2, word_dim=6)
         with pytest.raises(ConfigError):
             init_params(config, RngStream(5), pretrained={0: np.zeros(7)})
+
+    def test_word_table_over_the_bound_is_refused_before_drawing(self):
+        """10**6 x 300 float64 is 2.4 GB, over MAX_WORD_TABLE_BYTES: the
+        table is refused from its shape, before numpy allocates or draws."""
+        config = ModelConfig(vocab_size=10**6, obj_dim=4, embed_dim=8, heads=2, word_dim=300)
+        assert 10**6 * 300 * 8 > MAX_WORD_TABLE_BYTES
+        rng = RngStream(5)
+        with mock.patch.object(rng, "uniform", side_effect=AssertionError("drew the table")):
+            with pytest.raises(ConfigError, match=r"vocab_size=1000000, word_dim=300: more than"):
+                init_params(config, rng)
 
     def test_named_parameters_stable_and_unique(self):
         _, params = tiny_model()
@@ -206,17 +225,16 @@ class TestImageEncoder:
             np.testing.assert_allclose(batch.data[i], single.data, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
+        """The object projection refuses rows of the wrong width; the
+        run-level check names the document (TestCheckFit)."""
         config, params = tiny_model(obj_dim=5)
         bad = ImageRecord(objects=np.zeros((2, 4)), concepts=[[1], [2]])
-        with pytest.raises(ShapeMismatchError, match="width 4 != configured obj_dim 5"):
+        with pytest.raises(ShapeMismatchError, match=r"linear needs .* \(8, 5\)"):
             encode_images([bad], params, config)
 
     @pytest.mark.parametrize(
         "objects,concepts,error,message",
         [
-            (np.zeros((0, 5)), [], ShapeMismatchError, "at least one object"),
-            (np.zeros(5), [[1]], ShapeMismatchError, "at least one object"),
-            (np.zeros((2, 5)), [[1]], CorpusValidationError, "2 objects but 1 concepts"),
             (np.zeros((2, 5)), [[1], []], CorpusValidationError, "empty concept"),
             (np.zeros((2, 5)), [[1], [2, 30]], VocabularyError, "concept token id 30 "),
             (np.zeros((1, 5)), [[-4]], VocabularyError, "concept token id -4 "),
@@ -344,7 +362,8 @@ class TestSplitRepresentations:
             ]
             docs.append(Document(id=f"d{d}", sentences=sentences, images=images))
 
-        reps = split_representations(docs, params, config)
+        corpus = Corpus(docs, vocab_size=30, obj_dim=5, splits={"test": [d.id for d in docs]})
+        reps = split_representations(corpus, "test", params, config)
         assert len(reps) == len(docs)
         for doc, (sent, img) in zip(docs, reps):
             assert sent.node is None and img.node is None
@@ -355,4 +374,96 @@ class TestSplitRepresentations:
 
     def test_empty_split_has_no_representations(self):
         config, params = tiny_model()
-        assert split_representations([], params, config) == []
+        corpus = Corpus([], vocab_size=30, obj_dim=5, splits={"test": []})
+        assert split_representations(corpus, "test", params, config) == []
+
+
+def fit_corpus() -> Corpus:
+    """A 3x3-document corpus: sentences of 4 tokens, object width 4,
+    vocabulary 60; two train, one val and two test documents."""
+    return generate_synthetic(SynthConfig(
+        train_docs=2, val_docs=1, test_docs=2, sentences_per_doc=3, images_per_doc=3,
+        density=0.34, vocab_size=60, obj_dim=4, objects_per_image=2, sentence_len=4,
+        concept_len=2, tokens_per_cluster=4,
+    ), RngStream(7))
+
+
+def fit_model(**kw) -> ModelConfig:
+    base = dict(vocab_size=60, obj_dim=4, embed_dim=8, sentence_layers=1, image_layers=1,
+                heads=2, word_dim=8, max_sentence_len=8)
+    return ModelConfig(**{**base, **kw})
+
+
+def largest_token(doc) -> int:
+    concepts = [t for img in doc.images for concept in img.concepts for t in concept]
+    return max(concepts + [t for tokens in doc.sentences for t in tokens])
+
+
+# (model setting, does a document of fit_corpus() not fit it?)  With a
+# vocabulary of 57 the first misfits are val-0000 and test-0001.
+MISFITS = [
+    ({"max_sentence_len": 3}, lambda doc: max(map(len, doc.sentences)) > 3),
+    ({"vocab_size": 57}, lambda doc: largest_token(doc) >= 57),
+    ({"obj_dim": 5}, lambda doc: doc.images[0].objects.shape[1] != 5),
+]
+
+
+class TestCheckFit:
+    """train(), evaluate() and bias_report(params=...) reject a corpus the
+    model cannot encode by naming its first such document and the model's
+    limits; a corpus that fits is not walked."""
+
+    @pytest.mark.parametrize("setting,misfit", MISFITS, ids=["length", "vocab", "width"])
+    def test_train_rejects_before_any_step(self, setting, misfit):
+        corpus = fit_corpus()
+        config = fit_model(**setting)
+        docs = corpus.split_documents("train") + corpus.split_documents("val")
+        first = next(doc.id for doc in docs if misfit(doc))
+        with mock.patch("doclink.trainer._batch_loss", side_effect=AssertionError("a step ran")):
+            with pytest.raises(CorpusValidationError) as err:
+                train(corpus, config, ObjectiveConfig(), TrainConfig(batch_size=2, max_epochs=1))
+        key, value = next(iter(setting.items()))
+        assert str(err.value).startswith(f"document {first!r}: ")
+        assert f"{key}={value}" in str(err.value)
+        assert str(err.value).endswith(
+            f"(model vocab_size={config.vocab_size}, obj_dim={config.obj_dim})")
+
+    @pytest.mark.parametrize("setting,misfit", MISFITS, ids=["length", "vocab", "width"])
+    def test_split_callers_name_first_test_document(self, setting, misfit):
+        corpus = fit_corpus()
+        config = fit_model(**setting)
+        params = init_params(config, RngStream(0))
+        first = next(doc.id for doc in corpus.split_documents("test") if misfit(doc))
+        for run in (
+            lambda: evaluate(corpus, "test", params, config),
+            lambda: bias_report(corpus, "test", params=params, config=config),
+        ):
+            with pytest.raises(CorpusValidationError, match=f"^document {first!r}: "):
+                run()
+
+    def test_width_misfit_names_image_and_setting(self):
+        """A width misfit names the document, the image and the model's limits."""
+        corpus = fit_corpus()
+        config = fit_model(obj_dim=5)
+        with pytest.raises(CorpusValidationError) as err:
+            check_fit(corpus, corpus.split_documents("test"), config)
+        assert str(err.value) == (
+            "document 'test-0000': image 0 object width 4 != object dimension 5 "
+            "(model vocab_size=60, obj_dim=5)"
+        )
+
+    def test_fitting_corpus_walks_no_document(self):
+        """At the train-small benchmark shape (420 documents of 5x5), train,
+        evaluate and bias_report never validate a document again."""
+        corpus = generate_synthetic(SynthConfig(
+            train_docs=220, val_docs=100, test_docs=100, sentences_per_doc=5,
+            images_per_doc=5, density=0.2, vocab_size=200, obj_dim=16, objects_per_image=3,
+            sentence_len=8, concept_len=2, tokens_per_cluster=4, token_noise=0.1,
+        ), RngStream(1))
+        config = ModelConfig(vocab_size=200, obj_dim=16, embed_dim=16, sentence_layers=1,
+                             image_layers=1, heads=2, word_dim=16, max_sentence_len=12)
+        with mock.patch("doclink.encoder.validate_document") as validate:
+            params = train(corpus, config, ObjectiveConfig(), TrainConfig(max_epochs=0)).params
+            evaluate(corpus, "test", params, config)
+            bias_report(corpus, "test", params=params, config=config)
+        validate.assert_not_called()
