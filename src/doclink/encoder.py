@@ -18,7 +18,8 @@ Documents are encoded one way, by :func:`batch_representations`: one padded
 pass per modality over several documents.  Training calls it per batch;
 evaluation and diagnostics call :func:`split_representations`, its
 graph-free form over a split.  That form and ``train`` run :func:`check_fit`,
-the one fit check; encoders check only what their padded arrays show.
+the one fit check; encoders check only what their counts and padded arrays
+show, and a batch that fails to encode is walked to name its document.
 
 :class:`ModelParams` names its tensors by attribute (``nn.Params``), so
 its constructor's assignment order is the checkpoint layout.
@@ -35,6 +36,7 @@ from .errors import (
     ConfigError,
     CorpusValidationError,
     DegenerateEmbeddingError,
+    DoclinkError,
     NonFiniteError,
     SequenceLengthError,
     VocabularyError,
@@ -174,6 +176,13 @@ def encode_sentences(sentences: list, params: ModelParams, config: ModelConfig) 
 def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Tensor:
     """Encode a batch of ImageRecords, as :func:`check_fit` passes them, into (batch, embed_dim)."""
     counts = np.array([img.objects.shape[0] for img in images])
+    concept_counts = np.array([len(img.concepts) for img in images])
+    if (bad := np.flatnonzero((counts < 1) | (concept_counts != counts))).size:
+        i = bad[0]
+        raise CorpusValidationError(
+            f"image {i} of the batch has {counts[i]} object rows and {concept_counts[i]} "
+            f"concept entries; it needs at least one row and one entry per row"
+        )
     obj_mask = np.arange(counts.max()) < counts[:, None]
     feats = np.zeros(obj_mask.shape + images[0].objects.shape[1:])
     feats[obj_mask] = np.concatenate([img.objects for img in images])
@@ -224,11 +233,19 @@ def similarity_matrix(sentence_reps: Tensor, image_reps: Tensor) -> Tensor:
 
 def batch_representations(docs: list, params: ModelParams, config: ModelConfig) -> list:
     """Encode every sentence and image of several documents in two pooled
-    padded batches, then slice per document: [(sent_reps, img_reps), ...]."""
+    padded batches, then slice per document: [(sent_reps, img_reps), ...].
+    If encoding fails, the first document the model cannot encode is named
+    by :func:`validate_document`'s CorpusValidationError."""
     all_sents = [s for doc in docs for s in doc.sentences]
     all_imgs = [img for doc in docs for img in doc.images]
-    sent_reps = encode_sentences(all_sents, params, config)
-    img_reps = encode_images(all_imgs, params, config)
+    try:
+        sent_reps = encode_sentences(all_sents, params, config)
+        img_reps = encode_images(all_imgs, params, config)
+    except (DoclinkError, ValueError):
+        # Name the first document of the batch the model cannot encode.
+        for doc in docs:
+            validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
+        raise
     out = []
     s_off = v_off = 0
     for doc in docs:

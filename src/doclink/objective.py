@@ -15,13 +15,14 @@ Batched design: :func:`total_loss` concatenates the batch's sentence
 representations and its image representations, normalises each side once
 and takes one (all sentences) x (all images) cosine matrix.  Block
 (i, j) of that matrix pairs document i's sentences with document j's
-images.  One ``block_tk`` op turns it into the B x B table of tk values;
-the same op on the negated matrix gives the own documents' neg_tk, and on
-the gathered sub-document rows and columns of the diagonal blocks it gives
-the dropout positives.  Hardest negatives are maxima over the table's
-off-diagonal (ties go to the lowest document index), and every hinge is a
-B-vector, so the graph size does not grow with the batch.  Each term is
-read per document from the ``parts`` that :func:`total_loss` returns:
+images.  One ``batch_scores`` op takes tk of every block (the B x B
+table), neg_tk of each own block and tk of each sub-document draw in one
+selection pass, and returns the positive and negative operand of every
+hinge term.  Hardest negatives are maxima over the table's off-diagonal
+(ties go to the lowest document index).  One ``hinge`` call with a margin
+per term covers all terms, so the graph size does not grow with the
+batch.  Each term is read per document from the ``parts`` that
+:func:`total_loss` returns:
 ``total_loss(...)[1]["l_cross" | "l_intra" | "l_sub"]``.
 """
 
@@ -34,7 +35,7 @@ import numpy as np
 from .encoder import similarity_matrix
 from .errors import BatchError, ConfigError, check_settings, setting
 from .rng import RngStream
-from .tensor import Tensor, block_tk, concat, max_reduce, neg, relu, take
+from .tensor import Tensor, batch_scores, concat, neg, relu, tk
 
 
 @dataclass
@@ -47,24 +48,12 @@ class ObjectiveConfig:
         check_settings(self)
 
 
-def hinge(m, n, margin: float) -> Tensor:
-    """max(0, n - m + margin); zero subgradient on the flat branch."""
+def hinge(m, n, margin) -> Tensor:
+    """max(0, n - m + margin), elementwise with a scalar or per-term
+    ``margin``; zero subgradient on the flat branch."""
     m = m if isinstance(m, Tensor) else Tensor(m)
     n = n if isinstance(n, Tensor) else Tensor(n)
     return relu(n - m + margin)
-
-
-def tk(M: Tensor, k: int) -> Tensor:
-    """Mean similarity of the selected edge multiset.
-
-    Selected edges: per-row maxima (strongest min(k, rows) of them) plus
-    per-column maxima (strongest min(k, cols)).  Ties break toward the lower
-    index; a cell selected by both sides counts twice.  The selection is a
-    constant of the backward pass: the gradient puts 1/(number selected) on
-    each selection.
-    """
-    rows, cols = M.shape
-    return block_tk(M, (0, rows), (0, cols), k).reshape(())
 
 
 def neg_tk(M: Tensor, k: int) -> Tensor:
@@ -135,32 +124,6 @@ def _offsets(sizes) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
 
-def _subdoc_positives(S: Tensor, row_off, col_off, config: ObjectiveConfig, rng: RngStream):
-    """tk of each document's sub-document draw from its diagonal block of
-    ``S``, plus the indices of the documents whose draw is not degenerate.
-    Draw order: rows then columns, per document, in batch order."""
-    rows, cols, kept = [], [], []
-    for i in range(len(row_off) - 1):
-        r = _sample_subdocument(row_off[i + 1] - row_off[i], config.p_sub, rng)
-        c = _sample_subdocument(col_off[i + 1] - col_off[i], config.p_sub, rng)
-        if r.size == 0 or c.size == 0:
-            continue
-        rows.append(r + row_off[i])
-        cols.append(c + col_off[i])
-        kept.append(i)
-    if not kept:
-        return None, np.array([], dtype=np.int64)
-    sub = take(S, np.ix_(np.concatenate(rows), np.concatenate(cols)))
-    positives = block_tk(
-        sub,
-        _offsets([r.size for r in rows]),
-        _offsets([c.size for c in cols]),
-        config.k_override,
-        diagonal=True,
-    )
-    return positives, np.array(kept, dtype=np.int64)
-
-
 def total_loss(
     batch: list,
     config: ObjectiveConfig,
@@ -174,8 +137,7 @@ def total_loss(
 
     ``batch`` holds (sentence_reps, image_reps) tensor pairs, one per
     document.  ``rng`` drives the sub-document draws and may be None when
-    ``use_sub`` is off.  The B x B tk table is computed once and shared by
-    all three objectives.  ``parts`` maps ``l_cross``, ``l_intra``,
+    ``use_sub`` is off.  ``parts`` maps ``l_cross``, ``l_intra``,
     ``l_sub``, their sum ``total``, and the own matrix's ``s_pos`` (tk) and
     ``s_neg`` (neg_tk) to (B,) float64 arrays; a disabled objective reads
     zero.
@@ -186,42 +148,33 @@ def total_loss(
     row_off = _offsets([sent.shape[0] for sent, _ in batch])
     col_off = _offsets([img.shape[0] for _, img in batch])
     S = similarity_matrix(concat([s for s, _ in batch]), concat([v for _, v in batch]))
-    table = block_tk(S, row_off, col_off, config.k_override)
-    diag = np.arange(size)
-    s_pos = take(table, (diag, diag))
-    s_neg = neg(block_tk(neg(S), row_off, col_off, config.k_override, diagonal=True))
+    subs = []  # (document, rows, columns) of each non-degenerate draw
+    for i in range(size if use_sub else 0):  # rows then columns, in batch order
+        rows = _sample_subdocument(row_off[i + 1] - row_off[i], config.p_sub, rng)
+        cols = _sample_subdocument(col_off[i + 1] - col_off[i], config.p_sub, rng)
+        if rows.size and cols.size:
+            subs.append((i, rows + row_off[i], cols + col_off[i]))
+    pairs, s_pos, s_neg = batch_scores(
+        S, row_off, col_off, config.k_override, use_cross, use_intra, subs
+    )
 
-    # Hardest negatives: row i pairs document i's sentences with the other
-    # documents' images, column i its images with their sentences.
-    others = table + Tensor(np.where(np.eye(size, dtype=bool), -np.inf, 0.0))
-    hardest_for_sentences = max_reduce(others, axis=1)
-    hardest_for_images = max_reduce(others, axis=0)
-
-    terms = []
+    alpha, half = config.alpha, config.alpha / 2.0
+    margins = np.repeat([alpha, half, half], [2 * size * use_cross, size * use_intra, 2 * len(subs)])
+    losses = hinge(pairs[0], pairs[1], margins)
+    h = losses.data
     parts = {name: np.zeros(size) for name in ("l_cross", "l_intra", "l_sub")}
+    at = 0
     if use_cross:
-        l_cross = hinge(s_pos, hardest_for_sentences, config.alpha) + hinge(
-            s_pos, hardest_for_images, config.alpha
-        )
-        terms.append(l_cross)
-        parts["l_cross"] = l_cross.data
+        parts["l_cross"] = h[:size] + h[size : 2 * size]
+        at = 2 * size
     if use_intra:
-        l_intra = hinge(s_pos, s_neg, config.alpha / 2.0)
-        terms.append(l_intra)
-        parts["l_intra"] = l_intra.data
-    if use_sub:
-        positives, kept = _subdoc_positives(S, row_off, col_off, config, rng)
-        if positives is not None:
-            half = config.alpha / 2.0
-            l_sub = hinge(positives, take(hardest_for_sentences, kept), half) + hinge(
-                positives, take(hardest_for_images, kept), half
-            )
-            terms.append(l_sub)
-            parts["l_sub"][kept] = l_sub.data
+        parts["l_intra"] = h[at : at + size]
+        at += size
+    if subs:
+        parts["l_sub"][[doc for doc, _, _ in subs]] = h[at : at + len(subs)] + h[at + len(subs) :]
 
-    batch_mean = concat(terms).sum() * (1.0 / size) if terms else Tensor(0.0)
+    batch_mean = losses.sum() * (1.0 / size) if h.size else Tensor(0.0)
     parts["total"] = parts["l_cross"] + parts["l_intra"] + parts["l_sub"]
-    parts["s_pos"] = s_pos.data
-    parts["s_neg"] = s_neg.data
+    parts["s_pos"] = s_pos
+    parts["s_neg"] = s_neg
     return batch_mean, parts
-

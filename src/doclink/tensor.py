@@ -8,10 +8,11 @@ gradient checks against central finite differences demand the precision.
 
 Primitives, each with a backward hook: add, neg, mul, power, relu, exp,
 log, matmul, swapaxes, reshape, take, concat, tsum, max_reduce, softmax,
-layernorm, normalize_rows and block_tk, plus the encoder's fused ops
-linear, attention and masked_mean, each one node with a hand-written
-backward.  Compositions of them: embedding, transpose (``Tensor.T``), sqrt,
-stack and tmean (``Tensor.mean``).
+layernorm, normalize_rows and tk, plus the fused ops of the
+encoder (linear, attention and masked_mean) and of the objective
+(batch_scores), each one node with a hand-written backward.  Compositions
+of them: embedding, transpose (``Tensor.T``), sqrt, stack and tmean
+(``Tensor.mean``).
 
 Convention at non-differentiable points: the subgradient of the
 first-encountered / left branch is used (``relu'(0) == 0``, ties in ``max``
@@ -297,13 +298,20 @@ def reshape(a, shape) -> Tensor:
 
 
 def take(a, idx) -> Tensor:
-    """Indexing/slicing; gradients scatter-add back (duplicates accumulate)."""
+    """Indexing/slicing; gradients scatter-add back (duplicates accumulate).
+    A basic index (ints and slices) never repeats a cell, so its gradient
+    is a plain assignment."""
     a = _wrap(a)
     out_data = a.data[idx]
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    basic = all(isinstance(i, (int, np.integer, slice)) for i in parts)
 
     def backward_fn(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
+        if basic:
+            buf[idx] = g
+        else:
+            np.add.at(buf, idx, g)
         return (buf,)
 
     return _make(out_data, (a,), backward_fn, "take")
@@ -537,24 +545,20 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             f"layernorm affine parameters must have shape ({d},), "
             f"got {gain.data.shape} and {bias.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    # Row means and variances as matrix-vector products on the 2-D row view.
+    rows = x.data.reshape(-1, d)
+    average = np.full(d, 1.0 / d)
+    xhat = rows - (rows @ average)[:, None]
+    inv = 1.0 / np.sqrt((xhat * xhat) @ average + eps)[:, None]
+    xhat *= inv
+    out_data = (xhat * gain.data + bias.data).reshape(x.data.shape)
 
     def backward_fn(g):
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgain, dbias
+        g = g.reshape(-1, d)
+        g_xhat = g * xhat
+        spread = gain.data / d
+        dx = inv * (g * gain.data - (g @ spread)[:, None] - xhat * (g_xhat @ spread)[:, None])
+        return dx.reshape(x.data.shape), g_xhat.sum(axis=0), g.sum(axis=0)
 
     return _make(out_data, (x, gain, bias), backward_fn, "layernorm")
 
@@ -575,144 +579,146 @@ def normalize_rows(a) -> Tensor:
     return _make(out_data, (a,), backward_fn, "normalize")
 
 
-def _block_offsets(offsets, size: int, side: str) -> np.ndarray:
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != size:
-        raise ShapeMismatchError(f"{side} offsets must run from 0 to {size}, got {offsets}")
-    if (offsets[1:] <= offsets[:-1]).any():
-        raise ShapeMismatchError(f"{side} blocks must be non-empty, got offsets {offsets}")
-    return offsets
-
-
-def _strongest(best: np.ndarray, offsets: np.ndarray, limit: np.ndarray) -> np.ndarray:
-    """Mask over ``best`` (n, m): per column, the entries whose descending
-    rank inside their own block of axis 0 is below ``limit`` (n, m); ties
-    rank the lower index first."""
-    sizes = np.diff(offsets)
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    if (limit >= sizes[block][:, None]).all():
-        return np.ones(best.shape, dtype=bool)
-    order = np.lexsort((-best, np.broadcast_to(block[:, None], best.shape)), axis=0)
-    # Blocks sort in place, so sorted position p holds the entry ranked
-    # p - (its block's start) inside the block.
-    rank = np.empty_like(order)
-    rank[order, np.arange(best.shape[1])] = (np.arange(len(block)) - offsets[block])[:, None]
-    return rank < limit
-
-
 def _k_error(k, rows: int, cols: int) -> ConfigError:
     return ConfigError(
         f"k={k} invalid for a {rows}x{cols} matrix; need 1 <= k <= {max(rows, cols)}"
     )
 
 
-def _one_block_tk(s: Tensor, k, diagonal: bool) -> Tensor:
-    """:func:`block_tk` of a single block, with the same selection and sums
-    but none of the per-block bookkeeping."""
-    data = s.data
-    rows, cols = data.shape
+def _top_edges(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, k):
+    """tk of every padded block in one selection pass.
+
+    Block b fills the first ``rows[b]`` x ``cols[b]`` corner of
+    ``blocks[b]``; the rest is -inf.  Each row's first best column and each
+    column's first best row are candidate edges; the strongest min(k, rows)
+    of the first and min(k, cols) of the second are averaged, ties to the
+    lower index.  ``k=None`` takes min(rows, cols) per block; an int outside
+    1..max(rows, cols) of some block raises :class:`ConfigError` naming the
+    first such block.  Returns the (n,) values, the times each cell was
+    selected (a cell chosen by both sides counts twice) and the (n,) scale
+    1 / (number selected).
+    """
     if k is None:
-        k = min(rows, cols)
-    elif not 1 <= k <= max(rows, cols):
-        raise _k_error(k, rows, cols)
-    scale = 1.0 / (min(k, rows) + min(k, cols))
-    # Each row's first best column and each column's first best row; a
-    # stable sort of the maxima keeps the lower index first among ties.
-    row_arg, col_arg = data.argmax(axis=1), data.argmax(axis=0)
-    row_best, col_best = data.max(axis=1), data.max(axis=0)
-    r = np.argsort(-row_best, kind="stable")[:k]
-    c = np.argsort(-col_best, kind="stable")[:k]
-    row_kept, col_kept = np.zeros(rows, dtype=bool), np.zeros(cols, dtype=bool)
-    row_kept[r] = col_kept[c] = True
-    # reduceat adds in the general path's order, so both paths agree bitwise.
-    row_sum = np.add.reduceat(np.where(row_kept, row_best, 0.0), [0])
-    col_sum = np.add.reduceat(np.where(col_kept, col_best, 0.0), [0])
-    out_data = (row_sum + col_sum) * scale
-    if not diagonal:
-        out_data = out_data.reshape(1, 1)
-
-    weights = np.zeros_like(data)
-    weights[r, row_arg[r]] += 1.0
-    weights[col_arg[c], c] += 1.0
-
-    def backward_fn(g):
-        return (weights * (g.reshape(()) * scale),)
-
-    return _make(out_data, (s,), backward_fn, "block_tk")
+        k = np.minimum(rows, cols)
+    elif (bad := np.flatnonzero((k < 1) | (k > np.maximum(rows, cols)))).size:
+        raise _k_error(k, rows[bad[0]], cols[bad[0]])
+    counts = np.zeros(blocks.shape, dtype=np.int64)
+    sums = []
+    for axis, keep in ((2, np.minimum(k, rows)), (1, np.minimum(k, cols))):
+        arg, best = blocks.argmax(axis=axis), blocks.max(axis=axis)
+        kept = np.empty(best.shape, dtype=bool)
+        order = np.argsort(-best, axis=1, kind="stable")
+        np.put_along_axis(kept, order, np.arange(best.shape[1]) < keep[:, None], axis=1)
+        sums.append(np.add.reduceat(np.where(kept, best, 0.0), [0], axis=1)[:, 0])
+        b, i = np.nonzero(kept)
+        counts[(b, i, arg[b, i]) if axis == 2 else (b, arg[b, i], i)] += 1
+    scale = 1.0 / (np.minimum(k, rows) + np.minimum(k, cols))
+    return (sums[0] + sums[1]) * scale, counts, scale
 
 
-def block_tk(s, row_offsets, col_offsets, k=None, diagonal: bool = False) -> Tensor:
-    """tk of every (row block, column block) sub-matrix of ``s`` in one op.
+def tk(s, k=None) -> Tensor:
+    """Mean similarity of the selected edge multiset of one matrix.
 
-    Block (I, J) spans rows ``row_offsets[I]:row_offsets[I+1]`` and columns
-    ``col_offsets[J]:col_offsets[J+1]``.  Its tk averages the strongest
-    min(k, rows) of its per-row maxima and the strongest min(k, cols) of its
-    per-column maxima; ties pick the lower index, and a cell chosen by both
-    sides counts twice.  ``k=None`` takes min(rows, cols) per block; an int
-    must satisfy 1 <= k <= max(rows, cols) on every returned block, else
-    :class:`ConfigError` names the block shape.  Returns the (row blocks,
-    column blocks) table, or with ``diagonal`` the vector of blocks (I, I).
-
-    The selection is a constant of the backward pass, so the gradient is a
-    fixed scatter: each selected cell receives 1/(kr + kc) of its block's
-    upstream gradient per selection.
+    Selected edges: per-row maxima (strongest min(k, rows) of them) plus
+    per-column maxima (strongest min(k, cols)).  Ties break toward the lower
+    index; a cell selected by both sides counts twice.  ``k=None`` takes
+    min(rows, cols).  The selection is a constant of the backward pass: the
+    gradient puts 1/(number selected) on each selection.
     """
     s = _wrap(s)
-    data = s.data
-    rows, cols = data.shape
-    row_off = _block_offsets(row_offsets, rows, "row")
-    col_off = _block_offsets(col_offsets, cols, "column")
-    if len(row_off) == len(col_off) == 2:
-        return _one_block_tk(s, k, diagonal)
-    n_r, n_c = np.diff(row_off), np.diff(col_off)
-    if diagonal and len(n_r) != len(n_c):
-        raise ShapeMismatchError(
-            f"diagonal blocks need equal block counts, got {len(n_r)} rows and {len(n_c)} columns"
-        )
-    wanted = np.eye(len(n_r), dtype=bool) if diagonal else np.ones((len(n_r), len(n_c)), bool)
-    if k is None:
-        k_table = np.minimum.outer(n_r, n_c)
-    else:
-        bad = np.argwhere(wanted & ((k < 1) | (k > np.maximum.outer(n_r, n_c))))
-        if len(bad):
-            i, j = bad[0]
-            raise _k_error(k, n_r[i], n_c[j])
-        k_table = np.full(wanted.shape, k)
-    k_rows = np.minimum(k_table, n_r[:, None])
-    k_cols = np.minimum(k_table, n_c[None, :])
-    scale = 1.0 / (k_rows + k_cols)
-    row_block = np.repeat(np.arange(len(n_r)), n_r)
-    col_block = np.repeat(np.arange(len(n_c)), n_c)
-
-    # Row side: each row's best value and first best column inside every
-    # column block; keep the strongest k_rows rows of each block.
-    row_best = np.maximum.reduceat(data, col_off[:-1], axis=1)
-    first = np.where(data == row_best[:, col_block], np.arange(cols), cols)
-    row_arg = np.minimum.reduceat(first, col_off[:-1], axis=1)
-    row_kept = _strongest(row_best, row_off, k_rows[row_block]) & wanted[row_block]
-    # Column side, the same over the row blocks.
-    col_best = np.maximum.reduceat(data, row_off[:-1], axis=0).T
-    first = np.where(data == col_best[:, row_block].T, np.arange(rows)[:, None], rows)
-    col_arg = np.minimum.reduceat(first, row_off[:-1], axis=0).T
-    col_kept = _strongest(col_best, col_off, k_cols.T[col_block]) & wanted.T[col_block]
-
-    row_sums = np.add.reduceat(np.where(row_kept, row_best, 0.0), row_off[:-1], axis=0)
-    col_sums = np.add.reduceat(np.where(col_kept, col_best, 0.0), col_off[:-1], axis=0)
-    out_data = (row_sums + col_sums.T) * scale
-    if diagonal:
-        out_data = np.diagonal(out_data).copy()
-
-    weights = np.zeros_like(data)
-    r, j = np.nonzero(row_kept)
-    weights[r, row_arg[r, j]] += 1.0
-    c, i = np.nonzero(col_kept)
-    weights[col_arg[c, i], c] += 1.0
+    rows, cols = s.data.shape
+    value, counts, scale = _top_edges(s.data[None], np.array([rows]), np.array([cols]), k)
 
     def backward_fn(g):
-        per_block = (np.diag(g) if diagonal else g) * scale
-        return (weights * per_block[row_block][:, col_block],)
+        return (counts[0] * (g * scale[0]),)
 
-    return _make(out_data, (s,), backward_fn, "block_tk")
+    return _make(value.reshape(()), (s,), backward_fn, "tk")
+
+
+def _padded_index(groups: list, pad: int):
+    """One row per index group, filled out with ``pad`` to the longest,
+    and the group sizes."""
+    sizes = np.array([len(group) for group in groups])
+    out = np.full((len(groups), sizes.max()), pad)
+    out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(groups)
+    return out, sizes
+
+
+def batch_scores(s, row_offsets, col_offsets, k=None, cross=True, intra=True, subs=()):
+    """The operands of every hinge term of a batch's objective, as one op.
+
+    Document i owns rows ``row_offsets[i]:row_offsets[i+1]`` and columns
+    ``col_offsets[i]:col_offsets[i+1]`` of the cosine matrix ``s``.  One
+    :func:`_top_edges` pass over padded blocks takes tk of every (i, j)
+    block (the B x B table), of each own block of -s (neg_tk = -tk(-M)) and
+    of each sub-document block ``subs`` names as (document, rows, columns)
+    of ``s``.  The hardest negatives are the first maxima over the table's
+    off-diagonal: per row for a document's sentences, per column for its
+    images.
+
+    Returns ``(pairs, s_pos, s_neg)``: the (2, H) node of positive (row 0)
+    and negative (row 1) hinge operands, and the own tk and neg_tk as (B,)
+    arrays.  Columns, in order: with ``cross``, B sentence-side then B
+    image-side terms of own tk against the hardest negative; with
+    ``intra``, B terms of tk against neg_tk; then per sub-document a
+    sentence-side and, after all of those, an image-side term of its tk
+    against its document's hardest negatives.
+
+    Backward: one bincount sums each block's upstream values into its
+    coefficient, a second scatters the coefficients onto the selected
+    cells, neg_tk blocks first, then the table, then the sub-documents.
+    """
+    s = _wrap(s)
+    n_rows, n_cols = s.data.shape
+    size = len(row_offsets) - 1
+    spans = [range(a, b) for a, b in zip(row_offsets[:-1], row_offsets[1:])]
+    row_index, row_sizes = _padded_index(spans + [rows for _, rows, _ in subs], n_rows)
+    spans = [range(a, b) for a, b in zip(col_offsets[:-1], col_offsets[1:])]
+    col_index, col_sizes = _padded_index(spans + [cols for _, _, cols in subs], n_cols)
+    # Blocks: own blocks (negated), the table row-major, the sub-documents.
+    docs = np.arange(size)
+    extra = size + np.arange(len(subs))
+    block_r = np.concatenate([docs, np.repeat(docs, size), extra])
+    block_c = np.concatenate([docs, np.tile(docs, size), extra])
+    cells = (row_index[block_r] * (n_cols + 1))[:, :, None] + col_index[block_c][:, None, :]
+    padded = np.full((n_rows + 1, n_cols + 1), -np.inf)
+    padded[:-1, :-1] = s.data
+    blocks = padded.reshape(-1)[cells]
+    own = blocks[:size]
+    np.negative(own, out=own)
+    own[own == np.inf] = -np.inf
+    values, counts, scale = _top_edges(blocks, row_sizes[block_r], col_sizes[block_c], k)
+
+    table_block = size + np.arange(size * size).reshape(size, size)
+    others = values[table_block]
+    np.fill_diagonal(others, -np.inf)
+    diag = table_block[docs, docs]
+    hardest_for_sentences = table_block[docs, others.argmax(axis=1)]
+    hardest_for_images = table_block[others.argmax(axis=0), docs]
+    # (positive, negative) block indices of each hinge term.
+    terms = [np.zeros((2, 0), dtype=np.int64)]
+    if cross:
+        terms += [np.stack([diag, hardest_for_sentences]), np.stack([diag, hardest_for_images])]
+    if intra:
+        terms.append(np.stack([diag, docs]))
+    if subs:
+        sub_docs = [doc for doc, _, _ in subs]
+        sub = extra + size * size
+        terms += [np.stack([sub, hardest_for_sentences[sub_docs]]),
+                  np.stack([sub, hardest_for_images[sub_docs]])]
+    operand = np.concatenate(terms, axis=1)
+    sel_block, sel_r, sel_c = np.nonzero(counts)
+    sel_cells = cells[sel_block, sel_r, sel_c]
+    sel_counts = counts[sel_block, sel_r, sel_c]
+
+    def backward_fn(g):
+        coef = np.bincount(operand.ravel(), g.ravel(), len(values)) * scale
+        grad = np.bincount(sel_cells, sel_counts * coef[sel_block], (n_rows + 1) * (n_cols + 1))
+        return (grad.reshape(n_rows + 1, n_cols + 1)[:-1, :-1],)
+
+    out_data = values[operand] * np.where(operand < size, -1.0, 1.0)
+    pairs = _make(out_data, (s,), backward_fn, "batch_scores")
+    return pairs, values[diag], -values[:size]
 
 
 # ---- backward engine -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Encoder behavior: pooling, sharing, permutation symmetry, gradients,
 and the one check that a corpus fits the model."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -246,6 +247,24 @@ class TestImageEncoder:
         with pytest.raises(error, match=message):
             encode_images([good, ImageRecord(objects=objects, concepts=concepts)], params, config)
 
+    @pytest.mark.parametrize(
+        "objects,concepts,message",
+        [
+            (np.zeros((3, 5)), [[1]], "has 3 object rows and 1 concept entries"),
+            (np.zeros((1, 5)), [[1], [2]], "has 1 object rows and 2 concept entries"),
+            (np.zeros((0, 5)), [], "has 0 object rows and 0 concept entries"),
+        ],
+        ids=["one-concept-list-for-three-rows", "extra-concept-list", "no-rows"],
+    )
+    def test_count_mismatch_rejected(self, objects, concepts, message):
+        """Concept lists that do not pair one to one with object rows, or an
+        image without rows, are named by their position in the batch."""
+        config, params = tiny_model(obj_dim=5)
+        good = make_image(np.random.default_rng(0), obj_dim=5, mu=3)
+        bad = ImageRecord(objects=objects, concepts=concepts)
+        with pytest.raises(CorpusValidationError, match=f"^image 1 of the batch {message}"):
+            encode_images([good, bad, good], params, config)
+
     def test_object_projection_gradient(self):
         config, params = tiny_model()
         rng = np.random.default_rng(4)
@@ -440,6 +459,23 @@ class TestCheckFit:
         ):
             with pytest.raises(CorpusValidationError, match=f"^document {first!r}: "):
                 run()
+
+    def test_encoding_failure_names_the_document(self):
+        """A stray token in a corpus whose declared vocabulary matches the
+        model passes check_fit unwalked; the encoder's VocabularyError comes
+        back as the error naming the document, from split_representations
+        and from a training step."""
+        config = fit_model()
+        named = re.escape("token 77 outside vocabulary of size 60 (model vocab_size=60, obj_dim=4)")
+        corpus = fit_corpus()
+        corpus.split_documents("test")[1].sentences[0][1] = 77
+        params = init_params(config, RngStream(0))
+        with pytest.raises(CorpusValidationError, match=f"^document 'test-0001': sentence 0 {named}"):
+            split_representations(corpus, "test", params, config)
+        corpus = fit_corpus()
+        corpus.split_documents("train")[1].sentences[2][0] = 77
+        with pytest.raises(CorpusValidationError, match=f"^document 'train-0001': sentence 2 {named}"):
+            train(corpus, config, ObjectiveConfig(), TrainConfig(batch_size=2, max_epochs=1))
 
     def test_width_misfit_names_image_and_setting(self):
         """A width misfit names the document, the image and the model's limits."""

@@ -1,5 +1,6 @@
 """Objective-function semantics against brute-force oracles."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -18,7 +19,9 @@ from doclink.objective import (
     total_loss,
 )
 from doclink.rng import RngStream
-from doclink.tensor import Tensor, block_tk, normalize_rows
+from doclink.encoder import similarity_matrix
+from doclink.objective import _offsets, _sample_subdocument
+from doclink.tensor import Tensor, _make, concat, max_reduce, neg, normalize_rows, take
 
 from test_tensor import check_grads, central_diff
 
@@ -42,6 +45,144 @@ def oracle_tk_weights(data: np.ndarray, k: int) -> np.ndarray:
     for j in sorted(range(cols), key=lambda j: (-data[:, j].max(), j))[: min(k, cols)]:
         weights[list(data[:, j]).index(data[:, j].max()), j] += 1.0
     return weights / weights.sum()
+
+
+def _block_offsets(offsets, size: int, side: str) -> np.ndarray:
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != size:
+        raise ShapeMismatchError(f"{side} offsets must run from 0 to {size}, got {offsets}")
+    if (offsets[1:] <= offsets[:-1]).any():
+        raise ShapeMismatchError(f"{side} blocks must be non-empty, got offsets {offsets}")
+    return offsets
+
+
+def _strongest(best: np.ndarray, offsets: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Mask over ``best`` (n, m): per column, the entries whose descending
+    rank inside their own block of axis 0 is below ``limit`` (n, m); ties
+    rank the lower index first."""
+    sizes = np.diff(offsets)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((-best, np.broadcast_to(block[:, None], best.shape)), axis=0)
+    rank = np.empty_like(order)
+    rank[order, np.arange(best.shape[1])] = (np.arange(len(block)) - offsets[block])[:, None]
+    return rank < limit
+
+
+def reference_block_tk(s, row_offsets, col_offsets, k=None, diagonal: bool = False) -> Tensor:
+    """The objective's former block op, kept as the oracle of
+    :func:`doclink.tensor.batch_scores`: tk of every (row block, column
+    block) sub-matrix of ``s`` as a (row blocks, column blocks) table, or
+    with ``diagonal`` the vector of blocks (I, I).  ``k=None`` takes
+    min(rows, cols) per block; an int must satisfy 1 <= k <= max(rows,
+    cols) on every returned block.  The gradient puts 1/(kr + kc) of a
+    block's upstream value on each of its selections."""
+    data = s.data
+    rows, cols = data.shape
+    row_off = _block_offsets(row_offsets, rows, "row")
+    col_off = _block_offsets(col_offsets, cols, "column")
+    n_r, n_c = np.diff(row_off), np.diff(col_off)
+    wanted = np.eye(len(n_r), dtype=bool) if diagonal else np.ones((len(n_r), len(n_c)), bool)
+    if k is None:
+        k_table = np.minimum.outer(n_r, n_c)
+    else:
+        bad = np.argwhere(wanted & ((k < 1) | (k > np.maximum.outer(n_r, n_c))))
+        if len(bad):
+            i, j = bad[0]
+            raise ConfigError(
+                f"k={k} invalid for a {n_r[i]}x{n_c[j]} matrix; "
+                f"need 1 <= k <= {max(n_r[i], n_c[j])}"
+            )
+        k_table = np.full(wanted.shape, k)
+    k_rows = np.minimum(k_table, n_r[:, None])
+    k_cols = np.minimum(k_table, n_c[None, :])
+    scale = 1.0 / (k_rows + k_cols)
+    row_block = np.repeat(np.arange(len(n_r)), n_r)
+    col_block = np.repeat(np.arange(len(n_c)), n_c)
+
+    row_best = np.maximum.reduceat(data, col_off[:-1], axis=1)
+    first = np.where(data == row_best[:, col_block], np.arange(cols), cols)
+    row_arg = np.minimum.reduceat(first, col_off[:-1], axis=1)
+    row_kept = _strongest(row_best, row_off, k_rows[row_block]) & wanted[row_block]
+    col_best = np.maximum.reduceat(data, row_off[:-1], axis=0).T
+    first = np.where(data == col_best[:, row_block].T, np.arange(rows)[:, None], rows)
+    col_arg = np.minimum.reduceat(first, row_off[:-1], axis=0).T
+    col_kept = _strongest(col_best, col_off, k_cols.T[col_block]) & wanted.T[col_block]
+
+    row_sums = np.add.reduceat(np.where(row_kept, row_best, 0.0), row_off[:-1], axis=0)
+    col_sums = np.add.reduceat(np.where(col_kept, col_best, 0.0), col_off[:-1], axis=0)
+    out_data = (row_sums + col_sums.T) * scale
+    if diagonal:
+        out_data = np.diagonal(out_data).copy()
+
+    weights = np.zeros_like(data)
+    r, j = np.nonzero(row_kept)
+    weights[r, row_arg[r, j]] += 1.0
+    c, i = np.nonzero(col_kept)
+    weights[col_arg[c, i], c] += 1.0
+
+    def backward_fn(g):
+        per_block = (np.diag(g) if diagonal else g) * scale
+        return (weights * per_block[row_block][:, col_block],)
+
+    return _make(out_data, (s,), backward_fn, "block_tk")
+
+
+def reference_total_loss(batch, config, rng, use_cross=True, use_intra=True, use_sub=True):
+    """The objective as composed before :func:`batch_scores`: the table,
+    the own neg_tk and the sub-document positives from
+    :func:`reference_block_tk`, hardest negatives from ``max_reduce``, one
+    ``hinge`` per term; the same draws from ``rng``."""
+    size = len(batch)
+    row_off = _offsets([sent.shape[0] for sent, _ in batch])
+    col_off = _offsets([img.shape[0] for _, img in batch])
+    S = similarity_matrix(concat([s for s, _ in batch]), concat([v for _, v in batch]))
+    table = reference_block_tk(S, row_off, col_off, config.k_override)
+    diag = np.arange(size)
+    s_pos = take(table, (diag, diag))
+    s_neg = neg(reference_block_tk(neg(S), row_off, col_off, config.k_override, diagonal=True))
+    others = table + Tensor(np.where(np.eye(size, dtype=bool), -np.inf, 0.0))
+    hardest_for_sentences = max_reduce(others, axis=1)
+    hardest_for_images = max_reduce(others, axis=0)
+
+    terms = []
+    parts = {name: np.zeros(size) for name in ("l_cross", "l_intra", "l_sub")}
+    if use_cross:
+        l_cross = hinge(s_pos, hardest_for_sentences, config.alpha) + hinge(
+            s_pos, hardest_for_images, config.alpha
+        )
+        terms.append(l_cross)
+        parts["l_cross"] = l_cross.data
+    if use_intra:
+        l_intra = hinge(s_pos, s_neg, config.alpha / 2.0)
+        terms.append(l_intra)
+        parts["l_intra"] = l_intra.data
+    if use_sub:
+        rows, cols, kept = [], [], []
+        for i in range(size):
+            r = _sample_subdocument(row_off[i + 1] - row_off[i], config.p_sub, rng)
+            c = _sample_subdocument(col_off[i + 1] - col_off[i], config.p_sub, rng)
+            if r.size and c.size:
+                rows.append(r + row_off[i])
+                cols.append(c + col_off[i])
+                kept.append(i)
+        if kept:
+            sub = take(S, np.ix_(np.concatenate(rows), np.concatenate(cols)))
+            positives = reference_block_tk(
+                sub, _offsets([r.size for r in rows]), _offsets([c.size for c in cols]),
+                config.k_override, diagonal=True,
+            )
+            half = config.alpha / 2.0
+            l_sub = hinge(positives, take(hardest_for_sentences, kept), half) + hinge(
+                positives, take(hardest_for_images, kept), half
+            )
+            terms.append(l_sub)
+            parts["l_sub"][kept] = l_sub.data
+
+    batch_mean = concat(terms).sum() * (1.0 / size) if terms else Tensor(0.0)
+    parts["total"] = parts["l_cross"] + parts["l_intra"] + parts["l_sub"]
+    parts["s_pos"] = s_pos.data
+    parts["s_neg"] = s_neg.data
+    return batch_mean, parts
 
 
 def oracle_cosine(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -373,19 +514,20 @@ class TestTotalLoss:
                 names.add(t.node.name)
                 todo.extend(t.node.parents)
         assert names == {
-            "add", "attention", "block_tk", "concat", "layernorm", "linear", "masked_mean",
-            "matmul", "max", "mul", "neg", "normalize", "relu", "sum", "swapaxes", "take",
+            "add", "attention", "batch_scores", "concat", "layernorm", "linear", "masked_mean",
+            "matmul", "mul", "neg", "normalize", "relu", "sum", "swapaxes", "take",
         }
         tensor.backward(loss)
         assert all(p.grad is not None for p in params.named_parameters().values())
 
     def test_step_graph_size_at_b11(self):
-        """At the acceptance shape a step's graph has 103 nodes: 60 from the
+        """At the acceptance shape a step's graph has 75 nodes: 60 from the
         encoder (the representations and everything below them; 128 before
-        linear, attention and masked_mean were fused) and the objective's 43."""
+        linear, attention and masked_mean were fused) and the objective's 15
+        (43 before batch_scores)."""
         reps, loss, _ = self.acceptance_step()
         encoder = count_nodes(*(t for pair in reps for t in pair))
-        assert (encoder, count_nodes(loss)) == (60, 103)
+        assert (encoder, count_nodes(loss)) == (60, 75)
 
 
 def ragged_batch(rng, size, least=1, most=6, dim=6):
@@ -410,6 +552,10 @@ def count_nodes(*roots) -> int:
 
 
 class TestBlockTk:
+    """:func:`reference_block_tk`, the oracle of ``batch_scores``, against
+    the brute-force ``oracle_tk``; and ``tk``, the one-block case of the
+    same selection as ``batch_scores``."""
+
     def test_every_block_matches_oracle(self):
         """Ragged blocks, rounded entries (ties), default k and k_override."""
         rng = np.random.default_rng(15)
@@ -420,7 +566,7 @@ class TestBlockTk:
             ro, co = offsets(n), offsets(m)
             smallest = int(np.maximum.outer(n, m).min())
             for k in (None, *range(1, smallest + 1)):
-                table = block_tk(Tensor(data), ro, co, k).data
+                table = reference_block_tk(Tensor(data), ro, co, k).data
                 assert table.shape == (len(n), len(m))
                 for i in range(len(n)):
                     for j in range(len(m)):
@@ -429,24 +575,23 @@ class TestBlockTk:
                         np.testing.assert_allclose(table[i, j], want, atol=1e-12)
 
     def test_single_block_matches_oracle(self):
-        """One block (the path ``tk`` takes): the oracle's value, and the
-        gradient 1/(kr + kc) per selection, where ties pick the lower index
-        and a cell chosen by both sides counts twice."""
+        """One block (``tk``): the oracle's value, and the gradient
+        1/(kr + kc) per selection, where ties pick the lower index and a
+        cell chosen by both sides counts twice."""
         rng = np.random.default_rng(23)
         for _ in range(150):
             rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
             data = np.round(rng.normal(size=(rows, cols)))  # many ties
             for k in (None, *range(1, max(rows, cols) + 1)):
                 kk = min(rows, cols) if k is None else k
-                for diagonal in (False, True):
-                    S = Tensor(data, requires_grad=True)
-                    out = block_tk(S, [0, rows], [0, cols], k, diagonal=diagonal)
-                    assert out.shape == ((1,) if diagonal else (1, 1))
-                    np.testing.assert_allclose(out.data.sum(), oracle_tk(data, kk), atol=1e-12)
-                    tensor.backward(out.sum())
-                    np.testing.assert_allclose(S.grad, oracle_tk_weights(data, kk), atol=1e-12)
+                S = Tensor(data, requires_grad=True)
+                out = tk(S, k)
+                assert out.shape == ()
+                np.testing.assert_allclose(out.item(), oracle_tk(data, kk), atol=1e-12)
+                tensor.backward(out)
+                np.testing.assert_allclose(S.grad, oracle_tk_weights(data, kk), atol=1e-12)
         with pytest.raises(ConfigError, match=r"^k=4 invalid for a 2x3 matrix; need 1 <= k <= 3$"):
-            block_tk(Tensor(np.zeros((2, 3))), [0, 2], [0, 3], 4)
+            tk(Tensor(np.zeros((2, 3))), 4)
 
     def test_gradient_is_the_per_block_tk_gradient(self):
         rng = np.random.default_rng(16)
@@ -454,7 +599,7 @@ class TestBlockTk:
         data = np.round(rng.normal(size=(7, 10)), 1)
         upstream = rng.normal(size=(3, 3))
         S = Tensor(data, requires_grad=True)
-        tensor.backward((block_tk(S, offsets(n), offsets(m), 2) * Tensor(upstream)).sum())
+        tensor.backward((reference_block_tk(S, offsets(n), offsets(m), 2) * Tensor(upstream)).sum())
         ro, co = offsets(n), offsets(m)
         for i in range(3):
             for j in range(3):
@@ -468,17 +613,17 @@ class TestBlockTk:
         rng = np.random.default_rng(17)
         n, m = np.array([3, 1, 4]), np.array([2, 5, 4])
         data = rng.normal(size=(8, 11))
-        table = block_tk(Tensor(data), offsets(n), offsets(m)).data
-        diag = block_tk(Tensor(data), offsets(n), offsets(m), diagonal=True).data
+        table = reference_block_tk(Tensor(data), offsets(n), offsets(m)).data
+        diag = reference_block_tk(Tensor(data), offsets(n), offsets(m), diagonal=True).data
         np.testing.assert_array_equal(diag, np.diagonal(table))
 
     def test_k_checked_only_on_returned_blocks(self):
         """Off-diagonal 1x1 blocks do not bound k when only diagonals are asked for."""
         data = np.arange(16.0).reshape(4, 4)
         ro, co = [0, 1, 4], [0, 3, 4]  # diagonal blocks 1x3 and 3x1
-        assert block_tk(Tensor(data), ro, co, 3, diagonal=True).shape == (2,)
+        assert reference_block_tk(Tensor(data), ro, co, 3, diagonal=True).shape == (2,)
         with pytest.raises(ConfigError, match="1x1"):
-            block_tk(Tensor(data), ro, co, 3)
+            reference_block_tk(Tensor(data), ro, co, 3)
 
     @pytest.mark.parametrize("row_offsets,message", [
         ([0, 2, 2, 4], "row blocks must be non-empty"),
@@ -489,14 +634,14 @@ class TestBlockTk:
     ])
     def test_bad_offsets_rejected(self, row_offsets, message):
         with pytest.raises(ShapeMismatchError, match=message):
-            block_tk(Tensor(np.zeros((4, 3))), row_offsets, [0, 3])
+            reference_block_tk(Tensor(np.zeros((4, 3))), row_offsets, [0, 3])
 
     def test_finite_differences(self):
         rng = np.random.default_rng(18)
         S = Tensor(rng.permutation(48).reshape(6, 8) / 10.0, requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2)))
-        check_grads(lambda: (block_tk(S, [0, 2, 3, 6], [0, 5, 8]) * w).sum(), [S], rtol=1e-6)
-        check_grads(lambda: block_tk(S, [0, 4, 6], [0, 3, 8], 2, diagonal=True).sum(), [S])
+        check_grads(lambda: (reference_block_tk(S, [0, 2, 3, 6], [0, 5, 8]) * w).sum(), [S], rtol=1e-6)
+        check_grads(lambda: reference_block_tk(S, [0, 4, 6], [0, 3, 8], 2, diagonal=True).sum(), [S])
 
     def test_normalize_rows_finite_differences(self):
         rng = np.random.default_rng(19)
@@ -510,8 +655,8 @@ class TestBlockTk:
 
 class TestBatchedTotalLoss:
     def test_graph_size_at_b11(self):
-        """The objective's graph no longer grows with B^2: 43 nodes at B = 11
-        on 5x5 documents (the per-pair graph had 2268)."""
+        """The objective's graph does not grow with B: 15 nodes at B = 11 on
+        5x5 documents (the per-pair graph had 2268, the block-op one 43)."""
         rng = np.random.default_rng(20)
         batch = [
             (Tensor(rng.normal(size=(5, 16)), requires_grad=True),
@@ -520,8 +665,7 @@ class TestBatchedTotalLoss:
         ]
         loss, _ = total_loss(batch, ObjectiveConfig(), RngStream(1))
         nodes = count_nodes(loss)
-        assert nodes <= 480
-        assert nodes == 43
+        assert nodes == 15
 
     @pytest.mark.parametrize("k_override,least", [(None, 1), (1, 1), (2, 3)])
     def test_per_document_terms_match_pairwise_oracle(self, k_override, least):
@@ -570,6 +714,66 @@ class TestBatchedTotalLoss:
         assert sorted(parts) == ["l_cross", "l_intra", "l_sub", "s_neg", "s_pos", "total"]
         for value in parts.values():
             assert type(value) is np.ndarray and value.shape == (2,)
+
+
+def tied_batch(rng, size, least, most):
+    """Ragged documents whose 2-D representations take few values, so the
+    cosine matrix is full of exact ties."""
+    def reps(count):
+        return Tensor(rng.choice([-1.0, 1.0, 2.0], size=(count, 2)), requires_grad=True)
+
+    return [
+        (reps(int(rng.integers(least, most + 1))), reps(int(rng.integers(least, most + 1))))
+        for _ in range(size)
+    ]
+
+
+class TestBatchScores:
+    @pytest.mark.parametrize("k_override,least", [(None, 1), (1, 1), (2, 3)])
+    def test_matches_the_composed_reference(self, k_override, least):
+        """Every toggle combination on ragged, tied batches: the same parts,
+        loss and representation gradients as :func:`reference_total_loss`;
+        parts and gradients bit for bit."""
+        rng = np.random.default_rng(25)
+        config = ObjectiveConfig(alpha=0.3, p_sub=0.7, k_override=k_override)
+        for trial in range(12):
+            batch = tied_batch(rng, int(rng.integers(2, 7)), least, 5)
+            leaves = [t for pair in batch for t in pair]
+            for toggles in itertools.product((True, False), repeat=3):
+                results = []
+                for fn in (total_loss, reference_total_loss):
+                    for leaf in leaves:
+                        leaf.zero_grad()
+                    loss, parts = fn(batch, config, RngStream(trial), *toggles)
+                    tensor.backward(loss)
+                    grads = [np.zeros(t.shape) if t.grad is None else t.grad for t in leaves]
+                    results.append((loss.item(), parts, grads))
+                (loss, parts, grads), (ref_loss, ref_parts, ref_grads) = results
+                np.testing.assert_allclose(loss, ref_loss, rtol=0, atol=1e-12)
+                assert sorted(parts) == sorted(ref_parts)
+                for name in parts:
+                    np.testing.assert_array_equal(parts[name], ref_parts[name])
+                for got, want in zip(grads, ref_grads):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_finite_differences(self):
+        """Distinct entries keep every selection and argmax away from a tie."""
+        rng = np.random.default_rng(26)
+        S = Tensor(rng.permutation(99).reshape(9, 11) / 10.0, requires_grad=True)
+        row_off, col_off = [0, 2, 5, 9], [0, 4, 7, 11]
+        subs = [(0, np.array([0, 1]), np.array([1, 3])), (2, np.array([5, 7, 8]), np.array([8, 10]))]
+        w = Tensor(rng.normal(size=(2, 13)))
+
+        def build():
+            pairs, _, _ = tensor.batch_scores(S, row_off, col_off, 2, subs=subs)
+            return (pairs * w).sum()
+
+        check_grads(build, [S], rtol=1e-6)
+
+    def test_k_outside_a_block_is_named(self):
+        S = Tensor(np.zeros((3, 3)))
+        with pytest.raises(ConfigError, match=r"^k=3 invalid for a 1x2 matrix; need 1 <= k <= 2$"):
+            tensor.batch_scores(S, [0, 1, 3], [0, 2, 3], 3)
 
 
 class TestKOverrideCheck:

@@ -159,6 +159,19 @@ class TestShapeOps:
         check_grads(lambda: a[1:3].sum(), [a], rtol=1e-6)
         check_grads(lambda: (a[2] ** 2.0).sum(), [a], rtol=1e-6)
 
+    def test_basic_index_gradient_is_placed(self):
+        """Ints and slices select each cell once: the gradient lands on
+        exactly the selected cells, zero elsewhere."""
+        rng = np.random.default_rng(8)
+        a = leaf(rng, 4, 5)
+        g = rng.normal(size=(2, 5))
+        tensor.backward((a[1:3] * Tensor(g)).sum() + a[0, 2:4].sum() + a[(3, slice(None))][4])
+        want = np.zeros((4, 5))
+        want[1:3] = g
+        want[0, 2:4] = 1.0
+        want[3, 4] = 1.0
+        np.testing.assert_array_equal(a.grad, want)
+
     def test_duplicate_fancy_index_accumulates(self):
         a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         tensor.backward(a[np.array([0, 0, 2])].sum())
@@ -450,6 +463,36 @@ class TestLayernorm:
     def test_affine_shape_rejected(self):
         with pytest.raises(ShapeMismatchError):
             tensor.layernorm(Tensor(np.zeros((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(3)))
+
+    def test_matches_the_last_axis_formula(self):
+        """Output and all three gradients agree with the formula written as
+        last-axis means, on 1-D, 2-D and 3-D inputs."""
+
+        def reference(x, gain, bias, g, eps=1e-5):
+            mu = x.mean(axis=-1, keepdims=True)
+            centered = x - mu
+            inv = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + eps)
+            xhat = centered * inv
+            lead = tuple(range(g.ndim - 1))
+            dxhat = g * gain
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+            return xhat * gain + bias, dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+        rng = np.random.default_rng(14)
+        for shape in ((6,), (4, 6), (3, 5, 6)):
+            x = Tensor(rng.normal(size=shape) * 2.0 + 0.5, requires_grad=True)
+            gain = Tensor(rng.normal(size=6), requires_grad=True)
+            bias = Tensor(rng.normal(size=6), requires_grad=True)
+            g = rng.normal(size=shape)
+            out = tensor.layernorm(x, gain, bias)
+            tensor.backward((out * Tensor(g)).sum())
+            want = reference(x.data, gain.data, bias.data, g)
+            for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 class TestBackwardEngine:
