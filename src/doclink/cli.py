@@ -197,6 +197,9 @@ def cmd_train(args) -> int:
     train_config = _build_config(
         TrainConfig, _section(config_file, "train", sections), overrides
     )
+    if not (train_config.use_cross or train_config.use_intra or train_config.use_sub):
+        raise UsageError("train config turns off use_cross, use_intra and use_sub; "
+                         "enable at least one objective")
 
     pretrained = (
         load_pretrained_embeddings(args.pretrained) if args.pretrained else None

@@ -6,7 +6,9 @@ their only implementation.
 Document similarity: each row's best column defines one candidate edge and
 each column's best row another; the strongest k of each side are averaged
 (2k values, duplicates counted twice).  The negative variant scores the
-least-likely edges through the identity neg_tk(M) = -tk(-M).
+least-likely edges through the identity neg_tk(M) = -tk(-M).  The ops
+:func:`tk` (one matrix) and :func:`batch_scores` (a batch) share one
+selection pass, :func:`_top_edges`.
 
 All losses are hinge-based with hard negative mining inside the mini-batch:
 the most offending other document supplies the gradient.
@@ -18,10 +20,11 @@ and takes one (all sentences) x (all images) cosine matrix.  Block
 images.  One ``batch_scores`` op takes tk of every block (the B x B
 table), neg_tk of each own block and tk of each sub-document draw in one
 selection pass, and returns the positive and negative operand of every
-hinge term.  Hardest negatives are maxima over the table's off-diagonal
-(ties go to the lowest document index).  One ``hinge`` call with a margin
-per term covers all terms, so the graph size does not grow with the
-batch.  Each term is read per document from the ``parts`` that
+hinge term with the term's kind and document.  Hardest negatives are
+maxima over the table's off-diagonal (ties go to the lowest document
+index).  One ``hinge`` call with a margin per term, set by its kind,
+covers all terms, so the graph size does not grow with the batch.  Each
+objective is read per document from the ``parts`` that
 :func:`total_loss` returns:
 ``total_loss(...)[1]["l_cross" | "l_intra" | "l_sub"]``.
 """
@@ -35,7 +38,12 @@ import numpy as np
 from .encoder import similarity_matrix
 from .errors import BatchError, ConfigError, check_settings, setting
 from .rng import RngStream
-from .tensor import Tensor, batch_scores, concat, neg, relu, tk
+from .tensor import Tensor, _make, _wrap, concat, neg, relu
+
+# Hinge term kinds, indexing TERM_PARTS and TERM_MARGINS (times alpha).
+CROSS, INTRA, SUB = 0, 1, 2
+TERM_PARTS = ("l_cross", "l_intra", "l_sub")
+TERM_MARGINS = np.array([1.0, 0.5, 0.5])
 
 
 @dataclass
@@ -48,17 +56,158 @@ class ObjectiveConfig:
         check_settings(self)
 
 
-def hinge(m, n, margin) -> Tensor:
-    """max(0, n - m + margin), elementwise with a scalar or per-term
-    ``margin``; zero subgradient on the flat branch."""
-    m = m if isinstance(m, Tensor) else Tensor(m)
-    n = n if isinstance(n, Tensor) else Tensor(n)
-    return relu(n - m + margin)
+def _top_edges(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, k):
+    """tk of every padded block in one selection pass.
+
+    Block b fills the first ``rows[b]`` x ``cols[b]`` corner of
+    ``blocks[b]``; the rest is -inf.  Each row's first best column and each
+    column's first best row are candidate edges; the strongest min(k, rows)
+    of the first and min(k, cols) of the second are averaged, ties to the
+    lower index.  ``k=None`` takes min(rows, cols) per block; an int outside
+    1..max(rows, cols) of some block raises :class:`ConfigError` naming the
+    first such block.  Returns the (n,) values, the times each cell was
+    selected (a cell chosen by both sides counts twice) and the (n,) scale
+    1 / (number selected).
+    """
+    if k is None:
+        k = np.minimum(rows, cols)
+    elif (bad := np.flatnonzero((k < 1) | (k > np.maximum(rows, cols)))).size:
+        r, c = rows[bad[0]], cols[bad[0]]
+        raise ConfigError(f"k={k} invalid for a {r}x{c} matrix; need 1 <= k <= {max(r, c)}")
+    counts = np.zeros(blocks.shape, dtype=np.int64)
+    sums = []
+    for axis, keep in ((2, np.minimum(k, rows)), (1, np.minimum(k, cols))):
+        arg, best = blocks.argmax(axis=axis), blocks.max(axis=axis)
+        kept = np.empty(best.shape, dtype=bool)
+        order = np.argsort(-best, axis=1, kind="stable")
+        np.put_along_axis(kept, order, np.arange(best.shape[1]) < keep[:, None], axis=1)
+        sums.append(np.add.reduceat(np.where(kept, best, 0.0), [0], axis=1)[:, 0])
+        b, i = np.nonzero(kept)
+        counts[(b, i, arg[b, i]) if axis == 2 else (b, arg[b, i], i)] += 1
+    scale = 1.0 / (np.minimum(k, rows) + np.minimum(k, cols))
+    return (sums[0] + sums[1]) * scale, counts, scale
+
+
+def tk(s, k=None) -> Tensor:
+    """Mean similarity of the selected edge multiset of one matrix.
+
+    Selected edges: per-row maxima (strongest min(k, rows) of them) plus
+    per-column maxima (strongest min(k, cols)).  Ties break toward the lower
+    index; a cell selected by both sides counts twice.  ``k=None`` takes
+    min(rows, cols).  The selection is a constant of the backward pass: the
+    gradient puts 1/(number selected) on each selection.
+    """
+    s = _wrap(s)
+    rows, cols = s.data.shape
+    value, counts, scale = _top_edges(s.data[None], np.array([rows]), np.array([cols]), k)
+
+    def backward_fn(g):
+        return (counts[0] * (g * scale[0]),)
+
+    return _make(value.reshape(()), (s,), backward_fn, "tk")
 
 
 def neg_tk(M: Tensor, k: int) -> Tensor:
     """Mean similarity of the least-likely edges: exactly -tk(-M, k)."""
     return neg(tk(neg(M), k))
+
+
+def _padded_index(groups: list, pad: int):
+    """One row per index group, filled out with ``pad`` to the longest,
+    and the group sizes."""
+    sizes = np.array([len(group) for group in groups])
+    out = np.full((len(groups), sizes.max()), pad)
+    out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(groups)
+    return out, sizes
+
+
+def batch_scores(s, row_offsets, col_offsets, k=None, cross=True, intra=True, subs=()):
+    """The operands of every hinge term of a batch's objective, as one op.
+
+    Document i owns rows ``row_offsets[i]:row_offsets[i+1]`` and columns
+    ``col_offsets[i]:col_offsets[i+1]`` of the cosine matrix ``s``.  One
+    :func:`_top_edges` pass over padded blocks takes tk of every (i, j)
+    block (the B x B table), of each own block of -s (neg_tk = -tk(-M)) and
+    of each sub-document block ``subs`` names as (document, rows, columns)
+    of ``s``.  The hardest negatives are the first maxima over the table's
+    off-diagonal: per row for a document's sentences, per column for its
+    images.
+
+    Returns ``(pairs, (kind, doc), (s_pos, s_neg))``: the (2, H) node of
+    positive (row 0) and negative (row 1) hinge operands; each term's kind
+    (CROSS, INTRA or SUB) and document as (H,) arrays; and the own tk and
+    neg_tk as (B,) arrays.  Columns, in order: with ``cross``, B
+    sentence-side then B image-side terms of own tk against the hardest
+    negative; with ``intra``, B terms of tk against neg_tk; then per
+    sub-document a sentence-side and, after all of those, an image-side
+    term of its tk against its document's hardest negatives.
+
+    Backward: one bincount sums each block's upstream values into its
+    coefficient, a second scatters the coefficients onto the selected
+    cells, neg_tk blocks first, then the table, then the sub-documents.
+    """
+    s = _wrap(s)
+    n_rows, n_cols = s.data.shape
+    size = len(row_offsets) - 1
+    spans = [range(a, b) for a, b in zip(row_offsets[:-1], row_offsets[1:])]
+    row_index, row_sizes = _padded_index(spans + [rows for _, rows, _ in subs], n_rows)
+    spans = [range(a, b) for a, b in zip(col_offsets[:-1], col_offsets[1:])]
+    col_index, col_sizes = _padded_index(spans + [cols for _, _, cols in subs], n_cols)
+    # Blocks: own blocks (negated), the table row-major, the sub-documents.
+    docs = np.arange(size)
+    extra = size + np.arange(len(subs))
+    block_r = np.concatenate([docs, np.repeat(docs, size), extra])
+    block_c = np.concatenate([docs, np.tile(docs, size), extra])
+    cells = (row_index[block_r] * (n_cols + 1))[:, :, None] + col_index[block_c][:, None, :]
+    padded = np.full((n_rows + 1, n_cols + 1), -np.inf)
+    padded[:-1, :-1] = s.data
+    blocks = padded.reshape(-1)[cells]
+    own = blocks[:size]
+    np.negative(own, out=own)
+    own[own == np.inf] = -np.inf
+    values, counts, scale = _top_edges(blocks, row_sizes[block_r], col_sizes[block_c], k)
+
+    table_block = size + np.arange(size * size).reshape(size, size)
+    others = values[table_block]
+    np.fill_diagonal(others, -np.inf)
+    diag = table_block[docs, docs]
+    hardest_for_sentences = table_block[docs, others.argmax(axis=1)]
+    hardest_for_images = table_block[others.argmax(axis=0), docs]
+
+    def term(positive, negative, kind, doc):
+        return np.stack([positive, negative, np.full_like(doc, kind), doc])
+
+    # (positive block, negative block, kind, document) of each hinge term.
+    terms = [np.zeros((4, 0), dtype=np.int64)]
+    if cross:
+        terms += [term(diag, hardest_for_sentences, CROSS, docs),
+                  term(diag, hardest_for_images, CROSS, docs)]
+    if intra:
+        terms.append(term(diag, docs, INTRA, docs))
+    if subs:
+        sub_docs = np.array([doc for doc, _, _ in subs])
+        sub = extra + size * size
+        terms += [term(sub, hardest_for_sentences[sub_docs], SUB, sub_docs),
+                  term(sub, hardest_for_images[sub_docs], SUB, sub_docs)]
+    operand, kind, doc = np.split(np.concatenate(terms, axis=1), [2, 3])
+    sel_block, sel_r, sel_c = np.nonzero(counts)
+    sel_cells = cells[sel_block, sel_r, sel_c]
+    sel_counts = counts[sel_block, sel_r, sel_c]
+
+    def backward_fn(g):
+        coef = np.bincount(operand.ravel(), g.ravel(), len(values)) * scale
+        grad = np.bincount(sel_cells, sel_counts * coef[sel_block], (n_rows + 1) * (n_cols + 1))
+        return (grad.reshape(n_rows + 1, n_cols + 1)[:-1, :-1],)
+
+    out_data = values[operand] * np.where(operand < size, -1.0, 1.0)
+    pairs = _make(out_data, (s,), backward_fn, "batch_scores")
+    return pairs, (kind[0], doc[0]), (values[diag], -values[:size])
+
+
+def hinge(m, n, margin) -> Tensor:
+    """max(0, n - m + margin), elementwise with a scalar or per-term
+    ``margin``; zero subgradient on the flat branch."""
+    return relu(_wrap(n) - _wrap(m) + margin)
 
 
 def _keep_count(count: int, p_sub: float) -> int:
@@ -154,24 +303,13 @@ def total_loss(
         cols = _sample_subdocument(col_off[i + 1] - col_off[i], config.p_sub, rng)
         if rows.size and cols.size:
             subs.append((i, rows + row_off[i], cols + col_off[i]))
-    pairs, s_pos, s_neg = batch_scores(
+    pairs, (kind, doc), (s_pos, s_neg) = batch_scores(
         S, row_off, col_off, config.k_override, use_cross, use_intra, subs
     )
-
-    alpha, half = config.alpha, config.alpha / 2.0
-    margins = np.repeat([alpha, half, half], [2 * size * use_cross, size * use_intra, 2 * len(subs)])
-    losses = hinge(pairs[0], pairs[1], margins)
+    losses = hinge(pairs[0], pairs[1], config.alpha * TERM_MARGINS[kind])
     h = losses.data
-    parts = {name: np.zeros(size) for name in ("l_cross", "l_intra", "l_sub")}
-    at = 0
-    if use_cross:
-        parts["l_cross"] = h[:size] + h[size : 2 * size]
-        at = 2 * size
-    if use_intra:
-        parts["l_intra"] = h[at : at + size]
-        at += size
-    if subs:
-        parts["l_sub"][[doc for doc, _, _ in subs]] = h[at : at + len(subs)] + h[at + len(subs) :]
+    parts = {name: np.bincount(doc[kind == code], h[kind == code], size)
+             for code, name in enumerate(TERM_PARTS)}
 
     batch_mean = losses.sum() * (1.0 / size) if h.size else Tensor(0.0)
     parts["total"] = parts["l_cross"] + parts["l_intra"] + parts["l_sub"]

@@ -2,17 +2,18 @@
 
 A Tensor wraps a numpy array plus an optional graph node recording the
 producing operation and its parents.  Graphs are built eagerly during the
-forward pass and walked once, in reverse topological order, by
-:func:`backward`.  Everything is 64-bit: the models here are desk-scale and
-gradient checks against central finite differences demand the precision.
+forward pass; :func:`backward` walks them in one pass, newest node first,
+so each hook runs once, after every consumer has added its gradient.
+Everything is 64-bit: the models here are desk-scale and gradient checks
+against central finite differences demand the precision.
 
 Primitives, each with a backward hook: add, neg, mul, power, relu, exp,
 log, matmul, swapaxes, reshape, take, concat, tsum, max_reduce, softmax,
-layernorm, normalize_rows and tk, plus the fused ops of the
-encoder (linear, attention and masked_mean) and of the objective
-(batch_scores), each one node with a hand-written backward.  Compositions
-of them: embedding, transpose (``Tensor.T``), sqrt, stack and tmean
-(``Tensor.mean``).
+layernorm and normalize_rows, plus the fused ops of the encoder (linear,
+attention and masked_mean), each one node with a hand-written backward.
+Compositions of them: embedding, transpose (``Tensor.T``), sqrt, stack and
+tmean (``Tensor.mean``).  Other modules build their own ops with
+:func:`_make` (the objective's ``tk`` and ``batch_scores``).
 
 Convention at non-differentiable points: the subgradient of the
 first-encountered / left branch is used (``relu'(0) == 0``, ties in ``max``
@@ -22,12 +23,15 @@ route to the lowest index), so finite-difference checks should avoid kinks.
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 
 import numpy as np
 
-from .errors import ConfigError, InvalidMaskError, ShapeMismatchError
+from .errors import InvalidMaskError, ShapeMismatchError
 
 _grad_enabled = True
+_created = itertools.count()  # Node.index: a node is always newer than its parents
 
 
 @contextlib.contextmanager
@@ -49,12 +53,13 @@ def is_grad_enabled() -> bool:
 class Node:
     """Producing operation of a tensor: parents plus a vector-Jacobian hook."""
 
-    __slots__ = ("parents", "backward_fn", "name")
+    __slots__ = ("parents", "backward_fn", "name", "index")
 
     def __init__(self, parents, backward_fn, name):
         self.parents = parents
         self.backward_fn = backward_fn
         self.name = name
+        self.index = next(_created)
 
 
 class Tensor:
@@ -579,169 +584,7 @@ def normalize_rows(a) -> Tensor:
     return _make(out_data, (a,), backward_fn, "normalize")
 
 
-def _k_error(k, rows: int, cols: int) -> ConfigError:
-    return ConfigError(
-        f"k={k} invalid for a {rows}x{cols} matrix; need 1 <= k <= {max(rows, cols)}"
-    )
-
-
-def _top_edges(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, k):
-    """tk of every padded block in one selection pass.
-
-    Block b fills the first ``rows[b]`` x ``cols[b]`` corner of
-    ``blocks[b]``; the rest is -inf.  Each row's first best column and each
-    column's first best row are candidate edges; the strongest min(k, rows)
-    of the first and min(k, cols) of the second are averaged, ties to the
-    lower index.  ``k=None`` takes min(rows, cols) per block; an int outside
-    1..max(rows, cols) of some block raises :class:`ConfigError` naming the
-    first such block.  Returns the (n,) values, the times each cell was
-    selected (a cell chosen by both sides counts twice) and the (n,) scale
-    1 / (number selected).
-    """
-    if k is None:
-        k = np.minimum(rows, cols)
-    elif (bad := np.flatnonzero((k < 1) | (k > np.maximum(rows, cols)))).size:
-        raise _k_error(k, rows[bad[0]], cols[bad[0]])
-    counts = np.zeros(blocks.shape, dtype=np.int64)
-    sums = []
-    for axis, keep in ((2, np.minimum(k, rows)), (1, np.minimum(k, cols))):
-        arg, best = blocks.argmax(axis=axis), blocks.max(axis=axis)
-        kept = np.empty(best.shape, dtype=bool)
-        order = np.argsort(-best, axis=1, kind="stable")
-        np.put_along_axis(kept, order, np.arange(best.shape[1]) < keep[:, None], axis=1)
-        sums.append(np.add.reduceat(np.where(kept, best, 0.0), [0], axis=1)[:, 0])
-        b, i = np.nonzero(kept)
-        counts[(b, i, arg[b, i]) if axis == 2 else (b, arg[b, i], i)] += 1
-    scale = 1.0 / (np.minimum(k, rows) + np.minimum(k, cols))
-    return (sums[0] + sums[1]) * scale, counts, scale
-
-
-def tk(s, k=None) -> Tensor:
-    """Mean similarity of the selected edge multiset of one matrix.
-
-    Selected edges: per-row maxima (strongest min(k, rows) of them) plus
-    per-column maxima (strongest min(k, cols)).  Ties break toward the lower
-    index; a cell selected by both sides counts twice.  ``k=None`` takes
-    min(rows, cols).  The selection is a constant of the backward pass: the
-    gradient puts 1/(number selected) on each selection.
-    """
-    s = _wrap(s)
-    rows, cols = s.data.shape
-    value, counts, scale = _top_edges(s.data[None], np.array([rows]), np.array([cols]), k)
-
-    def backward_fn(g):
-        return (counts[0] * (g * scale[0]),)
-
-    return _make(value.reshape(()), (s,), backward_fn, "tk")
-
-
-def _padded_index(groups: list, pad: int):
-    """One row per index group, filled out with ``pad`` to the longest,
-    and the group sizes."""
-    sizes = np.array([len(group) for group in groups])
-    out = np.full((len(groups), sizes.max()), pad)
-    out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(groups)
-    return out, sizes
-
-
-def batch_scores(s, row_offsets, col_offsets, k=None, cross=True, intra=True, subs=()):
-    """The operands of every hinge term of a batch's objective, as one op.
-
-    Document i owns rows ``row_offsets[i]:row_offsets[i+1]`` and columns
-    ``col_offsets[i]:col_offsets[i+1]`` of the cosine matrix ``s``.  One
-    :func:`_top_edges` pass over padded blocks takes tk of every (i, j)
-    block (the B x B table), of each own block of -s (neg_tk = -tk(-M)) and
-    of each sub-document block ``subs`` names as (document, rows, columns)
-    of ``s``.  The hardest negatives are the first maxima over the table's
-    off-diagonal: per row for a document's sentences, per column for its
-    images.
-
-    Returns ``(pairs, s_pos, s_neg)``: the (2, H) node of positive (row 0)
-    and negative (row 1) hinge operands, and the own tk and neg_tk as (B,)
-    arrays.  Columns, in order: with ``cross``, B sentence-side then B
-    image-side terms of own tk against the hardest negative; with
-    ``intra``, B terms of tk against neg_tk; then per sub-document a
-    sentence-side and, after all of those, an image-side term of its tk
-    against its document's hardest negatives.
-
-    Backward: one bincount sums each block's upstream values into its
-    coefficient, a second scatters the coefficients onto the selected
-    cells, neg_tk blocks first, then the table, then the sub-documents.
-    """
-    s = _wrap(s)
-    n_rows, n_cols = s.data.shape
-    size = len(row_offsets) - 1
-    spans = [range(a, b) for a, b in zip(row_offsets[:-1], row_offsets[1:])]
-    row_index, row_sizes = _padded_index(spans + [rows for _, rows, _ in subs], n_rows)
-    spans = [range(a, b) for a, b in zip(col_offsets[:-1], col_offsets[1:])]
-    col_index, col_sizes = _padded_index(spans + [cols for _, _, cols in subs], n_cols)
-    # Blocks: own blocks (negated), the table row-major, the sub-documents.
-    docs = np.arange(size)
-    extra = size + np.arange(len(subs))
-    block_r = np.concatenate([docs, np.repeat(docs, size), extra])
-    block_c = np.concatenate([docs, np.tile(docs, size), extra])
-    cells = (row_index[block_r] * (n_cols + 1))[:, :, None] + col_index[block_c][:, None, :]
-    padded = np.full((n_rows + 1, n_cols + 1), -np.inf)
-    padded[:-1, :-1] = s.data
-    blocks = padded.reshape(-1)[cells]
-    own = blocks[:size]
-    np.negative(own, out=own)
-    own[own == np.inf] = -np.inf
-    values, counts, scale = _top_edges(blocks, row_sizes[block_r], col_sizes[block_c], k)
-
-    table_block = size + np.arange(size * size).reshape(size, size)
-    others = values[table_block]
-    np.fill_diagonal(others, -np.inf)
-    diag = table_block[docs, docs]
-    hardest_for_sentences = table_block[docs, others.argmax(axis=1)]
-    hardest_for_images = table_block[others.argmax(axis=0), docs]
-    # (positive, negative) block indices of each hinge term.
-    terms = [np.zeros((2, 0), dtype=np.int64)]
-    if cross:
-        terms += [np.stack([diag, hardest_for_sentences]), np.stack([diag, hardest_for_images])]
-    if intra:
-        terms.append(np.stack([diag, docs]))
-    if subs:
-        sub_docs = [doc for doc, _, _ in subs]
-        sub = extra + size * size
-        terms += [np.stack([sub, hardest_for_sentences[sub_docs]]),
-                  np.stack([sub, hardest_for_images[sub_docs]])]
-    operand = np.concatenate(terms, axis=1)
-    sel_block, sel_r, sel_c = np.nonzero(counts)
-    sel_cells = cells[sel_block, sel_r, sel_c]
-    sel_counts = counts[sel_block, sel_r, sel_c]
-
-    def backward_fn(g):
-        coef = np.bincount(operand.ravel(), g.ravel(), len(values)) * scale
-        grad = np.bincount(sel_cells, sel_counts * coef[sel_block], (n_rows + 1) * (n_cols + 1))
-        return (grad.reshape(n_rows + 1, n_cols + 1)[:-1, :-1],)
-
-    out_data = values[operand] * np.where(operand < size, -1.0, 1.0)
-    pairs = _make(out_data, (s,), backward_fn, "batch_scores")
-    return pairs, values[diag], -values[:size]
-
-
 # ---- backward engine -------------------------------------------------------
-
-
-def _toposort(root: Tensor):
-    order = []
-    visited = set()
-    stack = [(root, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if expanded:
-            order.append(t)
-            continue
-        if id(t) in visited:
-            continue
-        visited.add(id(t))
-        stack.append((t, True))
-        if t.node is not None:
-            for p in t.node.parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
-    return order
 
 
 def backward(loss: Tensor) -> None:
@@ -756,19 +599,18 @@ def backward(loss: Tensor) -> None:
         )
     if not loss.requires_grad:
         return
-    order = _toposort(loss)
     seed = np.ones((), dtype=np.float64)
     if loss.grad is None:
         loss.grad = seed.copy()
     else:
         loss.grad = loss.grad + seed
-    # Walk children before parents; grads for interior nodes were populated
-    # by the time their own backward hook runs.
+    # Pop the newest pending node: all of its consumers are newer, so its
+    # gradient is complete by the time its own backward hook runs.
     local = {id(loss): seed}
-    for t in reversed(order):
-        g = local.pop(id(t), None)
-        if g is None or t.node is None:
-            continue
+    pending = [] if loss.node is None else [(-loss.node.index, loss)]
+    while pending:
+        t = heapq.heappop(pending)[1]
+        g = local.pop(id(t))
         for parent, pg in zip(t.node.parents, t.node.backward_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
@@ -780,3 +622,4 @@ def backward(loss: Tensor) -> None:
                 local[pid] = local[pid] + pg
             else:
                 local[pid] = np.array(pg)
+                heapq.heappush(pending, (-parent.node.index, parent))

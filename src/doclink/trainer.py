@@ -224,13 +224,15 @@ def train(
     History holds one record per epoch: train loss (mean per-document total
     across the epoch) with its per-objective components, validation loss,
     learning rate at epoch end, and the decay count.  If ``checkpoint_path``
-    is set, a checkpoint is written after every epoch; a non-finite loss
-    aborts, leaving the last epoch's checkpoint in place.  ``resume_from``
-    restores parameters, optimizer and :class:`TrainState`, then continues
-    to max_epochs; every stored setting except max_epochs must equal the
-    requested one.  Train and val documents pass :func:`check_fit` before the
-    first step; with ``use_sub`` on, one warning names those whose
-    sub-document draw is always degenerate (see :func:`degenerate_subdocuments`).
+    is set, a checkpoint is written after every epoch, or once of the
+    starting state when no epoch is left to run; a non-finite loss aborts,
+    leaving the last epoch's checkpoint in place.  ``resume_from`` restores
+    parameters, optimizer and :class:`TrainState`, then continues to
+    max_epochs, which must not be below the checkpoint's epoch; every
+    stored setting except max_epochs must equal the requested one.  Train
+    and val documents pass :func:`check_fit` before the first step; with
+    ``use_sub`` on, one warning names those whose sub-document draw is
+    always degenerate (see :func:`degenerate_subdocuments`).
     """
     train_docs = corpus.split_documents("train")
     val_docs = corpus.split_documents("val")
@@ -257,13 +259,23 @@ def train(
         params, optimizer, state = load_checkpoint(
             resume_from, model_config, objective_config, train_config
         )
+        if train_config.max_epochs < state.epoch:
+            raise ConfigError(f"checkpoint {resume_from} is at epoch {state.epoch}, "
+                              f"past max_epochs={train_config.max_epochs}")
         batching.set_state(state.rng["batching"])
         dropout.set_state(state.rng["dropout"])
     else:
         params = init_params(model_config, root.child("init"), pretrained=pretrained)
         optimizer = OptimizerState(params.named_parameters())
-        state = TrainState()
+        state = TrainState(rng={"batching": batching.state(), "dropout": dropout.state()})
 
+    def checkpoint():
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, params, optimizer, state,
+                            model_config, objective_config, train_config)
+
+    if state.epoch == train_config.max_epochs:
+        checkpoint()  # nothing to train: the starting state is the result
     named = params.named_parameters()
     for epoch in range(state.epoch, train_config.max_epochs):
         epoch_parts = []
@@ -314,11 +326,7 @@ def train(
         )
         state.epoch = epoch + 1
         state.rng = {"batching": batching.state(), "dropout": dropout.state()}
-        if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path, params, optimizer, state,
-                model_config, objective_config, train_config,
-            )
+        checkpoint()
     return TrainResult(params=params, optimizer=optimizer, history=state.history, step=state.step)
 
 

@@ -212,6 +212,18 @@ class TestTrain:
         )
         assert code == 1
 
+    def test_config_turning_every_objective_off_is_usage_error(self, workspace, tmp_path, capsys):
+        """A config file can switch off all three objectives, which would
+        train at zero loss and leave the model at its initial values."""
+        config = tmp_path / "train.json"
+        write_json(config, train_sections(use_cross=False, use_intra=False, use_sub=False))
+        out = tmp_path / "off"
+        code = main(["train", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+                     "--out", str(out), "--config", str(config)])
+        assert code == 1
+        assert "use_cross, use_intra and use_sub" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identical_runs_identical_history_bytes(self, workspace, tmp_path):
         config = tmp_path / "train.json"
         write_json(config, train_sections())
@@ -236,6 +248,35 @@ class TestTrain:
                      "--resume", str(runs[1] / "checkpoint.json")]) == 0
         for name in ("checkpoint.json", "history.json"):
             assert read_bytes(runs[0] / name) == read_bytes(runs[2] / name)
+
+    def test_resume_with_nothing_to_train_writes_the_checkpoint(self, workspace, tmp_path):
+        """A resume to the checkpoint's own epoch trains nothing and writes
+        the loaded checkpoint back unchanged, beside its history."""
+        config = tmp_path / "train.json"
+        write_json(config, train_sections(max_epochs=2))
+        corpus = str(workspace / "data" / "corpus.jsonl")
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["train", "--corpus", corpus, "--out", str(first), "--config", str(config)]) == 0
+        assert main(["train", "--corpus", corpus, "--out", str(again), "--config", str(config),
+                     "--resume", str(first / "checkpoint.json")]) == 0
+        for name in ("checkpoint.json", "history.json"):
+            assert read_bytes(again / name) == read_bytes(first / name)
+
+    def test_resume_below_the_checkpoint_epoch_is_data_error(self, workspace, tmp_path, capsys):
+        corpus = str(workspace / "data" / "corpus.jsonl")
+        two, one = tmp_path / "two.json", tmp_path / "one.json"
+        write_json(two, train_sections(max_epochs=2))
+        write_json(one, train_sections(max_epochs=1))
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["train", "--corpus", corpus, "--out", str(first), "--config", str(two)]) == 0
+        capsys.readouterr()
+        checkpoint = first / "checkpoint.json"
+        code = main(["train", "--corpus", corpus, "--out", str(again), "--config", str(one),
+                     "--resume", str(checkpoint)])
+        assert code == 2
+        assert (f"checkpoint {checkpoint} is at epoch 2, past max_epochs=1"
+                in capsys.readouterr().err)
+        assert not again.exists()
 
     def test_resume_with_changed_setting_is_data_error(self, workspace, tmp_path, capsys):
         config = tmp_path / "train.json"

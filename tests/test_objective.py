@@ -12,6 +12,7 @@ from doclink.encoder import ModelConfig, batch_representations, init_params
 from doclink.errors import BatchError, ConfigError, ShapeMismatchError
 from doclink.objective import (
     ObjectiveConfig,
+    batch_scores,
     check_k_override,
     hinge,
     neg_tk,
@@ -70,7 +71,7 @@ def _strongest(best: np.ndarray, offsets: np.ndarray, limit: np.ndarray) -> np.n
 
 def reference_block_tk(s, row_offsets, col_offsets, k=None, diagonal: bool = False) -> Tensor:
     """The objective's former block op, kept as the oracle of
-    :func:`doclink.tensor.batch_scores`: tk of every (row block, column
+    :func:`doclink.objective.batch_scores`: tk of every (row block, column
     block) sub-matrix of ``s`` as a (row blocks, column blocks) table, or
     with ``diagonal`` the vector of blocks (I, I).  ``k=None`` takes
     min(rows, cols) per block; an int must satisfy 1 <= k <= max(rows,
@@ -765,7 +766,7 @@ class TestBatchScores:
         w = Tensor(rng.normal(size=(2, 13)))
 
         def build():
-            pairs, _, _ = tensor.batch_scores(S, row_off, col_off, 2, subs=subs)
+            pairs, _, _ = batch_scores(S, row_off, col_off, 2, subs=subs)
             return (pairs * w).sum()
 
         check_grads(build, [S], rtol=1e-6)
@@ -773,7 +774,7 @@ class TestBatchScores:
     def test_k_outside_a_block_is_named(self):
         S = Tensor(np.zeros((3, 3)))
         with pytest.raises(ConfigError, match=r"^k=3 invalid for a 1x2 matrix; need 1 <= k <= 2$"):
-            tensor.batch_scores(S, [0, 1, 3], [0, 2, 3], 3)
+            batch_scores(S, [0, 1, 3], [0, 2, 3], 3)
 
 
 class TestKOverrideCheck:

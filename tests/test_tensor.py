@@ -582,6 +582,130 @@ class TestBackwardEngine:
         assert tensor.is_grad_enabled()
 
 
+def reference_backward(loss: Tensor) -> None:
+    """The engine before the one-pass walk, kept as its oracle: a
+    depth-first topological sort, then the hooks in reverse order.  Writes
+    leaf gradients as :func:`tensor.backward` does."""
+    order, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            order.append(t)
+            continue
+        if id(t) in visited:
+            continue
+        visited.add(id(t))
+        stack.append((t, True))
+        if t.node is not None:
+            stack.extend((p, False) for p in t.node.parents
+                         if p.requires_grad and id(p) not in visited)
+    local = {id(loss): np.ones(())}
+    for t in reversed(order):
+        g = local.pop(id(t), None)
+        if g is None or t.node is None:
+            continue
+        for parent, pg in zip(t.node.parents, t.node.backward_fn(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            if parent.node is None:
+                parent.grad = np.array(pg) if parent.grad is None else parent.grad + pg
+            elif id(parent) in local:
+                local[id(parent)] = local[id(parent)] + pg
+            else:
+                local[id(parent)] = np.array(pg)
+
+
+def record_hooks(root: Tensor) -> list:
+    """Wrap the hook of every node below ``root``; each call appends the
+    node's tensor to the returned list."""
+    calls, seen, todo = [], set(), [root]
+    while todo:
+        t = todo.pop()
+        if t.node is None or id(t) in seen:
+            continue
+        seen.add(id(t))
+        todo.extend(t.node.parents)
+
+        def run(g, t=t, hook=t.node.backward_fn):
+            calls.append(t)
+            return hook(g)
+
+        t.node.backward_fn = run
+    return calls
+
+
+def random_dag(rng, nodes: int):
+    """Leaves and the scalar loss of a random graph of (3, 3) ops over
+    earlier values; ``hub`` feeds three ops besides the loss's own read."""
+    leaves = [leaf(rng, 3, 3) for _ in range(3)]
+    values = list(leaves)
+    ops = (
+        lambda a, b: a + b,
+        lambda a, b: a * b,
+        lambda a, b: (a @ b) * 0.3,
+        lambda a, b: tensor.relu(a - b),
+        lambda a, b: tensor.softmax(a),
+    )
+    for _ in range(nodes):
+        a, b = (values[i] for i in rng.integers(len(values), size=2))
+        values.append(ops[rng.integers(len(ops))](a, b))
+    hub = values[len(values) // 2]
+    values += [hub * 2.0, tensor.relu(hub), hub @ values[-1]]
+    loss = sum((v * Tensor(rng.normal(size=(3, 3)))).sum() for v in values)
+    return leaves, loss
+
+
+class TestOnePassBackward:
+    def test_each_hook_runs_once_after_all_its_consumers(self):
+        """``a`` reaches the loss through paths of one, two and three ops,
+        and ``a * a`` lists it twice."""
+        x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        a = x * 2.0
+        square = a * a
+        shifted = tensor.relu(a) * 3.0
+        loss = (square + shifted).sum() + a.sum()
+        calls = record_hooks(loss)
+        tensor.backward(loss)
+        assert len(calls) == len({id(t) for t in calls}) == 8
+        position = {id(t): i for i, t in enumerate(calls)}
+        for t in calls:
+            for parent in t.node.parents:
+                if parent.node is not None:
+                    assert position[id(parent)] > position[id(t)]
+        np.testing.assert_array_equal(x.grad, 8.0 * x.data + 6.0 * (x.data > 0) + 2.0)
+
+    def test_scalar_leaf_loss_gets_grad_one(self):
+        p = Tensor(3.0, requires_grad=True)
+        tensor.backward(p)
+        assert p.grad.shape == () and p.grad == 1.0
+
+    def test_acceptance_step_bit_identical_to_reference(self):
+        from test_objective import TestTotalLoss
+
+        grads = []
+        for engine in (reference_backward, tensor.backward):
+            _, loss, params = TestTotalLoss.acceptance_step()
+            engine(loss)
+            grads.append({name: p.grad for name, p in params.named_parameters().items()})
+        assert grads[0].keys() == grads[1].keys()
+        for name, want in grads[0].items():
+            np.testing.assert_array_equal(grads[1][name], want, err_msg=name)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_dag_matches_reference(self, seed):
+        """Hooks run in another order than depth first, so a value with
+        three or more consumers may add them in another order: 1e-12."""
+        results = []
+        for engine in (reference_backward, tensor.backward):
+            leaves, loss = random_dag(np.random.default_rng(seed), 12)
+            calls = record_hooks(loss)
+            engine(loss)
+            assert len(calls) == len({id(t) for t in calls})
+            results.append([np.zeros((3, 3)) if p.grad is None else p.grad for p in leaves])
+        for got, want in zip(results[1], results[0]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestRngStream:
     def test_same_seed_same_sequence(self):
         from doclink.rng import RngStream

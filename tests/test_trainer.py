@@ -419,6 +419,21 @@ class TestCheckpoint:
                 t.data, resumed.params.named_parameters()[name].data, atol=1e-10
             )
 
+    def test_zero_epoch_run_writes_a_resumable_start(self, tmp_path):
+        """With no epoch to run, the starting state is checkpointed, and
+        resuming it gives the bytes of an unbroken run."""
+        corpus, model_config, objective_config = tiny_corpus(), tiny_model_config(), ObjectiveConfig()
+        start, unbroken = str(tmp_path / "start.ckpt"), str(tmp_path / "unbroken.ckpt")
+        train(corpus, model_config, objective_config, tiny_train_config(max_epochs=0),
+              checkpoint_path=start)
+        assert load_checkpoint(start)[2].epoch == 0
+        train(corpus, model_config, objective_config, tiny_train_config(max_epochs=2),
+              checkpoint_path=unbroken)
+        train(corpus, model_config, objective_config, tiny_train_config(max_epochs=2),
+              checkpoint_path=start, resume_from=start)
+        with open(start, "rb") as a, open(unbroken, "rb") as b:
+            assert a.read() == b.read()
+
     def test_resume_rejects_changed_settings(self, tmp_path):
         """Any stored objective or train field but max_epochs must match."""
         corpus = tiny_corpus()
