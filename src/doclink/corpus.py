@@ -475,6 +475,17 @@ def _edge_cells(n: int, m: int, count: int) -> list:
 
 
 def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Document:
+    """One document, drawn from ``rng`` in a fixed order.
+
+    The pinned corpus bytes rest on this order: the row and column
+    permutations, the token pool, the document center and the prototypes;
+    per sentence one ``integers`` block of tokens and, when token_noise > 0,
+    one ``uniform`` block of flip tests and one ``integers`` block of
+    replacements; per image one ``normal`` block of object rows, then one
+    ``integers`` block of (objects_per_image, concept_len) concepts.
+    numpy's bounded integers come out the same, and leave the stream in
+    the same place, whether drawn one at a time or in a block.
+    """
     n, m = config.sentences_per_doc, config.images_per_doc
     edge_count = int(round(config.density * n * m))
     edge_count = max(1, min(edge_count, n * m))
@@ -517,28 +528,24 @@ def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Docu
     center = rng.normal(size=config.obj_dim) * config.doc_center_scale
     prototypes = center[None, :] + rng.normal(size=(clusters, config.obj_dim))
 
-    def draw(subset, size: int) -> list:
+    def draw(subset, size):
         # The same draws as rng.choice(subset, size), from the same stream use.
-        return subset[rng.integers(0, len(subset), size)].tolist()
+        return subset[rng.integers(0, len(subset), size)]
 
     sentences = []
     for i in range(n):
         tokens = draw(subsets[cluster[i]], config.sentence_len)
         if config.token_noise > 0.0:
-            flips = rng.uniform(size=config.sentence_len) < config.token_noise
-            for pos in np.flatnonzero(flips):
-                tokens[pos] = int(rng.integers(0, config.vocab_size))
-        sentences.append(tokens)
+            flips = np.flatnonzero(rng.uniform(size=config.sentence_len) < config.token_noise)
+            tokens[flips] = rng.integers(0, config.vocab_size, flips.size)
+        sentences.append(tokens.tolist())
 
     images = []
     for j in range(m):
-        proto = prototypes[cluster[n + j]]
         noise = rng.normal(size=(config.objects_per_image, config.obj_dim)) * config.sigma
-        concepts = [
-            draw(subsets[cluster[n + j]], config.concept_len)
-            for _ in range(config.objects_per_image)
-        ]
-        images.append(ImageRecord(objects=proto[None, :] + noise, concepts=concepts))
+        concepts = draw(subsets[cluster[n + j]], (config.objects_per_image, config.concept_len))
+        objects = prototypes[cluster[n + j]][None, :] + noise
+        images.append(ImageRecord(objects=objects, concepts=concepts.tolist()))
 
     # Implant the first concept token of every matched image into its
     # sentence (one position per image, capped by sentence length), so token

@@ -147,7 +147,16 @@ class TestGen:
         "synth,message",
         [({"vocab_size": 10}, "vocab_size=10 cannot hold 5 disjoint token subsets of 6"),
          # numpy refuses an 8 TB prototype at once, before writing anything
-         ({"obj_dim": 10**12}, f"cannot allocate the corpus: synth obj_dim={10**12}")],
+         ({"obj_dim": 10**12}, f"cannot allocate the corpus: synth obj_dim={10**12}"),
+         # an 8 TB token block for one sentence, or a 16 TB concept block for one image
+         ({"train_docs": 1, "val_docs": 0, "test_docs": 0, "obj_dim": 4,
+           "objects_per_image": 2, "sentence_len": 10**12},
+          "cannot allocate the corpus: synth obj_dim=4, objects_per_image=2, "
+          f"sentence_len={10**12}, concept_len=2"),
+         ({"train_docs": 1, "val_docs": 0, "test_docs": 0, "obj_dim": 4,
+           "objects_per_image": 2, "concept_len": 10**12},
+          "cannot allocate the corpus: synth obj_dim=4, objects_per_image=2, "
+          f"sentence_len=8, concept_len={10**12}")],
     )
     def test_setting_rejected_during_generation_is_usage_error(
         self, tmp_path, capsys, synth, message

@@ -429,6 +429,125 @@ class TestGenerator:
                 assert len(img.concepts) == 2
 
 
+def reference_generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Document:
+    """The generator with one ``integers`` call per object and per flipped
+    token: the oracle for the batched draws of ``_generate_document``."""
+    n, m = config.sentences_per_doc, config.images_per_doc
+    edge_count = int(round(config.density * n * m))
+    edge_count = max(1, min(edge_count, n * m))
+
+    base = corpus_module._edge_cells(n, m, edge_count)
+    row_perm = rng.permutation(n)
+    col_perm = rng.permutation(m)
+    edges = {(int(row_perm[i]), int(col_perm[j])) for i, j in base}
+
+    parent = list(range(n + m))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in edges:
+        ra, rb = root(i), root(n + j)
+        parent[max(ra, rb)] = min(ra, rb)
+    matched = {i for i, _ in edges} | {n + j for _, j in edges}
+    keys = [(node not in matched, root(node)) for node in range(n + m)]
+    number = {key: c for c, key in enumerate(sorted(set(keys)))}
+    cluster = [number[key] for key in keys]
+
+    clusters = len(number)
+    if clusters * config.tokens_per_cluster > config.vocab_size:
+        raise ConfigError(
+            f"vocab_size={config.vocab_size} cannot hold {clusters} disjoint "
+            f"token subsets of {config.tokens_per_cluster}"
+        )
+
+    pool = rng.choice(config.vocab_size, size=clusters * config.tokens_per_cluster, replace=False)
+    subsets = pool.reshape(clusters, config.tokens_per_cluster)
+    center = rng.normal(size=config.obj_dim) * config.doc_center_scale
+    prototypes = center[None, :] + rng.normal(size=(clusters, config.obj_dim))
+
+    def draw(subset, size: int) -> list:
+        return subset[rng.integers(0, len(subset), size)].tolist()
+
+    sentences = []
+    for i in range(n):
+        tokens = draw(subsets[cluster[i]], config.sentence_len)
+        if config.token_noise > 0.0:
+            flips = rng.uniform(size=config.sentence_len) < config.token_noise
+            for pos in np.flatnonzero(flips):
+                tokens[pos] = int(rng.integers(0, config.vocab_size))
+        sentences.append(tokens)
+
+    images = []
+    for j in range(m):
+        proto = prototypes[cluster[n + j]]
+        noise = rng.normal(size=(config.objects_per_image, config.obj_dim)) * config.sigma
+        concepts = [
+            draw(subsets[cluster[n + j]], config.concept_len)
+            for _ in range(config.objects_per_image)
+        ]
+        images.append(ImageRecord(objects=proto[None, :] + noise, concepts=concepts))
+
+    match_lists = {}
+    for i, j in sorted(edges):
+        match_lists.setdefault(i, []).append(j)
+    for i, js in match_lists.items():
+        for pos, j in enumerate(js[: config.sentence_len]):
+            sentences[i][pos] = int(images[j].concepts[0][0])
+
+    return Document(id=doc_id, sentences=sentences, images=images, gold_edges=edges)
+
+
+class CountingStream(RngStream):
+    """An RngStream that counts its ``integers`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.integer_calls = 0
+
+    def integers(self, low, high=None, size=None):
+        self.integer_calls += 1
+        return super().integers(low, high, size)
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize(
+        "concept_len,tokens_per_cluster,token_noise,objects_per_image",
+        list(itertools.product((1, 3), (4, 7), (0.0, 0.5, 1.0), (1, 5))),
+    )
+    def test_same_documents_and_stream_end_as_per_object_draws(
+        self, monkeypatch, concept_len, tokens_per_cluster, token_noise, objects_per_image
+    ):
+        """tokens_per_cluster 7 is not a power of two, so bounded-integer
+        rejection can occur; the stream must still end in the same place."""
+        config = tiny_config(
+            concept_len=concept_len, tokens_per_cluster=tokens_per_cluster,
+            token_noise=token_noise, objects_per_image=objects_per_image, doc_center_scale=0.5,
+        )
+        for seed in range(3):
+            rng = RngStream(seed)
+            corpus = generate_synthetic(config, rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(corpus_module, "_generate_document", reference_generate_document)
+                reference_rng = RngStream(seed)
+                reference = generate_synthetic(config, reference_rng)
+            assert corpus == reference
+            assert rng.state() == reference_rng.state()
+
+    @pytest.mark.parametrize("token_noise", [0.0, 0.4])
+    def test_one_integers_call_per_sentence_draw_and_per_image(self, token_noise):
+        config = tiny_config(objects_per_image=5, token_noise=token_noise)
+        rng = CountingStream(6)
+        generate_synthetic(config, rng)
+        docs = config.train_docs + config.val_docs + config.test_docs
+        per_sentence = 2 if token_noise > 0 else 1
+        expected = docs * (config.sentences_per_doc * per_sentence + config.images_per_doc)
+        assert rng.integer_calls == expected
+
+
 class TestFeatureViews:
     def test_single_token_sentence_is_embedding_row(self):
         table = np.arange(12.0).reshape(4, 3)
