@@ -17,7 +17,7 @@ import numpy as np
 
 from doclink import tensor
 from doclink.corpus import SynthConfig, generate_synthetic
-from doclink.encoder import ModelConfig, batch_representations, init_params
+from doclink.encoder import ModelConfig, batch_representations, init_params, similarity_matrix
 from doclink.objective import ObjectiveConfig, neg_tk, tk, total_loss
 from doclink.rng import RngStream
 from doclink.tensor import Tensor
@@ -57,10 +57,12 @@ objective = ObjectiveConfig(alpha=0.2, p_sub=0.6)
 loss, parts = total_loss(batch, objective, RngStream(6).child("dropout"))
 print(f"\nbatch loss (mean of per-document totals) = {loss.data:.4f}")
 for i in range(len(batch)):
+    own = similarity_matrix(*batch[i])  # document i's sentences x its images
+    k = min(own.shape)  # the default k of total_loss
     print(
         f"  doc {i}: cross={parts['l_cross'][i]:.4f} intra={parts['l_intra'][i]:.4f} "
         f"sub={parts['l_sub'][i]:.4f} total={parts['total'][i]:.4f} "
-        f"(own tk={parts['s_pos'][i]:.4f}, own neg_tk={parts['s_neg'][i]:.4f})"
+        f"(own tk={tk(own, k).data:.4f}, own neg_tk={neg_tk(own, k).data:.4f})"
     )
 
 print("\nswitching objectives off zeroes their terms:")

@@ -257,7 +257,8 @@ def cmd_eval(args) -> int:
             "ks": list(ks),
         },
     )
-    p_line = " ".join(f"p@{k}={v:.4f}" for k, v in sorted(report.p_at.items()))
+    p_line = " ".join(f"p@{k}=" + (format(report.p_at[k], ".4f") if k in report.p_at else "n/a")
+                      for k in sorted(set(ks)))
     auc = "n/a" if report.macro_auc is None else format(report.macro_auc, ".4f")
     print(f"split={args.split} macro AUC={auc} {p_line}")
     return 0

@@ -6,9 +6,9 @@ object.  Gold edges (sentence index, image index) are optional at training
 time and required for evaluation.
 
 On-disk formats:
-  corpus     written as a ``doclink-corpus-v2`` zip (see save_corpus): a
-             ``header.json`` with the format tag and the document ids, and
-             flat ``.npy`` arrays of counts, tokens, object rows and gold
+  corpus     a ``doclink-corpus-v2`` zip (save_corpus; doclink.archive reads
+             it): a ``header.json`` with the format tag and the document ids,
+             and flat ``.npy`` arrays of counts, tokens, object rows and gold
              edges.  load_corpus also reads JSON Lines, one document per
              line, for corpora written by hand:
              {"id": str, "sentences": [{"tokens": [int, ...]}, ...],
@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import json
 import warnings
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archive import is_zip, save_zip
+from .archive import is_zip, load_zip, save_zip
 from .errors import ConfigError, CorpusFormatError, CorpusValidationError, check_settings, setting
 from .rng import RngStream
 
@@ -177,9 +176,8 @@ COUNTED = (
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write a ``doclink-corpus-v2`` zip: the document ids in the header,
-    then the flat arrays of MEMBERS.  The same corpus always gives the same
-    bytes."""
+    """Write a ``doclink-corpus-v2`` zip with :func:`save_zip`: the document
+    ids in the header, then the flat arrays of MEMBERS."""
     docs = corpus.documents
     sentences = [s for doc in docs for s in doc.sentences]
     images = [img for doc in docs for img in doc.images]
@@ -214,44 +212,19 @@ def _split(flat, counts) -> list:
 
 def _read_zip(path) -> tuple:
     """The documents of a ``doclink-corpus-v2`` zip and its largest token
-    id (at least 0), from the flat token arrays.  A missing member, a
-    member of the wrong dtype or ndim, a negative count, counts that do not
-    sum to the rows they index, and ids that are not unique strings, one
-    per document, raise CorpusFormatError naming the file and the member."""
+    id (at least 0), from the flat token arrays.  Beside :func:`load_zip`'s
+    faults, ids that are not unique strings, one per document, a negative
+    count and counts that do not sum to the rows they index raise
+    CorpusFormatError naming the file and the member."""
 
     def fail(member, problem):
         return CorpusFormatError(f"corpus {path} member {member!r} {problem}")
 
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            members = {}
-            for name in ("header.json", *MEMBERS):
-                try:
-                    members[name] = npz[name]  # a member that is not .npy reads as bytes
-                except KeyError:
-                    raise fail(name, "is missing") from None
-                except (ValueError, EOFError, MemoryError, zipfile.BadZipFile) as exc:
-                    # MemoryError: a .npy header may claim more values than memory holds.
-                    raise fail(name, f"is malformed: {exc}") from exc
-    except zipfile.BadZipFile as exc:
-        raise CorpusFormatError(f"corpus {path} is malformed: {exc}") from exc
-
-    try:
-        header = json.loads(members.pop("header.json"))
-    except (TypeError, ValueError) as exc:
-        raise fail("header.json", f"is not JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
-        raise fail("header.json", f"lacks the {CORPUS_FORMAT!r} format tag")
+    header, members = load_zip(path, CORPUS_FORMAT, MEMBERS, CorpusFormatError, "corpus")
     ids = header.get("ids")
     if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids) \
             or len(set(ids)) != len(ids):
         raise fail("header.json", "ids must be a list of unique strings")
-    for name, (dtype, ndim) in MEMBERS.items():
-        array = np.asarray(members[name])
-        if array.dtype != dtype or array.ndim != ndim:
-            raise fail(name, f"has dtype {array.dtype.str} and {array.ndim} dimensions, "
-                             f"expected {dtype} and {ndim}")
-        members[name] = array
     if members["edges"].shape[1] != 2:
         raise fail("edges", f"has shape {members['edges'].shape}, expected (edges, 2)")
 

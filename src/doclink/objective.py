@@ -133,10 +133,9 @@ def batch_scores(s, row_offsets, col_offsets, k=None, cross=True, intra=True, su
     off-diagonal: per row for a document's sentences, per column for its
     images.
 
-    Returns ``(pairs, (kind, doc), (s_pos, s_neg))``: the (2, H) node of
-    positive (row 0) and negative (row 1) hinge operands; each term's kind
-    (CROSS, INTRA or SUB) and document as (H,) arrays; and the own tk and
-    neg_tk as (B,) arrays.  Columns, in order: with ``cross``, B
+    Returns ``(pairs, (kind, doc))``: the (2, H) node of positive (row 0)
+    and negative (row 1) hinge operands, and each term's kind (CROSS, INTRA
+    or SUB) and document as (H,) arrays.  Columns, in order: with ``cross``, B
     sentence-side then B image-side terms of own tk against the hardest
     negative; with ``intra``, B terms of tk against neg_tk; then per
     sub-document a sentence-side and, after all of those, an image-side
@@ -201,7 +200,7 @@ def batch_scores(s, row_offsets, col_offsets, k=None, cross=True, intra=True, su
 
     out_data = values[operand] * np.where(operand < size, -1.0, 1.0)
     pairs = _make(out_data, (s,), backward_fn, "batch_scores")
-    return pairs, (kind[0], doc[0]), (values[diag], -values[:size])
+    return pairs, (kind[0], doc[0])
 
 
 def hinge(m, n, margin) -> Tensor:
@@ -287,9 +286,8 @@ def total_loss(
     ``batch`` holds (sentence_reps, image_reps) tensor pairs, one per
     document.  ``rng`` drives the sub-document draws and may be None when
     ``use_sub`` is off.  ``parts`` maps ``l_cross``, ``l_intra``,
-    ``l_sub``, their sum ``total``, and the own matrix's ``s_pos`` (tk) and
-    ``s_neg`` (neg_tk) to (B,) float64 arrays; a disabled objective reads
-    zero.
+    ``l_sub`` and their sum ``total`` to (B,) float64 arrays; a disabled
+    objective reads zero.
     """
     size = len(batch)
     if size < 2:
@@ -303,7 +301,7 @@ def total_loss(
         cols = _sample_subdocument(col_off[i + 1] - col_off[i], config.p_sub, rng)
         if rows.size and cols.size:
             subs.append((i, rows + row_off[i], cols + col_off[i]))
-    pairs, (kind, doc), (s_pos, s_neg) = batch_scores(
+    pairs, (kind, doc) = batch_scores(
         S, row_off, col_off, config.k_override, use_cross, use_intra, subs
     )
     losses = hinge(pairs[0], pairs[1], config.alpha * TERM_MARGINS[kind])
@@ -313,6 +311,4 @@ def total_loss(
 
     batch_mean = losses.sum() * (1.0 / size) if h.size else Tensor(0.0)
     parts["total"] = parts["l_cross"] + parts["l_intra"] + parts["l_sub"]
-    parts["s_pos"] = s_pos
-    parts["s_neg"] = s_neg
     return batch_mean, parts

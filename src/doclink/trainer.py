@@ -13,25 +13,23 @@ store it verbatim, so a resumed run continues the unbroken sequence.
 Memory and checkpoint share one layout: :class:`OptimizerState` moves the
 parameters into a flat float64 vector beside Adam's two moments, and a
 checkpoint (``doclink-checkpoint-v2``) is a zip of a JSON header and those
-three vectors.  :func:`save_checkpoint` is its only writer and
-:func:`load_checkpoint` its only reader; a resume must request every
-stored setting unchanged except max_epochs.  Adam's betas and eps are the
+three vectors in :mod:`doclink.archive`'s container.  :func:`save_checkpoint`
+is its only writer and :func:`load_checkpoint` its only reader; a resume
+must request every stored setting unchanged except max_epochs.  Adam's betas and eps are the
 constants BETA1, BETA2 and EPS, stored in no checkpoint, and its bias
 correction counts steps with ``TrainState.step``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import tensor
-from .archive import is_zip, save_zip
+from .archive import load_zip, save_zip
 from .corpus import Corpus
 from .encoder import ModelConfig, ModelParams, batch_representations, check_fit, init_params
 from .errors import BatchError, ConfigError, NonFiniteError, check_settings, setting
@@ -41,6 +39,8 @@ from .rng import RngStream
 CHECKPOINT_FORMAT = "doclink-checkpoint-v2"
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 ARRAYS = ("params", "m", "v")
+# The checkpoint's array members: name -> (dtype, ndim), as written and read.
+MEMBERS = dict.fromkeys(ARRAYS, ("<f8", 1))
 
 
 @dataclass
@@ -342,16 +342,11 @@ def save_checkpoint(
     objective_config: ObjectiveConfig,
     train_config: TrainConfig,
 ) -> None:
-    """Write a ``doclink-checkpoint-v2`` file: a zip of a JSON header and
-    three flat float64 ``.npy`` arrays, ``params``, ``m`` and ``v``.
-
-    The header holds the format tag, the :class:`TrainState` fields, the
+    """Write a ``doclink-checkpoint-v2`` file with :func:`save_zip`: the
+    arrays of MEMBERS, ``optimizer.flat`` as it is, which ``params`` views,
+    under a header of the format tag, the :class:`TrainState` fields, the
     three configs and ``optimizer.layout``, mapping each parameter name, in
-    ``named_parameters()`` order, to its [offset, shape] in every array;
-    the arrays are ``optimizer.flat`` as it is, which ``params`` views.
-    The file is written beside ``path`` and moved into place, so a crash
-    never leaves half a checkpoint; the same state always gives the same
-    bytes.
+    ``named_parameters()`` order, to its [offset, shape] in every array.
     """
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -363,7 +358,8 @@ def save_checkpoint(
         },
         "table": optimizer.layout,
     }
-    save_zip(path, header, ((key, optimizer.flat[key]) for key in ARRAYS))
+    save_zip(path, header, ((key, optimizer.flat[key].astype(dtype, copy=False))
+                            for key, (dtype, _) in MEMBERS.items()))
 
 
 def _require_match(path, section: str, stored: dict, requested, skip=()) -> None:
@@ -388,44 +384,35 @@ def load_checkpoint(
     The model is built from the stored config, available as
     ``params.config``, with the checkpointed values verbatim.  Each config
     that is given must match the stored one field by field; ``max_epochs``
-    is exempt, so a run can be resumed to a later epoch.  Arrays are read
-    with ``allow_pickle=False``.  Any other content (a v1 JSON checkpoint
-    too), a missing member, a header table or array that does not fit the
-    model, a run state field of the wrong type or range, and an rng state
-    that PCG64 rejects raise ConfigError naming the file.
+    is exempt, so a run can be resumed to a later epoch.  Beside
+    :func:`load_zip`'s faults (a v1 JSON checkpoint is one), a missing
+    header entry, a model config that builds no model, a table or array
+    that does not fit the model, a run state field of the wrong type or
+    range, and an rng state that PCG64 rejects raise ConfigError naming the
+    file.
     """
-    if not is_zip(path):
-        raise ConfigError(f"checkpoint {path} is not a {CHECKPOINT_FORMAT} zip")
+    header, arrays = load_zip(path, CHECKPOINT_FORMAT, MEMBERS, ConfigError, "checkpoint")
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            for key in ("header.json", *ARRAYS):
-                if key not in npz:
-                    raise KeyError(key)
-            header = json.loads(npz["header.json"])
-            if header.get("format") != CHECKPOINT_FORMAT:
-                raise ConfigError(
-                    f"unrecognized checkpoint format {header.get('format')!r} in {path}"
-                )
-            stored = header["config"]
-            for section, requested, skip in (
-                ("model", model_config, ()),
-                ("objective", objective_config, ()),
-                ("train", train_config, ("max_epochs",)),
-            ):
-                if requested is not None:
-                    _require_match(path, section, stored[section], requested, skip)
+        stored = header["config"]
+        for section, requested, skip in (
+            ("model", model_config, ()),
+            ("objective", objective_config, ()),
+            ("train", train_config, ("max_epochs",)),
+        ):
+            if not isinstance(stored, dict) or not isinstance(stored.get(section), dict):
+                raise ConfigError(f"checkpoint {path} config {section!r} is not an object")
+            if requested is not None:
+                _require_match(path, section, stored[section], requested, skip)
+        try:
             params = init_params(ModelConfig(**stored["model"]), RngStream(0))
-            named = params.named_parameters()
-            total = sum(t.data.size for t in named.values())
-            arrays = {}
-            for key in ARRAYS:
-                arr = np.asarray(npz[key])  # a member that is not .npy reads as bytes
-                if arr.dtype != "<f8" or arr.shape != (total,):
-                    raise ConfigError(
-                        f"checkpoint {path} array {key!r} has dtype {arr.dtype.str} and "
-                        f"shape {arr.shape}, expected <f8 and ({total},)"
-                    )
-                arrays[key] = arr
+        except (ConfigError, TypeError, ValueError, MemoryError) as exc:
+            raise ConfigError(f"checkpoint {path} model config: {exc}") from exc
+        named = params.named_parameters()
+        total = sum(t.data.size for t in named.values())
+        for key, array in arrays.items():
+            if len(array) != total:
+                raise ConfigError(f"checkpoint {path} member {key!r} has {len(array)} values, "
+                                  f"but the model has {total} parameters")
         optimizer = OptimizerState(named, arrays)
         if header["table"] != optimizer.layout:
             raise ConfigError(f"checkpoint {path} table does not match the model's parameters")
@@ -442,8 +429,6 @@ def load_checkpoint(
                 ) from exc
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} lacks the {exc} entry") from exc
-    except (TypeError, ValueError, AttributeError, OverflowError, EOFError, MemoryError,
-            zipfile.BadZipFile) as exc:
-        # MemoryError: a .npy header may claim more values than memory holds.
+    except OverflowError as exc:  # a history int beyond the float range
         raise ConfigError(f"checkpoint {path} is malformed: {exc}") from exc
     return params, optimizer, state

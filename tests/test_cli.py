@@ -494,6 +494,61 @@ class TestEval:
         report = json.loads(read_bytes(tmp_path / "ev-na" / "eval-report.json"))
         assert report["macro_auc"] is None
 
+    def test_unscorable_cutoff_prints_na(self, trained, tmp_path, capsys):
+        """No 3x3 document has 100 cells: p@100 reads n/a and stays out of
+        the report."""
+        corpus, ckpt = trained
+        code = main(
+            ["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt), "--split", "test",
+             "--ks", "1,100", "--out", str(tmp_path / "ev-k")]
+        )
+        assert code == 0
+        line = capsys.readouterr().out.strip()
+        assert line.endswith(" p@100=n/a") and " p@1=" in line
+        report = json.loads(read_bytes(tmp_path / "ev-k" / "eval-report.json"))
+        assert set(report["p_at"]) == {"1"}
+
+    @pytest.mark.parametrize(
+        "model,message",
+        [({"heads": 3}, "embed_dim 8 must be divisible by heads 3"),
+         ({"vocab_size": 10**9}, "cannot allocate the word table: vocab_size=1000000000")],
+        ids=["heads", "vocab_size"],
+    )
+    def test_invalid_stored_model_config_names_checkpoint(
+        self, trained, tmp_path, capsys, model, message
+    ):
+        corpus, ckpt = trained
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(ckpt, bad, lambda h: h["config"]["model"].update(model))
+        code = main(["eval", "--corpus", str(corpus), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: checkpoint {bad} model config: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edit,section",
+        [(lambda h: h["config"].update(model=[8]), "model"),
+         (lambda h: h["config"].update(train="x"), "train"),
+         (lambda h: h.update(config=[1]), "model")],
+        ids=["model-list", "train-str", "config-list"],
+    )
+    def test_stored_config_section_not_an_object_is_data_error(
+        self, trained, tmp_path, capsys, edit, section
+    ):
+        corpus, ckpt = trained
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(ckpt, bad, edit)
+        config = tmp_path / "resume.json"
+        write_json(config, train_sections(max_epochs=3))
+        for argv in (["train", "--config", str(config), "--resume", str(bad)],
+                     ["eval", "--checkpoint", str(bad)]):
+            code = main(argv + ["--corpus", str(corpus), "--out", str(tmp_path / "o")])
+            assert code == 2, argv[0]
+            err = capsys.readouterr().err
+            assert f"checkpoint {bad} config {section!r} is not an object" in err, argv[0]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_split_is_usage_error(self, trained, tmp_path):
         corpus, ckpt = trained
         for command in (["eval", "--checkpoint", str(ckpt)], ["diagnose"]):
@@ -518,9 +573,10 @@ class TestEval:
         for bad, message in (
             (not_zip, "is not a doclink-checkpoint-v2 zip"),
             (v1, "is not a doclink-checkpoint-v2 zip"),
-            (not_json, "is malformed: Expecting property name"),
-            (no_params, "lacks the 'params'"),
-            (pickled, "is malformed: Object arrays cannot be loaded when allow_pickle=False"),
+            (not_json, "member 'header.json' is not JSON: Expecting property name"),
+            (no_params, "member 'params' is missing"),
+            (pickled, "member 'm' is malformed: Object arrays cannot be loaded when "
+                      "allow_pickle=False"),
         ):
             for command in ("eval", "diagnose"):
                 code = main([command, "--corpus", str(corpus), "--checkpoint", str(bad),

@@ -524,8 +524,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "moment,entry,message",
-        [("m", np.zeros(1), r"array 'm' has dtype <f8 and shape \(1,\)"),
-         ("v", None, "lacks the 'v' entry")],
+        [("m", np.zeros(1), "member 'm' has 1 values, but the model has"),
+         ("v", None, "member 'v' is missing")],
     )
     def test_bad_adam_moment_rejected(self, tmp_path, moment, entry, message):
         """Both moments are stored, each as long as the parameters."""
