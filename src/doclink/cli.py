@@ -28,13 +28,14 @@ from .corpus import (
     token_overlap_scores,
 )
 from .diagnostics import bias_report, document_spreads, spread_regression
-from .encoder import ModelConfig, split_representations, word_table
+from .encoder import ModelConfig, copy_rows, split_representations, word_table
 from .errors import (
     ConfigError,
     CorpusValidationError,
     DegenerateEmbeddingError,
     DoclinkError,
     NonFiniteError,
+    build_settings,
 )
 from .evalmetrics import evaluate, evaluate_matrices, similarity_matrices
 from .objective import ObjectiveConfig
@@ -78,18 +79,12 @@ def _section(config_file: dict, name: str, allowed_sections) -> dict:
 def _build_config(cls, section: dict, overrides: dict | None = None):
     """Dataclass from config-file section plus flag overrides; flags win.
     Unknown keys and invalid values are usage errors."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - known
-    if unknown:
-        raise UsageError(
-            f"unknown {cls.__name__} keys {sorted(unknown)}; known: {sorted(known)}"
-        )
     merged = dict(section)
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
     try:
-        return cls(**merged)
+        return build_settings(cls, merged)
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -269,7 +264,8 @@ def _word_table(args, corpus, params):
     table, else a fixed random table (content-free but deterministic)."""
     if args.pretrained:
         rows = load_pretrained_embeddings(args.pretrained)
-        return word_table(corpus.vocab_size, len(next(iter(rows.values()))), np.zeros, rows)
+        width = len(next(iter(rows.values())))
+        return copy_rows(word_table(corpus.vocab_size, width, np.zeros), rows)
     if params is not None:
         return params.word_embed.data
     rng = RngStream(args.seed).child("wordtable")

@@ -135,13 +135,23 @@ def validate_corpus(corpus: Corpus) -> None:
         seen.add(doc.id)
         validate_document(doc, corpus.vocab_size, corpus.obj_dim)
     if corpus.splits:
-        claimed = []
-        for name in corpus.splits:
-            claimed.extend(corpus.splits[name])
-        if len(claimed) != len(set(claimed)):
-            raise CorpusValidationError("splits are not disjoint")
-        if set(claimed) != seen:
-            raise CorpusValidationError("splits do not cover all documents exactly")
+        listed = {}  # document id -> the splits listing it, once per listing
+        for name, ids in corpus.splits.items():
+            for doc_id in ids:
+                listed.setdefault(doc_id, []).append(name)
+        uncovered = "splits do not cover all documents exactly"
+        for doc_id, names in listed.items():
+            if len(names) > 1:
+                raise CorpusValidationError(
+                    f"splits are not disjoint: document {doc_id!r} is listed in {names}"
+                )
+            if doc_id not in seen:
+                raise CorpusValidationError(
+                    f"{uncovered}: split {names[0]!r} lists unknown document {doc_id!r}"
+                )
+        for doc in corpus.documents:
+            if doc.id not in listed:
+                raise CorpusValidationError(f"{uncovered}: document {doc.id!r} is in no split")
 
 
 # ---- serialization ---------------------------------------------------------
@@ -447,6 +457,8 @@ def _edge_cells(n: int, m: int, count: int) -> list:
     return list(dict.fromkeys(cover + stripes))[:count]
 
 
+# Huge sigma or doc_center_scale overflow the object rows; generate_synthetic rejects them.
+@np.errstate(over="ignore", invalid="ignore")
 def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Document:
     """One document, drawn from ``rng`` in a fixed order.
 
@@ -534,7 +546,11 @@ def _generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Docu
 
 
 def generate_synthetic(config: SynthConfig, rng: RngStream) -> Corpus:
-    """Deterministic synthetic corpus with known gold edges."""
+    """Deterministic synthetic corpus with known gold edges.
+
+    Its draws keep every invariant :func:`validate_corpus` checks but one:
+    ``sigma`` or ``doc_center_scale`` can overflow the object rows, which
+    raises ConfigError naming both."""
     documents = []
     splits = {}
     for split, count in (
@@ -548,14 +564,15 @@ def generate_synthetic(config: SynthConfig, rng: RngStream) -> Corpus:
             documents.append(_generate_document(doc_id, config, rng))
             ids.append(doc_id)
         splits[split] = ids
-    corpus = Corpus(
+    if not all(np.isfinite(img.objects).all() for doc in documents for img in doc.images):
+        raise ConfigError(f"sigma={config.sigma} and doc_center_scale={config.doc_center_scale} "
+                          f"overflow the object features to non-finite values")
+    return Corpus(
         documents=documents,
         vocab_size=config.vocab_size,
         obj_dim=config.obj_dim,
         splits=splits,
     )
-    validate_corpus(corpus)
-    return corpus
 
 
 # ---- feature views -----------------------------------------------------------

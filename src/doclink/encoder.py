@@ -22,7 +22,9 @@ the one fit check; encoders check only what their counts and padded arrays
 show, and a batch that fails to encode is walked to name its document.
 
 :class:`ModelParams` names its tensors by attribute (``nn.Params``), so
-its constructor's assignment order is the checkpoint layout.
+its constructor's assignment order is the checkpoint layout.  It holds
+shapes only; :func:`draw_parameters` is the one init policy, which
+:func:`init_params` runs and a checkpoint load skips.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .errors import (
     check_settings,
     setting,
 )
-from .nn import LayerNormParams, Params, TransformerLayerParams
-from .nn import transformer_layer, xavier_uniform
+from .nn import LayerNormParams, Params, TransformerLayerParams, transformer_layer, zeros
 from .rng import RngStream
 from .tensor import Tensor, concat, embedding, linear, masked_mean, matmul, no_grad
 from .tensor import normalize_rows, transpose
@@ -56,23 +57,29 @@ DOCS_PER_PASS = 11
 MAX_WORD_TABLE_BYTES = 2**30
 
 
-def word_table(vocab_size: int, width: int, fill, pretrained: dict | None = None) -> np.ndarray:
-    """``fill((vocab_size, width))`` plus the in-range ``pretrained`` rows; a table
-    over MAX_WORD_TABLE_BYTES, or one memory refuses, raises ConfigError naming it."""
+def word_table(vocab_size: int, width: int, fill) -> np.ndarray:
+    """``fill((vocab_size, width))``; a table over MAX_WORD_TABLE_BYTES, or one
+    memory refuses, raises ConfigError naming it."""
     problem = f"cannot allocate the word table: vocab_size={vocab_size}, word_dim={width}"
     if vocab_size * width * 8 > MAX_WORD_TABLE_BYTES:
         raise ConfigError(f"{problem}: more than {MAX_WORD_TABLE_BYTES} bytes")
     try:
-        table = fill((vocab_size, width))
+        return fill((vocab_size, width))
     except MemoryError as exc:
         raise ConfigError(f"{problem}: {exc}") from exc
+
+
+def copy_rows(table: np.ndarray, pretrained: dict | None) -> np.ndarray:
+    """``table`` with the ``pretrained`` rows whose ids fall inside it copied
+    in verbatim; a row of another width raises ConfigError."""
+    width = table.shape[1]
     for token_id, vec in (pretrained or {}).items():
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (width,):
             raise ConfigError(
                 f"pretrained vector for id {token_id} has width {vec.shape}, expected ({width},)"
             )
-        if 0 <= token_id < vocab_size:
+        if 0 <= token_id < len(table):
             table[token_id] = vec
     return table
 
@@ -95,43 +102,67 @@ class ModelConfig:
                 f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
             )
 
+    def parameter_count(self) -> int:
+        """The number of values in :class:`ModelParams` of this config, from its
+        shapes alone, in Python ints, so no layer count overflows."""
+        v, length, w, e, o = (self.vocab_size, self.max_sentence_len, self.word_dim,
+                              self.embed_dim, self.obj_dim)
+        layers = self.sentence_layers + self.image_layers
+        return (v + length) * w + 2 * w + e * (w + o + 2) + 10 * e + layers * (12 * e * e + 13 * e)
+
 
 class ModelParams(Params):
-    """All learnable tensors, named by their attributes for checkpoints."""
+    """All learnable tensors of ``config``'s shapes, named by their attributes
+    for checkpoints: zeros, with unit layer-norm gains, until
+    :func:`init_params` draws them or a checkpoint's arrays are adopted.  The
+    word table passes :func:`word_table`'s bound first."""
 
-    def __init__(self, config: ModelConfig, rng: RngStream, pretrained: dict | None = None):
+    def __init__(self, config: ModelConfig):
         c = config
         self.config = c
-        table = word_table(
-            c.vocab_size, c.word_dim, lambda size: rng.uniform(-0.02, 0.02, size), pretrained
-        )
-        self.word_embed = Tensor(table, requires_grad=True)
-        self.pos_embed = Tensor(
-            rng.uniform(-0.02, 0.02, size=(c.max_sentence_len, c.word_dim)), requires_grad=True
-        )
+        self.word_embed = Tensor(word_table(c.vocab_size, c.word_dim, np.zeros), requires_grad=True)
+        self.pos_embed = zeros(c.max_sentence_len, c.word_dim)
 
         # text_proj is shared by the sentence path and the concept path.
-        self.text_proj_w = xavier_uniform(rng, c.embed_dim, c.word_dim)
-        self.text_proj_b = Tensor(np.zeros(c.embed_dim), requires_grad=True)
-        self.obj_proj_w = xavier_uniform(rng, c.embed_dim, c.obj_dim)
-        self.obj_proj_b = Tensor(np.zeros(c.embed_dim), requires_grad=True)
+        self.text_proj_w = zeros(c.embed_dim, c.word_dim)
+        self.text_proj_b = zeros(c.embed_dim)
+        self.obj_proj_w = zeros(c.embed_dim, c.obj_dim)
+        self.obj_proj_b = zeros(c.embed_dim)
 
-        self.seg_embed = Tensor(rng.uniform(-0.02, 0.02, size=(2, c.embed_dim)), requires_grad=True)
+        self.seg_embed = zeros(2, c.embed_dim)
         self.ln_token = LayerNormParams(c.word_dim)
         self.ln_obj_feat = LayerNormParams(c.embed_dim)
         self.ln_obj_seg = LayerNormParams(c.embed_dim)
         self.ln_concept_feat = LayerNormParams(c.embed_dim)
         self.ln_concept_seg = LayerNormParams(c.embed_dim)
 
-        self.sent_layers = [TransformerLayerParams(c.embed_dim, rng) for _ in range(c.sentence_layers)]
-        self.img_layers = [TransformerLayerParams(c.embed_dim, rng) for _ in range(c.image_layers)]
+        self.sent_layers = [TransformerLayerParams(c.embed_dim) for _ in range(c.sentence_layers)]
+        self.img_layers = [TransformerLayerParams(c.embed_dim) for _ in range(c.image_layers)]
+
+
+def draw_parameters(params: Params, rng: RngStream) -> None:
+    """The init policy: fresh values from ``rng`` for every matrix of
+    ``params``, in ``named_parameters`` (checkpoint) order.  ``*_embed``
+    tables are Uniform(-0.02, 0.02), every other (out, in) matrix is
+    Glorot-uniform; vectors keep their constructed zeros and ones."""
+    for name, t in params.named_parameters().items():
+        if t.data.ndim != 2:
+            continue
+        fan_out, fan_in = t.data.shape
+        limit = 0.02 if name.endswith("_embed") else np.sqrt(6.0 / (fan_in + fan_out))
+        t.data = rng.uniform(-limit, limit, size=t.data.shape)
 
 
 def init_params(config: ModelConfig, rng: RngStream, pretrained: dict | None = None) -> ModelParams:
-    """Fresh parameters; embedding tables Uniform(-0.02, 0.02), projections
-    and transformer weights scaled-uniform (Glorot).  Pretrained rows whose
-    ids fall inside the vocabulary are copied verbatim."""
-    return ModelParams(config, rng, pretrained=pretrained)
+    """Fresh parameters: ``config``'s shapes, :func:`draw_parameters` from
+    ``rng``, then the pretrained rows whose ids fall inside the vocabulary,
+    copied verbatim.  A pretrained row of the wrong width is rejected before
+    anything is drawn."""
+    params = ModelParams(config)
+    copy_rows(params.word_embed.data, pretrained)  # checks the widths; the draw overwrites
+    draw_parameters(params, rng)
+    copy_rows(params.word_embed.data, pretrained)
+    return params
 
 
 # ---- sentence path ----------------------------------------------------------

@@ -70,6 +70,21 @@ def check_settings(config) -> None:
             raise ConfigError(f"{name} must be <= {high}, got {value!r}")
 
 
+def build_settings(cls, values: dict):
+    """``cls(**values)`` for a config dataclass, once every key names one of
+    its fields and every field without a default is given: ConfigError names
+    the unknown or missing keys."""
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
+    if unknown := set(values) - known:
+        raise ConfigError(f"unknown {cls.__name__} keys {sorted(unknown)}; known: {sorted(known)}")
+    missing = [f.name for f in fields if f.name not in values
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing {cls.__name__} keys {missing}")
+    return cls(**values)
+
+
 class VocabularyError(DoclinkError):
     """A token id falls outside the vocabulary."""
 

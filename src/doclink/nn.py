@@ -9,7 +9,9 @@ attention sublayer are the tensor core's fused ``linear`` and ``attention``
 ops, so a layer adds eight graph nodes.
 
 Parameter containers subclass :class:`Params`: their parameters are the
-tensors their constructors assign, named by attribute, in that order.
+tensors their constructors assign, named by attribute, in that order.  A
+constructor takes shapes only and makes zero tensors (unit layer-norm
+gains); :func:`doclink.encoder.draw_parameters` draws fresh values.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .rng import RngStream
 from .tensor import Tensor, attention, layernorm, linear, relu
 
 
-def xavier_uniform(rng: RngStream, fan_out: int, fan_in: int) -> Tensor:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_out, fan_in)), requires_grad=True)
+def zeros(*shape: int) -> Tensor:
+    """A learnable tensor of zeros; numpy maps a large one lazily."""
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 class Params:
@@ -54,34 +55,34 @@ class LayerNormParams(Params):
 
     def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim), requires_grad=True)
+        self.bias = zeros(dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return layernorm(x, self.gain, self.bias)
 
 
 class AttentionParams(Params):
-    def __init__(self, dim: int, rng: RngStream):
-        self.wq = xavier_uniform(rng, dim, dim)
-        self.wk = xavier_uniform(rng, dim, dim)
-        self.wv = xavier_uniform(rng, dim, dim)
-        self.wo = xavier_uniform(rng, dim, dim)
-        self.bq = Tensor(np.zeros(dim), requires_grad=True)
-        self.bk = Tensor(np.zeros(dim), requires_grad=True)
-        self.bv = Tensor(np.zeros(dim), requires_grad=True)
-        self.bo = Tensor(np.zeros(dim), requires_grad=True)
+    def __init__(self, dim: int):
+        self.wq = zeros(dim, dim)
+        self.wk = zeros(dim, dim)
+        self.wv = zeros(dim, dim)
+        self.wo = zeros(dim, dim)
+        self.bq = zeros(dim)
+        self.bk = zeros(dim)
+        self.bv = zeros(dim)
+        self.bo = zeros(dim)
 
 
 class TransformerLayerParams(Params):
     """Self-attention sublayer + feed-forward sublayer, each post-normed."""
 
-    def __init__(self, dim: int, rng: RngStream):
-        self.attn = AttentionParams(dim, rng)
+    def __init__(self, dim: int):
+        self.attn = AttentionParams(dim)
         self.ln_attn = LayerNormParams(dim)
-        self.ff_w1 = xavier_uniform(rng, 4 * dim, dim)
-        self.ff_b1 = Tensor(np.zeros(4 * dim), requires_grad=True)
-        self.ff_w2 = xavier_uniform(rng, dim, 4 * dim)
-        self.ff_b2 = Tensor(np.zeros(dim), requires_grad=True)
+        self.ff_w1 = zeros(4 * dim, dim)
+        self.ff_b1 = zeros(4 * dim)
+        self.ff_w2 = zeros(dim, 4 * dim)
+        self.ff_b2 = zeros(dim)
         self.ln_ff = LayerNormParams(dim)
 
 

@@ -32,7 +32,7 @@ from . import tensor
 from .archive import load_zip, save_zip
 from .corpus import Corpus
 from .encoder import ModelConfig, ModelParams, batch_representations, check_fit, init_params
-from .errors import BatchError, ConfigError, NonFiniteError, check_settings, setting
+from .errors import BatchError, ConfigError, NonFiniteError, build_settings, check_settings, setting
 from .objective import ObjectiveConfig, check_k_override, degenerate_subdocuments, total_loss
 from .rng import RngStream
 
@@ -90,9 +90,9 @@ class OptimizerState:
     """Training state as three flat float64 vectors in the checkpoint's
     :func:`_layout`: ``flat["params"]``, ``flat["m"]`` and ``flat["v"]``.
     Each tensor of ``params`` (name -> tensor) is rebound to a view of its
-    span, the only rebinding of a parameter's .data, and ``m`` / ``v`` map
-    names to views of the moments.  A given ``flat`` (a checkpoint's arrays)
-    is adopted; otherwise the values are packed and the moments are zero."""
+    span, and ``m`` / ``v`` map names to views of the moments.  A given
+    ``flat`` (a checkpoint's arrays) is adopted; otherwise the values are
+    packed and the moments are zero."""
 
     def __init__(self, params: dict, flat: dict | None = None):
         self.layout = _layout(params)
@@ -381,15 +381,18 @@ def load_checkpoint(
     """Rebuild (params, optimizer, state) from a ``doclink-checkpoint-v2``
     file, recognised by its zip magic whatever its name.
 
-    The model is built from the stored config, available as
-    ``params.config``, with the checkpointed values verbatim.  Each config
-    that is given must match the stored one field by field; ``max_epochs``
-    is exempt, so a run can be resumed to a later epoch.  Beside
-    :func:`load_zip`'s faults (a v1 JSON checkpoint is one), a missing
-    header entry, a model config that builds no model, a table or array
-    that does not fit the model, a run state field of the wrong type or
-    range, and an rng state that PCG64 rejects raise ConfigError naming the
-    file.
+    The stored config, available as ``params.config``, sizes the model:
+    each array's length is checked against
+    :meth:`ModelConfig.parameter_count` before anything is built, so a
+    rejected header costs the same whatever model it claims.  Only then is
+    the shape-only :class:`ModelParams` built, and it adopts the arrays
+    verbatim; nothing is drawn.  Each config that is given must match the
+    stored one field by field; ``max_epochs`` is exempt, so a run can be
+    resumed to a later epoch.  Beside :func:`load_zip`'s faults (a v1 JSON
+    checkpoint is one), a missing header entry, a model config with unknown
+    or missing keys or that builds no model, a table or array that does not
+    fit the model, a run state field of the wrong type or range, and an rng
+    state that PCG64 rejects raise ConfigError naming the file.
     """
     header, arrays = load_zip(path, CHECKPOINT_FORMAT, MEMBERS, ConfigError, "checkpoint")
     try:
@@ -404,16 +407,19 @@ def load_checkpoint(
             if requested is not None:
                 _require_match(path, section, stored[section], requested, skip)
         try:
-            params = init_params(ModelConfig(**stored["model"]), RngStream(0))
-        except (ConfigError, TypeError, ValueError, MemoryError) as exc:
+            config = build_settings(ModelConfig, stored["model"])
+        except ConfigError as exc:
             raise ConfigError(f"checkpoint {path} model config: {exc}") from exc
-        named = params.named_parameters()
-        total = sum(t.data.size for t in named.values())
+        total = config.parameter_count()
         for key, array in arrays.items():
             if len(array) != total:
                 raise ConfigError(f"checkpoint {path} member {key!r} has {len(array)} values, "
                                   f"but the model has {total} parameters")
-        optimizer = OptimizerState(named, arrays)
+        try:
+            params = ModelParams(config)
+        except ConfigError as exc:  # the word-table bound
+            raise ConfigError(f"checkpoint {path} model config: {exc}") from exc
+        optimizer = OptimizerState(params.named_parameters(), arrays)
         if header["table"] != optimizer.layout:
             raise ConfigError(f"checkpoint {path} table does not match the model's parameters")
         try:

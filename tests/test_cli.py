@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from doclink.corpus import SynthConfig, load_corpus, load_split_manifest
 from doclink.diagnostics import bias_report
 from doclink.encoder import ModelConfig
 from doclink.evalmetrics import evaluate
+from doclink.nn import TransformerLayerParams
 from doclink.objective import ObjectiveConfig
 from doclink.rng import RngStream
 from doclink.trainer import TrainConfig, load_checkpoint
@@ -167,6 +169,23 @@ class TestGen:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "corpus.jsonl").exists()
+
+
+    @pytest.mark.parametrize("key", ["sigma", "doc_center_scale"])
+    def test_overflowing_object_features_are_usage_error(self, tmp_path, capsys, key):
+        """A scale that overflows the drawn object rows is a setting the
+        generator cannot honour: exit 1 naming both scales, no numpy warning
+        and no file written."""
+        config = tmp_path / "bad.json"
+        write_json(config, {"synth": {key: 1e308}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gen", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sigma=" in err and "doc_center_scale=" in err and f"{key}=1e+308" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
@@ -510,8 +529,9 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "model,message",
-        [({"heads": 3}, "embed_dim 8 must be divisible by heads 3"),
-         ({"vocab_size": 10**9}, "cannot allocate the word table: vocab_size=1000000000")],
+        [({"heads": 3}, "model config: embed_dim 8 must be divisible by heads 3"),
+         ({"vocab_size": 10**9}, "member 'params' has 3232 values, "
+                                 "but the model has 8000002032 parameters")],
         ids=["heads", "vocab_size"],
     )
     def test_invalid_stored_model_config_names_checkpoint(
@@ -523,8 +543,51 @@ class TestEval:
         code = main(["eval", "--corpus", str(corpus), "--checkpoint", str(bad),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"error: checkpoint {bad} model config: {message}" in capsys.readouterr().err
+        assert f"error: checkpoint {bad} {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "model,extra_layers",
+        [({"sentence_layers": 20000}, 19999), ({"image_layers": 10**19}, 10**19 - 1)],
+        ids=["sentence_layers", "image_layers"],
+    )
+    def test_huge_stored_model_is_rejected_before_it_is_built(
+        self, trained, tmp_path, capsys, monkeypatch, model, extra_layers
+    ):
+        """The arrays are sized from the stored config's parameter count,
+        so a header claiming a huge model is rejected without building one."""
+        layer = sum(t.data.size for t in TransformerLayerParams(8).named_parameters().values())
+        message = f"has 3232 values, but the model has {3232 + extra_layers * layer} parameters"
+        corpus, ckpt = trained
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(ckpt, bad, lambda h: h["config"]["model"].update(model))
+
+        def build(config):
+            raise AssertionError("built a model")
+
+        monkeypatch.setattr("doclink.trainer.ModelParams", build)
+        code = main(["eval", "--corpus", str(corpus), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: checkpoint {bad} member 'params' {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [(lambda m: m.update(bogus=1),
+          "unknown ModelConfig keys ['bogus']; known: ['embed_dim', 'heads', 'image_layers', "
+          "'max_sentence_len', 'obj_dim', 'sentence_layers', 'vocab_size', 'word_dim']"),
+         (lambda m: m.pop("vocab_size"), "missing ModelConfig keys ['vocab_size']")],
+        ids=["unknown", "missing"],
+    )
+    def test_stored_model_keys_are_named(self, trained, tmp_path, capsys, edit, message):
+        corpus, ckpt = trained
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(ckpt, bad, lambda h: edit(h["config"]["model"]))
+        code = main(["eval", "--corpus", str(corpus), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: checkpoint {bad} model config: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit,section",
@@ -945,6 +1008,19 @@ class TestCorpusInvariants:
         [
             ({"train": ["a", "b"], "val": ["b"]}, "splits are not disjoint"),
             ({"train": ["a"]}, "splits do not cover all documents exactly"),
+            pytest.param({"train": ["a"], "val": ["b"], "test": ["b"]},
+                         "splits are not disjoint: document 'b' is listed in ['val', 'test']\n",
+                         id="in-two-splits"),
+            pytest.param({"train": ["a", "b", "a"]},
+                         "splits are not disjoint: document 'a' is listed in ['train', 'train']\n",
+                         id="twice-in-one-split"),
+            pytest.param({"train": ["a", "b"], "test": ["nope"]},
+                         "splits do not cover all documents exactly: "
+                         "split 'test' lists unknown document 'nope'\n",
+                         id="unknown-id"),
+            pytest.param({"train": ["b"]},
+                         "splits do not cover all documents exactly: document 'a' is in no split\n",
+                         id="in-no-split"),
         ],
     )
     def test_bad_split_manifest_is_data_error(self, tmp_path, capsys, splits, message):

@@ -32,6 +32,7 @@ from doclink.corpus import (
     save_corpus,
     save_split_manifest,
     token_overlap_scores,
+    validate_corpus,
     validate_document,
 )
 from doclink.errors import ConfigError, CorpusFormatError, CorpusValidationError, DoclinkError
@@ -427,6 +428,25 @@ class TestGenerator:
             for img in doc.images:
                 assert img.objects.shape == (2, corpus.obj_dim)
                 assert len(img.concepts) == 2
+
+    def test_generated_corpora_pass_validation(self):
+        """The generator runs no validation walk of its own: its draws keep
+        every invariant of validate_corpus, which check_fit's shortcut
+        relies on for a corpus generated in memory.  Checked on a grid."""
+        grid = itertools.product((1, 3), (1, 4), (0.1, 1.0), (1, 3), (1, 6),
+                                 (0.0, 0.5), (0.0, 3.0))
+        for n, m, density, objects, length, token_noise, center in grid:
+            config = tiny_config(sentences_per_doc=n, images_per_doc=m, density=density,
+                                 objects_per_image=objects, sentence_len=length,
+                                 token_noise=token_noise, doc_center_scale=center)
+            validate_corpus(generate_synthetic(config, RngStream(n * m + objects)))
+
+    @pytest.mark.parametrize("key", ["sigma", "doc_center_scale"])
+    def test_overflowing_object_rows_are_config_error(self, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="sigma=.* and doc_center_scale=.* overflow"):
+                generate_synthetic(tiny_config(**{key: 1e308}), RngStream(0))
 
 
 def reference_generate_document(doc_id: str, config: SynthConfig, rng: RngStream) -> Document:

@@ -1,6 +1,7 @@
 """Encoder behavior: pooling, sharing, permutation symmetry, gradients,
 and the one check that a corpus fits the model."""
 
+import itertools
 import re
 from unittest import mock
 
@@ -13,6 +14,7 @@ from doclink.diagnostics import bias_report
 from doclink.encoder import (
     MAX_WORD_TABLE_BYTES,
     ModelConfig,
+    ModelParams,
     DOCS_PER_PASS,
     check_fit,
     encode_images,
@@ -85,6 +87,55 @@ class TestInit:
         for name, t in a.named_parameters().items():
             np.testing.assert_array_equal(t.data, b.named_parameters()[name].data)
 
+    def test_draw_order_and_ranges_are_pinned(self):
+        """Every matrix is drawn in checkpoint order from one stream: the
+        three embedding tables Uniform(-0.02, 0.02), every other matrix
+        Glorot-uniform over its (out, in) shape; vectors are not drawn."""
+        config = ModelConfig(vocab_size=9, obj_dim=3, embed_dim=4, heads=2,
+                             sentence_layers=2, image_layers=1, word_dim=5, max_sentence_len=6)
+        rng = RngStream(7)
+
+        def glorot(fan_out, fan_in):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+        want = {
+            "word_embed": rng.uniform(-0.02, 0.02, size=(9, 5)),
+            "pos_embed": rng.uniform(-0.02, 0.02, size=(6, 5)),
+            "text_proj_w": glorot(4, 5),
+            "obj_proj_w": glorot(4, 3),
+            "seg_embed": rng.uniform(-0.02, 0.02, size=(2, 4)),
+        }
+        for stack, depth in (("sent_layers", 2), ("img_layers", 1)):
+            for i in range(depth):
+                for w in ("attn.wq", "attn.wk", "attn.wv", "attn.wo"):
+                    want[f"{stack}.{i}.{w}"] = glorot(4, 4)
+                want[f"{stack}.{i}.ff_w1"] = glorot(16, 4)
+                want[f"{stack}.{i}.ff_w2"] = glorot(4, 16)
+        named = init_params(config, RngStream(7)).named_parameters()
+        for name, t in named.items():
+            if name in want:
+                np.testing.assert_array_equal(t.data, want.pop(name))
+            else:
+                np.testing.assert_array_equal(t.data, 1.0 if name.endswith("gain") else 0.0)
+        assert not want
+
+    def test_model_params_hold_shapes_only(self):
+        config = ModelConfig(vocab_size=9, obj_dim=3, embed_dim=4, heads=2, word_dim=5)
+        with mock.patch.object(RngStream, "uniform", side_effect=AssertionError("drew")):
+            params = ModelParams(config)
+        for name, t in params.named_parameters().items():
+            np.testing.assert_array_equal(t.data, 1.0 if name.endswith("gain") else 0.0)
+
+    def test_parameter_count_matches_the_built_model(self):
+        grid = itertools.product((1, 7), (1, 5), (1, 3), ((2, 1), (6, 3)), (1, 4), (1, 2), (1, 3))
+        for vocab, max_len, word_dim, (embed, heads), obj_dim, sent, img in grid:
+            config = ModelConfig(vocab_size=vocab, obj_dim=obj_dim, embed_dim=embed,
+                                 sentence_layers=sent, image_layers=img, heads=heads,
+                                 word_dim=word_dim, max_sentence_len=max_len)
+            built = sum(t.data.size for t in ModelParams(config).named_parameters().values())
+            assert config.parameter_count() == built
+
     def test_pretrained_rows_copied_verbatim(self):
         config = ModelConfig(vocab_size=20, obj_dim=4, embed_dim=8, heads=2, word_dim=6)
         rows = {3: np.arange(6.0), 19: np.ones(6)}
@@ -94,8 +145,10 @@ class TestInit:
 
     def test_pretrained_width_mismatch_rejected(self):
         config = ModelConfig(vocab_size=20, obj_dim=4, embed_dim=8, heads=2, word_dim=6)
-        with pytest.raises(ConfigError):
-            init_params(config, RngStream(5), pretrained={0: np.zeros(7)})
+        rng = RngStream(5)
+        with mock.patch.object(rng, "uniform", side_effect=AssertionError("drew")):
+            with pytest.raises(ConfigError, match=r"width \(7,\), expected \(6,\)"):
+                init_params(config, rng, pretrained={0: np.zeros(7)})
 
     def test_word_table_over_the_bound_is_refused_before_drawing(self):
         """10**6 x 300 float64 is 2.4 GB, over MAX_WORD_TABLE_BYTES: the

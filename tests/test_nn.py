@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from doclink import tensor
+from doclink.encoder import draw_parameters
 from doclink.errors import ConfigError
 from doclink.nn import (
     AttentionParams,
@@ -19,7 +20,52 @@ from test_tensor import central_diff
 
 
 def make_attention(dim, seed=0):
-    return AttentionParams(dim, RngStream(seed))
+    return drawn(AttentionParams(dim), seed)
+
+
+def make_layer(dim, seed):
+    return drawn(TransformerLayerParams(dim), seed)
+
+
+def drawn(params, seed):
+    draw_parameters(params, RngStream(seed))
+    return params
+
+
+def glorot(rng, fan_out, fan_in):
+    """One Glorot-uniform (out, in) matrix from ``rng``: the oracle of the draw."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+
+class TestShapesAndDraw:
+    def test_constructors_take_shapes_only(self):
+        """Weights and biases start at zero and layer-norm gains at one;
+        nothing is drawn until draw_parameters runs."""
+        p = TransformerLayerParams(4)
+        named = p.named_parameters()
+        assert named["attn.wq"].shape == (4, 4) and named["ff_w1"].shape == (16, 4)
+        for name, t in named.items():
+            np.testing.assert_array_equal(t.data, 1.0 if name.endswith("gain") else 0.0)
+
+    def test_draw_gives_the_same_values_for_the_same_seed(self):
+        """The shared draw fills the matrices in checkpoint order from one
+        stream, so a seed pins their values: wq, wk, wv, wo, then ff_w1 and
+        ff_w2, each Glorot-uniform; vectors keep zeros and ones."""
+        rng = RngStream(9)
+        want = {name: glorot(rng, 6, 6) for name in ("attn.wq", "attn.wk", "attn.wv", "attn.wo")}
+        want["ff_w1"], want["ff_w2"] = glorot(rng, 24, 6), glorot(rng, 6, 24)
+        named = make_layer(6, seed=9).named_parameters()
+        for name, t in named.items():
+            if name in want:
+                np.testing.assert_array_equal(t.data, want.pop(name))
+            else:
+                np.testing.assert_array_equal(t.data, 1.0 if name.endswith("gain") else 0.0)
+        assert not want
+        attention = make_attention(4, seed=3)
+        rng = RngStream(3)
+        for w in (attention.wq, attention.wk, attention.wv, attention.wo):
+            np.testing.assert_array_equal(w.data, glorot(rng, 4, 4))
 
 
 class TestMultiheadAttention:
@@ -111,7 +157,7 @@ class TestMultiheadAttention:
 class TestTransformerLayer:
     def test_shape_preserved_and_deterministic(self):
         rng = np.random.default_rng(6)
-        p = TransformerLayerParams(6, RngStream(9))
+        p = make_layer(6, seed=9)
         x = Tensor(rng.normal(size=(2, 4, 6)))
         one = transformer_layer(x, p, heads=2)
         two = transformer_layer(x, p, heads=2)
@@ -120,7 +166,7 @@ class TestTransformerLayer:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
-        p = TransformerLayerParams(4, RngStream(10))
+        p = make_layer(4, seed=10)
         x = rng.normal(size=(1, 5, 4))
         perm = rng.permutation(5)
         out = transformer_layer(Tensor(x), p, heads=2)
@@ -129,7 +175,7 @@ class TestTransformerLayer:
 
     def test_gradients_through_layer(self):
         rng = np.random.default_rng(8)
-        p = TransformerLayerParams(4, RngStream(11))
+        p = make_layer(4, seed=11)
         x = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(1, 3, 4)))
         leaves = [x, p.ff_w1, p.ff_b2, p.ln_attn.gain, p.ln_ff.bias, p.attn.wq]
@@ -143,7 +189,7 @@ class TestTransformerLayer:
             np.testing.assert_allclose(leaf.grad, fd, rtol=1e-4, atol=1e-7)
 
     def test_named_parameters_unique_and_complete(self):
-        p = TransformerLayerParams(4, RngStream(12))
+        p = make_layer(4, seed=12)
         names = list(p.named_parameters("layer0."))
         assert all(name.startswith("layer0.") for name in names)
         assert len(names) == len(set(names))

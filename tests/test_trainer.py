@@ -504,6 +504,18 @@ class TestCheckpoint:
         assert loaded == state
         assert params.config == model_config
 
+    def test_load_draws_nothing(self, tmp_path):
+        """A checkpoint is adopted into a shape-only model: no random draw."""
+        ckpt = tmp_path / "c.json"
+        result = train(
+            tiny_corpus(), tiny_model_config(), ObjectiveConfig(alpha=0.2, p_sub=0.7),
+            tiny_train_config(max_epochs=1), checkpoint_path=str(ckpt),
+        )
+        with mock.patch.object(RngStream, "uniform", side_effect=AssertionError("drew")):
+            params, _, _ = load_checkpoint(str(ckpt))
+        for name, t in result.params.named_parameters().items():
+            np.testing.assert_array_equal(params.named_parameters()[name].data, t.data)
+
     def test_same_state_same_bytes(self, tmp_path, monkeypatch):
         """No wall-clock time reaches the file."""
         result = train(
