@@ -150,10 +150,7 @@ def cmd_gen(args) -> int:
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
     except MemoryError as exc:  # numpy refuses an array these settings ask for
-        raise UsageError(f"cannot allocate the corpus: synth obj_dim={synth.obj_dim}, "
-                         f"objects_per_image={synth.objects_per_image}, "
-                         f"sentence_len={synth.sentence_len}, "
-                         f"concept_len={synth.concept_len}: {exc}") from exc
+        raise UsageError(f"cannot allocate the corpus: {synth.size_settings()}: {exc}") from exc
 
     paths = _prepare_out(args.out, ["corpus.jsonl", "splits.json", "gen-config.json"], args.force)
     save_corpus(corpus, paths[0])

@@ -402,6 +402,10 @@ def load_pretrained_embeddings(path) -> dict:
 # ---- synthetic generation ---------------------------------------------------
 
 
+# Largest synthetic corpus, in bytes as SynthConfig.corpus_bytes estimates them.
+MAX_CORPUS_BYTES = 2**30
+
+
 @dataclass
 class SynthConfig:
     """Knobs for the cluster-based synthetic corpus.
@@ -418,6 +422,9 @@ class SynthConfig:
     doc_center_scale biases all clusters of one document toward a shared
     center, which makes image features cluster by document; token_noise
     replaces sentence tokens with uniform vocabulary draws.
+
+    A config whose corpus_bytes exceed MAX_CORPUS_BYTES is refused before
+    anything is drawn.
     """
 
     train_docs: int = setting(8, low=0)
@@ -441,6 +448,31 @@ class SynthConfig:
         total = self.train_docs + self.val_docs + self.test_docs
         if total < 1:
             raise ConfigError(f"train_docs + val_docs + test_docs must be >= 1, got {total}")
+        if (size := self.corpus_bytes()) > MAX_CORPUS_BYTES:
+            raise ConfigError(f"cannot allocate the corpus: {self.size_settings()}: "
+                              f"about {size} bytes, more than {MAX_CORPUS_BYTES}")
+
+    def size_settings(self) -> str:
+        """The settings that size the corpus, for the messages that refuse it."""
+        return (f"synth obj_dim={self.obj_dim}, objects_per_image={self.objects_per_image}, "
+                f"sentence_len={self.sentence_len}, concept_len={self.concept_len}, "
+                f"sentences_per_doc={self.sentences_per_doc}, images_per_doc={self.images_per_doc}, "
+                f"tokens_per_cluster={self.tokens_per_cluster}, train_docs={self.train_docs}, "
+                f"val_docs={self.val_docs}, test_docs={self.test_docs}")
+
+    def corpus_bytes(self) -> int:
+        """Peak memory of generating and saving this corpus, estimated in
+        Python ints from per-item costs measured and rounded up: 2 KiB a
+        document, 512 B a sentence or image, 64 B a sentence token, 256 B a
+        cell of a document's n x m grid, and per object 160 B, 64 B a
+        concept token and 32 B a feature value; plus one document's cluster
+        prototypes (32 B a value) and token pool (512 B a token)."""
+        n, m, k = self.sentences_per_doc, self.images_per_doc, self.objects_per_image
+        docs = self.train_docs + self.val_docs + self.test_docs
+        each = (2048 + 512 * (n + m) + 64 * n * self.sentence_len + 256 * n * m
+                + m * k * (160 + 64 * self.concept_len + 32 * self.obj_dim))
+        drawn = (n + m + 1) * 32 * self.obj_dim + (n + m) * 512 * self.tokens_per_cluster
+        return docs * each + drawn
 
 
 def _edge_cells(n: int, m: int, count: int) -> list:

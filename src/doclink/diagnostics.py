@@ -27,10 +27,19 @@ import numpy as np
 
 from .corpus import Corpus, raw_feature_views
 from .encoder import ModelConfig, ModelParams, split_representations
-from .errors import ConfigError, MissingGoldEdgesError
+from .errors import ConfigError, MissingGoldEdgesError, NonFiniteError
 from .rng import RngStream
 
 
+def _finite(value: float, doc, what: str) -> float:
+    """``value``, or NonFiniteError naming ``doc`` when it overflowed."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"document {doc.id!r}: {what} is {value}; the features are too large")
+    return value
+
+
+# Finite but huge features overflow a distance or a spread; _finite rejects it.
+@np.errstate(over="ignore", invalid="ignore")
 def distance_samples(
     corpus: Corpus,
     split: str,
@@ -51,7 +60,8 @@ def distance_samples(
     remaining gold images.  Distances are between raw image features (mean
     object rows), or between encoder outputs: ``image_reps``, one
     (images, d) array per split document, or else the encoding by
-    ``params``.
+    ``params``.  A distance that is not finite raises NonFiniteError naming
+    the anchor's document.
     """
     if samples_per_sentence < 0:
         raise ConfigError(
@@ -78,6 +88,9 @@ def distance_samples(
 
     intra, cross, matched = [], [], []
     for d, doc in enumerate(docs):
+        def distance(a, b):
+            return _finite(float(np.linalg.norm(a - b)), doc, "an image distance")
+
         by_sentence = {}
         for m, n in doc.gold_edges:
             by_sentence.setdefault(m, set()).add(n)
@@ -86,14 +99,14 @@ def distance_samples(
             gold = by_sentence[m]
             anchor = feats[d][min(gold)]
             for n in sorted(gold - {min(gold)}):
-                matched.append(float(np.linalg.norm(anchor - feats[d][n])))
+                matched.append(distance(anchor, feats[d][n]))
             for n in range(len(doc.images)):
                 if n not in gold:
-                    intra.append(float(np.linalg.norm(anchor - feats[d][n])))
+                    intra.append(distance(anchor, feats[d][n]))
             take = min(samples_per_sentence, outside.size)
             picks = rng.choice(outside.size, size=take, replace=False)
             for idx in np.sort(outside[np.asarray(picks, dtype=int)]):
-                cross.append(float(np.linalg.norm(anchor - pool_feats[idx])))
+                cross.append(distance(anchor, pool_feats[idx]))
     return np.array(intra), np.array(cross), np.array(matched)
 
 
@@ -174,18 +187,21 @@ def bias_report(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def document_spreads(corpus: Corpus, split: str, word_table: np.ndarray):
     """Per-document (id, image_spread, text_spread) on raw features.
 
     Spread is the mean squared L2 distance of a document's vectors to
-    their centroid; identical vectors give exactly 0.
+    their centroid; identical vectors give exactly 0.  A spread that is not
+    finite raises NonFiniteError naming its document.
     """
     rows = []
     for doc in corpus.split_documents(split):
         sent, img = raw_feature_views(doc, word_table)
         img_spread = float(np.mean(np.sum((img - img.mean(axis=0)) ** 2, axis=1)))
         txt_spread = float(np.mean(np.sum((sent - sent.mean(axis=0)) ** 2, axis=1)))
-        rows.append((doc.id, img_spread, txt_spread))
+        rows.append((doc.id, _finite(img_spread, doc, "the image spread"),
+                     _finite(txt_spread, doc, "the text spread")))
     return rows
 
 
@@ -216,14 +232,20 @@ def spread_regression(per_document) -> SpreadReport:
     ``per_document`` holds (id, image_spread, text_spread, auc) rows; at
     least 3 are needed for the 3 coefficients.  A rank-deficient design
     falls back to the pseudo-inverse.  A constant AUC target has no
-    variance to explain, so r_squared is reported as None.
+    variance to explain, so r_squared is reported as None.  Spreads whose
+    squares overflow raise NonFiniteError naming the largest one's document.
     """
     rows = list(per_document)
     if len(rows) < 3:
         raise ConfigError(f"spread regression needs >= 3 documents, got {len(rows)}")
     x = np.array([[1.0, r[1], r[2]] for r in rows])
     y = np.array([r[3] for r in rows], dtype=np.float64)
-    xtx = x.T @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        xtx = x.T @ x
+    if not np.isfinite(xtx).all():
+        doc_id = rows[int(x.max(axis=1).argmax())][0]
+        raise NonFiniteError(f"spread regression overflows: document {doc_id!r} has the "
+                             f"largest spread, {x.max():.3g}; the features are too large")
     xty = x.T @ y
     if np.linalg.matrix_rank(xtx) < 3:
         beta = np.linalg.pinv(x) @ y

@@ -41,14 +41,14 @@ from .errors import (
     DoclinkError,
     NonFiniteError,
     SequenceLengthError,
+    ShapeMismatchError,
     VocabularyError,
     check_settings,
     setting,
 )
 from .nn import LayerNormParams, Params, TransformerLayerParams, transformer_layer, zeros
 from .rng import RngStream
-from .tensor import Tensor, concat, embedding, linear, masked_mean, matmul, no_grad
-from .tensor import normalize_rows, transpose
+from .tensor import Tensor, _make, _wrap, concat, embedding, linear, masked_mean, no_grad
 
 # Documents per graph-free pass: a default training batch, so evaluation never
 # holds more activations than one training step's forward pass.
@@ -247,19 +247,32 @@ def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Ten
 # ---- similarity ---------------------------------------------------------------
 
 
-def similarity_matrix(sentence_reps: Tensor, image_reps: Tensor) -> Tensor:
-    """Cosine similarity of every (sentence, image) pair: (n, m).
-
-    Evaluation calls it per document; the objective calls it once per
-    batch, on all the batch's sentences against all its images.  A
-    non-finite or zero-norm representation has no cosine and is rejected."""
-    for name, reps in (("sentence", sentence_reps), ("image", image_reps)):
+def similarity_matrix(sentence_reps, image_reps) -> Tensor:
+    """Cosine of every (n, d) sentence row with every (m, d) image row: (n, m),
+    one node.  Evaluation calls it per document, the objective once per batch.
+    A non-finite or zero-norm representation has no cosine and is rejected."""
+    s, v = _wrap(sentence_reps), _wrap(image_reps)
+    if s.ndim != 2 or v.ndim != 2 or s.shape[1] != v.shape[1]:
+        raise ShapeMismatchError(f"cosine needs (n, d) and (m, d), got {s.shape} and {v.shape}")
+    units = []
+    for name, reps in (("sentence", s), ("image", v)):
         if not np.isfinite(reps.data).all():
             raise NonFiniteError(f"non-finite {name} representation")
-        norms = np.sqrt((reps.data**2).sum(axis=-1))
+        norms = (reps.data**2.0).sum(axis=-1, keepdims=True) ** 0.5
         if (norms == 0.0).any():
             raise DegenerateEmbeddingError(f"zero-norm {name} representation")
-    return matmul(normalize_rows(sentence_reps), transpose(normalize_rows(image_reps)))
+        inv = norms**-1.0
+        units.append((reps.data * inv, inv))
+    (unit_s, inv_s), (unit_v, inv_v) = units
+
+    def off_unit(g, unit, inv):  # the gradient projected off each unit row, over its norm
+        return inv * (g - unit * (g * unit).sum(axis=-1, keepdims=True))
+
+    def backward_fn(g):
+        # The image side transposes the (d, m) product of a composed matmul: same bits.
+        return off_unit(g @ unit_v, unit_s, inv_s), off_unit((unit_s.T @ g).T, unit_v, inv_v)
+
+    return _make(unit_s @ unit_v.T, (s, v), backward_fn, "cosine")
 
 
 def batch_representations(docs: list, params: ModelParams, config: ModelConfig) -> list:

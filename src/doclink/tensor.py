@@ -8,12 +8,12 @@ Everything is 64-bit: the models here are desk-scale and gradient checks
 against central finite differences demand the precision.
 
 Primitives, each with a backward hook: add, neg, mul, power, relu, exp,
-log, matmul, swapaxes, reshape, take, concat, tsum, max_reduce, softmax,
-layernorm and normalize_rows, plus the fused ops of the encoder (linear,
-attention and masked_mean), each one node with a hand-written backward.
-Compositions of them: embedding, transpose (``Tensor.T``), sqrt, stack and
-tmean (``Tensor.mean``).  Other modules build their own ops with
-:func:`_make` (the objective's ``tk`` and ``batch_scores``).
+log, matmul, swapaxes, reshape, take, concat, tsum, max_reduce, softmax
+and layernorm, plus the fused ops of the encoder (linear, attention and
+masked_mean), each one node with a hand-written backward.  Compositions of
+them: embedding, transpose (``Tensor.T``), sqrt, stack and tmean
+(``Tensor.mean``).  Other modules build their own ops with :func:`_make`
+(the encoder's ``cosine``, the objective's ``tk`` and ``batch_scores``).
 
 Convention at non-differentiable points: the subgradient of the
 first-encountered / left branch is used (``relu'(0) == 0``, ties in ``max``
@@ -566,22 +566,6 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         return dx.reshape(x.data.shape), g_xhat.sum(axis=0), g.sum(axis=0)
 
     return _make(out_data, (x, gain, bias), backward_fn, "layernorm")
-
-
-def normalize_rows(a) -> Tensor:
-    """Scale each row (last axis) to unit L2 norm, the cosine preparation.
-
-    Callers reject zero rows first.  The backward projects the incoming
-    gradient off each output row and divides by the row's norm.
-    """
-    a = _wrap(a)
-    inv = ((a.data**2.0).sum(axis=-1, keepdims=True) ** 0.5) ** -1.0
-    out_data = a.data * inv
-
-    def backward_fn(g):
-        return (inv * (g - out_data * (g * out_data).sum(axis=-1, keepdims=True)),)
-
-    return _make(out_data, (a,), backward_fn, "normalize")
 
 
 # ---- backward engine -------------------------------------------------------

@@ -14,7 +14,7 @@ from checkpoint_edit import rewrite_checkpoint
 from corpus_edit import rewrite_corpus, rewrite_zip
 import doclink.encoder
 from doclink.cli import UsageError, _build_config, main
-from doclink.corpus import SynthConfig, load_corpus, load_split_manifest
+from doclink.corpus import MAX_CORPUS_BYTES, SynthConfig, load_corpus, load_split_manifest
 from doclink.diagnostics import bias_report
 from doclink.encoder import ModelConfig
 from doclink.evalmetrics import evaluate
@@ -185,6 +185,25 @@ class TestGen:
         err = capsys.readouterr().err
         assert "sigma=" in err and "doc_center_scale=" in err and f"{key}=1e+308" in err
         assert "Warning" not in err
+        assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("key", ["train_docs", "sentences_per_doc", "images_per_doc",
+                                     "objects_per_image"])
+    def test_corpus_over_the_budget_is_refused_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        def no_draw(*args):
+            raise AssertionError("a document was drawn")
+
+        monkeypatch.setattr("doclink.corpus._generate_document", no_draw)
+        config = tmp_path / "big.json"
+        write_json(config, {"synth": {key: 10**12}})
+        code = main(["gen", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "cannot allocate the corpus: synth obj_dim=2048, objects_per_image=" in err
+        assert f"{key}={10**12}" in err and f"more than {MAX_CORPUS_BYTES}" in err
         assert not (tmp_path / "o").exists()
 
 
@@ -706,6 +725,34 @@ class TestDiagnose:
         assert [row["auc"] for row in spread["per_document"]] == [
             auc[row["id"]] for row in spread["per_document"]
         ]
+
+    @pytest.mark.parametrize("learned", [False, True], ids=["raw", "learned"])
+    def test_overflowing_features_are_numeric_failure(self, trained, tmp_path, capsys, learned):
+        """Object features finite but so large that a distance or a spread
+        overflows: exit 3 naming the document, no numpy warning, no report.
+        The learned path measures distances between encoder outputs (finite
+        here: the feature projection is zeroed), but its spreads are raw."""
+        corpus, ckpt = trained
+        config = tmp_path / "huge.json"
+        write_json(config, {"synth": synth_section(sigma=1e300)})
+        assert main(["gen", "--out", str(tmp_path / "huge"), "--config", str(config),
+                     "--seed", "7"]) == 0
+        argv = ["diagnose", "--corpus", str(tmp_path / "huge" / "corpus.jsonl"),
+                "--split", "train", "--out", str(tmp_path / "d")]
+        if learned:
+            params, optimizer, _ = load_checkpoint(ckpt)
+            params.obj_proj_w.data[...] = 0.0
+            rewrite_checkpoint(ckpt, tmp_path / "flat.ckpt", params=optimizer.flat["params"])
+            argv += ["--checkpoint", str(tmp_path / "flat.ckpt"), "--learned"]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        what = "the image spread" if learned else "an image distance"
+        assert err == f"numeric failure: document 'train-0000': {what} is inf; " \
+                      "the features are too large\n"
+        assert not (tmp_path / "d").exists()
 
     def test_input_corpus_untouched(self, workspace, tmp_path):
         corpus = workspace / "data" / "corpus.jsonl"

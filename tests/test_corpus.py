@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from corpus_edit import jsonl_bytes, rewrite_zip
 from doclink import corpus as corpus_module
 from doclink.corpus import (
+    MAX_CORPUS_BYTES,
     Corpus,
     Document,
     ImageRecord,
@@ -519,6 +521,42 @@ def reference_generate_document(doc_id: str, config: SynthConfig, rng: RngStream
             sentences[i][pos] = int(images[j].concepts[0][0])
 
     return Document(id=doc_id, sentences=sentences, images=images, gold_edges=edges)
+
+
+class TestCorpusBudget:
+    @pytest.mark.parametrize("key", [
+        "train_docs", "val_docs", "sentences_per_doc", "images_per_doc", "objects_per_image",
+        "sentence_len", "concept_len", "obj_dim", "tokens_per_cluster",
+    ])
+    def test_oversized_config_is_refused(self, key):
+        """Refused by the constructor, so before anything is drawn."""
+        with pytest.raises(ConfigError, match=(
+                f"^(?=.*\\b{key}={10**12}\\b)cannot allocate the corpus: synth obj_dim=.*: "
+                f"about \\d+ bytes, more than {MAX_CORPUS_BYTES}$")):
+            SynthConfig(**{key: 10**12})
+
+    def test_estimate_adds_every_counted_item(self):
+        one = dict(train_docs=1, val_docs=0, test_docs=0, sentences_per_doc=1, images_per_doc=1,
+                   objects_per_image=1, sentence_len=1, concept_len=1, obj_dim=1,
+                   tokens_per_cluster=1)
+        base = SynthConfig(**one).corpus_bytes()
+        assert base == 2048 + 1024 + 64 + 256 + 256 + 3 * 32 + 2 * 512
+        grown = {"sentence_len": 64, "concept_len": 64, "obj_dim": 32 + 3 * 32,
+                 "tokens_per_cluster": 2 * 512}
+        for key, step in grown.items():
+            assert SynthConfig(**{**one, key: 2}).corpus_bytes() - base == step, key
+        assert SynthConfig(**{**one, "train_docs": 2}).corpus_bytes() == 2 * base - 3 * 32 - 2 * 512
+
+    def test_benchmark_and_acceptance_shapes_are_far_below(self, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        shapes = {name: shape["synth"]
+                  for name, shape in importlib.import_module("workloads").SHAPES.items()}
+        shapes["acceptance criterion 6"] = dict(
+            train_docs=500, val_docs=100, test_docs=100, sentences_per_doc=5, images_per_doc=5,
+            vocab_size=200, obj_dim=16, objects_per_image=3)
+        shapes["defaults"] = {}
+        for name, synth in shapes.items():
+            assert SynthConfig(**synth).corpus_bytes() * 7 < MAX_CORPUS_BYTES, name
 
 
 class CountingStream(RngStream):

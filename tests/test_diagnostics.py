@@ -18,7 +18,7 @@ from doclink.diagnostics import (
     spread_regression,
 )
 from doclink.encoder import ModelConfig, init_params
-from doclink.errors import ConfigError, MissingGoldEdgesError
+from doclink.errors import ConfigError, MissingGoldEdgesError, NonFiniteError
 from doclink.rng import RngStream
 
 
@@ -194,6 +194,15 @@ class TestDistanceSamples:
         with pytest.raises(MissingGoldEdgesError, match="train-0001"):
             distance_samples(corpus, "train", 2, RngStream(7).child("d"))
 
+    def test_overflowing_distance_names_the_document(self):
+        """Finite features so large that a distance overflows raise, with
+        numpy's overflow warning kept in."""
+        corpus = diag_corpus()
+        for img in corpus.split_documents("train")[1].images:
+            img.objects *= 1e300
+        with pytest.raises(NonFiniteError, match="document 'train-0001': an image distance is inf"):
+            distance_samples(corpus, "train", 0, RngStream(7).child("d"))
+
     def test_learned_mode_uses_encoder_space(self):
         corpus = diag_corpus()
         config = ModelConfig(
@@ -288,6 +297,20 @@ class TestSpreads:
         np.testing.assert_allclose(rows[0][1], want, atol=1e-12)
 
 
+    @pytest.mark.parametrize("side", ["image", "text"])
+    def test_overflowing_spread_names_the_document(self, side):
+        corpus = diag_corpus()
+        table = np.random.default_rng(1).normal(size=(corpus.vocab_size, 5))
+        if side == "image":
+            for img in corpus.split_documents("train")[2].images:
+                img.objects *= 1e300
+        else:
+            table *= 1e300
+        doc = "train-0002" if side == "image" else "train-0000"
+        with pytest.raises(NonFiniteError, match=f"document '{doc}': the {side} spread is inf"):
+            document_spreads(corpus, "train", table)
+
+
 class TestSpreadRegression:
     def test_exact_linear_recovers_coefficients(self):
         rng = np.random.default_rng(2)
@@ -324,6 +347,13 @@ class TestSpreadRegression:
         report = spread_regression(rows)
         assert np.isfinite(report.coefficients).all()
         assert 0.0 <= report.r_squared <= 1.0
+
+    def test_overflowing_design_names_the_largest_spread(self):
+        """Finite spreads whose squares overflow: no LAPACK call on an
+        infinite matrix, and the document with the largest spread named."""
+        rows = [(f"d{i}", 1e160 * (1 + i % 4), 1.0, 0.1 * i) for i in range(8)]
+        with pytest.raises(NonFiniteError, match="document 'd3' has the largest spread, 4e\\+160"):
+            spread_regression(rows)
 
     def test_too_few_documents_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Objective-function semantics against brute-force oracles."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from doclink.objective import (
 from doclink.rng import RngStream
 from doclink.encoder import similarity_matrix
 from doclink.objective import _offsets, _sample_subdocument
-from doclink.tensor import Tensor, _make, concat, max_reduce, neg, normalize_rows, take
+from doclink.tensor import Tensor, _make, _wrap, concat, matmul, max_reduce, neg, take, transpose
 
 from test_tensor import check_grads, central_diff
 
@@ -188,6 +189,24 @@ def oracle_cosine(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     sn = s / np.linalg.norm(s, axis=1, keepdims=True)
     vn = v / np.linalg.norm(v, axis=1, keepdims=True)
     return sn @ vn.T
+
+
+def normalize(a) -> Tensor:
+    """Each row scaled to unit L2 norm, as one node with its own backward."""
+    a = _wrap(a)
+    inv = ((a.data**2.0).sum(axis=-1, keepdims=True) ** 0.5) ** -1.0
+    out_data = a.data * inv
+
+    def backward_fn(g):
+        return (inv * (g - out_data * (g * out_data).sum(axis=-1, keepdims=True)),)
+
+    return _make(out_data, (a,), backward_fn, "normalize")
+
+
+def reference_cosine(s, v) -> Tensor:
+    """The cosine matrix as four composed nodes (two normalizes, a transpose
+    and a matmul): the oracle of the one-node ``similarity_matrix``."""
+    return matmul(normalize(s), transpose(normalize(v)))
 
 
 def random_reps(rng, n, m, dim=6):
@@ -511,20 +530,20 @@ class TestTotalLoss:
                 names.add(t.node.name)
                 todo.extend(t.node.parents)
         assert names == {
-            "add", "attention", "batch_scores", "concat", "layernorm", "linear", "masked_mean",
-            "matmul", "mul", "neg", "normalize", "relu", "sum", "swapaxes", "take",
+            "add", "attention", "batch_scores", "concat", "cosine", "layernorm", "linear",
+            "masked_mean", "mul", "neg", "relu", "sum", "take",
         }
         tensor.backward(loss)
         assert all(p.grad is not None for p in params.named_parameters().values())
 
     def test_step_graph_size_at_b11(self):
-        """At the acceptance shape a step's graph has 75 nodes: 60 from the
+        """At the acceptance shape a step's graph has 72 nodes: 60 from the
         encoder (the representations and everything below them; 128 before
-        linear, attention and masked_mean were fused) and the objective's 15
-        (43 before batch_scores)."""
+        linear, attention and masked_mean were fused) and the objective's 12
+        (43 before batch_scores, 15 before the cosine became one node)."""
         reps, loss, _ = self.acceptance_step()
         encoder = count_nodes(*(t for pair in reps for t in pair))
-        assert (encoder, count_nodes(loss)) == (60, 75)
+        assert (encoder, count_nodes(loss)) == (60, 72)
 
 
 def ragged_batch(rng, size, least=1, most=6, dim=6):
@@ -640,20 +659,73 @@ class TestBlockTk:
         check_grads(lambda: (reference_block_tk(S, [0, 2, 3, 6], [0, 5, 8]) * w).sum(), [S], rtol=1e-6)
         check_grads(lambda: reference_block_tk(S, [0, 4, 6], [0, 3, 8], 2, diagonal=True).sum(), [S])
 
-    def test_normalize_rows_finite_differences(self):
+
+class TestCosine:
+    """``similarity_matrix``, one ``cosine`` node, against finite
+    differences and against :func:`reference_cosine`, bit for bit."""
+
+    def test_finite_differences(self):
+        """Both inputs in float64; a cosine does not see a row's scale, so
+        each row's gradient is orthogonal to the row."""
         rng = np.random.default_rng(19)
-        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 5)))
-        np.testing.assert_allclose(
-            np.linalg.norm(normalize_rows(x).data, axis=1), np.ones(4), atol=1e-12
-        )
-        check_grads(lambda: (normalize_rows(x) * w).sum(), [x], rtol=1e-6)
+        s = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        v = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)))
+        check_grads(lambda: (similarity_matrix(s, v) * w).sum(), [s, v], rtol=1e-6)
+        for leaf in (s, v):
+            np.testing.assert_allclose((leaf.grad * leaf.data).sum(axis=1), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,m,dim", [(1, 1, 1), (4, 7, 5), (55, 55, 16), (9, 3, 64)])
+    def test_bit_identical_to_the_composed_ops(self, n, m, dim):
+        rng = np.random.default_rng(n * m * dim)
+        data = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+        w = rng.normal(size=(n, m))
+        results = []
+        for build in (reference_cosine, similarity_matrix):
+            s, v = (Tensor(x, requires_grad=True) for x in data)
+            out = build(s, v)
+            tensor.backward((out * w).sum())
+            results.append((out.data, s.grad, v.grad))
+        for got, want in zip(results[1], results[0]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_acceptance_step_bit_identical_to_the_composed_ops(self, monkeypatch):
+        """Every parameter gradient of a training step, through the
+        objective's consumers of the matrix."""
+        grads = []
+        for cosine in (reference_cosine, similarity_matrix):
+            monkeypatch.setattr("doclink.objective.similarity_matrix", cosine)
+            _, loss, params = TestTotalLoss.acceptance_step()
+            tensor.backward(loss)
+            grads.append({name: p.grad for name, p in params.named_parameters().items()})
+        for name, want in grads[0].items():
+            np.testing.assert_array_equal(grads[1][name], want, err_msg=name)
+
+    def test_one_node_over_both_inputs(self):
+        s = Tensor(np.ones((2, 3)), requires_grad=True)
+        v = Tensor(np.ones((4, 3)), requires_grad=True)
+        out = similarity_matrix(s, v)
+        assert out.node.name == "cosine" and out.node.parents == (s, v)
+        assert count_nodes(out) == 1
+
+    def test_arrays_are_accepted(self):
+        np.testing.assert_array_equal(similarity_matrix(np.eye(2), np.eye(2)).data, np.eye(2))
+
+    @pytest.mark.parametrize("s_shape,v_shape", [
+        ((2, 3), (4, 5)), ((3,), (3,)), ((3,), (2, 3)), ((2, 3), (1, 2, 3)), ((), (2, 3)),
+    ])
+    def test_shape_mismatch_names_both_shapes(self, s_shape, v_shape):
+        message = re.escape(f"got {s_shape} and {v_shape}")
+        with pytest.raises(ShapeMismatchError, match=message):
+            similarity_matrix(Tensor(np.ones(s_shape)), Tensor(np.ones(v_shape)))
 
 
 class TestBatchedTotalLoss:
     def test_graph_size_at_b11(self):
-        """The objective's graph does not grow with B: 15 nodes at B = 11 on
-        5x5 documents (the per-pair graph had 2268, the block-op one 43)."""
+        """The objective's graph does not grow with B: 12 nodes at B = 11 on
+        5x5 documents (the per-pair graph had 2268, the block-op one 43, the
+        four-node cosine one 15): two concats, the cosine, batch_scores and
+        the hinge tail."""
         rng = np.random.default_rng(20)
         batch = [
             (Tensor(rng.normal(size=(5, 16)), requires_grad=True),
@@ -662,7 +734,7 @@ class TestBatchedTotalLoss:
         ]
         loss, _ = total_loss(batch, ObjectiveConfig(), RngStream(1))
         nodes = count_nodes(loss)
-        assert nodes == 15
+        assert nodes == 12
 
     @pytest.mark.parametrize("k_override,least", [(None, 1), (1, 1), (2, 3)])
     def test_per_document_terms_match_pairwise_oracle(self, k_override, least):
