@@ -279,16 +279,19 @@ def batch_representations(docs: list, params: ModelParams, config: ModelConfig) 
     """Encode every sentence and image of several documents in two pooled
     padded batches, then slice per document: [(sent_reps, img_reps), ...].
     If encoding fails, the first document the model cannot encode is named
-    by :func:`validate_document`'s CorpusValidationError."""
+    by :func:`validate_document`'s CorpusValidationError, or, when encoding
+    overflows, by a NonFiniteError from encoding each document alone."""
     all_sents = [s for doc in docs for s in doc.sentences]
     all_imgs = [img for doc in docs for img in doc.images]
     try:
         sent_reps = encode_sentences(all_sents, params, config)
         img_reps = encode_images(all_imgs, params, config)
-    except (DoclinkError, ValueError):
+    except (DoclinkError, ValueError) as exc:
         # Name the first document of the batch the model cannot encode.
         for doc in docs:
             validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
+            if isinstance(exc, NonFiniteError):
+                _encode_alone(doc, params, config)
         raise
     out = []
     s_off = v_off = 0
@@ -298,6 +301,19 @@ def batch_representations(docs: list, params: ModelParams, config: ModelConfig) 
         s_off += n
         v_off += m
     return out
+
+
+def _encode_alone(doc, params: ModelParams, config: ModelConfig) -> None:
+    """Encode ``doc`` alone, without a graph; a NonFiniteError names it."""
+    for side, encode, items in (("sentence", encode_sentences, doc.sentences),
+                                ("image", encode_images, doc.images)):
+        try:
+            with no_grad():
+                encode(items, params, config)
+        except NonFiniteError as exc:
+            raise NonFiniteError(
+                f"non-finite {side} representation of document {doc.id!r}: {exc}"
+            ) from None
 
 
 def check_fit(corpus: Corpus, docs: list, config: ModelConfig) -> None:

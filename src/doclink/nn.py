@@ -4,9 +4,10 @@ Layers follow the post-layer-norm residual arrangement with a 4x-wide ReLU
 feed-forward sublayer.  Weights are stored (out_dim, in_dim) so a projection
 reads ``x @ W.T + b``.  Inputs are batches of shape (B, L, d), and
 attention is self-attention only.  Masks are key-padding masks of shape
-(B, L): boolean, True where a position is real.  Projections and the whole
-attention sublayer are the tensor core's fused ``linear`` and ``attention``
-ops, so a layer adds eight graph nodes.
+(B, L): boolean, True where a position is real.  The attention and
+feed-forward sublayers are the tensor core's fused ``attention`` and
+``feed_forward`` ops, and each post-norm residual sum is one ``layernorm``
+node, so a layer adds four graph nodes.
 
 Parameter containers subclass :class:`Params`: their parameters are the
 tensors their constructors assign, named by attribute, in that order.  A
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, attention, layernorm, linear, relu
+from .tensor import Tensor, attention, feed_forward, layernorm
 
 
 def zeros(*shape: int) -> Tensor:
@@ -57,8 +58,8 @@ class LayerNormParams(Params):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = zeros(dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return layernorm(x, self.gain, self.bias)
+    def __call__(self, x: Tensor, residual=None) -> Tensor:
+        return layernorm(x, self.gain, self.bias, residual=residual)
 
 
 class AttentionParams(Params):
@@ -103,8 +104,6 @@ def multihead_attention(x: Tensor, params: AttentionParams, heads: int, mask=Non
 def transformer_layer(x: Tensor, params: TransformerLayerParams, heads: int, mask=None) -> Tensor:
     """One encoder layer over (B, L, d): post-norm residual attention, then
     post-norm FFN."""
-    attended = multihead_attention(x, params.attn, heads, mask=mask)
-    x = params.ln_attn(x + attended)
-    hidden = relu(linear(x, params.ff_w1, params.ff_b1))
-    x = params.ln_ff(x + linear(hidden, params.ff_w2, params.ff_b2))
-    return x
+    p = params
+    x = p.ln_attn(x, residual=multihead_attention(x, p.attn, heads, mask=mask))
+    return p.ln_ff(x, residual=feed_forward(x, p.ff_w1, p.ff_b1, p.ff_w2, p.ff_b2))

@@ -9,7 +9,8 @@ against central finite differences demand the precision.
 
 Primitives, each with a backward hook: add, neg, mul, power, relu, exp,
 log, matmul, swapaxes, reshape, take, concat, tsum, max_reduce, softmax
-and layernorm, plus the fused ops of the encoder (linear, attention and
+and layernorm (whose ``residual`` form normalises ``x + residual``), plus
+the fused ops of the encoder (linear, attention, feed_forward and
 masked_mean), each one node with a hand-written backward.  Compositions of
 them: embedding, transpose (``Tensor.T``), sqrt, stack and tmean
 (``Tensor.mean``).  Other modules build their own ops with :func:`_make`
@@ -28,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from .errors import InvalidMaskError, ShapeMismatchError
+from .errors import InvalidMaskError, NonFiniteError, ShapeMismatchError
 
 _grad_enabled = True
 _created = itertools.count()  # Node.index: a node is always newer than its parents
@@ -539,8 +540,48 @@ def masked_mean(x, mask) -> Tensor:
     return _make(out_data, (x,), backward_fn, "masked_mean")
 
 
-def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one op, with ``w1``
+    (hidden, in) and ``w2`` (out, hidden).
+
+    The node keeps one (rows, hidden) activation, relu'd in place, and its
+    backward masks the hidden gradient in place with ``hidden > 0``.
+    """
+    x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
+    if w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.shape[-1:] != w1.data.shape[1:] \
+            or b1.data.shape != w1.data.shape[:1] or w2.data.shape[1:] != w1.data.shape[:1] \
+            or b2.data.shape != w2.data.shape[:1]:
+        raise ShapeMismatchError(
+            f"feed_forward needs x (..., in), w1 (hidden, in), b1 (hidden,), "
+            f"w2 (out, hidden) and b2 (out,), got {x.data.shape}, {w1.data.shape}, "
+            f"{b1.data.shape}, {w2.data.shape} and {b2.data.shape}"
+        )
+    out_dim = w2.data.shape[0]
+    rows = x.data.reshape(-1, x.data.shape[-1])
+    hidden = rows @ w1.data.T
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out_data = hidden @ w2.data.T
+    out_data += b2.data
+
+    def backward_fn(g):
+        g = g.reshape(-1, out_dim)
+        g_hidden = g @ w2.data
+        g_hidden *= hidden > 0.0
+        gx = (g_hidden @ w1.data).reshape(x.data.shape) if x.requires_grad else None
+        return gx, g_hidden.T @ rows, g_hidden.sum(axis=0), g.T @ hidden, g.sum(axis=0)
+
+    out_data = out_data.reshape(x.data.shape[:-1] + (out_dim,))
+    return _make(out_data, (x, w1, b1, w2, b2), backward_fn, "feed_forward")
+
+
+def layernorm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    With ``residual``, a tensor of ``x``'s shape, the input is ``x + residual``
+    in the same node: the post-norm residual sum.  A row whose statistics
+    overflow raises NonFiniteError.
+    """
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     d = x.data.shape[-1] if x.data.ndim else 0
     if d == 0:
@@ -550,22 +591,44 @@ def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             f"layernorm affine parameters must have shape ({d},), "
             f"got {gain.data.shape} and {bias.data.shape}"
         )
+    parents = (x, gain, bias)
+    if residual is not None:
+        residual = _wrap(residual)
+        if residual.data.shape != x.data.shape:
+            raise ShapeMismatchError(
+                f"layernorm residual must have x's shape {x.data.shape}, got {residual.data.shape}"
+            )
+        parents += (residual,)
     # Row means and variances as matrix-vector products on the 2-D row view.
     rows = x.data.reshape(-1, d)
     average = np.full(d, 1.0 / d)
-    xhat = rows - (rows @ average)[:, None]
-    inv = 1.0 / np.sqrt((xhat * xhat) @ average + eps)[:, None]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if residual is None:
+                xhat = rows - (rows @ average)[:, None]
+            else:
+                xhat = rows + residual.data.reshape(-1, d)
+                xhat -= (xhat @ average)[:, None]
+            inv = 1.0 / np.sqrt((xhat * xhat) @ average + eps)[:, None]
+    except FloatingPointError:
+        raise NonFiniteError("layernorm: a row's variance overflows") from None
     xhat *= inv
-    out_data = (xhat * gain.data + bias.data).reshape(x.data.shape)
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward_fn(g):
         g = g.reshape(-1, d)
         g_xhat = g * xhat
+        g_gain = g_xhat.sum(axis=0)
         spread = gain.data / d
-        dx = inv * (g * gain.data - (g @ spread)[:, None] - xhat * (g_xhat @ spread)[:, None])
-        return dx.reshape(x.data.shape), g_xhat.sum(axis=0), g.sum(axis=0)
+        dx = g * gain.data
+        dx -= (g @ spread)[:, None]
+        dx -= np.multiply(xhat, (g_xhat @ spread)[:, None], out=g_xhat)
+        dx *= inv
+        dx = dx.reshape(x.data.shape)
+        return (dx, g_gain, g.sum(axis=0)) + (() if residual is None else (dx,))
 
-    return _make(out_data, (x, gain, bias), backward_fn, "layernorm")
+    return _make(out_data.reshape(x.data.shape), parents, backward_fn, "layernorm")
 
 
 # ---- backward engine -------------------------------------------------------

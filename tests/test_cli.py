@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -72,6 +73,15 @@ def workspace(tmp_path):
     data = tmp_path / "data"
     assert main(["gen", "--out", str(data), "--config", str(config), "--seed", "7"]) == 0
     return tmp_path
+
+
+def huge_corpus(tmp_path):
+    """A generated corpus whose object features are finite but near 1e300."""
+    config = tmp_path / "huge.json"
+    write_json(config, {"synth": synth_section(sigma=1e300)})
+    assert main(["gen", "--out", str(tmp_path / "huge"), "--config", str(config),
+                 "--seed", "7"]) == 0
+    return tmp_path / "huge" / "corpus.jsonl"
 
 
 def read_bytes(path):
@@ -378,6 +388,23 @@ class TestTrain:
         assert code == 3
         assert "numeric failure: non-finite sentence representation" in capsys.readouterr().err
 
+    def test_overflowing_features_are_numeric_failure(self, tmp_path, capsys):
+        """Object features finite but so large that a layer norm's variance
+        overflows: exit 3 naming the document, no numpy warning, no checkpoint."""
+        corpus = huge_corpus(tmp_path)
+        config = tmp_path / "train.json"
+        write_json(config, train_sections())
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
+                         "--config", str(config)])
+        assert code == 3
+        assert re.fullmatch(
+            r"numeric failure: non-finite image representation of document 'train-\d{4}': "
+            r"layernorm: a row's variance overflows\n", capsys.readouterr().err)
+        assert not (tmp_path / "x" / "checkpoint.json").exists()
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         code = main(
             ["train", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "x")]
@@ -666,6 +693,22 @@ class TestEval:
                 assert code == 2
                 assert f"checkpoint {bad} {message}" in capsys.readouterr().err
 
+    def test_overflowing_features_are_numeric_failure(self, trained, tmp_path, capsys):
+        """A trained model on object features so large that a layer norm's
+        variance overflows: exit 3 naming the document, no warning, no report."""
+        _, ckpt = trained
+        corpus = huge_corpus(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                         "--split", "test", "--out", str(tmp_path / "ev")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite image representation of document 'test-0000': "
+            "layernorm: a row's variance overflows\n")
+        assert not (tmp_path / "ev").exists()
+
     def test_bad_ks_is_usage_error(self, trained, tmp_path):
         corpus, ckpt = trained
         code = main(
@@ -733,11 +776,7 @@ class TestDiagnose:
         The learned path measures distances between encoder outputs (finite
         here: the feature projection is zeroed), but its spreads are raw."""
         corpus, ckpt = trained
-        config = tmp_path / "huge.json"
-        write_json(config, {"synth": synth_section(sigma=1e300)})
-        assert main(["gen", "--out", str(tmp_path / "huge"), "--config", str(config),
-                     "--seed", "7"]) == 0
-        argv = ["diagnose", "--corpus", str(tmp_path / "huge" / "corpus.jsonl"),
+        argv = ["diagnose", "--corpus", str(huge_corpus(tmp_path)),
                 "--split", "train", "--out", str(tmp_path / "d")]
         if learned:
             params, optimizer, _ = load_checkpoint(ckpt)

@@ -33,10 +33,10 @@ from doclink.errors import (
     VocabularyError,
 )
 from doclink.evalmetrics import evaluate
-from doclink.nn import linear, transformer_layer
+from doclink.nn import transformer_layer
 from doclink.objective import ObjectiveConfig
 from doclink.rng import RngStream
-from doclink.tensor import Tensor
+from doclink.tensor import Tensor, linear
 from doclink.trainer import TrainConfig, train
 
 from test_tensor import central_diff
@@ -528,6 +528,23 @@ class TestCheckFit:
         corpus = fit_corpus()
         corpus.split_documents("train")[1].sentences[2][0] = 77
         with pytest.raises(CorpusValidationError, match=f"^document 'train-0001': sentence 2 {named}"):
+            train(corpus, config, ObjectiveConfig(), TrainConfig(batch_size=2, max_epochs=1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_features_name_the_document(self):
+        """Finite object features so large that a layer norm's variance
+        overflows: NonFiniteError naming that document (the second of the
+        test split's pass), from split_representations and from a training
+        step, and no numpy warning."""
+        config = fit_model()
+        named = "^non-finite image representation of document '{}': layernorm: a row's variance overflows$"
+        corpus = fit_corpus()
+        corpus.split_documents("test")[1].images[1].objects *= 1e300
+        with pytest.raises(NonFiniteError, match=named.format("test-0001")):
+            split_representations(corpus, "test", init_params(config, RngStream(0)), config)
+        corpus = fit_corpus()
+        corpus.split_documents("train")[1].images[1].objects *= 1e300
+        with pytest.raises(NonFiniteError, match=named.format("train-0001")):
             train(corpus, config, ObjectiveConfig(), TrainConfig(batch_size=2, max_epochs=1))
 
     def test_width_misfit_names_image_and_setting(self):

@@ -1,5 +1,7 @@
 """Attention and transformer-layer behavior checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,14 @@ from doclink.errors import ConfigError
 from doclink.nn import (
     AttentionParams,
     TransformerLayerParams,
-    linear,
     multihead_attention,
     transformer_layer,
 )
 from doclink.rng import RngStream
-from doclink.tensor import Tensor
+from doclink.tensor import Tensor, linear
 
-from test_tensor import central_diff
+from test_objective import count_nodes
+from test_tensor import RAGGED, central_diff
 
 
 def make_attention(dim, seed=0):
@@ -30,6 +32,15 @@ def make_layer(dim, seed):
 def drawn(params, seed):
     draw_parameters(params, RngStream(seed))
     return params
+
+
+def composed_layer(x, p, heads, mask=None):
+    """The eight-node layer that ``transformer_layer`` replaced: attention,
+    add, layernorm, linear, relu, linear, add, layernorm."""
+    x = tensor.layernorm(x + multihead_attention(x, p.attn, heads, mask=mask),
+                         p.ln_attn.gain, p.ln_attn.bias)
+    hidden = tensor.relu(linear(x, p.ff_w1, p.ff_b1))
+    return tensor.layernorm(x + linear(hidden, p.ff_w2, p.ff_b2), p.ln_ff.gain, p.ln_ff.bias)
 
 
 def glorot(rng, fan_out, fan_in):
@@ -194,3 +205,51 @@ class TestTransformerLayer:
         assert all(name.startswith("layer0.") for name in names)
         assert len(names) == len(set(names))
         assert len(names) == 8 + 2 + 4 + 2  # attention, ln_attn, ffn, ln_ff
+
+
+class TestFusedLayer:
+    """``transformer_layer`` against :func:`composed_layer`, its oracle."""
+
+    def test_four_nodes_instead_of_eight(self):
+        p = make_layer(4, seed=13)
+        x = Tensor(np.random.default_rng(14).normal(size=(2, 3, 4)), requires_grad=True)
+        assert count_nodes(transformer_layer(x, p, heads=2)) == 4
+        assert count_nodes(composed_layer(x, p, heads=2)) == 8
+
+    @pytest.mark.parametrize("mask", [None, RAGGED], ids=["no-mask", "ragged"])
+    def test_bit_parity_with_the_eight_node_layer(self, mask):
+        """The output and the gradients of the input and of every parameter
+        equal the composed layer's bit for bit."""
+        rng = np.random.default_rng(15)
+        p = make_layer(6, seed=16)
+        x = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
+        up = Tensor(rng.normal(size=(3, 4, 6)))
+        leaves = [x, *p.named_parameters().values()]
+        results = []
+        for layer in (transformer_layer, composed_layer):
+            for t in leaves:
+                t.zero_grad()
+            out = layer(x, p, 3, mask=mask)
+            tensor.backward((out * up).sum())
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_peak_memory_below_the_eight_node_layer(self):
+        """tracemalloc's peak over one forward and backward pass at a
+        moderate shape: the fused layer holds less than the composed one."""
+        data = np.random.default_rng(17).normal(size=(16, 24, 32))
+        p = make_layer(32, seed=18)
+
+        def peak(layer):
+            x = Tensor(data.copy(), requires_grad=True)
+            p.zero_grads()
+            tracemalloc.start()
+            try:
+                tensor.backward(layer(x, p, 4).sum())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fused, composed = peak(transformer_layer), peak(composed_layer)
+        assert fused < composed, (fused, composed)

@@ -530,20 +530,21 @@ class TestTotalLoss:
                 names.add(t.node.name)
                 todo.extend(t.node.parents)
         assert names == {
-            "add", "attention", "batch_scores", "concat", "cosine", "layernorm", "linear",
-            "masked_mean", "mul", "neg", "relu", "sum", "take",
+            "add", "attention", "batch_scores", "concat", "cosine", "feed_forward", "layernorm",
+            "linear", "masked_mean", "mul", "neg", "relu", "sum", "take",
         }
         tensor.backward(loss)
         assert all(p.grad is not None for p in params.named_parameters().values())
 
     def test_step_graph_size_at_b11(self):
-        """At the acceptance shape a step's graph has 72 nodes: 60 from the
+        """At the acceptance shape a step's graph has 64 nodes: 52 from the
         encoder (the representations and everything below them; 128 before
-        linear, attention and masked_mean were fused) and the objective's 12
-        (43 before batch_scores, 15 before the cosine became one node)."""
+        linear, attention and masked_mean were fused, 60 before each
+        transformer layer went from eight nodes to four) and the objective's
+        12 (43 before batch_scores, 15 before the cosine became one node)."""
         reps, loss, _ = self.acceptance_step()
         encoder = count_nodes(*(t for pair in reps for t in pair))
-        assert (encoder, count_nodes(loss)) == (60, 72)
+        assert (encoder, count_nodes(loss)) == (52, 64)
 
 
 def ragged_batch(rng, size, least=1, most=6, dim=6):

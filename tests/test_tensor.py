@@ -5,13 +5,15 @@ oracle (step 1e-5, float64).  Inputs are chosen away from kinks (relu at 0,
 max ties) because the library takes the left-branch subgradient there.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doclink import tensor
-from doclink.errors import InvalidMaskError, ShapeMismatchError
+from doclink.errors import InvalidMaskError, NonFiniteError, ShapeMismatchError
 from doclink.tensor import Tensor
 
 
@@ -323,6 +325,24 @@ def composed_masked_mean(x, mask):
     return summed * Tensor((1.0 / counts)[..., None])
 
 
+def composed_feed_forward(x, w1, b1, w2, b2):
+    return tensor.linear(tensor.relu(tensor.linear(x, w1, b1)), w2, b2)
+
+
+def composed_residual_layernorm(x, gain, bias, residual):
+    return tensor.layernorm(x + residual, gain, bias)
+
+
+def feed_forward_leaves(rng, shape, hidden, out):
+    dim = shape[-1]
+    return [leaf(rng, *shape), leaf(rng, hidden, dim), leaf(rng, hidden),
+            leaf(rng, out, hidden), leaf(rng, out)]
+
+
+def residual_layernorm_leaves(rng, shape):
+    return [leaf(rng, *shape), leaf(rng, shape[-1]), leaf(rng, shape[-1]), leaf(rng, *shape)]
+
+
 def attention_leaves(rng, batch, length, dim):
     x = leaf(rng, batch, length, dim)
     weights = [leaf(rng, dim, dim) for _ in range(4)]
@@ -425,6 +445,88 @@ class TestFusedOps:
         x, weights, biases = attention_leaves(rng, 3, 4, 4)
         with pytest.raises(ShapeMismatchError):
             tensor.attention(x, weights, biases, 2, mask=np.ones((3, 5), bool))
+
+
+class TestTransformerFusedOps:
+    """feed_forward and the residual form of layernorm: finite differences,
+    and bit parity with the compositions they replace in a transformer layer."""
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    def test_feed_forward_gradients(self, shape):
+        rng = np.random.default_rng(40)
+        leaves = feed_forward_leaves(rng, shape, hidden=6, out=3)
+        up = Tensor(rng.normal(size=shape[:-1] + (3,)))
+        check_grads(lambda: (tensor.feed_forward(*leaves) * up).sum(), leaves, rtol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 5), (2, 3, 5)])
+    def test_residual_layernorm_gradients(self, shape):
+        rng = np.random.default_rng(41)
+        x, gain, bias, residual = leaves = residual_layernorm_leaves(rng, shape)
+        up = Tensor(rng.normal(size=shape))
+        check_grads(
+            lambda: (tensor.layernorm(x, gain, bias, residual=residual) * up).sum(),
+            leaves, rtol=1e-5, atol=1e-6,
+        )
+
+    @pytest.mark.parametrize("shape", [(7, 6), (3, 5, 6)])
+    @pytest.mark.parametrize("op", ["feed_forward", "residual_layernorm"])
+    def test_bit_parity_with_composition(self, op, shape):
+        """One node, and the forward values and every gradient equal the
+        composition's bit for bit; some hidden units are off, some on."""
+        rng = np.random.default_rng(42)
+        if op == "feed_forward":
+            leaves = feed_forward_leaves(rng, shape, hidden=24, out=5)
+            fused, composed = tensor.feed_forward(*leaves), composed_feed_forward(*leaves)
+            hidden = leaves[0].data @ leaves[1].data.T + leaves[2].data
+            assert (hidden > 0).any() and (hidden < 0).any()
+        else:
+            x, gain, bias, residual = leaves = residual_layernorm_leaves(rng, shape)
+            fused = tensor.layernorm(x, gain, bias, residual=residual)
+            composed = composed_residual_layernorm(*leaves)
+        assert all(p.node is None for p in fused.node.parents)
+        np.testing.assert_array_equal(fused.data, composed.data)
+        up = Tensor(rng.normal(size=fused.shape))
+        grads = []
+        for out in (fused, composed):
+            for t in leaves:
+                t.zero_grad()
+            tensor.backward((out * up).sum())
+            grads.append([t.grad for t in leaves])
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_same_tensor_as_input_and_residual(self):
+        """``layernorm(x, ..., residual=x)`` sums both gradient paths into x."""
+        rng = np.random.default_rng(43)
+        x, gain, bias, _ = residual_layernorm_leaves(rng, (4, 5))
+        up = Tensor(rng.normal(size=(4, 5)))
+        fused = tensor.layernorm(x, gain, bias, residual=x)
+        np.testing.assert_array_equal(fused.data, tensor.layernorm(x + x, gain, bias).data)
+        check_grads(lambda: (tensor.layernorm(x, gain, bias, residual=x) * up).sum(), [x],
+                    rtol=1e-5, atol=1e-6)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(44)
+        x, w1, b1, w2, b2 = feed_forward_leaves(rng, (2, 3), hidden=5, out=4)
+        for args in ((x, w1.T, b1, w2, b2), (x, w1, b2, w2, b2), (x, w1, b1, w2.T, b2),
+                     (x, w1, b1, w2, b1)):
+            with pytest.raises(ShapeMismatchError, match="feed_forward"):
+                tensor.feed_forward(*args)
+        x, gain, bias, _ = residual_layernorm_leaves(rng, (2, 3))
+        with pytest.raises(ShapeMismatchError, match="residual"):
+            tensor.layernorm(x, gain, bias, residual=leaf(rng, 1, 3))
+
+    @pytest.mark.parametrize("x,residual", [
+        ([[1e300, -1e300, 0.0], [1.0, 2.0, 3.0]], None),
+        (np.full((2, 3), 1e308), np.full((2, 3), 1e308)),
+    ], ids=["variance", "residual-sum"])
+    def test_overflowing_variance_is_non_finite_error(self, x, residual):
+        """Finite rows whose variance, or whose residual sum, overflows raise
+        NonFiniteError and no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="variance overflows"):
+                tensor.layernorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), residual=residual)
 
 
 class TestLayernorm:
