@@ -36,6 +36,7 @@ from .diagnostics import (
 from .encoder import (
     ModelConfig,
     ModelParams,
+    Representations,
     batch_representations,
     encode_images,
     encode_sentences,
@@ -80,6 +81,7 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "ObjectiveConfig",
+    "Representations",
     "RngStream",
     "SpreadReport",
     "SynthConfig",

@@ -15,9 +15,11 @@ token ids index the same word-embedding table as sentences, which is what
 lets gradients bridge the two modalities.
 
 Documents are encoded one way, by :func:`batch_representations`: one padded
-pass per modality over several documents.  Training calls it per batch;
-evaluation and diagnostics call :func:`split_representations`, its
-graph-free form over a split.  That form and ``train`` run :func:`check_fit`,
+pass per modality over several documents, returned flat as
+:class:`Representations` with each document's row offsets.  Training hands
+that value to the objective whole; evaluation and diagnostics call
+:func:`split_representations`, its graph-free form over a split, which
+slices it per document.  That form and ``train`` run :func:`check_fit`,
 the one fit check; encoders check only what their counts and padded arrays
 show, and a batch that fails to encode is walked to name its document.
 
@@ -275,9 +277,32 @@ def similarity_matrix(sentence_reps, image_reps) -> Tensor:
     return _make(unit_s @ unit_v.T, (s, v), backward_fn, "cosine")
 
 
-def batch_representations(docs: list, params: ModelParams, config: ModelConfig) -> list:
+@dataclass(eq=False)
+class Representations:
+    """A batch's pooled representations, flat as the encoder made them:
+    document i owns rows ``sentence_offsets[i]:sentence_offsets[i + 1]`` of
+    ``sentences`` and ``image_offsets[i]:image_offsets[i + 1]`` of
+    ``images``.  ``len`` is the number of documents; ``reps[i]`` slices
+    document i's (sentences, images) pair only when it is asked for."""
+
+    sentences: Tensor
+    images: Tensor
+    sentence_offsets: np.ndarray
+    image_offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sentence_offsets) - 1
+
+    def __getitem__(self, i: int) -> tuple:
+        if not 0 <= i < len(self):
+            raise IndexError(f"document {i} of a batch of {len(self)}")
+        s, v = self.sentence_offsets, self.image_offsets
+        return self.sentences[s[i] : s[i + 1]], self.images[v[i] : v[i + 1]]
+
+
+def batch_representations(docs: list, params: ModelParams, config: ModelConfig) -> Representations:
     """Encode every sentence and image of several documents in two pooled
-    padded batches, then slice per document: [(sent_reps, img_reps), ...].
+    padded batches, kept flat with each document's offsets.
     If encoding fails, the first document the model cannot encode is named
     by :func:`validate_document`'s CorpusValidationError, or, when encoding
     overflows, by a NonFiniteError from encoding each document alone."""
@@ -293,14 +318,11 @@ def batch_representations(docs: list, params: ModelParams, config: ModelConfig) 
             if isinstance(exc, NonFiniteError):
                 _encode_alone(doc, params, config)
         raise
-    out = []
-    s_off = v_off = 0
-    for doc in docs:
-        n, m = len(doc.sentences), len(doc.images)
-        out.append((sent_reps[s_off : s_off + n], img_reps[v_off : v_off + m]))
-        s_off += n
-        v_off += m
-    return out
+    return Representations(
+        sent_reps, img_reps,
+        np.cumsum([0] + [len(doc.sentences) for doc in docs]),
+        np.cumsum([0] + [len(doc.images) for doc in docs]),
+    )
 
 
 def _encode_alone(doc, params: ModelParams, config: ModelConfig) -> None:
@@ -329,7 +351,8 @@ def check_fit(corpus: Corpus, docs: list, config: ModelConfig) -> None:
 
 def split_representations(corpus: Corpus, split: str, params: ModelParams, config: ModelConfig):
     """Graph-free :func:`batch_representations` of a split's documents once
-    :func:`check_fit` passes them, DOCS_PER_PASS documents per pass."""
+    :func:`check_fit` passes them, DOCS_PER_PASS documents per pass, as one
+    (sentences, images) pair per document."""
     docs = corpus.split_documents(split)
     check_fit(corpus, docs, config)
     out = []

@@ -13,14 +13,14 @@ selection pass, :func:`_top_edges`.
 All losses are hinge-based with hard negative mining inside the mini-batch:
 the most offending other document supplies the gradient.
 
-Batched design: :func:`total_loss` concatenates the batch's sentence
-representations and its image representations, normalises each side once
-and takes one (all sentences) x (all images) cosine matrix.  Block
-(i, j) of that matrix pairs document i's sentences with document j's
-images.  One ``batch_scores`` op takes tk of every block (the B x B
-table), neg_tk of each own block and tk of each sub-document draw in one
-selection pass, and returns the positive and negative operand of every
-hinge term with the term's kind and document.  Hardest negatives are
+Batched design: :func:`total_loss` takes one (all sentences) x (all
+images) cosine matrix of the batch's :class:`~doclink.encoder.Representations`,
+flat as the encoder pooled them.  Block (i, j) of that matrix, cut by the
+stored offsets, pairs document i's sentences with document j's images.
+One ``batch_scores`` op takes tk of every block (the B x B table), neg_tk
+of each own block and tk of each sub-document draw in one selection pass,
+and returns the positive and negative operand of every hinge term with the
+term's kind and document.  Hardest negatives are
 maxima over the table's off-diagonal (ties go to the lowest document
 index).  One ``hinge`` call with a margin per term, set by its kind,
 covers all terms, so the graph size does not grow with the batch.  Each
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import similarity_matrix
+from .encoder import Representations, similarity_matrix
 from .errors import BatchError, ConfigError, check_settings, setting
 from .rng import RngStream
-from .tensor import Tensor, _make, _wrap, concat, neg, relu
+from .tensor import Tensor, _make, _wrap, neg, relu
 
 # Hinge term kinds, indexing TERM_PARTS and TERM_MARGINS (times alpha).
 CROSS, INTRA, SUB = 0, 1, 2
@@ -268,12 +268,8 @@ def check_k_override(shapes: list, config: ObjectiveConfig, use_sub: bool = True
     )
 
 
-def _offsets(sizes) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-
-
 def total_loss(
-    batch: list,
+    reps: Representations,
     config: ObjectiveConfig,
     rng: RngStream | None,
     use_cross: bool = True,
@@ -283,18 +279,18 @@ def total_loss(
     """``(batch_mean, parts)``: the mean per-document total over the batch,
     the only graph node, and the per-document values as plain arrays.
 
-    ``batch`` holds (sentence_reps, image_reps) tensor pairs, one per
-    document.  ``rng`` drives the sub-document draws and may be None when
-    ``use_sub`` is off.  ``parts`` maps ``l_cross``, ``l_intra``,
+    ``reps`` is the batch as :func:`~doclink.encoder.batch_representations`
+    returns it: the pooled sentences and images with each document's
+    offsets; their cosine matrix is taken whole.  ``rng`` drives the
+    sub-document draws and may be None when ``use_sub`` is off.  ``parts`` maps ``l_cross``, ``l_intra``,
     ``l_sub`` and their sum ``total`` to (B,) float64 arrays; a disabled
     objective reads zero.
     """
-    size = len(batch)
+    size = len(reps)
     if size < 2:
         raise BatchError(f"hard negative mining needs >= 2 documents, got {size}")
-    row_off = _offsets([sent.shape[0] for sent, _ in batch])
-    col_off = _offsets([img.shape[0] for _, img in batch])
-    S = similarity_matrix(concat([s for s, _ in batch]), concat([v for _, v in batch]))
+    row_off, col_off = reps.sentence_offsets, reps.image_offsets
+    S = similarity_matrix(reps.sentences, reps.images)
     subs = []  # (document, rows, columns) of each non-degenerate draw
     for i in range(size if use_sub else 0):  # rows then columns, in batch order
         rows = _sample_subdocument(row_off[i + 1] - row_off[i], config.p_sub, rng)

@@ -66,7 +66,8 @@ class TrainConfig:
 
 
 def lr_at(step: int, config: TrainConfig, decays: int = 0) -> float:
-    """Warm-up interpolation, then max_lr, scaled down by plateau decays."""
+    """Warm-up interpolation, then max_lr, scaled down by plateau decays;
+    0.0 once the decays' divisor passes the largest float."""
     if step < 0:
         raise ConfigError(f"step must be >= 0, got {step}")
     if config.warmup_steps > 0 and step < config.warmup_steps:
@@ -74,7 +75,10 @@ def lr_at(step: int, config: TrainConfig, decays: int = 0) -> float:
         base = config.start_lr + (config.max_lr - config.start_lr) * frac
     else:
         base = config.max_lr
-    return base / config.decay_factor**decays
+    try:
+        return base / config.decay_factor**decays
+    except OverflowError:
+        return 0.0
 
 
 def _layout(named: dict) -> dict:

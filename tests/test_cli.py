@@ -236,6 +236,21 @@ class TestTrain:
         assert echo["train"]["seed"] == 3
         assert echo["model"]["vocab_size"] == 150
 
+    def test_decays_past_the_float_range_finish_the_run(self, workspace, tmp_path):
+        """Patience 0 decays on every stalled epoch; a divisor of 1e200 per
+        decay passes the float range by the second, and the run goes on at
+        rate 0.0."""
+        config = tmp_path / "train.json"
+        write_json(config, train_sections(decay_factor=1e200, plateau_patience_epochs=0,
+                                          max_epochs=4))
+        out = tmp_path / "decayed"
+        code = main(["train", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+                     "--out", str(out), "--config", str(config)])
+        assert code == 0
+        history = json.loads(read_bytes(out / "history.json"))
+        assert len(history) == 4
+        assert history[-1]["decays"] >= 2 and history[-1]["lr"] == 0.0
+
     def test_seed_flag_beats_config_file(self, workspace, tmp_path):
         config = tmp_path / "train.json"
         write_json(config, train_sections(seed=3))

@@ -9,7 +9,7 @@ import pytest
 
 from doclink import tensor
 from doclink.corpus import SynthConfig, generate_synthetic
-from doclink.encoder import ModelConfig, batch_representations, init_params
+from doclink.encoder import ModelConfig, Representations, batch_representations, init_params
 from doclink.errors import BatchError, ConfigError, ShapeMismatchError
 from doclink.objective import (
     ObjectiveConfig,
@@ -22,7 +22,7 @@ from doclink.objective import (
 )
 from doclink.rng import RngStream
 from doclink.encoder import similarity_matrix
-from doclink.objective import _offsets, _sample_subdocument
+from doclink.objective import _sample_subdocument
 from doclink.tensor import Tensor, _make, _wrap, concat, matmul, max_reduce, neg, take, transpose
 
 from test_tensor import check_grads, central_diff
@@ -47,6 +47,20 @@ def oracle_tk_weights(data: np.ndarray, k: int) -> np.ndarray:
     for j in sorted(range(cols), key=lambda j: (-data[:, j].max(), j))[: min(k, cols)]:
         weights[list(data[:, j]).index(data[:, j].max()), j] += 1.0
     return weights / weights.sum()
+
+
+def offsets(sizes):
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+
+
+def representations(batch) -> Representations:
+    """Per-document (sentences, images) pairs concatenated back into one
+    flat batch, with offsets taken from their shapes: the composition
+    ``total_loss`` ran before it read the encoder's flat output."""
+    return Representations(
+        concat([s for s, _ in batch]), concat([v for _, v in batch]),
+        offsets([s.shape[0] for s, _ in batch]), offsets([v.shape[0] for _, v in batch]),
+    )
 
 
 def _block_offsets(offsets, size: int, side: str) -> np.ndarray:
@@ -135,9 +149,9 @@ def reference_total_loss(batch, config, rng, use_cross=True, use_intra=True, use
     :func:`reference_block_tk`, hardest negatives from ``max_reduce``, one
     ``hinge`` per term; the same draws from ``rng``."""
     size = len(batch)
-    row_off = _offsets([sent.shape[0] for sent, _ in batch])
-    col_off = _offsets([img.shape[0] for _, img in batch])
-    S = similarity_matrix(concat([s for s, _ in batch]), concat([v for _, v in batch]))
+    reps = representations(batch)
+    row_off, col_off = reps.sentence_offsets, reps.image_offsets
+    S = similarity_matrix(reps.sentences, reps.images)
     table = reference_block_tk(S, row_off, col_off, config.k_override)
     diag = np.arange(size)
     s_pos = take(table, (diag, diag))
@@ -170,7 +184,7 @@ def reference_total_loss(batch, config, rng, use_cross=True, use_intra=True, use
         if kept:
             sub = take(S, np.ix_(np.concatenate(rows), np.concatenate(cols)))
             positives = reference_block_tk(
-                sub, _offsets([r.size for r in rows]), _offsets([c.size for c in cols]),
+                sub, offsets([r.size for r in rows]), offsets([c.size for c in cols]),
                 config.k_override, diagonal=True,
             )
             half = config.alpha / 2.0
@@ -214,9 +228,9 @@ def random_reps(rng, n, m, dim=6):
 
 
 def terms(batch, config, rng=None):
-    """Per-document ``parts`` of total_loss; the sub-document term is on
-    only when ``rng`` is given to drive its draws."""
-    return total_loss(batch, config, rng, use_sub=rng is not None)[1]
+    """Per-document ``parts`` of total_loss on the pairs of ``batch``; the
+    sub-document term is on only when ``rng`` is given to drive its draws."""
+    return total_loss(representations(batch), config, rng, use_sub=rng is not None)[1]
 
 
 class TestHinge:
@@ -453,7 +467,9 @@ class TestTotalLoss:
     def test_additivity_and_mean(self):
         rng = np.random.default_rng(11)
         batch = [random_reps(rng, 3, 3), random_reps(rng, 4, 2), random_reps(rng, 2, 4)]
-        mean_loss, parts = total_loss(batch, ObjectiveConfig(alpha=0.2, p_sub=0.8), RngStream(5))
+        mean_loss, parts = total_loss(
+            representations(batch), ObjectiveConfig(alpha=0.2, p_sub=0.8), RngStream(5)
+        )
         np.testing.assert_allclose(
             parts["total"], parts["l_cross"] + parts["l_intra"] + parts["l_sub"], atol=1e-12
         )
@@ -465,7 +481,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(12)
         batch = [random_reps(rng, 3, 3), random_reps(rng, 3, 3)]
         mean_loss, parts = total_loss(
-            batch,
+            representations(batch),
             ObjectiveConfig(alpha=0.2),
             RngStream(6),
             use_cross=False,
@@ -485,7 +501,7 @@ class TestTotalLoss:
         config = ObjectiveConfig(alpha=0.5, p_sub=0.7)
 
         def build():
-            mean_loss, _ = total_loss(batch, config, RngStream(9))
+            mean_loss, _ = total_loss(representations(batch), config, RngStream(9))
             return mean_loss
 
         tensor.backward(build())
@@ -537,14 +553,59 @@ class TestTotalLoss:
         assert all(p.grad is not None for p in params.named_parameters().values())
 
     def test_step_graph_size_at_b11(self):
-        """At the acceptance shape a step's graph has 64 nodes: 52 from the
-        encoder (the representations and everything below them; 128 before
-        linear, attention and masked_mean were fused, 60 before each
-        transformer layer went from eight nodes to four) and the objective's
-        12 (43 before batch_scores, 15 before the cosine became one node)."""
+        """At the acceptance shape a step's graph has 40 nodes: 30 from the
+        encoder (the two pooled representations and everything below them;
+        128 before linear, attention and masked_mean were fused, 60 before
+        each transformer layer went from eight nodes to four, 52 while the
+        batch was sliced per document) and the objective's 10 (43 before
+        batch_scores, 15 before the cosine became one node, 12 while it
+        concatenated the slices back)."""
         reps, loss, _ = self.acceptance_step()
-        encoder = count_nodes(*(t for pair in reps for t in pair))
-        assert (encoder, count_nodes(loss)) == (52, 64)
+        encoder = count_nodes(reps.sentences, reps.images)
+        assert (encoder, count_nodes(loss)) == (30, 40)
+
+    def test_flat_matches_the_per_document_pairs(self):
+        """The encoder's flat representations and its per-document pairs
+        concatenated back give the same loss, parts and parameter
+        gradients, bit for bit."""
+        reps, _, params = self.acceptance_step()
+        named = params.named_parameters()
+        results = []
+        for batch in (reps, representations(list(reps))):
+            loss, parts = total_loss(batch, ObjectiveConfig(), RngStream(1))
+            tensor.backward(loss)
+            results.append((loss.data, parts, {name: p.grad for name, p in named.items()}))
+            for p in named.values():
+                p.zero_grad()
+        (loss, parts, grads), (old_loss, old_parts, old_grads) = results
+        np.testing.assert_array_equal(loss, old_loss)
+        assert sorted(parts) == sorted(old_parts)
+        for name in parts:
+            np.testing.assert_array_equal(parts[name], old_parts[name], err_msg=name)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], old_grads[name], err_msg=name)
+
+    def test_representations_slice_per_document(self):
+        """``len`` counts documents and ``reps[i]`` is document i's slice of
+        each side, as the encoder's per-document loop cut it; an index past
+        the end raises IndexError, which ends iteration."""
+        reps, _, _ = self.acceptance_step()
+        assert len(reps) == 11
+        for i in range(11):
+            sent, img = reps[i]
+            np.testing.assert_array_equal(sent.data, reps.sentences.data[5 * i : 5 * i + 5])
+            np.testing.assert_array_equal(img.data, reps.images.data[5 * i : 5 * i + 5])
+        with pytest.raises(IndexError):
+            reps[11]
+        assert len(list(reps)) == 11
+        batch = ragged_batch(np.random.default_rng(27), 4)
+        flat = representations(batch)
+        assert len(flat) == 4
+        for (sent, img), (s, v) in zip(flat, batch):
+            np.testing.assert_array_equal(sent.data, s.data)
+            np.testing.assert_array_equal(img.data, v.data)
+        with pytest.raises(IndexError):
+            flat[4]
 
 
 def ragged_batch(rng, size, least=1, most=6, dim=6):
@@ -552,10 +613,6 @@ def ragged_batch(rng, size, least=1, most=6, dim=6):
         random_reps(rng, int(rng.integers(least, most + 1)), int(rng.integers(least, most + 1)), dim)
         for _ in range(size)
     ]
-
-
-def offsets(sizes):
-    return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
 
 
 def count_nodes(*roots) -> int:
@@ -723,19 +780,19 @@ class TestCosine:
 
 class TestBatchedTotalLoss:
     def test_graph_size_at_b11(self):
-        """The objective's graph does not grow with B: 12 nodes at B = 11 on
+        """The objective's graph does not grow with B: 10 nodes at B = 11 on
         5x5 documents (the per-pair graph had 2268, the block-op one 43, the
-        four-node cosine one 15): two concats, the cosine, batch_scores and
-        the hinge tail."""
+        four-node cosine one 15, the one that concatenated per-document
+        pairs back 12): the cosine, batch_scores and the hinge tail."""
         rng = np.random.default_rng(20)
-        batch = [
-            (Tensor(rng.normal(size=(5, 16)), requires_grad=True),
-             Tensor(rng.normal(size=(5, 16)), requires_grad=True))
-            for _ in range(11)
-        ]
-        loss, _ = total_loss(batch, ObjectiveConfig(), RngStream(1))
+        reps = Representations(
+            Tensor(rng.normal(size=(55, 16)), requires_grad=True),
+            Tensor(rng.normal(size=(55, 16)), requires_grad=True),
+            offsets([5] * 11), offsets([5] * 11),
+        )
+        loss, _ = total_loss(reps, ObjectiveConfig(), RngStream(1))
         nodes = count_nodes(loss)
-        assert nodes == 12
+        assert nodes == 10
 
     @pytest.mark.parametrize("k_override,least", [(None, 1), (1, 1), (2, 3)])
     def test_per_document_terms_match_pairwise_oracle(self, k_override, least):
@@ -745,7 +802,7 @@ class TestBatchedTotalLoss:
         for trial in range(15):
             batch = ragged_batch(rng, int(rng.integers(2, 7)), least=least, most=5)
             size = len(batch)
-            _, parts = total_loss(batch, config, RngStream(trial))
+            _, parts = total_loss(representations(batch), config, RngStream(trial))
 
             def k_for(block):
                 return min(block.shape) if k_override is None else k_override
@@ -779,7 +836,7 @@ class TestBatchedTotalLoss:
         batch = [random_reps(rng, 3, 4), random_reps(rng, 4, 3)]
         for s, v in batch:
             s.requires_grad = v.requires_grad = True
-        loss, parts = total_loss(batch, ObjectiveConfig(), RngStream(2))
+        loss, parts = total_loss(representations(batch), ObjectiveConfig(), RngStream(2))
         assert loss.node is not None
         assert sorted(parts) == ["l_cross", "l_intra", "l_sub", "total"]
         for value in parts.values():
@@ -811,10 +868,11 @@ class TestBatchScores:
             leaves = [t for pair in batch for t in pair]
             for toggles in itertools.product((True, False), repeat=3):
                 results = []
-                for fn in (total_loss, reference_total_loss):
+                for fn, arg in ((total_loss, representations(batch)),
+                                (reference_total_loss, batch)):
                     for leaf in leaves:
                         leaf.zero_grad()
-                    loss, parts = fn(batch, config, RngStream(trial), *toggles)
+                    loss, parts = fn(arg, config, RngStream(trial), *toggles)
                     tensor.backward(loss)
                     grads = [np.zeros(t.shape) if t.grad is None else t.grad for t in leaves]
                     results.append((loss.item(), parts, grads))

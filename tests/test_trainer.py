@@ -89,6 +89,10 @@ class TestSchedule:
         config = tiny_train_config(max_lr=1e-3, warmup_steps=0, decay_factor=5.0)
         np.testing.assert_allclose(lr_at(10, config, decays=2), 1e-3 / 25)
 
+    def test_decays_past_the_float_range_give_zero(self):
+        """5.0**442 overflows a float; the rate is 0.0, not an OverflowError."""
+        assert lr_at(10, TrainConfig(), decays=442) == 0.0
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             tiny_train_config(max_lr=1e-8)  # below start_lr
