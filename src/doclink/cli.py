@@ -31,7 +31,6 @@ from .diagnostics import bias_report, document_spreads, spread_regression
 from .encoder import ModelConfig, copy_rows, split_representations, word_table
 from .errors import (
     ConfigError,
-    CorpusValidationError,
     DegenerateEmbeddingError,
     DoclinkError,
     NonFiniteError,
@@ -137,11 +136,6 @@ def _splits_for(corpus_path, splits_path):
     return load_split_manifest(splits_path)
 
 
-def _require_documents(corpus, split: str) -> None:
-    if not corpus.split_documents(split):
-        raise CorpusValidationError(f"split {split!r} has no documents")
-
-
 def cmd_gen(args) -> int:
     config_file = _read_config_file(args.config)
     synth = _build_config(SynthConfig, _section(config_file, "synth", ["synth"]))
@@ -234,7 +228,6 @@ def cmd_eval(args) -> int:
     splits = _splits_for(args.corpus, args.splits)
     corpus = load_corpus(args.corpus, splits=splits)
     ks = _parse_ks(args.ks)
-    _require_documents(corpus, args.split)
     params, _, _ = load_checkpoint(args.checkpoint)
 
     report = evaluate(corpus, args.split, params, params.config, ks=ks)
@@ -275,7 +268,6 @@ def cmd_diagnose(args) -> int:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     splits = _splits_for(args.corpus, args.splits)
     corpus = load_corpus(args.corpus, splits=splits)
-    _require_documents(corpus, args.split)
 
     params = load_checkpoint(args.checkpoint)[0] if args.checkpoint else None
     if args.learned and params is None:
@@ -293,7 +285,7 @@ def cmd_diagnose(args) -> int:
             samples_per_sentence=args.samples,
             bins=args.bins,
             rng=RngStream(args.seed).child("diagnostics"),
-            image_reps=[img.data for _, img in reps] if args.learned else None,
+            image_reps=reps.images.data if args.learned else None,
         )
     except MemoryError as exc:  # numpy refuses the histogram's bin edges
         raise UsageError(f"--bins {args.bins} needs more memory than is free: {exc}") from exc

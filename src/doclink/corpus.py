@@ -65,9 +65,13 @@ class Corpus:
     obj_dim: int
     splits: dict = field(default_factory=dict)  # {"train": [ids], ...}
 
-    def split_documents(self, split: str) -> list:
+    def split_documents(self, split: str, nonempty: bool = False) -> list:
+        """The split's documents; none raises CorpusValidationError if ``nonempty``."""
         ids = set(self.splits.get(split, []))
-        return [d for d in self.documents if d.id in ids]
+        docs = [d for d in self.documents if d.id in ids]
+        if nonempty and not docs:
+            raise CorpusValidationError(f"split {split!r} has no documents")
+        return docs
 
 
 def _first_problem(doc: Document, vocab_size: int, obj_dim: int, max_sentence_len) -> str | None:

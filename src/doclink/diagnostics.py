@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import Corpus, raw_feature_views
 from .encoder import ModelConfig, ModelParams, split_representations
-from .errors import ConfigError, MissingGoldEdgesError, NonFiniteError
+from .errors import ConfigError, MissingGoldEdgesError, NonFiniteError, ShapeMismatchError
 from .rng import RngStream
 
 
@@ -47,7 +47,7 @@ def distance_samples(
     rng: RngStream | None = None,
     params: ModelParams | None = None,
     config: ModelConfig | None = None,
-    image_reps: list | None = None,
+    image_reps: np.ndarray | None = None,
 ):
     """Distance samples around each gold-matched sentence.
 
@@ -57,11 +57,13 @@ def distance_samples(
     images outside the gold set, cross holds distances to
     samples_per_sentence images drawn without replacement from the other
     documents of the split, and matched holds distances to the sentence's
-    remaining gold images.  Distances are between raw image features (mean
-    object rows), or between encoder outputs: ``image_reps``, one
-    (images, d) array per split document, or else the encoding by
-    ``params``.  A distance that is not finite raises NonFiniteError naming
-    the anchor's document.
+    remaining gold images.  Distances are between rows of the split's flat
+    (images, d) array: raw image features (mean object rows), or encoder
+    outputs, ``image_reps`` (``split_representations(...).images.data``) or
+    else the encoding by ``params``.  An empty split raises
+    CorpusValidationError, ``image_reps`` without one row per image
+    ShapeMismatchError, and a distance that is not finite NonFiniteError
+    naming the anchor's document.
     """
     if samples_per_sentence < 0:
         raise ConfigError(
@@ -69,22 +71,22 @@ def distance_samples(
         )
     if rng is None:
         rng = RngStream(0).child("diagnostics")
-    docs = corpus.split_documents(split)
+    docs = corpus.split_documents(split, nonempty=True)
     for doc in docs:
         if doc.gold_edges is None:
             raise MissingGoldEdgesError(f"document {doc.id!r} has no gold edges")
 
-    # One vector per image.
+    # One vector per image, in document order; document owner[i] owns row i.
+    owner = np.repeat(np.arange(len(docs)), [len(doc.images) for doc in docs])
     if image_reps is not None:
-        feats = image_reps
+        feats = np.asarray(image_reps)
+        if feats.ndim != 2 or len(feats) != owner.size:
+            raise ShapeMismatchError(f"image_reps of shape {feats.shape} needs one row per "
+                                     f"image of split {split!r}: {owner.size} rows")
     elif params is None:
-        feats = [np.stack([img.objects.mean(axis=0) for img in doc.images]) for doc in docs]
+        feats = np.stack([img.objects.mean(axis=0) for doc in docs for img in doc.images])
     else:
-        feats = [img.data for _, img in split_representations(corpus, split, params, config)]
-    pool_owner = np.concatenate(
-        [np.full(len(doc.images), d, dtype=int) for d, doc in enumerate(docs)]
-    )
-    pool_feats = np.concatenate(feats, axis=0)
+        feats = split_representations(corpus, split, params, config).images.data
 
     intra, cross, matched = [], [], []
     for d, doc in enumerate(docs):
@@ -94,19 +96,19 @@ def distance_samples(
         by_sentence = {}
         for m, n in doc.gold_edges:
             by_sentence.setdefault(m, set()).add(n)
-        outside = np.flatnonzero(pool_owner != d)
+        own, outside = feats[owner == d], np.flatnonzero(owner != d)
         for m in sorted(by_sentence):
             gold = by_sentence[m]
-            anchor = feats[d][min(gold)]
+            anchor = own[min(gold)]
             for n in sorted(gold - {min(gold)}):
-                matched.append(distance(anchor, feats[d][n]))
+                matched.append(distance(anchor, own[n]))
             for n in range(len(doc.images)):
                 if n not in gold:
-                    intra.append(distance(anchor, feats[d][n]))
+                    intra.append(distance(anchor, own[n]))
             take = min(samples_per_sentence, outside.size)
             picks = rng.choice(outside.size, size=take, replace=False)
             for idx in np.sort(outside[np.asarray(picks, dtype=int)]):
-                cross.append(distance(anchor, pool_feats[idx]))
+                cross.append(distance(anchor, feats[idx]))
     return np.array(intra), np.array(cross), np.array(matched)
 
 
@@ -162,7 +164,7 @@ def bias_report(
     rng: RngStream | None = None,
     params: ModelParams | None = None,
     config: ModelConfig | None = None,
-    image_reps: list | None = None,
+    image_reps: np.ndarray | None = None,
 ) -> BiasReport:
     """KS comparison of intra- versus cross-document negative distances,
     with shared-bin histograms of both samples; the image vectors are

@@ -18,8 +18,8 @@ Documents are encoded one way, by :func:`batch_representations`: one padded
 pass per modality over several documents, returned flat as
 :class:`Representations` with each document's row offsets.  Training hands
 that value to the objective whole; evaluation and diagnostics call
-:func:`split_representations`, its graph-free form over a split, which
-slices it per document.  That form and ``train`` run :func:`check_fit`,
+:func:`split_representations`, its graph-free form over a split, and read
+each document's rows by offset.  That form and ``train`` run :func:`check_fit`,
 the one fit check; encoders check only what their counts and padded arrays
 show, and a batch that fails to encode is walked to name its document.
 
@@ -55,7 +55,8 @@ from .tensor import Tensor, _make, _wrap, concat, embedding, linear, masked_mean
 # Documents per graph-free pass: a default training batch, so evaluation never
 # holds more activations than one training step's forward pass.
 DOCS_PER_PASS = 11
-# Largest word table, in bytes; training holds four (parameters, m, v, gradient).
+# Largest word table, and largest model, in bytes; training holds four
+# (parameters, m, v, gradient).
 MAX_WORD_TABLE_BYTES = 2**30
 
 
@@ -116,13 +117,22 @@ class ModelConfig:
 class ModelParams(Params):
     """All learnable tensors of ``config``'s shapes, named by their attributes
     for checkpoints: zeros, with unit layer-norm gains, until
-    :func:`init_params` draws them or a checkpoint's arrays are adopted.  The
-    word table passes :func:`word_table`'s bound first."""
+    :func:`init_params` draws them or a checkpoint's arrays are adopted.  A
+    model of more than MAX_WORD_TABLE_BYTES is refused from its shapes, before
+    anything is allocated, by a ConfigError naming the settings that size it."""
 
     def __init__(self, config: ModelConfig):
         c = config
+        if 8 * c.parameter_count() > MAX_WORD_TABLE_BYTES:
+            raise ConfigError(
+                f"cannot allocate the model: max_sentence_len={c.max_sentence_len}, "
+                f"embed_dim={c.embed_dim}, sentence_layers={c.sentence_layers}, "
+                f"image_layers={c.image_layers}, obj_dim={c.obj_dim}, "
+                f"vocab_size={c.vocab_size}, word_dim={c.word_dim}: "
+                f"more than {MAX_WORD_TABLE_BYTES} bytes"
+            )
         self.config = c
-        self.word_embed = Tensor(word_table(c.vocab_size, c.word_dim, np.zeros), requires_grad=True)
+        self.word_embed = zeros(c.vocab_size, c.word_dim)
         self.pos_embed = zeros(c.max_sentence_len, c.word_dim)
 
         # text_proj is shared by the sentence path and the concept path.
@@ -299,6 +309,13 @@ class Representations:
         s, v = self.sentence_offsets, self.image_offsets
         return self.sentences[s[i] : s[i + 1]], self.images[v[i] : v[i + 1]]
 
+    @classmethod
+    def of(cls, docs: list, sentences: Tensor, images: Tensor) -> Representations:
+        """The rows of ``docs``' sentences and images, in document order."""
+        return cls(sentences, images,
+                   np.cumsum([0] + [len(doc.sentences) for doc in docs]),
+                   np.cumsum([0] + [len(doc.images) for doc in docs]))
+
 
 def batch_representations(docs: list, params: ModelParams, config: ModelConfig) -> Representations:
     """Encode every sentence and image of several documents in two pooled
@@ -318,11 +335,7 @@ def batch_representations(docs: list, params: ModelParams, config: ModelConfig) 
             if isinstance(exc, NonFiniteError):
                 _encode_alone(doc, params, config)
         raise
-    return Representations(
-        sent_reps, img_reps,
-        np.cumsum([0] + [len(doc.sentences) for doc in docs]),
-        np.cumsum([0] + [len(doc.images) for doc in docs]),
-    )
+    return Representations.of(docs, sent_reps, img_reps)
 
 
 def _encode_alone(doc, params: ModelParams, config: ModelConfig) -> None:
@@ -351,12 +364,13 @@ def check_fit(corpus: Corpus, docs: list, config: ModelConfig) -> None:
 
 def split_representations(corpus: Corpus, split: str, params: ModelParams, config: ModelConfig):
     """Graph-free :func:`batch_representations` of a split's documents once
-    :func:`check_fit` passes them, DOCS_PER_PASS documents per pass, as one
-    (sentences, images) pair per document."""
-    docs = corpus.split_documents(split)
+    :func:`check_fit` passes them, DOCS_PER_PASS documents per pass, joined
+    into one flat :class:`Representations` of the split.  A split with no
+    documents raises CorpusValidationError naming it."""
+    docs = corpus.split_documents(split, nonempty=True)
     check_fit(corpus, docs, config)
-    out = []
     with no_grad():
-        for start in range(0, len(docs), DOCS_PER_PASS):
-            out.extend(batch_representations(docs[start : start + DOCS_PER_PASS], params, config))
-    return out
+        passes = [batch_representations(docs[start : start + DOCS_PER_PASS], params, config)
+                  for start in range(0, len(docs), DOCS_PER_PASS)]
+        return Representations.of(docs, concat([r.sentences for r in passes]),
+                                  concat([r.images for r in passes]))

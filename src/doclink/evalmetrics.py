@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .encoder import ModelConfig, ModelParams, similarity_matrix, split_representations
+from .encoder import (ModelConfig, ModelParams, Representations, similarity_matrix,
+                      split_representations)
 from .errors import ConfigError, MissingGoldEdgesError
 
 
@@ -136,7 +137,7 @@ def evaluate(
     return evaluate_matrices(matrices, {doc.id: doc.gold_edges for doc in docs}, ks=ks)
 
 
-def similarity_matrices(docs: list, reps: list) -> dict:
-    """{doc id: (n, m) cosine array} from the documents' encoded
-    (sentences, images) pairs, as :func:`split_representations` returns them."""
-    return {doc.id: similarity_matrix(sent, img).data for doc, (sent, img) in zip(docs, reps)}
+def similarity_matrices(docs: list, reps: Representations) -> dict:
+    """{doc id: (n, m) cosine array} of each document's rows of ``reps``, the
+    flat encoding of ``docs`` that :func:`split_representations` returns."""
+    return {doc.id: similarity_matrix(*reps[d]).data for d, doc in enumerate(docs)}

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .tensor import Tensor, attention, feed_forward, layernorm
 
 
@@ -94,9 +93,6 @@ def multihead_attention(x: Tensor, params: AttentionParams, heads: int, mask=Non
     ``mask`` (B, L) marks real key positions; padded keys receive exactly
     zero weight.
     """
-    dim = x.shape[-1]
-    if dim % heads != 0:
-        raise ConfigError(f"attention width {dim} is not divisible by {heads} heads")
     p = params
     return attention(x, (p.wq, p.wk, p.wv, p.wo), (p.bq, p.bk, p.bv, p.bo), heads, mask=mask)
 

@@ -29,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from .errors import InvalidMaskError, NonFiniteError, ShapeMismatchError
+from .errors import ConfigError, InvalidMaskError, NonFiniteError, ShapeMismatchError
 
 _grad_enabled = True
 _created = itertools.count()  # Node.index: a node is always newer than its parents
@@ -463,12 +463,15 @@ def attention(x, weights, biases, heads: int, mask=None) -> Tensor:
     softmaxes over the keys and mixes the values; the merged heads go
     through the output projection.  ``mask`` (B, L) marks real keys: padded
     keys get exactly zero weight, and a batch row with no real key raises
-    :class:`InvalidMaskError`.
+    :class:`InvalidMaskError`.  A width that ``heads`` does not divide raises
+    :class:`ConfigError`.
     """
     x = _wrap(x)
     weights = [_wrap(w) for w in weights]
     biases = [_wrap(b) for b in biases]
     batch, length, dim = x.data.shape
+    if heads < 1 or dim % heads != 0:
+        raise ConfigError(f"attention width {dim} is not divisible by {heads} heads")
     head_dim = dim // heads
     scale = 1.0 / np.sqrt(head_dim)
     key_bias = None

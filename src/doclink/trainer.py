@@ -421,7 +421,7 @@ def load_checkpoint(
                                   f"but the model has {total} parameters")
         try:
             params = ModelParams(config)
-        except ConfigError as exc:  # the word-table bound
+        except ConfigError as exc:  # the model-size bound
             raise ConfigError(f"checkpoint {path} model config: {exc}") from exc
         optimizer = OptimizerState(params.named_parameters(), arrays)
         if header["table"] != optimizer.layout:

@@ -251,6 +251,25 @@ class TestTrain:
         assert len(history) == 4
         assert history[-1]["decays"] >= 2 and history[-1]["lr"] == 0.0
 
+    @pytest.mark.parametrize("size", [{"max_sentence_len": 10**12}, {"embed_dim": 2**20}],
+                             ids=["positions", "width"])
+    def test_model_over_the_bound_is_data_error(self, workspace, tmp_path, capsys,
+                                                monkeypatch, size):
+        """58 TiB of position table or 192 TiB of layers: one line naming the
+        settings, exit 2, and no tensor made."""
+        sections = train_sections()
+        sections["model"].update(size)
+        write_json(tmp_path / "train.json", sections)
+        monkeypatch.setattr(doclink.encoder, "zeros", lambda *shape: pytest.fail("allocated"))
+        code = main(["train", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+                     "--out", str(tmp_path / "big"), "--config", str(tmp_path / "train.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        key, value = next(iter(size.items()))
+        assert err.startswith("error: cannot allocate the model: ") and err.count("\n") == 1
+        assert f"{key}={value}," in err and "Traceback" not in err
+        assert not (tmp_path / "big").exists()
+
     def test_seed_flag_beats_config_file(self, workspace, tmp_path):
         config = tmp_path / "train.json"
         write_json(config, train_sections(seed=3))

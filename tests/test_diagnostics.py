@@ -17,8 +17,13 @@ from doclink.diagnostics import (
     ks_two_sample,
     spread_regression,
 )
-from doclink.encoder import ModelConfig, init_params
-from doclink.errors import ConfigError, MissingGoldEdgesError, NonFiniteError
+from doclink.encoder import ModelConfig, init_params, split_representations
+from doclink.errors import (
+    ConfigError,
+    MissingGoldEdgesError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
 from doclink.rng import RngStream
 
 
@@ -222,6 +227,68 @@ class TestDistanceSamples:
         )
         assert raw[0].shape == learned[0].shape
         assert not np.allclose(raw[0], learned[0])
+
+
+def loop_distance_samples(corpus, split, samples_per_sentence, rng):
+    """The per-document reference for raw features: each document's own
+    (images, d) array, and every other document's images listed as
+    (document, image) pairs in split order for the cross draws."""
+    docs = corpus.split_documents(split)
+    feats = [np.stack([img.objects.mean(axis=0) for img in doc.images]) for doc in docs]
+    intra, cross, matched = [], [], []
+    for d, doc in enumerate(docs):
+        others = [(e, n) for e, other in enumerate(docs) if e != d
+                  for n in range(len(other.images))]
+        by_sentence = {}
+        for m, n in doc.gold_edges:
+            by_sentence.setdefault(m, set()).add(n)
+        for m in sorted(by_sentence):
+            gold = by_sentence[m]
+            anchor = feats[d][min(gold)]
+            matched += [np.linalg.norm(anchor - feats[d][n]) for n in sorted(gold - {min(gold)})]
+            intra += [np.linalg.norm(anchor - feats[d][n])
+                      for n in range(len(doc.images)) if n not in gold]
+            picks = rng.choice(len(others), size=min(samples_per_sentence, len(others)),
+                               replace=False)
+            cross += [np.linalg.norm(anchor - feats[e][n])
+                      for e, n in (others[i] for i in np.sort(picks))]
+    return np.array(intra), np.array(cross), np.array(matched)
+
+
+class TestFlatFeatures:
+    """The three feature sources each build one flat (images, d) array of
+    the split, which every document reads by its rows."""
+
+    def test_raw_path_matches_the_per_document_loop(self):
+        corpus = diag_corpus(docs=9)
+        got = distance_samples(corpus, "train", 3, RngStream(20).child("d"))
+        want = loop_distance_samples(corpus, "train", 3, RngStream(20).child("d"))
+        assert got[1].size == 3 * sum(len({m for m, _ in doc.gold_edges})
+                                      for doc in corpus.split_documents("train"))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_image_reps_match_the_params_path(self):
+        corpus = diag_corpus(docs=14)
+        config = ModelConfig(vocab_size=corpus.vocab_size, obj_dim=corpus.obj_dim,
+                             embed_dim=8, sentence_layers=1, image_layers=1, heads=2,
+                             word_dim=6, max_sentence_len=8)
+        params = init_params(config, RngStream(21))
+        reps = split_representations(corpus, "train", params, config)
+        assert reps.images.shape == (14 * 3, 8)
+        given = distance_samples(corpus, "train", 4, RngStream(22).child("d"),
+                                 image_reps=reps.images.data)
+        encoded = distance_samples(corpus, "train", 4, RngStream(22).child("d"),
+                                   params=params, config=config)
+        for a, b in zip(given, encoded):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(17, 8), (19, 8), (18,)])
+    def test_image_reps_need_one_row_per_image(self, shape):
+        corpus = diag_corpus()
+        with pytest.raises(ShapeMismatchError, match=f"needs one row per image of split "
+                                                     f"'train': 18 rows"):
+            distance_samples(corpus, "train", 2, image_reps=np.zeros(shape))
 
 
 class TestBiasReport:

@@ -11,11 +11,14 @@ import pytest
 from doclink import tensor
 from doclink.corpus import Corpus, Document, ImageRecord, SynthConfig, generate_synthetic
 from doclink.diagnostics import bias_report
+import doclink.encoder
 from doclink.encoder import (
     MAX_WORD_TABLE_BYTES,
     ModelConfig,
     ModelParams,
     DOCS_PER_PASS,
+    Representations,
+    batch_representations,
     check_fit,
     encode_images,
     encode_sentences,
@@ -159,6 +162,32 @@ class TestInit:
         with mock.patch.object(rng, "uniform", side_effect=AssertionError("drew the table")):
             with pytest.raises(ConfigError, match=r"vocab_size=1000000, word_dim=300: more than"):
                 init_params(config, rng)
+
+    @pytest.mark.parametrize("size", [{"max_sentence_len": 10**12}, {"embed_dim": 2**20}],
+                             ids=["positions", "width"])
+    def test_model_over_the_bound_is_refused_before_allocating(self, size):
+        """A model whose parameters alone pass MAX_WORD_TABLE_BYTES (2.1 PiB
+        of positions, 576 TiB of layers) is refused from its shapes, naming
+        them, before a tensor is made."""
+        config = ModelConfig(vocab_size=20, obj_dim=4, **size)
+        assert 8 * config.parameter_count() > MAX_WORD_TABLE_BYTES
+        with mock.patch.object(doclink.encoder, "zeros", side_effect=AssertionError("allocated")):
+            with pytest.raises(ConfigError, match=(
+                    r"^cannot allocate the model: max_sentence_len=\d+, embed_dim=\d+, "
+                    r"sentence_layers=3, image_layers=3, obj_dim=4, vocab_size=20, word_dim=300: "
+                    rf"more than {MAX_WORD_TABLE_BYTES} bytes$")) as caught:
+                ModelParams(config)
+        key, value = next(iter(size.items()))
+        assert f"{key}={value}," in str(caught.value)
+
+    def test_default_model_fits_the_bound(self):
+        """The default widths and layers with a 30k vocabulary and 2048-wide
+        object features: 87M parameters, 0.70 GB, are built."""
+        config = ModelConfig(vocab_size=30000, obj_dim=2048)
+        assert 8 * config.parameter_count() <= MAX_WORD_TABLE_BYTES
+        params = ModelParams(config)
+        sizes = [t.data.size for t in params.named_parameters().values()]
+        assert sum(sizes) == config.parameter_count()
 
     def test_named_parameters_stable_and_unique(self):
         _, params = tiny_model()
@@ -447,7 +476,60 @@ class TestSplitRepresentations:
     def test_empty_split_has_no_representations(self):
         config, params = tiny_model()
         corpus = Corpus([], vocab_size=30, obj_dim=5, splits={"test": []})
-        assert split_representations(corpus, "test", params, config) == []
+        with pytest.raises(CorpusValidationError, match="split 'test' has no documents"):
+            split_representations(corpus, "test", params, config)
+
+
+class TestOneFlatSplit:
+    """A split encodes to one flat Representations: its passes' rows joined
+    verbatim, with each document's offsets."""
+
+    def test_offsets_are_the_counts_and_rows_are_each_pass(self):
+        config, params = tiny_model(max_len=12)
+        rng = np.random.default_rng(12)
+        docs = [
+            Document(
+                id=f"d{d}",
+                sentences=[[int(t) for t in rng.integers(0, 30, size=rng.integers(1, 13))]
+                           for _ in range(rng.integers(1, 5))],
+                images=[make_image(rng, mu=int(rng.integers(1, 5)),
+                                   concept_len=int(rng.integers(1, 4)))
+                        for _ in range(rng.integers(1, 4))],
+            )
+            for d in range(2 * DOCS_PER_PASS + 3)
+        ]
+        corpus = Corpus(docs, vocab_size=30, obj_dim=5, splits={"test": [d.id for d in docs]})
+        reps = split_representations(corpus, "test", params, config)
+        assert isinstance(reps, Representations) and len(reps) == len(docs)
+        assert reps.sentences.node is None and reps.images.node is None
+        np.testing.assert_array_equal(
+            reps.sentence_offsets, np.cumsum([0] + [len(d.sentences) for d in docs]))
+        np.testing.assert_array_equal(
+            reps.image_offsets, np.cumsum([0] + [len(d.images) for d in docs]))
+        for start in range(0, len(docs), DOCS_PER_PASS):
+            end = min(start + DOCS_PER_PASS, len(docs))
+            with tensor.no_grad():
+                batch = batch_representations(docs[start:end], params, config)
+            for side, offsets, rows in (
+                ("sentences", reps.sentence_offsets, batch.sentences.data),
+                ("images", reps.image_offsets, batch.images.data),
+            ):
+                flat = getattr(reps, side).data
+                np.testing.assert_array_equal(flat[offsets[start] : offsets[end]], rows)
+
+    def test_empty_split_names_the_split_for_every_reader(self):
+        """Encoding, evaluation and the bias probe on any of its three
+        feature sources refuse a split with no documents."""
+        config, params = tiny_model()
+        corpus = Corpus([], vocab_size=30, obj_dim=5, splits={"test": []})
+        for read in (
+            lambda: evaluate(corpus, "test", params, config),
+            lambda: bias_report(corpus, "test"),
+            lambda: bias_report(corpus, "test", params=params, config=config),
+            lambda: bias_report(corpus, "test", image_reps=np.zeros((0, 8))),
+        ):
+            with pytest.raises(CorpusValidationError, match="split 'test' has no documents"):
+                read()
 
 
 def fit_corpus() -> Corpus:

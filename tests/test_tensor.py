@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doclink import tensor
-from doclink.errors import InvalidMaskError, NonFiniteError, ShapeMismatchError
+from doclink.errors import ConfigError, InvalidMaskError, NonFiniteError, ShapeMismatchError
 from doclink.tensor import Tensor
 
 
@@ -445,6 +445,14 @@ class TestFusedOps:
         x, weights, biases = attention_leaves(rng, 3, 4, 4)
         with pytest.raises(ShapeMismatchError):
             tensor.attention(x, weights, biases, 2, mask=np.ones((3, 5), bool))
+
+    @pytest.mark.parametrize("heads", [3, 0, -2])
+    def test_attention_heads_must_divide_the_width(self, heads):
+        """The op itself refuses heads that do not split the width evenly,
+        before it projects or reshapes anything."""
+        x, weights, biases = attention_leaves(np.random.default_rng(38), 1, 2, 4)
+        with pytest.raises(ConfigError, match=f"width 4 is not divisible by {heads} heads"):
+            tensor.attention(x, weights, biases, heads)
 
 
 class TestTransformerFusedOps:
