@@ -55,8 +55,8 @@ from .tensor import Tensor, _make, _wrap, concat, embedding, linear, masked_mean
 # Documents per graph-free pass: a default training batch, so evaluation never
 # holds more activations than one training step's forward pass.
 DOCS_PER_PASS = 11
-# Largest word table, and largest model, in bytes; training holds four
-# (parameters, m, v, gradient).
+# Largest word table, model and attention score array of one pass, in bytes;
+# training holds four copies of the model (parameters, m, v, gradient).
 MAX_WORD_TABLE_BYTES = 2**30
 
 
@@ -351,15 +351,39 @@ def _encode_alone(doc, params: ModelParams, config: ModelConfig) -> None:
             ) from None
 
 
-def check_fit(corpus: Corpus, docs: list, config: ModelConfig) -> None:
+def check_fit(corpus: Corpus, docs: list, config: ModelConfig,
+              docs_per_pass: int = DOCS_PER_PASS) -> None:
     """Raise CorpusValidationError naming the first of ``docs`` the model cannot
     encode.  Load validated ``corpus`` against its own vocab_size and obj_dim:
-    if the model covers both and the longest sentence fits, none is walked."""
+    if the model covers both and the longest sentence fits, none is walked.
+
+    Then bound, per tower, the largest attention score array that one pass of
+    up to ``docs_per_pass`` of ``docs`` can form: 8 bytes x rows x heads x
+    tokens**2, where rows are the sentences (images) of the documents with
+    the most and tokens are the longest sentence (twice the most object rows
+    of an image).  Above MAX_WORD_TABLE_BYTES it raises ConfigError naming
+    the document that sets the tokens, before anything is encoded."""
     longest = max((len(tokens) for doc in docs for tokens in doc.sentences), default=0)
     if (config.vocab_size < corpus.vocab_size or config.obj_dim != corpus.obj_dim
             or longest > config.max_sentence_len):
         for doc in docs:
             validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
+    if not docs:
+        return
+    for what, lengths in (
+        ("sentence", [[len(tokens) for tokens in doc.sentences] for doc in docs]),
+        ("image", [[2 * len(img.objects) for img in doc.images] for doc in docs]),
+    ):
+        rows = sum(sorted(map(len, lengths), reverse=True)[:docs_per_pass])
+        tokens = [max(doc_lengths, default=0) for doc_lengths in lengths]
+        i = int(np.argmax(tokens))
+        size = 8 * rows * config.heads * tokens[i] ** 2
+        if size > MAX_WORD_TABLE_BYTES:
+            raise ConfigError(
+                f"document {docs[i].id!r}: its longest {what} ({tokens[i]} tokens) makes a pass "
+                f"of up to {docs_per_pass} documents form {size} bytes of attention scores "
+                f"at heads={config.heads}, more than {MAX_WORD_TABLE_BYTES} bytes"
+            )
 
 
 def split_representations(corpus: Corpus, split: str, params: ModelParams, config: ModelConfig):

@@ -19,12 +19,13 @@ flat as the encoder pooled them.  Block (i, j) of that matrix, cut by the
 stored offsets, pairs document i's sentences with document j's images.
 One ``batch_scores`` op takes tk of every block (the B x B table), neg_tk
 of each own block and tk of each sub-document draw in one selection pass,
-and returns the positive and negative operand of every hinge term with the
-term's kind and document.  Hardest negatives are
+and returns the positive and negative operand of every hinge term as one
+(2, H) node, with the term's kind and document.  Hardest negatives are
 maxima over the table's off-diagonal (ties go to the lowest document
-index).  One ``hinge`` call with a margin per term, set by its kind,
-covers all terms, so the graph size does not grow with the batch.  Each
-objective is read per document from the ``parts`` that
+index).  One ``hinge`` op over that node, with a margin per term
+set by its kind, covers all terms, so the objective is five nodes
+(``cosine``, ``batch_scores``, ``hinge``, ``sum``, ``mul``) at any batch
+size.  Each objective is read per document from the ``parts`` that
 :func:`total_loss` returns:
 ``total_loss(...)[1]["l_cross" | "l_intra" | "l_sub"]``.
 """
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import Representations, similarity_matrix
-from .errors import BatchError, ConfigError, check_settings, setting
+from .errors import BatchError, ConfigError, ShapeMismatchError, check_settings, setting
 from .rng import RngStream
-from .tensor import Tensor, _make, _wrap, neg, relu
+from .tensor import Tensor, _make, _wrap, neg
 
 # Hinge term kinds, indexing TERM_PARTS and TERM_MARGINS (times alpha).
 CROSS, INTRA, SUB = 0, 1, 2
@@ -203,10 +204,15 @@ def batch_scores(s, row_offsets, col_offsets, k=None, cross=True, intra=True, su
     return pairs, (kind[0], doc[0])
 
 
-def hinge(m, n, margin) -> Tensor:
-    """max(0, n - m + margin), elementwise with a scalar or per-term
-    ``margin``; zero subgradient on the flat branch."""
-    return relu(_wrap(n) - _wrap(m) + margin)
+def hinge(pairs, margin) -> Tensor:
+    """max(0, pairs[1] - pairs[0] + margin) as one op over batch_scores' (2, H)
+    positives and negatives, with a scalar or per-term ``margin``; zero
+    subgradient on the flat branch."""
+    pairs = _wrap(pairs)
+    if pairs.data.shape[:1] != (2,):
+        raise ShapeMismatchError(f"hinge needs (2, ...) pairs, got {pairs.data.shape}")
+    out_data = np.maximum(pairs.data[1] - pairs.data[0] + margin, 0.0)
+    return _make(out_data, (pairs,), lambda g: (np.stack([-g, g]) * (out_data > 0.0),), "hinge")
 
 
 def _keep_count(count: int, p_sub: float) -> int:
@@ -282,13 +288,16 @@ def total_loss(
     ``reps`` is the batch as :func:`~doclink.encoder.batch_representations`
     returns it: the pooled sentences and images with each document's
     offsets; their cosine matrix is taken whole.  ``rng`` drives the
-    sub-document draws and may be None when ``use_sub`` is off.  ``parts`` maps ``l_cross``, ``l_intra``,
-    ``l_sub`` and their sum ``total`` to (B,) float64 arrays; a disabled
-    objective reads zero.
+    sub-document draws and may be None only when ``use_sub`` is off; with
+    it on, None raises ConfigError.  ``parts`` maps ``l_cross``,
+    ``l_intra``, ``l_sub`` and their sum ``total`` to (B,) float64 arrays;
+    a disabled objective reads zero.
     """
     size = len(reps)
     if size < 2:
         raise BatchError(f"hard negative mining needs >= 2 documents, got {size}")
+    if use_sub and rng is None:
+        raise ConfigError("the sub-document objective draws from an rng; got None")
     row_off, col_off = reps.sentence_offsets, reps.image_offsets
     S = similarity_matrix(reps.sentences, reps.images)
     subs = []  # (document, rows, columns) of each non-degenerate draw
@@ -300,7 +309,7 @@ def total_loss(
     pairs, (kind, doc) = batch_scores(
         S, row_off, col_off, config.k_override, use_cross, use_intra, subs
     )
-    losses = hinge(pairs[0], pairs[1], config.alpha * TERM_MARGINS[kind])
+    losses = hinge(pairs, config.alpha * TERM_MARGINS[kind])
     h = losses.data
     parts = {name: np.bincount(doc[kind == code], h[kind == code], size)
              for code, name in enumerate(TERM_PARTS)}

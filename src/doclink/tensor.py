@@ -14,7 +14,8 @@ the fused ops of the encoder (linear, attention, feed_forward and
 masked_mean), each one node with a hand-written backward.  Compositions of
 them: embedding, transpose (``Tensor.T``), sqrt, stack and tmean
 (``Tensor.mean``).  Other modules build their own ops with :func:`_make`
-(the encoder's ``cosine``, the objective's ``tk`` and ``batch_scores``).
+(the encoder's ``cosine``, the objective's ``tk``, ``batch_scores`` and
+``hinge``).
 
 Convention at non-differentiable points: the subgradient of the
 first-encountered / left branch is used (``relu'(0) == 0``, ties in ``max``

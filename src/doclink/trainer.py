@@ -240,7 +240,8 @@ def train(
     """
     train_docs = corpus.split_documents("train")
     val_docs = corpus.split_documents("val")
-    check_fit(corpus, train_docs + val_docs, model_config)
+    # make_batches merges a one-document tail, so a batch holds up to batch_size + 1.
+    check_fit(corpus, train_docs + val_docs, model_config, train_config.batch_size + 1)
     if not train_docs:
         raise BatchError("train split is empty")
     degenerate = []

@@ -270,6 +270,25 @@ class TestTrain:
         assert f"{key}={value}," in err and "Traceback" not in err
         assert not (tmp_path / "big").exists()
 
+    def test_attention_scores_over_the_bound_are_data_error(self, tmp_path, capsys, monkeypatch):
+        """Four documents of 6000-object images pass the corpus budget and
+        load, but a training pass would form a 20.7 GB attention score
+        array: one line naming the document, exit 2, and no attention call."""
+        gen = tmp_path / "gen.json"
+        write_json(gen, {"synth": synth_section(train_docs=2, val_docs=1, test_docs=1,
+                                                obj_dim=2, objects_per_image=6000)})
+        assert main(["gen", "--out", str(tmp_path / "data"), "--config", str(gen)]) == 0
+        write_json(tmp_path / "train.json", train_sections())
+        monkeypatch.setattr("doclink.nn.attention", lambda *a, **kw: pytest.fail("attention"))
+        capsys.readouterr()
+        code = main(["train", "--corpus", str(tmp_path / "data" / "corpus.jsonl"),
+                     "--out", str(tmp_path / "run"), "--config", str(tmp_path / "train.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: document 'train-0000': its longest image (12000 tokens)")
+        assert "heads=2" in err and f"{8 * 9 * 2 * 12000**2} bytes" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_seed_flag_beats_config_file(self, workspace, tmp_path):
         config = tmp_path / "train.json"
         write_json(config, train_sections(seed=3))

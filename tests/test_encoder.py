@@ -567,6 +567,36 @@ class TestCheckFit:
     model cannot encode by naming its first such document and the model's
     limits; a corpus that fits is not walked."""
 
+    def test_attention_scores_over_the_bound_are_refused_before_encoding(self, monkeypatch):
+        """Four documents of three images of 6000 objects fit the corpus
+        budget, but a pass over their 12000-token images at heads=2 would
+        form 9 x 2 x 12000**2 float64 scores (20.7 GB) in a training batch of
+        up to batch_size + 1 = 3 documents, and 3 x 2 x 12000**2 (6.9 GB)
+        over the one test document: train and split_representations refuse
+        them, naming the document, heads and the bytes, before any attention
+        call."""
+        corpus = generate_synthetic(SynthConfig(
+            train_docs=2, val_docs=1, test_docs=1, sentences_per_doc=3, images_per_doc=3,
+            density=0.34, vocab_size=60, obj_dim=2, objects_per_image=6000, sentence_len=4,
+            concept_len=2, tokens_per_cluster=4,
+        ), RngStream(7))
+        config = fit_model(obj_dim=2)
+        monkeypatch.setattr("doclink.nn.attention", lambda *a, **kw: pytest.fail("attention"))
+
+        def refusal(doc_id, docs_per_pass, images):
+            return re.escape(
+                f"document {doc_id!r}: its longest image (12000 tokens) makes a pass of up to "
+                f"{docs_per_pass} documents form {8 * images * 2 * 12000**2} bytes of "
+                f"attention scores at heads=2, more than {MAX_WORD_TABLE_BYTES} bytes")
+
+        with pytest.raises(ConfigError, match=f"^{refusal('train-0000', 3, 9)}$"):
+            train(corpus, config, ObjectiveConfig(), TrainConfig(batch_size=2, max_epochs=1))
+        with pytest.raises(ConfigError, match=f"^{refusal('test-0000', DOCS_PER_PASS, 3)}$"):
+            split_representations(corpus, "test", init_params(config, RngStream(0)), config)
+        docs = corpus.split_documents("train")
+        with pytest.raises(ConfigError, match=f"^{refusal('train-0000', 1, 3)}$"):
+            check_fit(corpus, docs, config, docs_per_pass=1)
+
     @pytest.mark.parametrize("setting,misfit", MISFITS, ids=["length", "vocab", "width"])
     def test_train_rejects_before_any_step(self, setting, misfit):
         corpus = fit_corpus()

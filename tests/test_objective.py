@@ -23,7 +23,9 @@ from doclink.objective import (
 from doclink.rng import RngStream
 from doclink.encoder import similarity_matrix
 from doclink.objective import _sample_subdocument
-from doclink.tensor import Tensor, _make, _wrap, concat, matmul, max_reduce, neg, take, transpose
+from doclink.tensor import (
+    Tensor, _make, _wrap, concat, matmul, max_reduce, neg, relu, take, transpose,
+)
 
 from test_tensor import check_grads, central_diff
 
@@ -143,11 +145,17 @@ def reference_block_tk(s, row_offsets, col_offsets, k=None, diagonal: bool = Fal
     return _make(out_data, (s,), backward_fn, "block_tk")
 
 
+def composed_hinge(m, n, margin) -> Tensor:
+    """``relu(n - m + margin)`` from generic nodes: the oracle of the one-node
+    :func:`doclink.objective.hinge`."""
+    return relu(_wrap(n) - _wrap(m) + margin)
+
+
 def reference_total_loss(batch, config, rng, use_cross=True, use_intra=True, use_sub=True):
     """The objective as composed before :func:`batch_scores`: the table,
     the own neg_tk and the sub-document positives from
     :func:`reference_block_tk`, hardest negatives from ``max_reduce``, one
-    ``hinge`` per term; the same draws from ``rng``."""
+    :func:`composed_hinge` per term; the same draws from ``rng``."""
     size = len(batch)
     reps = representations(batch)
     row_off, col_off = reps.sentence_offsets, reps.image_offsets
@@ -163,13 +171,13 @@ def reference_total_loss(batch, config, rng, use_cross=True, use_intra=True, use
     terms = []
     parts = {name: np.zeros(size) for name in ("l_cross", "l_intra", "l_sub")}
     if use_cross:
-        l_cross = hinge(s_pos, hardest_for_sentences, config.alpha) + hinge(
+        l_cross = composed_hinge(s_pos, hardest_for_sentences, config.alpha) + composed_hinge(
             s_pos, hardest_for_images, config.alpha
         )
         terms.append(l_cross)
         parts["l_cross"] = l_cross.data
     if use_intra:
-        l_intra = hinge(s_pos, s_neg, config.alpha / 2.0)
+        l_intra = composed_hinge(s_pos, s_neg, config.alpha / 2.0)
         terms.append(l_intra)
         parts["l_intra"] = l_intra.data
     if use_sub:
@@ -188,7 +196,7 @@ def reference_total_loss(batch, config, rng, use_cross=True, use_intra=True, use
                 config.k_override, diagonal=True,
             )
             half = config.alpha / 2.0
-            l_sub = hinge(positives, take(hardest_for_sentences, kept), half) + hinge(
+            l_sub = composed_hinge(positives, take(hardest_for_sentences, kept), half) + composed_hinge(
                 positives, take(hardest_for_images, kept), half
             )
             terms.append(l_sub)
@@ -235,21 +243,51 @@ def terms(batch, config, rng=None):
 
 class TestHinge:
     def test_worked_examples(self):
-        assert hinge(0.5, 0.1, 0.2).item() == 0.0
-        np.testing.assert_allclose(hinge(0.1, 0.5, 0.2).item(), 0.6)
-        np.testing.assert_allclose(hinge(0.37, 0.37, 0.2).item(), 0.2)
+        assert hinge([0.5, 0.1], 0.2).item() == 0.0
+        np.testing.assert_allclose(hinge([0.1, 0.5], 0.2).item(), 0.6)
+        np.testing.assert_allclose(hinge([0.37, 0.37], 0.2).item(), 0.2)
 
     def test_flat_branch_zero_subgradient(self):
-        m = Tensor(1.0, requires_grad=True)
-        n = Tensor(0.0, requires_grad=True)
-        tensor.backward(hinge(m, n, 0.2))
-        assert m.grad == 0.0 and n.grad == 0.0
+        pairs = Tensor([1.0, 0.0], requires_grad=True)
+        tensor.backward(hinge(pairs, 0.2))
+        np.testing.assert_array_equal(pairs.grad, [0.0, 0.0])
 
     def test_active_branch_gradient(self):
-        m = Tensor(0.0, requires_grad=True)
-        n = Tensor(1.0, requires_grad=True)
-        tensor.backward(hinge(m, n, 0.2))
-        assert m.grad == -1.0 and n.grad == 1.0
+        pairs = Tensor([0.0, 1.0], requires_grad=True)
+        tensor.backward(hinge(pairs, 0.2))
+        np.testing.assert_array_equal(pairs.grad, [-1.0, 1.0])
+
+    def test_finite_differences(self):
+        """Per-term margins, with every term away from the kink at 0."""
+        rng = np.random.default_rng(30)
+        pairs = Tensor(rng.normal(size=(2, 12)), requires_grad=True)
+        margin = rng.choice([0.1, 0.05], size=12)
+        assert np.abs(pairs.data[1] - pairs.data[0] + margin).min() > 1e-3
+        w = Tensor(rng.normal(size=12))
+        check_grads(lambda: (hinge(pairs, margin) * w).sum(), [pairs], rtol=1e-6)
+
+    def test_matches_the_composed_oracle(self):
+        """Value and gradient bit for bit against :func:`composed_hinge` on
+        both rows of the pairs, active and flat terms and exact zeros alike."""
+        rng = np.random.default_rng(31)
+        data = rng.choice([-0.3, 0.0, 0.1, 0.25], size=(2, 40))
+        margin = rng.choice([0.1, 0.05], size=40)
+        w = Tensor(rng.normal(size=40))
+        results = []
+        for build in (lambda p: hinge(p, margin), lambda p: composed_hinge(p[0], p[1], margin)):
+            pairs = Tensor(data, requires_grad=True)
+            out = build(pairs)
+            tensor.backward((out * w).sum())
+            results.append((out.data, pairs.grad))
+        (value, grad), (want_value, want_grad) = results
+        assert (want_value == 0.0).any() and (want_value > 0.0).any()
+        np.testing.assert_array_equal(value, want_value)
+        np.testing.assert_array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 4), (3, 4)])
+    def test_first_axis_other_than_two_is_refused(self, shape):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"got {shape}")):
+            hinge(Tensor(np.ones(shape)), 0.2)
 
 
 class TestTk:
@@ -491,6 +529,16 @@ class TestTotalLoss:
         assert mean_loss.item() == 0.0
         np.testing.assert_array_equal(parts["total"], np.zeros(2))
 
+    def test_sub_document_objective_needs_an_rng(self):
+        """With ``use_sub`` on, a None rng is refused before the first draw;
+        with it off, None stays the documented way to call."""
+        rng = np.random.default_rng(13)
+        reps = representations([random_reps(rng, 3, 3), random_reps(rng, 3, 3)])
+        with pytest.raises(ConfigError, match="sub-document objective draws from an rng; got None"):
+            total_loss(reps, ObjectiveConfig(), None)
+        _, parts = total_loss(reps, ObjectiveConfig(), None, use_sub=False)
+        np.testing.assert_array_equal(parts["l_sub"], np.zeros(2))
+
     def test_gradient_reaches_representations(self):
         rng = np.random.default_rng(14)
         s0 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -547,22 +595,22 @@ class TestTotalLoss:
                 todo.extend(t.node.parents)
         assert names == {
             "add", "attention", "batch_scores", "concat", "cosine", "feed_forward", "layernorm",
-            "linear", "masked_mean", "mul", "neg", "relu", "sum", "take",
+            "hinge", "linear", "masked_mean", "mul", "sum", "take",
         }
         tensor.backward(loss)
         assert all(p.grad is not None for p in params.named_parameters().values())
 
     def test_step_graph_size_at_b11(self):
-        """At the acceptance shape a step's graph has 40 nodes: 30 from the
+        """At the acceptance shape a step's graph has 35 nodes: 30 from the
         encoder (the two pooled representations and everything below them;
         128 before linear, attention and masked_mean were fused, 60 before
         each transformer layer went from eight nodes to four, 52 while the
-        batch was sliced per document) and the objective's 10 (43 before
+        batch was sliced per document) and the objective's 5 (43 before
         batch_scores, 15 before the cosine became one node, 12 while it
-        concatenated the slices back)."""
+        concatenated the slices back, 10 before the hinge became one node)."""
         reps, loss, _ = self.acceptance_step()
         encoder = count_nodes(reps.sentences, reps.images)
-        assert (encoder, count_nodes(loss)) == (30, 40)
+        assert (encoder, count_nodes(loss)) == (30, 35)
 
     def test_flat_matches_the_per_document_pairs(self):
         """The encoder's flat representations and its per-document pairs
@@ -780,10 +828,11 @@ class TestCosine:
 
 class TestBatchedTotalLoss:
     def test_graph_size_at_b11(self):
-        """The objective's graph does not grow with B: 10 nodes at B = 11 on
+        """The objective's graph does not grow with B: 5 nodes at B = 11 on
         5x5 documents (the per-pair graph had 2268, the block-op one 43, the
         four-node cosine one 15, the one that concatenated per-document
-        pairs back 12): the cosine, batch_scores and the hinge tail."""
+        pairs back 12, the composed hinge one 10): the cosine, batch_scores,
+        hinge, and the sum and scale of the batch mean."""
         rng = np.random.default_rng(20)
         reps = Representations(
             Tensor(rng.normal(size=(55, 16)), requires_grad=True),
@@ -792,7 +841,7 @@ class TestBatchedTotalLoss:
         )
         loss, _ = total_loss(reps, ObjectiveConfig(), RngStream(1))
         nodes = count_nodes(loss)
-        assert nodes == 10
+        assert nodes == 5
 
     @pytest.mark.parametrize("k_override,least", [(None, 1), (1, 1), (2, 3)])
     def test_per_document_terms_match_pairwise_oracle(self, k_override, least):
