@@ -1,7 +1,8 @@
 """The numpy autodiff core that everything else is built on.
 
 Tensors wrap float64 arrays; operations record a graph; backward() walks
-it in reverse topological order and accumulates gradients into leaves.
+it in reverse topological order, accumulates gradients into leaves and
+consumes the graph, freeing what each op kept for its backward.
 The demo builds a small expression, differentiates it, and verifies one
 entry against a central finite difference.
 """
@@ -9,6 +10,7 @@ entry against a central finite difference.
 import numpy as np
 
 from doclink import tensor
+from doclink.errors import ConsumedGraphError
 from doclink.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -36,7 +38,13 @@ with tensor.no_grad():
 w.data[0, 0] = keep
 print(f"dloss/dw[0,0] via central diff  = {(hi - lo) / (2 * step):+.8f}")
 
-# gradients accumulate across backward calls until cleared
+# backward consumed the graph: a second pass through it is refused
+try:
+    tensor.backward(loss)
+except ConsumedGraphError as exc:
+    print(f"second backward: {exc}")
+
+# gradients accumulate across backward calls, on fresh graphs, until cleared
 before = w.grad.copy()
 tensor.backward((x @ w + b).relu().sum())
 print(f"accumulation: grad changed by {np.abs(w.grad - before).max():.4f} (not reset)")

@@ -1,8 +1,9 @@
 """Command-line interface: gen, train, eval, diagnose.
 
 Each subcommand reads an optional JSON config file, applies flag
-overrides (flags win), writes its outputs plus a config echo into --out,
-and never modifies its inputs.  Exit codes: 0 success, 1 usage,
+overrides (flags win), refuses outputs that exist in --out (without
+--force) before any other work, writes its outputs plus a config echo
+into --out, and never modifies its inputs.  Exit codes: 0 success, 1 usage,
 2 data/validation, 3 numeric failure.
 """
 
@@ -28,7 +29,7 @@ from .corpus import (
     token_overlap_scores,
 )
 from .diagnostics import bias_report, document_spreads, spread_regression
-from .encoder import ModelConfig, copy_rows, split_representations, word_table
+from .encoder import MAX_WORD_TABLE_BYTES, ModelConfig, copy_rows, split_representations, word_table
 from .errors import (
     ConfigError,
     DegenerateEmbeddingError,
@@ -139,6 +140,7 @@ def _splits_for(corpus_path, splits_path):
 def cmd_gen(args) -> int:
     config_file = _read_config_file(args.config)
     synth = _build_config(SynthConfig, _section(config_file, "synth", ["synth"]))
+    paths = _prepare_out(args.out, ["corpus.jsonl", "splits.json", "gen-config.json"], args.force)
     try:
         corpus = generate_synthetic(synth, RngStream(args.seed))
     except ConfigError as exc:
@@ -146,7 +148,6 @@ def cmd_gen(args) -> int:
     except MemoryError as exc:  # numpy refuses an array these settings ask for
         raise UsageError(f"cannot allocate the corpus: {synth.size_settings()}: {exc}") from exc
 
-    paths = _prepare_out(args.out, ["corpus.jsonl", "splits.json", "gen-config.json"], args.force)
     save_corpus(corpus, paths[0])
     save_split_manifest(corpus.splits, paths[1])
     _write_json(paths[2], {"seed": args.seed, "synth": dataclasses.asdict(synth)})
@@ -188,12 +189,12 @@ def cmd_train(args) -> int:
     if not (train_config.use_cross or train_config.use_intra or train_config.use_sub):
         raise UsageError("train config turns off use_cross, use_intra and use_sub; "
                          "enable at least one objective")
+    paths = _prepare_out(
+        args.out, ["checkpoint.json", "history.json", "train-config.json"], args.force
+    )
 
     pretrained = (
         load_pretrained_embeddings(args.pretrained) if args.pretrained else None
-    )
-    paths = _prepare_out(
-        args.out, ["checkpoint.json", "history.json", "train-config.json"], args.force
     )
     result = train(
         corpus,
@@ -225,13 +226,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    ks = _parse_ks(args.ks)
+    paths = _prepare_out(args.out, ["eval-report.json", "eval-config.json"], args.force)
     splits = _splits_for(args.corpus, args.splits)
     corpus = load_corpus(args.corpus, splits=splits)
-    ks = _parse_ks(args.ks)
     params, _, _ = load_checkpoint(args.checkpoint)
 
     report = evaluate(corpus, args.split, params, params.config, ks=ks)
-    paths = _prepare_out(args.out, ["eval-report.json", "eval-config.json"], args.force)
     _write_json(paths[0], report.to_json_dict())
     _write_json(
         paths[1],
@@ -266,12 +267,21 @@ def cmd_diagnose(args) -> int:
     for flag, value in (("--samples", args.samples), ("--bins", args.bins)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    edge_bytes = 8 * (args.bins + 1)
+    if edge_bytes > MAX_WORD_TABLE_BYTES:
+        raise UsageError(f"--bins {args.bins} needs more memory than allowed: "
+                         f"{edge_bytes} bytes of bin edges, more than {MAX_WORD_TABLE_BYTES}")
+    if args.learned and not args.checkpoint:
+        raise UsageError("--learned requires --checkpoint")
+    paths = _prepare_out(
+        args.out,
+        ["bias-report.json", "spread-report.json", "diagnose-config.json"],
+        args.force,
+    )
     splits = _splits_for(args.corpus, args.splits)
     corpus = load_corpus(args.corpus, splits=splits)
 
     params = load_checkpoint(args.checkpoint)[0] if args.checkpoint else None
-    if args.learned and params is None:
-        raise UsageError("--learned requires --checkpoint")
     docs = corpus.split_documents(args.split)
     reps = None
     if params is not None:
@@ -304,11 +314,6 @@ def cmd_diagnose(args) -> int:
     ]
     spread = spread_regression(rows)
 
-    paths = _prepare_out(
-        args.out,
-        ["bias-report.json", "spread-report.json", "diagnose-config.json"],
-        args.force,
-    )
     _write_json(paths[0], bias.to_json_dict())
     _write_json(paths[1], spread.to_json_dict())
     _write_json(

@@ -50,14 +50,21 @@ from .errors import (
 )
 from .nn import LayerNormParams, Params, TransformerLayerParams, transformer_layer, zeros
 from .rng import RngStream
-from .tensor import Tensor, _make, _wrap, concat, embedding, linear, masked_mean, no_grad
+from .tensor import (
+    MAX_WORD_TABLE_BYTES,
+    Tensor,
+    _make,
+    _wrap,
+    concat,
+    embedding,
+    linear,
+    masked_mean,
+    no_grad,
+)
 
 # Documents per graph-free pass: a default training batch, so evaluation never
 # holds more activations than one training step's forward pass.
 DOCS_PER_PASS = 11
-# Largest word table, model and attention score array of one pass, in bytes;
-# training holds four copies of the model (parameters, m, v, gradient).
-MAX_WORD_TABLE_BYTES = 2**30
 
 
 def word_table(vocab_size: int, width: int, fill) -> np.ndarray:

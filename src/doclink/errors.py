@@ -13,6 +13,10 @@ class ShapeMismatchError(DoclinkError):
     """Operands have incompatible shapes; the message names both."""
 
 
+class ConsumedGraphError(DoclinkError):
+    """A backward pass reached a node an earlier backward consumed."""
+
+
 class InvalidMaskError(DoclinkError):
     """A softmax mask leaves some row with no admissible entry."""
 

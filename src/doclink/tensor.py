@@ -17,6 +17,19 @@ them: embedding, transpose (``Tensor.T``), sqrt, stack and tmean
 (the encoder's ``cosine``, the objective's ``tk``, ``batch_scores`` and
 ``hinge``).
 
+A graph is consumed by its backward: each node's hook runs once and is then
+dropped with the arrays it captured (attention probabilities, layer-norm
+statistics, hidden activations), so a step's memory falls as backward
+proceeds.  ``Node.parents`` and ``Node.name`` stay, so the graph can still
+be walked; a second backward that reaches a consumed node raises
+:class:`ConsumedGraphError`.  To differentiate again, build the graph again.
+
+On glibc, importing this module sets the allocator once: arrays up to
+32 MiB come from the heap, and freed heap memory is kept by the process
+until more than MAX_WORD_TABLE_BYTES of it is free.  Each training step
+then reuses the pages of the last instead of faulting them in afresh; the
+cost is that the resident size stays at the run's high-water mark.
+
 Convention at non-differentiable points: the subgradient of the
 first-encountered / left branch is used (``relu'(0) == 0``, ties in ``max``
 route to the lowest index), so finite-difference checks should avoid kinks.
@@ -25,13 +38,43 @@ route to the lowest index), so finite-difference checks should avoid kinks.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import heapq
 import itertools
+import os
 
 import numpy as np
 
-from .errors import ConfigError, InvalidMaskError, NonFiniteError, ShapeMismatchError
+from .errors import (
+    ConfigError,
+    ConsumedGraphError,
+    InvalidMaskError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
 
+# Largest word table, model and attention score array of one pass, in bytes;
+# training holds four copies of the model (parameters, m, v, gradient).
+MAX_WORD_TABLE_BYTES = 2**30
+# glibc's mallopt parameters (malloc.h).
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_pages() -> None:
+    """On glibc, heap-allocate arrays up to 32 MiB and trim the heap only
+    past MAX_WORD_TABLE_BYTES free; elsewhere, or without mallopt, nothing."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 * 2**20)
+    mallopt(M_TRIM_THRESHOLD, MAX_WORD_TABLE_BYTES)
+
+
+_keep_freed_pages()
 _grad_enabled = True
 _created = itertools.count()  # Node.index: a node is always newer than its parents
 
@@ -53,7 +96,8 @@ def is_grad_enabled() -> bool:
 
 
 class Node:
-    """Producing operation of a tensor: parents plus a vector-Jacobian hook."""
+    """Producing operation of a tensor: parents plus a vector-Jacobian hook,
+    which :func:`backward` runs once and then drops (``backward_fn = None``)."""
 
     __slots__ = ("parents", "backward_fn", "name", "index")
 
@@ -641,8 +685,11 @@ def layernorm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable tensor.
 
-    ``loss`` must be scalar.  Repeated calls without clearing grads
-    accumulate, which is also why interior nodes of a reused graph add up.
+    ``loss`` must be scalar.  Leaf gradients accumulate across calls until
+    cleared.  The graph is consumed: each hook is dropped once it has run,
+    freeing what it captured.  A backward that reaches a node an earlier
+    backward consumed raises :class:`ConsumedGraphError` naming its op;
+    leaves it reached first keep what was added to them.
     """
     if loss.data.shape != ():
         raise ShapeMismatchError(
@@ -651,18 +698,20 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
     seed = np.ones((), dtype=np.float64)
-    if loss.grad is None:
-        loss.grad = seed.copy()
-    else:
-        loss.grad = loss.grad + seed
     # Pop the newest pending node: all of its consumers are newer, so its
     # gradient is complete by the time its own backward hook runs.
     local = {id(loss): seed}
     pending = [] if loss.node is None else [(-loss.node.index, loss)]
     while pending:
         t = heapq.heappop(pending)[1]
-        g = local.pop(id(t))
-        for parent, pg in zip(t.node.parents, t.node.backward_fn(g)):
+        node, g = t.node, local.pop(id(t))
+        if node.backward_fn is None:
+            raise ConsumedGraphError(
+                f"backward reached a {node.name!r} node that an earlier backward consumed; "
+                "rebuild the graph to differentiate it again"
+            )
+        grads, node.backward_fn = node.backward_fn(g), None
+        for parent, pg in zip(node.parents, grads):
             if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)
@@ -674,3 +723,4 @@ def backward(loss: Tensor) -> None:
             else:
                 local[pid] = np.array(pg)
                 heapq.heappush(pending, (-parent.node.index, parent))
+    loss.grad = seed.copy() if loss.grad is None else loss.grad + seed

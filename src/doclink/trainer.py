@@ -293,6 +293,7 @@ def train(
                     f"non-finite loss at step {state.step}; last checkpoint retained"
                 )
             tensor.backward(loss)
+            del loss  # this step's graph goes before the next step's forward
             lr = lr_at(state.step, train_config, state.decays)
             adam_step(named, optimizer, lr, t=state.step + 1)
             state.step += 1

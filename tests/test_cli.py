@@ -914,6 +914,23 @@ class TestDiagnose:
         assert f"--bins {10**12} needs more memory" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("bins", [2**27, 2**63 - 1, 10**19])
+    def test_bins_past_the_bound_are_refused_before_the_corpus_loads(
+        self, tmp_path, capsys, monkeypatch, bins
+    ):
+        """8 * (bins + 1) bytes of edges past MAX_WORD_TABLE_BYTES exit 1 with
+        one line; 2**63 - 1 and 10**19 ended in an IndexError and a
+        ValueError traceback when numpy was asked for them."""
+        monkeypatch.setattr("doclink.cli.load_corpus", lambda *a, **kw: pytest.fail("loaded"))
+        code = main(["diagnose", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--out", str(tmp_path / "d"), "--bins", str(bins)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --bins {bins} needs more memory than allowed: "
+            f"{8 * (bins + 1)} bytes of bin edges, more than {2**30}\n"
+        )
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize(
         "rows,message",
         [
@@ -1390,3 +1407,37 @@ def test_build_config_raises_only_usage_error(cls, data):
         return
     for key, value in section.items():
         assert getattr(config, key) is value
+
+
+@pytest.mark.parametrize(
+    "argv,existing",
+    [
+        (["gen"], "corpus.jsonl"),
+        (["train", "--corpus", "{corpus}", "--pretrained", "{tmp}/emb.jsonl"], "history.json"),
+        (["eval", "--corpus", "{corpus}", "--checkpoint", "{tmp}/checkpoint.json"],
+         "eval-report.json"),
+        (["diagnose", "--corpus", "{corpus}"], "spread-report.json"),
+    ],
+    ids=["gen", "train", "eval", "diagnose"],
+)
+def test_existing_output_is_refused_before_any_work(
+    workspace, tmp_path, capsys, monkeypatch, argv, existing
+):
+    """Without --force, an output that exists stops the command right after
+    its flags and config are read: nothing is generated or loaded."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / existing).write_text("kept\n")
+    if argv[0] == "train":  # its config reads vocab_size and obj_dim from the corpus
+        monkeypatch.setattr("doclink.cli.load_pretrained_embeddings",
+                            lambda *a, **kw: pytest.fail("loaded"))
+    else:
+        monkeypatch.setattr("doclink.cli.load_corpus", lambda *a, **kw: pytest.fail("loaded"))
+    monkeypatch.setattr("doclink.cli.generate_synthetic", lambda *a, **kw: pytest.fail("drawn"))
+    corpus = workspace / "data" / "corpus.jsonl"
+    argv = [arg.format(corpus=corpus, tmp=tmp_path) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: refusing to overwrite [{existing!r}] in {out}; pass --force\n"
+    )
+    assert (out / existing).read_text() == "kept\n"

@@ -5,15 +5,24 @@ oracle (step 1e-5, float64).  Inputs are chosen away from kinks (relu at 0,
 max ties) because the library takes the left-branch subgradient there.
 """
 
+import os
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doclink import tensor
-from doclink.errors import ConfigError, InvalidMaskError, NonFiniteError, ShapeMismatchError
+from doclink import nn, tensor
+from doclink.errors import (
+    ConfigError,
+    ConsumedGraphError,
+    InvalidMaskError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
 from doclink.tensor import Tensor
 
 
@@ -814,6 +823,93 @@ class TestOnePassBackward:
             results.append([np.zeros((3, 3)) if p.grad is None else p.grad for p in leaves])
         for got, want in zip(results[1], results[0]):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def on_glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def graph_nodes(root: Tensor) -> dict:
+    """{id(tensor): (node, name, parents)} for every node below ``root``."""
+    nodes, todo = {}, [root]
+    while todo:
+        t = todo.pop()
+        if t.node is not None and id(t) not in nodes:
+            nodes[id(t)] = (t.node, t.node.name, t.node.parents)
+            todo.extend(t.node.parents)
+    return nodes
+
+
+class TestConsumedGraph:
+    def test_backward_drops_every_hook_and_keeps_the_graph(self):
+        """After backward no node keeps its hook; each keeps its name and
+        parents, so a walk after backward counts the same nodes."""
+        from test_objective import TestTotalLoss
+
+        _, loss, _ = TestTotalLoss.acceptance_step()
+        before = graph_nodes(loss)
+        assert all(node.backward_fn is not None for node, _, _ in before.values())
+        tensor.backward(loss)
+        after = graph_nodes(loss)
+        assert after.keys() == before.keys() and len(after) == 35
+        for key, (node, name, parents) in before.items():
+            assert node.backward_fn is None
+            assert after[key] == (node, name, parents)
+
+    def test_second_backward_raises_naming_the_op(self):
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        y = p * 3.0
+        loss = y.sum()
+        tensor.backward(loss)
+        np.testing.assert_array_equal(p.grad, [3.0, 3.0])
+        with pytest.raises(ConsumedGraphError, match=r"^backward reached a 'sum' node that an "
+                           r"earlier backward consumed; rebuild the graph to differentiate "
+                           r"it again$"):
+            tensor.backward(loss)
+        # A new graph over a consumed one stops at the first consumed node.
+        with pytest.raises(ConsumedGraphError, match="'mul' node"):
+            tensor.backward((y * 2.0).sum())
+        np.testing.assert_array_equal(p.grad, [3.0, 3.0])
+        assert loss.grad == 1.0
+        tensor.backward((p * 3.0).sum())  # a rebuilt graph differentiates again
+        np.testing.assert_array_equal(p.grad, [6.0, 6.0])
+
+    def test_backward_frees_what_the_hooks_held(self):
+        """A transformer layer over 66 images of 72 tokens at width 64 (the
+        image tower of the ``pipeline`` benchmark step): with the loss still
+        referenced, the graph holds under half of what its forward kept."""
+        rng = np.random.default_rng(0)
+        params = nn.TransformerLayerParams(64)
+        for t in params.named_parameters().values():
+            t.data = rng.normal(scale=0.1, size=t.data.shape)
+        x = leaf(rng, 66, 72, 64)
+        weights = Tensor(rng.normal(size=x.shape))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss = (nn.transformer_layer(x, params, heads=4) * weights).sum()
+            forward = tracemalloc.get_traced_memory()[0] - start
+            tensor.backward(loss)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert forward > 40e6
+        assert held < forward / 2
+        assert loss.node.parents and x.grad.shape == x.shape
+
+    @pytest.mark.skipif(not on_glibc(), reason="the allocator is set on glibc only")
+    def test_allocator_keeps_freed_pages_on_glibc(self):
+        library = mock.Mock()
+        with mock.patch("ctypes.CDLL", return_value=library) as cdll:
+            tensor._keep_freed_pages()
+        cdll.assert_called_once_with(None)
+        assert library.mallopt.call_args_list == [
+            mock.call(tensor.M_MMAP_THRESHOLD, 32 * 2**20),
+            mock.call(tensor.M_TRIM_THRESHOLD, tensor.MAX_WORD_TABLE_BYTES),
+        ]
 
 
 class TestRngStream:

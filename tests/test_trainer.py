@@ -4,9 +4,12 @@ import functools
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
+import weakref
 import zipfile
 from unittest import mock
 
@@ -16,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from checkpoint_edit import rewrite_checkpoint
+from test_tensor import on_glibc
+import doclink
 from doclink.corpus import SynthConfig, generate_synthetic
 from doclink.encoder import ModelConfig, init_params
 from doclink.errors import BatchError, ConfigError, DoclinkError, NonFiniteError
@@ -278,7 +283,70 @@ class TestBatching:
         assert flat == list(range(25))
 
 
+# One epoch at a ``pipeline``-like image shape (36 objects, width 64, four
+# heads), printing the process's minor page faults between Adam steps.
+FAULTS_PER_STEP = """
+import json, resource
+from doclink import trainer
+from doclink.corpus import SynthConfig, generate_synthetic
+from doclink.encoder import ModelConfig
+from doclink.objective import ObjectiveConfig
+from doclink.rng import RngStream
+
+faults, adam_step = [], trainer.adam_step
+
+def counted(*args, **kwargs):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return adam_step(*args, **kwargs)
+
+trainer.adam_step = counted
+corpus = generate_synthetic(SynthConfig(
+    train_docs=12, val_docs=0, test_docs=0, sentences_per_doc=8, images_per_doc=6,
+    vocab_size=400, obj_dim=64, objects_per_image=36, sentence_len=10,
+    tokens_per_cluster=4), RngStream(0))
+model = ModelConfig(vocab_size=400, obj_dim=64, embed_dim=64, sentence_layers=1,
+                    image_layers=1, heads=4, word_dim=32, max_sentence_len=16)
+trainer.train(corpus, model, ObjectiveConfig(), trainer.TrainConfig(batch_size=3, max_epochs=2))
+print(json.dumps([b - a for a, b in zip(faults, faults[1:])]))
+"""
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the allocator is set on glibc only")
+def test_steps_reuse_the_pages_of_the_last():
+    """With the allocator keeping freed pages, every step after the second
+    takes under 100 minor faults; with glibc's defaults, thousands."""
+    src = os.path.dirname(os.path.dirname(doclink.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout)
+    assert len(faults) == 7
+    assert max(faults[1:]) < 100, faults
+
+
 class TestTrainLoop:
+    def test_a_step_drops_its_graph_before_the_update(self, monkeypatch):
+        """The step's loss is gone once backward returns, before Adam runs
+        and before the next step's forward: two graphs never coexist."""
+        losses = []
+        backward, adam_step = trainer.tensor.backward, trainer.adam_step
+
+        def recorded_backward(loss):
+            backward(loss)
+            losses.append(weakref.ref(loss.data))
+
+        def checked_adam_step(*args, **kwargs):
+            assert losses and all(ref() is None for ref in losses)
+            adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer.tensor, "backward", recorded_backward)
+        monkeypatch.setattr(trainer, "adam_step", checked_adam_step)
+        result = train(tiny_corpus(), tiny_model_config(), ObjectiveConfig(),
+                       tiny_train_config(max_epochs=1))
+        assert len(losses) == result.step == 2
+
     def test_two_document_corpus_single_step_epochs(self):
         corpus = tiny_corpus(train_docs=2)
         result = train(
