@@ -170,13 +170,6 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config_file = _read_config_file(args.config)
     sections = ["model", "objective", "train"]
-    splits = _splits_for(args.corpus, args.splits)
-    corpus = load_corpus(args.corpus, splits=splits)
-
-    model_section = _section(config_file, "model", sections)
-    model_section.setdefault("vocab_size", corpus.vocab_size)
-    model_section.setdefault("obj_dim", corpus.obj_dim)
-    model_config = _build_config(ModelConfig, model_section)
     objective_config = _build_config(
         ObjectiveConfig, _section(config_file, "objective", sections)
     )
@@ -192,6 +185,13 @@ def cmd_train(args) -> int:
     paths = _prepare_out(
         args.out, ["checkpoint.json", "history.json", "train-config.json"], args.force
     )
+    splits = _splits_for(args.corpus, args.splits)
+    corpus = load_corpus(args.corpus, splits=splits)
+    # The model config reads vocab_size and obj_dim from the corpus unless given.
+    model_section = _section(config_file, "model", sections)
+    model_section.setdefault("vocab_size", corpus.vocab_size)
+    model_section.setdefault("obj_dim", corpus.obj_dim)
+    model_config = _build_config(ModelConfig, model_section)
 
     pretrained = (
         load_pretrained_embeddings(args.pretrained) if args.pretrained else None

@@ -14,14 +14,14 @@ The concept projection reuses the sentence projection weights, and concept
 token ids index the same word-embedding table as sentences, which is what
 lets gradients bridge the two modalities.
 
-Documents are encoded one way, by :func:`batch_representations`: one padded
-pass per modality over several documents, returned flat as
-:class:`Representations` with each document's row offsets.  Training hands
-that value to the objective whole; evaluation and diagnostics call
-:func:`split_representations`, its graph-free form over a split, and read
-each document's rows by offset.  That form and ``train`` run :func:`check_fit`,
-the one fit check; encoders check only what their counts and padded arrays
-show, and a batch that fails to encode is walked to name its document.
+Documents are encoded one way, by :func:`batch_representations`: one pass
+per modality over several documents, padded by :func:`~doclink.tensor.pad`,
+returned flat as :class:`Representations` with each document's row offsets.
+Training hands that value to the objective whole; evaluation and diagnostics
+call :func:`split_representations`, its graph-free form over a split, and
+read each document's rows by offset.  That form and ``train`` run
+:func:`check_fit`, the one fit check; encoders check only what their counts
+and padded arrays show, and a failing batch is walked to name its document.
 
 :class:`ModelParams` names its tensors by attribute (``nn.Params``), so
 its constructor's assignment order is the checkpoint layout.  It holds
@@ -60,6 +60,7 @@ from .tensor import (
     linear,
     masked_mean,
     no_grad,
+    pad,
 )
 
 # Documents per graph-free pass: a default training batch, so evaluation never
@@ -205,14 +206,11 @@ def encode_sentences(sentences: list, params: ModelParams, config: ModelConfig) 
         raise SequenceLengthError(
             f"sentence length {lengths.max()} exceeds max_sentence_len {config.max_sentence_len}"
         )
-    length = lengths.max()
-    mask = np.arange(length) < lengths[:, None]
-    ids = np.zeros(mask.shape, dtype=np.int64)
-    ids[mask] = np.concatenate(sentences)
+    ids, mask = pad(sentences, np.int64)
     _check_vocab(ids, mask, config, "token")
 
     words = embedding(params.word_embed, ids)
-    positions = embedding(params.pos_embed, np.arange(length)[None, :])
+    positions = embedding(params.pos_embed, np.arange(ids.shape[1])[None, :])
     hidden = params.ln_token(words + positions)
     x = linear(hidden, params.text_proj_w, params.text_proj_b)
     for layer in params.sent_layers:
@@ -233,18 +231,15 @@ def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Ten
             f"image {i} of the batch has {counts[i]} object rows and {concept_counts[i]} "
             f"concept entries; it needs at least one row and one entry per row"
         )
-    obj_mask = np.arange(counts.max()) < counts[:, None]
-    feats = np.zeros(obj_mask.shape + images[0].objects.shape[1:])
-    feats[obj_mask] = np.concatenate([img.objects for img in images])
-    concepts = [c for img in images for c in img.concepts]
-    concept_lens = np.zeros(obj_mask.shape, dtype=np.int64)
-    concept_lens[obj_mask] = [len(c) for c in concepts]
-    concept_mask = np.arange(concept_lens.max()) < concept_lens[..., None]
-    if not concept_mask[obj_mask].any(axis=-1).all():
+    feats, obj_mask = pad([img.objects for img in images])
+    # Concept ids per object of the batch, placed at its row: (images, objects, tokens).
+    ids, mask = pad([c for img in images for c in img.concepts], np.int64)
+    if not mask.any(axis=-1).all():
         raise CorpusValidationError("empty concept token list")
-    concept_ids = np.zeros(concept_mask.shape, dtype=np.int64)
-    concept_ids[concept_mask] = np.concatenate(concepts)
-    _check_vocab(concept_ids, concept_mask, config, "concept token")
+    _check_vocab(ids, mask, config, "concept token")
+    concept_ids = np.zeros(obj_mask.shape + ids.shape[1:], dtype=np.int64)
+    concept_mask = np.zeros(concept_ids.shape, dtype=bool)
+    concept_ids[obj_mask], concept_mask[obj_mask] = ids, mask
 
     obj_tokens = linear(Tensor(feats), params.obj_proj_w, params.obj_proj_b)
     seg_obj = params.ln_obj_seg(params.seg_embed[0])
@@ -329,19 +324,21 @@ def batch_representations(docs: list, params: ModelParams, config: ModelConfig) 
     padded batches, kept flat with each document's offsets.
     If encoding fails, the first document the model cannot encode is named
     by :func:`validate_document`'s CorpusValidationError, or, when encoding
-    overflows, by a NonFiniteError from encoding each document alone."""
+    overflows, by a NonFiniteError from encoding each document alone.
+    Overflow warns nowhere: a layer norm raises on the rows it reaches."""
     all_sents = [s for doc in docs for s in doc.sentences]
     all_imgs = [img for doc in docs for img in doc.images]
-    try:
-        sent_reps = encode_sentences(all_sents, params, config)
-        img_reps = encode_images(all_imgs, params, config)
-    except (DoclinkError, ValueError) as exc:
-        # Name the first document of the batch the model cannot encode.
-        for doc in docs:
-            validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
-            if isinstance(exc, NonFiniteError):
-                _encode_alone(doc, params, config)
-        raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            sent_reps = encode_sentences(all_sents, params, config)
+            img_reps = encode_images(all_imgs, params, config)
+        except (DoclinkError, ValueError) as exc:
+            # Name the first document of the batch the model cannot encode.
+            for doc in docs:
+                validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
+                if isinstance(exc, NonFiniteError):
+                    _encode_alone(doc, params, config)
+            raise
     return Representations.of(docs, sent_reps, img_reps)
 
 

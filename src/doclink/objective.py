@@ -39,7 +39,7 @@ import numpy as np
 from .encoder import Representations, similarity_matrix
 from .errors import BatchError, ConfigError, ShapeMismatchError, check_settings, setting
 from .rng import RngStream
-from .tensor import Tensor, _make, _wrap, neg
+from .tensor import Tensor, _make, _wrap, neg, pad
 
 # Hinge term kinds, indexing TERM_PARTS and TERM_MARGINS (times alpha).
 CROSS, INTRA, SUB = 0, 1, 2
@@ -113,15 +113,6 @@ def neg_tk(M: Tensor, k: int) -> Tensor:
     return neg(tk(neg(M), k))
 
 
-def _padded_index(groups: list, pad: int):
-    """One row per index group, filled out with ``pad`` to the longest,
-    and the group sizes."""
-    sizes = np.array([len(group) for group in groups])
-    out = np.full((len(groups), sizes.max()), pad)
-    out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(groups)
-    return out, sizes
-
-
 def batch_scores(s, row_offsets, col_offsets, k=None, cross=True, intra=True, subs=()):
     """The operands of every hinge term of a batch's objective, as one op.
 
@@ -150,9 +141,9 @@ def batch_scores(s, row_offsets, col_offsets, k=None, cross=True, intra=True, su
     n_rows, n_cols = s.data.shape
     size = len(row_offsets) - 1
     spans = [range(a, b) for a, b in zip(row_offsets[:-1], row_offsets[1:])]
-    row_index, row_sizes = _padded_index(spans + [rows for _, rows, _ in subs], n_rows)
+    row_index, row_mask = pad(spans + [rows for _, rows, _ in subs], np.int64, fill=n_rows)
     spans = [range(a, b) for a, b in zip(col_offsets[:-1], col_offsets[1:])]
-    col_index, col_sizes = _padded_index(spans + [cols for _, _, cols in subs], n_cols)
+    col_index, col_mask = pad(spans + [cols for _, _, cols in subs], np.int64, fill=n_cols)
     # Blocks: own blocks (negated), the table row-major, the sub-documents.
     docs = np.arange(size)
     extra = size + np.arange(len(subs))
@@ -165,7 +156,7 @@ def batch_scores(s, row_offsets, col_offsets, k=None, cross=True, intra=True, su
     own = blocks[:size]
     np.negative(own, out=own)
     own[own == np.inf] = -np.inf
-    values, counts, scale = _top_edges(blocks, row_sizes[block_r], col_sizes[block_c], k)
+    values, counts, scale = _top_edges(blocks, row_mask.sum(1)[block_r], col_mask.sum(1)[block_c], k)
 
     table_block = size + np.arange(size * size).reshape(size, size)
     others = values[table_block]
@@ -314,6 +305,7 @@ def total_loss(
     parts = {name: np.bincount(doc[kind == code], h[kind == code], size)
              for code, name in enumerate(TERM_PARTS)}
 
-    batch_mean = losses.sum() * (1.0 / size) if h.size else Tensor(0.0)
+    with np.errstate(over="ignore"):  # an overflowing sum is the trainer's non-finite loss
+        batch_mean = losses.sum() * (1.0 / size) if h.size else Tensor(0.0)
     parts["total"] = parts["l_cross"] + parts["l_intra"] + parts["l_sub"]
     return batch_mean, parts

@@ -571,6 +571,18 @@ def attention(x, weights, biases, heads: int, mask=None) -> Tensor:
     return _make(out_data.reshape(x.data.shape), parents, backward_fn, "attention")
 
 
+def pad(pieces, dtype=np.float64, fill=0) -> tuple:
+    """``(padded, mask)``: ``pieces`` stacked on a new first axis, each filled
+    out with ``fill`` to the longest (trailing dimensions must agree), and the
+    (pieces, longest) mask, True at real entries as :func:`masked_mean` reads."""
+    lengths = np.array([len(piece) for piece in pieces])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    flat = np.concatenate(pieces)
+    padded = np.full(mask.shape + flat.shape[1:], fill, dtype=dtype)
+    padded[mask] = flat
+    return padded, mask
+
+
 def masked_mean(x, mask) -> Tensor:
     """Mean of ``x`` (..., L, d) over the positions ``mask`` (..., L) marks
     real; a slot with no real position gives zeros."""

@@ -113,23 +113,36 @@ class OptimizerState:
             self.v[name] = flat["v"][span].reshape(shape)
 
 
+def _first_non_finite(values: np.ndarray, state: OptimizerState) -> str | None:
+    """The name of the parameter that holds the first non-finite entry of
+    ``values``, laid out as ``state.flat``; None if every entry is finite."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    first = np.argmin(finite)
+    return next(n for n, (offset, _) in reversed(state.layout.items()) if offset <= first)
+
+
 def adam_step(params: dict, state: OptimizerState, lr: float, t: int) -> None:
     """Adam update number ``t`` (from 1) with bias correction, in place on
     ``state.flat``, for the ``params`` dict ``state`` was built from; their
     gradients (missing counts as zero) are cleared after.  A non-finite
-    gradient aborts before anything changes, naming its parameter."""
+    gradient, or an update that would make a parameter non-finite, aborts
+    before anything changes, naming the parameter."""
     g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
                         for p in params.values()])
-    if not np.isfinite(g).all():
-        first = np.flatnonzero(~np.isfinite(g))[0]
-        name = next(n for n, (offset, _) in reversed(state.layout.items()) if offset <= first)
+    if name := _first_non_finite(g, state):
         raise NonFiniteError(f"non-finite gradient in parameter {name!r}")
     theta, m, v = state.flat["params"], state.flat["m"], state.flat["v"]
-    m *= BETA1
-    m += (1.0 - BETA1) * g
-    v *= BETA2
-    v += (1.0 - BETA2) * g**2
-    theta -= lr * (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_new = BETA1 * m + (1.0 - BETA1) * g
+        v_new = BETA2 * v + (1.0 - BETA2) * g**2
+        theta_new = theta - lr * (m_new / (1.0 - BETA1**t)) / (
+            np.sqrt(v_new / (1.0 - BETA2**t)) + EPS)
+    if name := _first_non_finite(theta_new, state):
+        raise NonFiniteError(
+            f"the update at step {t - 1} with lr={lr} makes parameter {name!r} non-finite")
+    theta[:], m[:], v[:] = theta_new, m_new, v_new
     for p in params.values():
         p.grad = None
 

@@ -432,7 +432,6 @@ class TestTrain:
         assert "nan" in capsys.readouterr().err
         assert not (tmp_path / "x" / "checkpoint.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_parameters_are_numeric_failure(self, workspace, tmp_path, capsys):
         config = tmp_path / "train.json"
         write_json(config, train_sections(max_lr=1e200, warmup_steps=0))
@@ -440,6 +439,34 @@ class TestTrain:
                      "--out", str(tmp_path / "x"), "--config", str(config)])
         assert code == 3
         assert "numeric failure: non-finite sentence representation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("train", "max_lr", 1e308,
+             r"the update at step 0 with lr=1e\+308 makes parameter 'word_embed' non-finite"),
+            ("train", "max_lr", 1e150,
+             r"non-finite (sentence|image) representation of document 'train-\d{4}': "
+             r"layernorm: a row's variance overflows"),
+            ("objective", "alpha", 1e308, r"non-finite loss at step 0; last checkpoint retained"),
+        ],
+        ids=["update", "encoding", "loss-sum"],
+    )
+    def test_overflowing_rate_or_margin_is_numeric_failure(
+        self, workspace, tmp_path, capsys, section, key, value, message
+    ):
+        """An lr that overflows the first update (1e308) or the next encoding
+        (1e150), or a margin that overflows the loss sum: exit 3 with one
+        line, and no numpy warning escapes."""
+        sections = train_sections(warmup_steps=0, start_lr=0)
+        sections.setdefault(section, {})[key] = value
+        config = tmp_path / "train.json"
+        write_json(config, sections)
+        capsys.readouterr()
+        code = main(["train", "--corpus", str(workspace / "data" / "corpus.jsonl"),
+                     "--out", str(tmp_path / "x"), "--config", str(config)])
+        assert code == 3
+        assert re.fullmatch(f"numeric failure: {message}\n", capsys.readouterr().err)
 
     def test_overflowing_features_are_numeric_failure(self, tmp_path, capsys):
         """Object features finite but so large that a layer norm's variance
@@ -1428,11 +1455,7 @@ def test_existing_output_is_refused_before_any_work(
     out = tmp_path / "out"
     out.mkdir()
     (out / existing).write_text("kept\n")
-    if argv[0] == "train":  # its config reads vocab_size and obj_dim from the corpus
-        monkeypatch.setattr("doclink.cli.load_pretrained_embeddings",
-                            lambda *a, **kw: pytest.fail("loaded"))
-    else:
-        monkeypatch.setattr("doclink.cli.load_corpus", lambda *a, **kw: pytest.fail("loaded"))
+    monkeypatch.setattr("doclink.cli.load_corpus", lambda *a, **kw: pytest.fail("loaded"))
     monkeypatch.setattr("doclink.cli.generate_synthetic", lambda *a, **kw: pytest.fail("drawn"))
     corpus = workspace / "data" / "corpus.jsonl"
     argv = [arg.format(corpus=corpus, tmp=tmp_path) for arg in argv]

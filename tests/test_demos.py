@@ -29,7 +29,8 @@ def test_demo_runs(demo):
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        # The suite's own warning filter (pyproject.toml), so a demo cannot warn unnoticed.
+        [sys.executable, "-W", "error::RuntimeWarning", os.path.join(ROOT, "demos", demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doclink import tensor
 from doclink.corpus import Corpus, Document, ImageRecord, SynthConfig, generate_synthetic
@@ -39,7 +41,7 @@ from doclink.evalmetrics import evaluate
 from doclink.nn import transformer_layer
 from doclink.objective import ObjectiveConfig
 from doclink.rng import RngStream
-from doclink.tensor import Tensor, linear
+from doclink.tensor import Tensor, linear, pad
 from doclink.trainer import TrainConfig, train
 
 from test_tensor import central_diff
@@ -64,6 +66,98 @@ def make_image(rng, obj_dim=5, mu=2, vocab=30, concept_len=2):
         objects=rng.normal(size=(mu, obj_dim)),
         concepts=[[int(t) for t in rng.integers(0, vocab, size=concept_len)] for _ in range(mu)],
     )
+
+
+# ---- the hand-written padding that pad replaced, kept as oracles ------------
+
+
+def padded_sentences(sentences):
+    lengths = np.array([len(tokens) for tokens in sentences])
+    length = lengths.max()
+    mask = np.arange(length) < lengths[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    ids[mask] = np.concatenate(sentences)
+    return ids, mask
+
+
+def padded_objects(images):
+    counts = np.array([img.objects.shape[0] for img in images])
+    obj_mask = np.arange(counts.max()) < counts[:, None]
+    feats = np.zeros(obj_mask.shape + images[0].objects.shape[1:])
+    feats[obj_mask] = np.concatenate([img.objects for img in images])
+    return feats, obj_mask
+
+
+def padded_concepts(images):
+    counts = np.array([img.objects.shape[0] for img in images])
+    obj_mask = np.arange(counts.max()) < counts[:, None]
+    concepts = [c for img in images for c in img.concepts]
+    concept_lens = np.zeros(obj_mask.shape, dtype=np.int64)
+    concept_lens[obj_mask] = [len(c) for c in concepts]
+    concept_mask = np.arange(concept_lens.max()) < concept_lens[..., None]
+    concept_ids = np.zeros(concept_mask.shape, dtype=np.int64)
+    concept_ids[concept_mask] = np.concatenate(concepts)
+    return concept_ids, concept_mask
+
+
+def padded_index(groups: list, fill: int):
+    """The objective's block index: one row per index group, filled out with
+    ``fill`` to the longest, and the group sizes."""
+    sizes = np.array([len(group) for group in groups])
+    out = np.full((len(groups), sizes.max()), fill)
+    out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(groups)
+    return out, sizes
+
+
+def assert_same(got, want):
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
+RAGGED = st.lists(st.lists(st.integers(0, 2**40), max_size=6), min_size=1, max_size=6)
+
+
+class TestPad:
+    """pad against the padding it replaced: values, masks and dtypes equal."""
+
+    @given(RAGGED)
+    @settings(max_examples=60, deadline=None)
+    def test_ragged_lists_match_the_sentence_padding(self, pieces):
+        """Empty pieces included: each gives an all-False mask row."""
+        ids, mask = pad(pieces, np.int64)
+        assert_same((ids, mask), padded_sentences(pieces))
+        assert not mask[[len(p) == 0 for p in pieces]].any()
+
+    @given(RAGGED, st.integers(-3, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_fill_sentinel_matches_the_block_index(self, pieces, fill):
+        groups = [np.array(p, dtype=np.int64) for p in pieces]
+        index, mask = pad(groups, np.int64, fill=fill)
+        want, sizes = padded_index(groups, fill)
+        assert_same((index, mask.sum(axis=1)), (want, sizes))
+
+    @pytest.mark.parametrize("counts", [(2, 4, 1), (3,), (2, 0, 3)])
+    def test_trailing_dimensions_match_the_object_padding(self, counts):
+        rng = np.random.default_rng(sum(counts))
+        images = [ImageRecord(objects=rng.normal(size=(n, 5)), concepts=[]) for n in counts]
+        feats, obj_mask = pad([img.objects for img in images])
+        assert_same((feats, obj_mask), padded_objects(images))
+
+    def test_encode_images_pads_concepts_as_before(self, monkeypatch):
+        """The (images, objects, tokens) concept ids and mask encode_images
+        builds with pad equal the old per-object-length construction."""
+        rng = np.random.default_rng(7)
+        images = [make_image(rng, mu=mu, concept_len=n) for mu, n in ((2, 3), (4, 1), (1, 2))]
+        images[1].concepts[2] = [5, 6, 7, 8]
+        seen = []
+        real = doclink.encoder.masked_mean
+        monkeypatch.setattr("doclink.encoder.embedding",
+                            lambda table, ids: seen.append(ids) or tensor.embedding(table, ids))
+        monkeypatch.setattr("doclink.encoder.masked_mean",
+                            lambda x, mask: seen.append(mask) or real(x, mask))
+        config, params = tiny_model()
+        encode_images(images, params, config)
+        assert_same(seen[:2], padded_concepts(images))
 
 
 class TestModelConfig:

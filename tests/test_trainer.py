@@ -180,6 +180,20 @@ class TestAdam:
             assert state.flat[key].tobytes() == before[key].tobytes()
         assert all(p.grad is g for p, g in zip(named.values(), grads))
 
+    def test_overflowing_update_aborts_before_anything_moves(self):
+        """An lr that would push a parameter past the float range names the
+        parameter, the step and the lr, and changes nothing, without a warning."""
+        named = {"a": Tensor([0.0, 1.0]), "b": Tensor([-1e308, 2.0])}
+        state = OptimizerState(named)
+        for p in named.values():
+            p.grad = np.ones(p.data.shape)
+        before = {key: state.flat[key].copy() for key in trainer.ARRAYS}
+        with pytest.raises(NonFiniteError, match=r"^the update at step 0 with lr=1e\+308 "
+                                                 r"makes parameter 'b' non-finite$"):
+            adam_step(named, state, lr=1e308, t=1)
+        for key in trainer.ARRAYS:
+            assert state.flat[key].tobytes() == before[key].tobytes()
+
 
 def reference_adam_step(params: dict, m: dict, v: dict, lr: float, t: int) -> None:
     """The per-tensor Adam loop that the flat update replaced: the oracle
@@ -437,7 +451,6 @@ class TestTrainLoop:
             train(corpus, tiny_model_config(), ObjectiveConfig(p_sub=0.6),
                   tiny_train_config(max_epochs=1, use_sub=False))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_parameters_are_non_finite_error(self):
         """An lr of 1e200 overflows the parameters at step 0; step 1 then
         stops at the non-finite representations."""
