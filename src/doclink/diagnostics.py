@@ -27,7 +27,13 @@ import numpy as np
 
 from .corpus import Corpus, raw_feature_views
 from .encoder import ModelConfig, ModelParams, split_representations
-from .errors import ConfigError, MissingGoldEdgesError, NonFiniteError, ShapeMismatchError
+from .errors import (
+    ConfigError,
+    CorpusValidationError,
+    MissingGoldEdgesError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
 from .rng import RngStream
 
 
@@ -71,10 +77,7 @@ def distance_samples(
         )
     if rng is None:
         rng = RngStream(0).child("diagnostics")
-    docs = corpus.split_documents(split, nonempty=True)
-    for doc in docs:
-        if doc.gold_edges is None:
-            raise MissingGoldEdgesError(f"document {doc.id!r} has no gold edges")
+    docs = _gold_documents(corpus, split)
 
     # One vector per image, in document order; document owner[i] owns row i.
     owner = np.repeat(np.arange(len(docs)), [len(doc.images) for doc in docs])
@@ -93,9 +96,7 @@ def distance_samples(
         def distance(a, b):
             return _finite(float(np.linalg.norm(a - b)), doc, "an image distance")
 
-        by_sentence = {}
-        for m, n in doc.gold_edges:
-            by_sentence.setdefault(m, set()).add(n)
+        by_sentence = _gold_by_sentence(doc)
         own, outside = feats[owner == d], np.flatnonzero(owner != d)
         for m in sorted(by_sentence):
             gold = by_sentence[m]
@@ -110,6 +111,44 @@ def distance_samples(
             for idx in np.sort(outside[np.asarray(picks, dtype=int)]):
                 cross.append(distance(anchor, feats[idx]))
     return np.array(intra), np.array(cross), np.array(matched)
+
+
+def _gold_documents(corpus: Corpus, split: str) -> list:
+    """The split's documents; an empty split raises CorpusValidationError and
+    a document without gold edges MissingGoldEdgesError."""
+    docs = corpus.split_documents(split, nonempty=True)
+    for doc in docs:
+        if doc.gold_edges is None:
+            raise MissingGoldEdgesError(f"document {doc.id!r} has no gold edges")
+    return docs
+
+
+def _gold_by_sentence(doc) -> dict:
+    """Sentence -> the set of its gold images, for each gold-linked sentence."""
+    by_sentence = {}
+    for m, n in doc.gold_edges:
+        by_sentence.setdefault(m, set()).add(n)
+    return by_sentence
+
+
+def _check_samples(corpus: Corpus, split: str, samples_per_sentence: int) -> None:
+    """Refuse a split whose intra- or cross-document sample of
+    :func:`distance_samples` would be empty, from its gold edges alone:
+    CorpusValidationError names the empty sample and its cause."""
+    docs = _gold_documents(corpus, split)
+    golds = [(len(doc.images), gold) for doc in docs for gold in _gold_by_sentence(doc).values()]
+    if not golds:
+        empty, cause = "intra- and cross-document samples are", "no sentence has a gold edge"
+    elif all(len(gold) == images for images, gold in golds):
+        empty = "intra-document sample is"
+        cause = "every gold-linked sentence is linked to every image of its document"
+    elif len(docs) == 1:
+        empty, cause = "cross-document sample is", "the split has one document"
+    elif samples_per_sentence == 0:
+        empty, cause = "cross-document sample is", "samples_per_sentence is 0"
+    else:
+        return
+    raise CorpusValidationError(f"split {split!r}: the {empty} empty: {cause}")
 
 
 def ks_two_sample(a, b):
@@ -168,7 +207,9 @@ def bias_report(
 ) -> BiasReport:
     """KS comparison of intra- versus cross-document negative distances,
     with shared-bin histograms of both samples; the image vectors are
-    chosen as in :func:`distance_samples`."""
+    chosen as in :func:`distance_samples`.  A split where either sample
+    would be empty is refused first, by :func:`_check_samples`."""
+    _check_samples(corpus, split, samples_per_sentence)
     intra, cross, matched = distance_samples(
         corpus, split, samples_per_sentence, rng, params, config, image_reps
     )

@@ -61,6 +61,7 @@ from .tensor import (
     masked_mean,
     no_grad,
     pad,
+    segment_tokens,
 )
 
 # Documents per graph-free pass: a default training batch, so evaluation never
@@ -99,11 +100,13 @@ def copy_rows(table: np.ndarray, pretrained: dict | None) -> np.ndarray:
 class ModelConfig:
     vocab_size: int = setting(low=1)
     obj_dim: int = setting(low=1)
-    embed_dim: int = setting(1024, low=1)
+    # A layer norm one value wide maps every row to its bias, so every
+    # representation would be the same.
+    embed_dim: int = setting(1024, low=2)
     sentence_layers: int = setting(3, low=1)
     image_layers: int = setting(3, low=1)
     heads: int = setting(8, low=1)
-    word_dim: int = setting(300, low=1)
+    word_dim: int = setting(300, low=2)
     max_sentence_len: int = setting(64, low=1)
 
     def __post_init__(self):
@@ -241,15 +244,16 @@ def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Ten
     concept_mask = np.zeros(concept_ids.shape, dtype=bool)
     concept_ids[obj_mask], concept_mask[obj_mask] = ids, mask
 
-    obj_tokens = linear(Tensor(feats), params.obj_proj_w, params.obj_proj_b)
-    seg_obj = params.ln_obj_seg(params.seg_embed[0])
-    obj_tokens = (params.ln_obj_feat(obj_tokens) + seg_obj) * 0.5
+    p = params
+    obj_tokens = segment_tokens(linear(Tensor(feats), p.obj_proj_w, p.obj_proj_b),
+                                p.ln_obj_feat.gain, p.ln_obj_feat.bias, p.seg_embed, 0,
+                                p.ln_obj_seg.gain, p.ln_obj_seg.bias)
 
     # Mean word embedding per concept entry.
-    mean_words = masked_mean(embedding(params.word_embed, concept_ids), concept_mask)
-    con_tokens = linear(mean_words, params.text_proj_w, params.text_proj_b)
-    seg_con = params.ln_concept_seg(params.seg_embed[1])
-    con_tokens = (params.ln_concept_feat(con_tokens) + seg_con) * 0.5
+    mean_words = masked_mean(embedding(p.word_embed, concept_ids), concept_mask)
+    con_tokens = segment_tokens(linear(mean_words, p.text_proj_w, p.text_proj_b),
+                                p.ln_concept_feat.gain, p.ln_concept_feat.bias, p.seg_embed, 1,
+                                p.ln_concept_seg.gain, p.ln_concept_seg.bias)
 
     x = concat([obj_tokens, con_tokens], axis=1)
     full_mask = np.concatenate([obj_mask, obj_mask], axis=1)

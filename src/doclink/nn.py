@@ -4,10 +4,10 @@ Layers follow the post-layer-norm residual arrangement with a 4x-wide ReLU
 feed-forward sublayer.  Weights are stored (out_dim, in_dim) so a projection
 reads ``x @ W.T + b``.  Inputs are batches of shape (B, L, d), and
 attention is self-attention only.  Masks are key-padding masks of shape
-(B, L): boolean, True where a position is real.  The attention and
-feed-forward sublayers are the tensor core's fused ``attention`` and
-``feed_forward`` ops, and each post-norm residual sum is one ``layernorm``
-node, so a layer adds four graph nodes.
+(B, L): boolean, True where a position is real.  Each sublayer with its
+post-norm residual sum is one op of the tensor core,
+``attention_sublayer`` or ``feed_forward_sublayer``, so a layer adds two
+graph nodes.
 
 Parameter containers subclass :class:`Params`: their parameters are the
 tensors their constructors assign, named by attribute, in that order.  A
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, attention, feed_forward, layernorm
+from .tensor import Tensor, attention, attention_sublayer, feed_forward_sublayer, layernorm
 
 
 def zeros(*shape: int) -> Tensor:
@@ -57,8 +57,8 @@ class LayerNormParams(Params):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = zeros(dim)
 
-    def __call__(self, x: Tensor, residual=None) -> Tensor:
-        return layernorm(x, self.gain, self.bias, residual=residual)
+    def __call__(self, x: Tensor) -> Tensor:
+        return layernorm(x, self.gain, self.bias)
 
 
 class AttentionParams(Params):
@@ -99,7 +99,9 @@ def multihead_attention(x: Tensor, params: AttentionParams, heads: int, mask=Non
 
 def transformer_layer(x: Tensor, params: TransformerLayerParams, heads: int, mask=None) -> Tensor:
     """One encoder layer over (B, L, d): post-norm residual attention, then
-    post-norm FFN."""
-    p = params
-    x = p.ln_attn(x, residual=multihead_attention(x, p.attn, heads, mask=mask))
-    return p.ln_ff(x, residual=feed_forward(x, p.ff_w1, p.ff_b1, p.ff_w2, p.ff_b2))
+    post-norm FFN, one node each."""
+    p, a = params, params.attn
+    x = attention_sublayer(x, (a.wq, a.wk, a.wv, a.wo), (a.bq, a.bk, a.bv, a.bo), heads,
+                           p.ln_attn.gain, p.ln_attn.bias, mask=mask)
+    return feed_forward_sublayer(x, p.ff_w1, p.ff_b1, p.ff_w2, p.ff_b2,
+                                 p.ln_ff.gain, p.ln_ff.bias)

@@ -77,11 +77,16 @@ def _top_edges(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray, k):
         raise ConfigError(f"k={k} invalid for a {r}x{c} matrix; need 1 <= k <= {max(r, c)}")
     counts = np.zeros(blocks.shape, dtype=np.int64)
     sums = []
-    for axis, keep in ((2, np.minimum(k, rows)), (1, np.minimum(k, cols))):
+    for axis, real in ((2, rows), (1, cols)):
+        keep = np.minimum(k, real)
         arg, best = blocks.argmax(axis=axis), blocks.max(axis=axis)
-        kept = np.empty(best.shape, dtype=bool)
-        order = np.argsort(-best, axis=1, kind="stable")
-        np.put_along_axis(kept, order, np.arange(best.shape[1]) < keep[:, None], axis=1)
+        # A block keeping all its real maxima keeps its first `real`, the
+        # finite ones; otherwise rank them, stable so ties go to the lower index.
+        kept = np.arange(best.shape[1]) < keep[:, None]
+        if (keep < real).any():
+            ranked = np.empty_like(kept)
+            np.put_along_axis(ranked, np.argsort(-best, axis=1, kind="stable"), kept, axis=1)
+            kept = ranked
         sums.append(np.add.reduceat(np.where(kept, best, 0.0), [0], axis=1)[:, 0])
         b, i = np.nonzero(kept)
         counts[(b, i, arg[b, i]) if axis == 2 else (b, arg[b, i], i)] += 1

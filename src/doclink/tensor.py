@@ -9,20 +9,26 @@ against central finite differences demand the precision.
 
 Primitives, each with a backward hook: add, neg, mul, power, relu, exp,
 log, matmul, swapaxes, reshape, take, concat, tsum, max_reduce, softmax
-and layernorm (whose ``residual`` form normalises ``x + residual``), plus
-the fused ops of the encoder (linear, attention, feed_forward and
-masked_mean), each one node with a hand-written backward.  Compositions of
-them: embedding, transpose (``Tensor.T``), sqrt, stack and tmean
-(``Tensor.mean``).  Other modules build their own ops with :func:`_make`
-(the encoder's ``cosine``, the objective's ``tk``, ``batch_scores`` and
-``hinge``).
+and layernorm, plus the fused ops of the encoder, each one node with a
+hand-written backward: linear, attention, feed_forward, masked_mean, the
+two post-norm residual sublayers attention_sublayer and
+feed_forward_sublayer, and segment_tokens, an image side's tokens.
+attention, feed_forward and layernorm each have one private forward pass
+returning its backward, which the public op and the fused ops that contain
+it share.  Compositions of the primitives: embedding, transpose
+(``Tensor.T``), sqrt, stack and tmean (``Tensor.mean``).  Other modules
+build their own ops with :func:`_make` (the encoder's ``cosine``, the
+objective's ``tk``, ``batch_scores`` and ``hinge``).
 
 A graph is consumed by its backward: each node's hook runs once and is then
 dropped with the arrays it captured (attention probabilities, layer-norm
 statistics, hidden activations), so a step's memory falls as backward
-proceeds.  ``Node.parents`` and ``Node.name`` stay, so the graph can still
-be walked; a second backward that reaches a consumed node raises
-:class:`ConsumedGraphError`.  To differentiate again, build the graph again.
+proceeds.  Because a hook runs once, the attention, feed-forward and
+layer-norm backwards write their gradients over those arrays instead of
+allocating fresh ones.  ``Node.parents`` and ``Node.name`` stay, so the
+graph can still be walked; a second backward that reaches a consumed node
+raises :class:`ConsumedGraphError`.  To differentiate again, build the
+graph again.
 
 On glibc, importing this module sets the allocator once: arrays up to
 32 MiB come from the heap, and freed heap memory is kept by the process
@@ -56,6 +62,8 @@ from .errors import (
 # Largest word table, model and attention score array of one pass, in bytes;
 # training holds four copies of the model (parameters, m, v, gradient).
 MAX_WORD_TABLE_BYTES = 2**30
+# Scores whose softmax gradient an attention backward takes at once.
+SOFTMAX_CHUNK_BYTES = 2**20
 # glibc's mallopt parameters (malloc.h).
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
@@ -514,6 +522,19 @@ def attention(x, weights, biases, heads: int, mask=None) -> Tensor:
     x = _wrap(x)
     weights = [_wrap(w) for w in weights]
     biases = [_wrap(b) for b in biases]
+    out_data, backward_fn = _attention(x, weights, biases, heads, mask)
+    return _make(out_data, (x, *weights, *biases), backward_fn, "attention")
+
+
+def _attention(x, weights, biases, heads, mask):
+    """:func:`attention`'s checks and forward pass: the fresh output array and
+    the backward that maps its gradient to those of x (None unless x requires
+    one), the weights and the biases.
+
+    The backward writes the scores' gradient over the probabilities, taking
+    the softmax's per-row dots SOFTMAX_CHUNK_BYTES of scores at a time, so it
+    makes no (B, heads, L, L) temporary.
+    """
     batch, length, dim = x.data.shape
     if heads < 1 or dim % heads != 0:
         raise ConfigError(f"attention width {dim} is not divisible by {heads} heads")
@@ -546,6 +567,7 @@ def attention(x, weights, biases, heads: int, mask=None) -> Tensor:
     w_out = weights[3].data
     out_data = merged @ w_out.T
     out_data += biases[3].data
+    chunk = max(1, SOFTMAX_CHUNK_BYTES // max(1, probs[:1].nbytes))
 
     def backward_fn(g):
         g = g.reshape(-1, dim)
@@ -553,10 +575,13 @@ def attention(x, weights, biases, heads: int, mask=None) -> Tensor:
         g_qkv = np.empty((batch, length, 3, heads, head_dim))
         gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
         gv[...] = probs.swapaxes(-1, -2) @ g_mixed
-        g_scores = _softmax_backward_(g_mixed @ v.swapaxes(-1, -2), probs)
-        g_scores *= scale
-        gq[...] = g_scores @ k
-        gk[...] = g_scores.swapaxes(-1, -2) @ q
+        for i in range(0, batch, chunk):
+            part = slice(i, i + chunk)
+            probs[part] = _softmax_backward_(g_mixed[part] @ v[part].swapaxes(-1, -2),
+                                             probs[part])
+        np.multiply(probs, scale, out=probs)  # now the gradient of the scaled scores
+        gq[...] = probs @ k
+        gk[...] = probs.swapaxes(-1, -2) @ q
         g_qkv = g_qkv.reshape(-1, 3 * dim)
         gx = (g_qkv @ w_qkv).reshape(x.data.shape) if x.requires_grad else None
         return (
@@ -567,8 +592,7 @@ def attention(x, weights, biases, heads: int, mask=None) -> Tensor:
             g.sum(axis=0),
         )
 
-    parents = (x, *weights, *biases)
-    return _make(out_data.reshape(x.data.shape), parents, backward_fn, "attention")
+    return out_data.reshape(x.data.shape), backward_fn
 
 
 def pad(pieces, dtype=np.float64, fill=0) -> tuple:
@@ -602,12 +626,20 @@ def masked_mean(x, mask) -> Tensor:
 
 def feed_forward(x, w1, b1, w2, b2) -> Tensor:
     """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one op, with ``w1``
-    (hidden, in) and ``w2`` (out, hidden).
+    (hidden, in) and ``w2`` (out, hidden)."""
+    x, w1, b1, w2, b2 = _wrap(x), _wrap(w1), _wrap(b1), _wrap(w2), _wrap(b2)
+    out_data, backward_fn = _feed_forward(x, w1, b1, w2, b2)
+    return _make(out_data, (x, w1, b1, w2, b2), backward_fn, "feed_forward")
 
-    The node keeps one (rows, hidden) activation, relu'd in place, and its
-    backward masks the hidden gradient in place with ``hidden > 0``.
+
+def _feed_forward(x, w1, b1, w2, b2):
+    """:func:`feed_forward`'s checks and forward pass: the fresh output array
+    and the backward that maps its gradient to those of x (None unless x
+    requires one), w1, b1, w2 and b2.
+
+    It keeps one (rows, hidden) activation, relu'd in place; once the ``w2``
+    gradient is taken, the backward writes the hidden gradient over it.
     """
-    x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
     if w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.shape[-1:] != w1.data.shape[1:] \
             or b1.data.shape != w1.data.shape[:1] or w2.data.shape[1:] != w1.data.shape[:1] \
             or b2.data.shape != w2.data.shape[:1]:
@@ -626,24 +658,30 @@ def feed_forward(x, w1, b1, w2, b2) -> Tensor:
 
     def backward_fn(g):
         g = g.reshape(-1, out_dim)
-        g_hidden = g @ w2.data
-        g_hidden *= hidden > 0.0
+        g_w2 = g.T @ hidden
+        active = hidden > 0.0
+        g_hidden = np.matmul(g, w2.data, out=hidden)
+        g_hidden *= active
         gx = (g_hidden @ w1.data).reshape(x.data.shape) if x.requires_grad else None
-        return gx, g_hidden.T @ rows, g_hidden.sum(axis=0), g.T @ hidden, g.sum(axis=0)
+        return gx, g_hidden.T @ rows, g_hidden.sum(axis=0), g_w2, g.sum(axis=0)
 
-    out_data = out_data.reshape(x.data.shape[:-1] + (out_dim,))
-    return _make(out_data, (x, w1, b1, w2, b2), backward_fn, "feed_forward")
+    return out_data.reshape(x.data.shape[:-1] + (out_dim,)), backward_fn
 
 
-def layernorm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
+def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
-
-    With ``residual``, a tensor of ``x``'s shape, the input is ``x + residual``
-    in the same node: the post-norm residual sum.  A row whose statistics
-    overflow raises NonFiniteError.
-    """
+    A row whose statistics overflow raises NonFiniteError."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    d = x.data.shape[-1] if x.data.ndim else 0
+    out_data, backward_fn = _layernorm(x.data, gain, bias, eps)
+    return _make(out_data, (x, gain, bias), backward_fn, "layernorm")
+
+
+def _layernorm(x, gain, bias, eps, residual=None):
+    """:func:`layernorm`'s checks and forward pass on the array ``x``, or on
+    ``x + residual`` summed into ``residual``, a fresh array of x's shape that
+    the caller gives up: the output and the backward that maps its gradient to
+    those of the input, the gain and the bias."""
+    d = x.shape[-1] if x.ndim else 0
     if d == 0:
         raise ShapeMismatchError("layernorm requires a non-empty last axis")
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -651,23 +689,20 @@ def layernorm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
             f"layernorm affine parameters must have shape ({d},), "
             f"got {gain.data.shape} and {bias.data.shape}"
         )
-    parents = (x, gain, bias)
-    if residual is not None:
-        residual = _wrap(residual)
-        if residual.data.shape != x.data.shape:
-            raise ShapeMismatchError(
-                f"layernorm residual must have x's shape {x.data.shape}, got {residual.data.shape}"
-            )
-        parents += (residual,)
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeMismatchError(
+            f"layernorm residual must have x's shape {x.shape}, got {residual.shape}"
+        )
     # Row means and variances as matrix-vector products on the 2-D row view.
-    rows = x.data.reshape(-1, d)
+    rows = x.reshape(-1, d)
     average = np.full(d, 1.0 / d)
     try:
         with np.errstate(over="raise", invalid="raise"):
             if residual is None:
                 xhat = rows - (rows @ average)[:, None]
             else:
-                xhat = rows + residual.data.reshape(-1, d)
+                xhat = residual.reshape(-1, d)
+                xhat += rows
                 xhat -= (xhat @ average)[:, None]
             inv = 1.0 / np.sqrt((xhat * xhat) @ average + eps)[:, None]
     except FloatingPointError:
@@ -681,14 +716,89 @@ def layernorm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
         g_xhat = g * xhat
         g_gain = g_xhat.sum(axis=0)
         spread = gain.data / d
+        along = (g_xhat @ spread)[:, None]
+        del g_xhat
         dx = g * gain.data
         dx -= (g @ spread)[:, None]
-        dx -= np.multiply(xhat, (g_xhat @ spread)[:, None], out=g_xhat)
+        dx -= np.multiply(xhat, along, out=xhat)  # xhat is not read again
         dx *= inv
-        dx = dx.reshape(x.data.shape)
-        return (dx, g_gain, g.sum(axis=0)) + (() if residual is None else (dx,))
+        return dx.reshape(x.shape), g_gain, g.sum(axis=0)
 
-    return _make(out_data.reshape(x.data.shape), parents, backward_fn, "layernorm")
+    return out_data.reshape(x.shape), backward_fn
+
+
+def attention_sublayer(x, weights, biases, heads: int, gain, bias, mask=None,
+                       eps: float = 1e-5) -> Tensor:
+    """``layernorm(x + attention(x, weights, biases, heads, mask), gain, bias)``
+    as one op, the post-norm residual attention sublayer, with the bits of
+    that composition."""
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    weights = [_wrap(w) for w in weights]
+    biases = [_wrap(b) for b in biases]
+    return _residual_norm(_attention, (x, weights, biases, heads, mask), gain, bias, eps,
+                          (x, *weights, *biases, gain, bias), "attention_sublayer")
+
+
+def feed_forward_sublayer(x, w1, b1, w2, b2, gain, bias, eps: float = 1e-5) -> Tensor:
+    """``layernorm(x + feed_forward(x, w1, b1, w2, b2), gain, bias)`` as one
+    op, the post-norm residual feed-forward sublayer, with the bits of that
+    composition."""
+    x, w1, b1, w2, b2 = _wrap(x), _wrap(w1), _wrap(b1), _wrap(w2), _wrap(b2)
+    gain, bias = _wrap(gain), _wrap(bias)
+    return _residual_norm(_feed_forward, (x, w1, b1, w2, b2), gain, bias, eps,
+                          (x, w1, b1, w2, b2, gain, bias), "feed_forward_sublayer")
+
+
+def _residual_norm(sublayer, args, gain, bias, eps, parents, name) -> Tensor:
+    """The one node of ``layernorm(x + sublayer(*args), gain, bias)``, where
+    x is ``args[0]`` and ``sublayer`` a private forward pass.  Its fresh
+    output becomes the norm's input in place; without a graph, its backward
+    state is dropped before the norm runs.  The backward runs the norm's,
+    then the sublayer's, and hands x the sum of both paths."""
+    x = args[0]
+    out_data, sublayer_backward = sublayer(*args)
+    if not _grad_enabled:
+        sublayer_backward = None
+    out_data, norm_backward = _layernorm(x.data, gain, bias, eps, residual=out_data)
+
+    def backward_fn(g):
+        dx, g_gain, g_bias = norm_backward(g)
+        gx, *grads = sublayer_backward(dx)
+        if gx is not None:
+            gx += dx
+        return (gx, *grads, g_gain, g_bias)
+
+    return _make(out_data, parents, backward_fn, name)
+
+
+def segment_tokens(x, gain, bias, segments, index: int, seg_gain, seg_bias,
+                   eps: float = 1e-5) -> Tensor:
+    """``(layernorm(x, gain, bias) + layernorm(segments[index], seg_gain,
+    seg_bias)) * 0.5`` as one op, with the bits of that composition: each
+    token of ``x`` (..., d) averaged with row ``index`` of the (segments, d)
+    table, each normalized by its own affine."""
+    x, gain, bias, segments = _wrap(x), _wrap(gain), _wrap(bias), _wrap(segments)
+    seg_gain, seg_bias = _wrap(seg_gain), _wrap(seg_bias)
+    if segments.data.ndim != 2 or segments.data.shape[1:] != x.data.shape[-1:]:
+        raise ShapeMismatchError(
+            f"segment_tokens needs x (..., d) and segments (n, d), "
+            f"got {x.data.shape} and {segments.data.shape}"
+        )
+    out_data, token_backward = _layernorm(x.data, gain, bias, eps)
+    segment, segment_backward = _layernorm(segments.data[index], seg_gain, seg_bias, eps)
+    out_data += segment
+    out_data *= 0.5
+
+    def backward_fn(g):
+        g = g * 0.5
+        dx, g_gain, g_bias = token_backward(g)
+        d_segment, g_seg_gain, g_seg_bias = segment_backward(_unbroadcast(g, segment.shape))
+        g_segments = np.zeros_like(segments.data)
+        g_segments[index] = d_segment
+        return dx, g_gain, g_bias, g_segments, g_seg_gain, g_seg_bias
+
+    parents = (x, gain, bias, segments, seg_gain, seg_bias)
+    return _make(out_data, parents, backward_fn, "segment_tokens")
 
 
 # ---- backward engine -------------------------------------------------------

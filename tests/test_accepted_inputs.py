@@ -117,6 +117,10 @@ def run(section: str, key: str | None, value) -> list:
 @example(("train", "max_lr", 1e308))
 @example(("train", "max_lr", 1e150))
 @example(("objective", "alpha", 1e308))
+@example(("model", "embed_dim", 1))
+@example(("model", "word_dim", 1))
+@example(("synth", "test_docs", 1))
+@example(("synth", "images_per_doc", 1))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_every_accepted_input_works_or_exits_with_a_documented_code(override):
     with warnings.catch_warnings(record=True) as caught:

@@ -931,6 +931,33 @@ class TestDiagnose:
         assert f"vocab_size={10**23 + 1}, word_dim={width}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("case,sample,cause", [
+        ("one-document", "cross-document sample is", "the split has one document"),
+        ("one-image-documents", "intra-document sample is",
+         "every gold-linked sentence is linked to every image of its document"),
+        ("every-cell-gold", "intra-document sample is",
+         "every gold-linked sentence is linked to every image of its document"),
+    ], ids=["one-document", "one-image-documents", "every-cell-gold"])
+    def test_empty_distance_sample_is_data_error(self, tmp_path, capsys, case, sample, cause):
+        """A split with no cross-document or no intra-document negative exits
+        2 with one line naming the empty sample and why, before any report is
+        written; it used to say only that ks_two_sample needs samples."""
+        a, b = two_documents()
+        if case == "one-document":
+            records = [b]
+        elif case == "one-image-documents":
+            records = [a, dict(a, id="c")]
+        else:
+            records = [dict(b, gold_edges=[[m, n] for m in range(2) for n in range(2)])] * 2
+            records[1] = dict(records[1], id="c")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+        code = main(["diagnose", "--corpus", str(corpus), "--split", "train",
+                     "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: split 'train': the {sample} empty: {cause}\n"
+        assert not (tmp_path / "d").exists()
+
     def test_bins_beyond_memory_is_usage_error(self, workspace, tmp_path, capsys):
         """numpy refuses 10**12 + 1 bin edges (8 TB) at once."""
         code = main(

@@ -20,6 +20,7 @@ from doclink.diagnostics import (
 from doclink.encoder import ModelConfig, init_params, split_representations
 from doclink.errors import (
     ConfigError,
+    CorpusValidationError,
     MissingGoldEdgesError,
     NonFiniteError,
     ShapeMismatchError,
@@ -313,6 +314,22 @@ class TestBiasReport:
         )
         assert clustered.ks_p_value < 0.01
         assert unclustered.ks_statistic < clustered.ks_statistic
+
+    @pytest.mark.parametrize("case", ["no-cross-draws", "no-gold-edges"])
+    def test_empty_sample_refused_before_encoding(self, case):
+        """A split that can give no cross-document (or no) negatives is refused
+        by name before anything runs: the model here would fail if it were
+        used to encode."""
+        corpus, samples = diag_corpus(), 2
+        if case == "no-cross-draws":
+            samples, message = 0, "the cross-document sample is empty: samples_per_sentence is 0"
+        else:
+            for doc in corpus.split_documents("train"):
+                doc.gold_edges = []
+            message = ("the intra- and cross-document samples are empty: "
+                       "no sentence has a gold edge")
+        with pytest.raises(CorpusValidationError, match=f"^split 'train': {message}$"):
+            bias_report(corpus, "train", samples, params=object(), config=object())
 
     def test_json_round_trips_stable_keys(self):
         import json

@@ -169,6 +169,15 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, obj_dim=4, embed_dim=8, sentence_layers=0)
 
+    @pytest.mark.parametrize("field", ["embed_dim", "word_dim"])
+    def test_widths_of_one_refused(self, field):
+        """A width-1 layer norm maps every row to its bias, so every
+        representation would be equal; the config names the width instead."""
+        settings = dict(vocab_size=10, obj_dim=4, embed_dim=2, heads=1, word_dim=2)
+        ModelConfig(**settings)
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 2, got 1$"):
+            ModelConfig(**dict(settings, **{field: 1}))
+
 
 class TestInit:
     def test_embedding_ranges(self):
@@ -225,7 +234,7 @@ class TestInit:
             np.testing.assert_array_equal(t.data, 1.0 if name.endswith("gain") else 0.0)
 
     def test_parameter_count_matches_the_built_model(self):
-        grid = itertools.product((1, 7), (1, 5), (1, 3), ((2, 1), (6, 3)), (1, 4), (1, 2), (1, 3))
+        grid = itertools.product((1, 7), (1, 5), (2, 3), ((2, 1), (6, 3)), (1, 4), (1, 2), (1, 3))
         for vocab, max_len, word_dim, (embed, heads), obj_dim, sent, img in grid:
             config = ModelConfig(vocab_size=vocab, obj_dim=obj_dim, embed_dim=embed,
                                  sentence_layers=sent, image_layers=img, heads=heads,

@@ -5,6 +5,7 @@ oracle (step 1e-5, float64).  Inputs are chosen away from kinks (relu at 0,
 max ties) because the library takes the left-branch subgradient there.
 """
 
+import contextlib
 import os
 import tracemalloc
 import warnings
@@ -338,8 +339,17 @@ def composed_feed_forward(x, w1, b1, w2, b2):
     return tensor.linear(tensor.relu(tensor.linear(x, w1, b1)), w2, b2)
 
 
-def composed_residual_layernorm(x, gain, bias, residual):
-    return tensor.layernorm(x + residual, gain, bias)
+def composed_attention_sublayer(x, weights, biases, heads, gain, bias, mask=None):
+    return tensor.layernorm(x + tensor.attention(x, weights, biases, heads, mask=mask), gain, bias)
+
+
+def composed_feed_forward_sublayer(x, w1, b1, w2, b2, gain, bias):
+    return tensor.layernorm(x + tensor.feed_forward(x, w1, b1, w2, b2), gain, bias)
+
+
+def composed_segment_tokens(x, gain, bias, segments, index, seg_gain, seg_bias):
+    tokens = tensor.layernorm(x, gain, bias)
+    return (tokens + tensor.layernorm(segments[index], seg_gain, seg_bias)) * 0.5
 
 
 def feed_forward_leaves(rng, shape, hidden, out):
@@ -348,8 +358,17 @@ def feed_forward_leaves(rng, shape, hidden, out):
             leaf(rng, out, hidden), leaf(rng, out)]
 
 
-def residual_layernorm_leaves(rng, shape):
-    return [leaf(rng, *shape), leaf(rng, shape[-1]), leaf(rng, shape[-1]), leaf(rng, *shape)]
+def feed_forward_sublayer_leaves(rng, shape, hidden):
+    """x, w1, b1, w2, b2, gain and bias of a sublayer as wide as x."""
+    dim = shape[-1]
+    return feed_forward_leaves(rng, shape, hidden, dim) + [leaf(rng, dim), leaf(rng, dim)]
+
+
+def segment_tokens_leaves(rng, shape):
+    """x, gain, bias, a two-row segment table and its gain and bias."""
+    dim = shape[-1]
+    return [leaf(rng, *shape), leaf(rng, dim), leaf(rng, dim), leaf(rng, 2, dim),
+            leaf(rng, dim), leaf(rng, dim)]
 
 
 def attention_leaves(rng, batch, length, dim):
@@ -465,8 +484,9 @@ class TestFusedOps:
 
 
 class TestTransformerFusedOps:
-    """feed_forward and the residual form of layernorm: finite differences,
-    and bit parity with the compositions they replace in a transformer layer."""
+    """feed_forward, the two post-norm residual sublayers and segment_tokens:
+    finite differences, and bit parity with the compositions they replace in
+    the encoder, which stay here as their oracles."""
 
     @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
     def test_feed_forward_gradients(self, shape):
@@ -477,29 +497,71 @@ class TestTransformerFusedOps:
 
     @pytest.mark.parametrize("shape", [(6,), (4, 5), (2, 3, 5)])
     def test_residual_layernorm_gradients(self, shape):
+        """The layer norm of a residual sum, as feed_forward_sublayer takes it:
+        every leaf, x through both the sum and the feed-forward."""
         rng = np.random.default_rng(41)
-        x, gain, bias, residual = leaves = residual_layernorm_leaves(rng, shape)
+        leaves = feed_forward_sublayer_leaves(rng, shape, hidden=7)
+        up = Tensor(rng.normal(size=shape))
+        check_grads(lambda: (tensor.feed_forward_sublayer(*leaves) * up).sum(),
+                    leaves, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 5), (2, 3, 5)])
+    def test_segment_tokens_gradients(self, shape):
+        rng = np.random.default_rng(45)
+        x, gain, bias, segments, seg_gain, seg_bias = segment_tokens_leaves(rng, shape)
         up = Tensor(rng.normal(size=shape))
         check_grads(
-            lambda: (tensor.layernorm(x, gain, bias, residual=residual) * up).sum(),
-            leaves, rtol=1e-5, atol=1e-6,
+            lambda: (tensor.segment_tokens(x, gain, bias, segments, 1, seg_gain, seg_bias)
+                     * up).sum(),
+            [x, gain, bias, segments, seg_gain, seg_bias], rtol=1e-5, atol=1e-6,
         )
+        np.testing.assert_array_equal(segments.grad[0], 0.0)
 
     @pytest.mark.parametrize("shape", [(7, 6), (3, 5, 6)])
-    @pytest.mark.parametrize("op", ["feed_forward", "residual_layernorm"])
+    @pytest.mark.parametrize("op", ["feed_forward", "residual_layernorm", "segment_tokens"])
     def test_bit_parity_with_composition(self, op, shape):
         """One node, and the forward values and every gradient equal the
-        composition's bit for bit; some hidden units are off, some on."""
+        composition's bit for bit; some hidden units are off, some on.
+        ``residual_layernorm`` is feed_forward_sublayer against
+        ``layernorm(x + feed_forward(x))``."""
         rng = np.random.default_rng(42)
         if op == "feed_forward":
             leaves = feed_forward_leaves(rng, shape, hidden=24, out=5)
             fused, composed = tensor.feed_forward(*leaves), composed_feed_forward(*leaves)
+        elif op == "residual_layernorm":
+            leaves = feed_forward_sublayer_leaves(rng, shape, hidden=24)
+            fused = tensor.feed_forward_sublayer(*leaves)
+            composed = composed_feed_forward_sublayer(*leaves)
+        else:
+            x, gain, bias, segments, seg_gain, seg_bias = leaves = segment_tokens_leaves(rng, shape)
+            fused = tensor.segment_tokens(x, gain, bias, segments, 1, seg_gain, seg_bias)
+            composed = composed_segment_tokens(x, gain, bias, segments, 1, seg_gain, seg_bias)
+        if op != "segment_tokens":
             hidden = leaves[0].data @ leaves[1].data.T + leaves[2].data
             assert (hidden > 0).any() and (hidden < 0).any()
-        else:
-            x, gain, bias, residual = leaves = residual_layernorm_leaves(rng, shape)
-            fused = tensor.layernorm(x, gain, bias, residual=residual)
-            composed = composed_residual_layernorm(*leaves)
+        assert all(p.node is None for p in fused.node.parents)
+        np.testing.assert_array_equal(fused.data, composed.data)
+        up = Tensor(rng.normal(size=fused.shape))
+        grads = []
+        for out in (fused, composed):
+            for t in leaves:
+                t.zero_grad()
+            tensor.backward((out * up).sum())
+            grads.append([t.grad for t in leaves])
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mask", [None, RAGGED], ids=["no-mask", "ragged"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_sublayer_bit_parity(self, mask, heads):
+        """attention_sublayer is one node whose output and every gradient equal
+        ``layernorm(x + attention(x))`` bit for bit."""
+        rng = np.random.default_rng(46)
+        x, weights, biases = attention_leaves(rng, 3, 4, 6)
+        gain, bias = leaf(rng, 6), leaf(rng, 6)
+        leaves = [x, *weights, *biases, gain, bias]
+        fused = tensor.attention_sublayer(x, weights, biases, heads, gain, bias, mask=mask)
+        composed = composed_attention_sublayer(x, weights, biases, heads, gain, bias, mask=mask)
         assert all(p.node is None for p in fused.node.parents)
         np.testing.assert_array_equal(fused.data, composed.data)
         up = Tensor(rng.normal(size=fused.shape))
@@ -513,14 +575,64 @@ class TestTransformerFusedOps:
             np.testing.assert_array_equal(got, want)
 
     def test_same_tensor_as_input_and_residual(self):
-        """``layernorm(x, ..., residual=x)`` sums both gradient paths into x."""
+        """x is both the attention's input and the residual: the sublayer sums
+        both gradient paths into x, and every other leaf's gradient holds,
+        as finite differences see them."""
         rng = np.random.default_rng(43)
-        x, gain, bias, _ = residual_layernorm_leaves(rng, (4, 5))
-        up = Tensor(rng.normal(size=(4, 5)))
-        fused = tensor.layernorm(x, gain, bias, residual=x)
-        np.testing.assert_array_equal(fused.data, tensor.layernorm(x + x, gain, bias).data)
-        check_grads(lambda: (tensor.layernorm(x, gain, bias, residual=x) * up).sum(), [x],
-                    rtol=1e-5, atol=1e-6)
+        x, weights, biases = attention_leaves(rng, 2, 3, 4)
+        gain, bias = leaf(rng, 4), leaf(rng, 4)
+        up = Tensor(rng.normal(size=(2, 3, 4)))
+        # As in test_attention_gradients, the key bias cancels in the softmax.
+        check_grads(
+            lambda: (tensor.attention_sublayer(x, weights, biases, 2, gain, bias, mask=RAGGED[:2, :3])
+                     * up).sum(),
+            [x, *weights, biases[0], *biases[2:], gain, bias], rtol=1e-5, atol=1e-6,
+        )
+
+    def test_attention_backward_in_chunks_keeps_the_bits(self, monkeypatch):
+        """Scores of one image per chunk, or of all at once: the same gradients."""
+        rng = np.random.default_rng(47)
+        x, weights, biases = attention_leaves(rng, 5, 4, 6)
+        leaves = [x, *weights, *biases]
+        up = Tensor(rng.normal(size=(5, 4, 6)))
+        grads = []
+        for chunk in (1, 2**30):
+            monkeypatch.setattr(tensor, "SOFTMAX_CHUNK_BYTES", chunk)
+            for t in leaves:
+                t.zero_grad()
+            tensor.backward((tensor.attention(x, weights, biases, 3, mask=None) * up).sum())
+            grads.append([t.grad for t in leaves])
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
+    def test_no_grad_frees_the_sublayer_state_before_the_norm(self, monkeypatch, grad):
+        """Without a graph, the attention's probabilities and projections and
+        the feed-forward's hidden activation are freed before the norm runs:
+        what is allocated when it starts is less than one hidden activation.
+        With a graph, the backward keeps them, and more is allocated."""
+        rng = np.random.default_rng(48)
+        x, weights, biases = attention_leaves(rng, 8, 24, 16)
+        gain, bias = leaf(rng, 16), leaf(rng, 16)
+        w1, b1, w2, b2 = feed_forward_leaves(rng, (16,), hidden=64, out=16)[1:]
+        hidden_bytes = 8 * 24 * 64 * 8
+        layernorm, allocated = tensor._layernorm, []
+
+        def spy(*args, **kwargs):
+            allocated.append(tracemalloc.get_traced_memory()[0] - start)
+            return layernorm(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "_layernorm", spy)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with tensor.no_grad() if not grad else contextlib.nullcontext():
+                tensor.attention_sublayer(x, weights, biases, 4, gain, bias)
+                tensor.feed_forward_sublayer(x, w1, b1, w2, b2, gain, bias)
+        finally:
+            tracemalloc.stop()
+        assert len(allocated) == 2
+        assert all((size > hidden_bytes) == grad for size in allocated), allocated
 
     def test_shape_errors(self):
         rng = np.random.default_rng(44)
@@ -529,21 +641,29 @@ class TestTransformerFusedOps:
                      (x, w1, b1, w2, b1)):
             with pytest.raises(ShapeMismatchError, match="feed_forward"):
                 tensor.feed_forward(*args)
-        x, gain, bias, _ = residual_layernorm_leaves(rng, (2, 3))
+        gain, bias = leaf(rng, 3), leaf(rng, 3)
         with pytest.raises(ShapeMismatchError, match="residual"):
-            tensor.layernorm(x, gain, bias, residual=leaf(rng, 1, 3))
+            tensor.feed_forward_sublayer(x, w1, b1, w2, b2, gain, bias)
+        with pytest.raises(ShapeMismatchError, match="segment_tokens"):
+            tensor.segment_tokens(x, gain, bias, leaf(rng, 2, 4), 0, leaf(rng, 4), leaf(rng, 4))
 
-    @pytest.mark.parametrize("x,residual", [
+    @pytest.mark.parametrize("x,offset", [
         ([[1e300, -1e300, 0.0], [1.0, 2.0, 3.0]], None),
-        (np.full((2, 3), 1e308), np.full((2, 3), 1e308)),
+        (np.full((2, 3), 1e308), np.full(3, 1e308)),
     ], ids=["variance", "residual-sum"])
-    def test_overflowing_variance_is_non_finite_error(self, x, residual):
-        """Finite rows whose variance, or whose residual sum, overflows raise
-        NonFiniteError and no numpy warning."""
+    def test_overflowing_variance_is_non_finite_error(self, x, offset):
+        """Finite rows whose variance, or whose residual sum in a sublayer,
+        overflows raise NonFiniteError and no numpy warning."""
+        gain, bias = Tensor(np.ones(3)), Tensor(np.zeros(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="variance overflows"):
-                tensor.layernorm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), residual=residual)
+                if offset is None:
+                    tensor.layernorm(x, gain, bias)
+                else:  # feed_forward(x) is the offset, so x + feed_forward(x) overflows
+                    zero = Tensor(np.zeros((3, 3)))
+                    tensor.feed_forward_sublayer(x, zero, Tensor(np.zeros(3)), zero,
+                                                 Tensor(offset), gain, bias)
 
 
 class TestLayernorm:
@@ -854,7 +974,7 @@ class TestConsumedGraph:
         assert all(node.backward_fn is not None for node, _, _ in before.values())
         tensor.backward(loss)
         after = graph_nodes(loss)
-        assert after.keys() == before.keys() and len(after) == 35
+        assert after.keys() == before.keys() and len(after) == 23
         for key, (node, name, parents) in before.items():
             assert node.backward_fn is None
             assert after[key] == (node, name, parents)

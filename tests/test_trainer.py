@@ -325,19 +325,80 @@ print(json.dumps([b - a for a, b in zip(faults, faults[1:])]))
 """
 
 
+def subprocess_env(**extra) -> dict:
+    """This environment with doclink's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(doclink.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 @pytest.mark.skipif(not on_glibc(), reason="the allocator is set on glibc only")
 def test_steps_reuse_the_pages_of_the_last():
     """With the allocator keeping freed pages, every step after the second
-    takes under 100 minor faults; with glibc's defaults, thousands."""
-    src = os.path.dirname(os.path.dirname(doclink.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env,
+    takes under 100 minor faults; with glibc's defaults, thousands.  Python's
+    own small-object arenas, which mallopt does not govern, are sent to
+    malloc too, so a fresh arena mapped mid-run adds no spike."""
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP],
+                          env=subprocess_env(PYTHONMALLOC="malloc"),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     faults = json.loads(done.stdout)
     assert len(faults) == 7
     assert max(faults[1:]) < 100, faults
+
+
+# Two epochs at seed 1 of a benchmark shape, printing the sha256 prefixes of
+# the trained parameters, both Adam moments and the history.
+TWO_EPOCHS = """
+import hashlib, json, sys
+from doclink.corpus import SynthConfig, generate_synthetic
+from doclink.encoder import ModelConfig
+from doclink.objective import ObjectiveConfig
+from doclink.rng import RngStream
+from doclink.trainer import TrainConfig, train
+
+synth, model = json.loads(sys.argv[1])
+corpus = generate_synthetic(SynthConfig(**synth), RngStream(1))
+config = ModelConfig(vocab_size=corpus.vocab_size, obj_dim=corpus.obj_dim, **model)
+result = train(corpus, config, ObjectiveConfig(), TrainConfig(
+    seed=1, max_lr=5e-3, warmup_steps=50, batch_size=11, max_epochs=2))
+digests = [result.optimizer.flat[key].tobytes() for key in ("params", "m", "v")]
+digests.append(json.dumps(result.history).encode())
+print(" ".join(hashlib.sha256(d).hexdigest()[:8] for d in digests))
+"""
+SHARED_SYNTH = dict(density=0.2, concept_len=2, sigma=0.1, token_noise=0.1)
+PINNED_TRAINING = {
+    "train-small": (
+        dict(SHARED_SYNTH, train_docs=220, val_docs=100, test_docs=100, sentences_per_doc=5,
+             images_per_doc=5, vocab_size=200, obj_dim=16, objects_per_image=3,
+             sentence_len=8, tokens_per_cluster=4),
+        dict(embed_dim=16, sentence_layers=1, image_layers=1, heads=2, word_dim=16,
+             max_sentence_len=12),
+        "f67c27e4 56d6923e 0563e2d2 6635e6ab",
+    ),
+    "pipeline": (
+        dict(SHARED_SYNTH, train_docs=22, val_docs=11, test_docs=33, sentences_per_doc=8,
+             images_per_doc=6, vocab_size=400, obj_dim=64, objects_per_image=36,
+             sentence_len=10, tokens_per_cluster=4),
+        dict(embed_dim=64, sentence_layers=1, image_layers=1, heads=4, word_dim=32,
+             max_sentence_len=16),
+        "c2aa06e3 5ee0ac6e 00e484dc a0b8d4cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_TRAINING))
+def test_training_bytes_are_pinned(shape):
+    """Two epochs at the benchmark's train-small and pipeline shapes, seed 1,
+    with one BLAS thread: the parameters, both Adam moments and the history
+    hash as pinned.  A change that moves any bit of training shows here, and
+    must update the pin on purpose."""
+    synth, model, pinned = PINNED_TRAINING[shape]
+    done = subprocess.run([sys.executable, "-c", TWO_EPOCHS, json.dumps([synth, model])],
+                          env=subprocess_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == pinned
 
 
 class TestTrainLoop:
