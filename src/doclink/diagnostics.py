@@ -71,10 +71,7 @@ def distance_samples(
     ShapeMismatchError, and a distance that is not finite NonFiniteError
     naming the anchor's document.
     """
-    if samples_per_sentence < 0:
-        raise ConfigError(
-            f"samples_per_sentence must be >= 0, got {samples_per_sentence}"
-        )
+    _check_sample_count(samples_per_sentence)
     if rng is None:
         rng = RngStream(0).child("diagnostics")
     docs = _gold_documents(corpus, split)
@@ -113,6 +110,13 @@ def distance_samples(
     return np.array(intra), np.array(cross), np.array(matched)
 
 
+def _check_sample_count(samples_per_sentence: int) -> None:
+    if samples_per_sentence < 0:
+        raise ConfigError(
+            f"samples_per_sentence must be >= 0, got {samples_per_sentence}"
+        )
+
+
 def _gold_documents(corpus: Corpus, split: str) -> list:
     """The split's documents; an empty split raises CorpusValidationError and
     a document without gold edges MissingGoldEdgesError."""
@@ -134,7 +138,9 @@ def _gold_by_sentence(doc) -> dict:
 def _check_samples(corpus: Corpus, split: str, samples_per_sentence: int) -> None:
     """Refuse a split whose intra- or cross-document sample of
     :func:`distance_samples` would be empty, from its gold edges alone:
-    CorpusValidationError names the empty sample and its cause."""
+    CorpusValidationError names the empty sample and its cause.  A negative
+    ``samples_per_sentence`` raises ConfigError before the split is read."""
+    _check_sample_count(samples_per_sentence)
     docs = _gold_documents(corpus, split)
     golds = [(len(doc.images), gold) for doc in docs for gold in _gold_by_sentence(doc).values()]
     if not golds:

@@ -20,14 +20,15 @@ it share.  Compositions of the primitives: embedding, transpose
 build their own ops with :func:`_make` (the encoder's ``cosine``, the
 objective's ``tk``, ``batch_scores`` and ``hinge``).
 
-A graph is consumed by its backward: each node's hook runs once and is then
-dropped with the arrays it captured (attention probabilities, layer-norm
-statistics, hidden activations), so a step's memory falls as backward
-proceeds.  Because a hook runs once, the attention, feed-forward and
-layer-norm backwards write their gradients over those arrays instead of
-allocating fresh ones.  ``Node.parents`` and ``Node.name`` stay, so the
-graph can still be walked; a second backward that reaches a consumed node
-raises :class:`ConsumedGraphError`.  To differentiate again, build the
+A graph is consumed by its backward: each node's hook is dropped as it
+runs, and with it the arrays it captured (attention probabilities,
+layer-norm statistics, hidden activations), so a step's memory falls as
+backward proceeds.  Because a hook runs at most once, even one that fails
+partway, the attention, feed-forward and layer-norm backwards write their
+gradients over those arrays instead of allocating fresh ones.
+``Node.parents`` and ``Node.name`` stay, so the graph can still be walked;
+a second backward that reaches a consumed node raises
+:class:`ConsumedGraphError`.  To differentiate again, build the
 graph again.
 
 On glibc, importing this module sets the allocator once: arrays up to
@@ -62,8 +63,11 @@ from .errors import (
 # Largest word table, model and attention score array of one pass, in bytes;
 # training holds four copies of the model (parameters, m, v, gradient).
 MAX_WORD_TABLE_BYTES = 2**30
-# Scores whose softmax gradient an attention backward takes at once.
+# Scores whose softmax gradient an attention backward takes at once; a
+# Python iteration per image instead slows a small training step by a tenth.
 SOFTMAX_CHUNK_BYTES = 2**20
+# Added to each row's variance by every layer norm.
+LAYERNORM_EPS = 1e-5
 # glibc's mallopt parameters (malloc.h).
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
@@ -105,7 +109,7 @@ def is_grad_enabled() -> bool:
 
 class Node:
     """Producing operation of a tensor: parents plus a vector-Jacobian hook,
-    which :func:`backward` runs once and then drops (``backward_fn = None``)."""
+    which :func:`backward` drops (``backward_fn = None``) as it runs it."""
 
     __slots__ = ("parents", "backward_fn", "name", "index")
 
@@ -668,7 +672,7 @@ def _feed_forward(x, w1, b1, w2, b2):
     return out_data.reshape(x.data.shape[:-1] + (out_dim,)), backward_fn
 
 
-def layernorm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layernorm(x, gain, bias, eps: float = LAYERNORM_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
     A row whose statistics overflow raises NonFiniteError."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
@@ -727,29 +731,28 @@ def _layernorm(x, gain, bias, eps, residual=None):
     return out_data.reshape(x.shape), backward_fn
 
 
-def attention_sublayer(x, weights, biases, heads: int, gain, bias, mask=None,
-                       eps: float = 1e-5) -> Tensor:
+def attention_sublayer(x, weights, biases, heads: int, gain, bias, mask=None) -> Tensor:
     """``layernorm(x + attention(x, weights, biases, heads, mask), gain, bias)``
     as one op, the post-norm residual attention sublayer, with the bits of
     that composition."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     weights = [_wrap(w) for w in weights]
     biases = [_wrap(b) for b in biases]
-    return _residual_norm(_attention, (x, weights, biases, heads, mask), gain, bias, eps,
+    return _residual_norm(_attention, (x, weights, biases, heads, mask), gain, bias,
                           (x, *weights, *biases, gain, bias), "attention_sublayer")
 
 
-def feed_forward_sublayer(x, w1, b1, w2, b2, gain, bias, eps: float = 1e-5) -> Tensor:
+def feed_forward_sublayer(x, w1, b1, w2, b2, gain, bias) -> Tensor:
     """``layernorm(x + feed_forward(x, w1, b1, w2, b2), gain, bias)`` as one
     op, the post-norm residual feed-forward sublayer, with the bits of that
     composition."""
     x, w1, b1, w2, b2 = _wrap(x), _wrap(w1), _wrap(b1), _wrap(w2), _wrap(b2)
     gain, bias = _wrap(gain), _wrap(bias)
-    return _residual_norm(_feed_forward, (x, w1, b1, w2, b2), gain, bias, eps,
+    return _residual_norm(_feed_forward, (x, w1, b1, w2, b2), gain, bias,
                           (x, w1, b1, w2, b2, gain, bias), "feed_forward_sublayer")
 
 
-def _residual_norm(sublayer, args, gain, bias, eps, parents, name) -> Tensor:
+def _residual_norm(sublayer, args, gain, bias, parents, name) -> Tensor:
     """The one node of ``layernorm(x + sublayer(*args), gain, bias)``, where
     x is ``args[0]`` and ``sublayer`` a private forward pass.  Its fresh
     output becomes the norm's input in place; without a graph, its backward
@@ -759,7 +762,7 @@ def _residual_norm(sublayer, args, gain, bias, eps, parents, name) -> Tensor:
     out_data, sublayer_backward = sublayer(*args)
     if not _grad_enabled:
         sublayer_backward = None
-    out_data, norm_backward = _layernorm(x.data, gain, bias, eps, residual=out_data)
+    out_data, norm_backward = _layernorm(x.data, gain, bias, LAYERNORM_EPS, residual=out_data)
 
     def backward_fn(g):
         dx, g_gain, g_bias = norm_backward(g)
@@ -771,8 +774,7 @@ def _residual_norm(sublayer, args, gain, bias, eps, parents, name) -> Tensor:
     return _make(out_data, parents, backward_fn, name)
 
 
-def segment_tokens(x, gain, bias, segments, index: int, seg_gain, seg_bias,
-                   eps: float = 1e-5) -> Tensor:
+def segment_tokens(x, gain, bias, segments, index: int, seg_gain, seg_bias) -> Tensor:
     """``(layernorm(x, gain, bias) + layernorm(segments[index], seg_gain,
     seg_bias)) * 0.5`` as one op, with the bits of that composition: each
     token of ``x`` (..., d) averaged with row ``index`` of the (segments, d)
@@ -784,8 +786,9 @@ def segment_tokens(x, gain, bias, segments, index: int, seg_gain, seg_bias,
             f"segment_tokens needs x (..., d) and segments (n, d), "
             f"got {x.data.shape} and {segments.data.shape}"
         )
-    out_data, token_backward = _layernorm(x.data, gain, bias, eps)
-    segment, segment_backward = _layernorm(segments.data[index], seg_gain, seg_bias, eps)
+    out_data, token_backward = _layernorm(x.data, gain, bias, LAYERNORM_EPS)
+    segment, segment_backward = _layernorm(segments.data[index], seg_gain, seg_bias,
+                                           LAYERNORM_EPS)
     out_data += segment
     out_data *= 0.5
 
@@ -808,7 +811,7 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable tensor.
 
     ``loss`` must be scalar.  Leaf gradients accumulate across calls until
-    cleared.  The graph is consumed: each hook is dropped once it has run,
+    cleared.  The graph is consumed: each hook is dropped as it runs,
     freeing what it captured.  A backward that reaches a node an earlier
     backward consumed raises :class:`ConsumedGraphError` naming its op;
     leaves it reached first keep what was added to them.
@@ -832,7 +835,10 @@ def backward(loss: Tensor) -> None:
                 f"backward reached a {node.name!r} node that an earlier backward consumed; "
                 "rebuild the graph to differentiate it again"
             )
-        grads, node.backward_fn = node.backward_fn(g), None
+        # Dropped before it runs: a hook that fails partway, having written
+        # over what it captured, cannot run again.
+        hook, node.backward_fn = node.backward_fn, None
+        grads = hook(g)
         for parent, pg in zip(node.parents, grads):
             if pg is None or not parent.requires_grad:
                 continue

@@ -331,6 +331,15 @@ class TestBiasReport:
         with pytest.raises(CorpusValidationError, match=f"^split 'train': {message}$"):
             bias_report(corpus, "train", samples, params=object(), config=object())
 
+    def test_negative_sample_count_refused_before_the_split(self):
+        """A negative samples_per_sentence names the argument even when the
+        split's samples would also be empty."""
+        corpus = diag_corpus()
+        for doc in corpus.split_documents("train"):
+            doc.gold_edges = []
+        with pytest.raises(ConfigError, match="samples_per_sentence must be >= 0, got -1"):
+            bias_report(corpus, "train", -1)
+
     def test_json_round_trips_stable_keys(self):
         import json
 

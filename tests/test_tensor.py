@@ -997,6 +997,23 @@ class TestConsumedGraph:
         tensor.backward((p * 3.0).sum())  # a rebuilt graph differentiates again
         np.testing.assert_array_equal(p.grad, [6.0, 6.0])
 
+    def test_hook_that_fails_partway_is_not_run_again(self):
+        """A hook may have written over what it captured before it failed, so
+        a later backward through its node raises instead of running it."""
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        y = p * 3.0
+
+        def fails(g):
+            raise MemoryError("partway")
+
+        y.node.backward_fn = fails
+        with pytest.raises(MemoryError, match="partway"):
+            tensor.backward(y.sum())
+        assert y.node.backward_fn is None
+        with pytest.raises(ConsumedGraphError, match="'mul' node"):
+            tensor.backward((y * 2.0).sum())
+        assert p.grad is None
+
     def test_backward_frees_what_the_hooks_held(self):
         """A transformer layer over 66 images of 72 tokens at width 64 (the
         image tower of the ``pipeline`` benchmark step): with the loss still
