@@ -7,8 +7,9 @@ tokens.
 Image path: each object contributes two tokens — a projected feature token
 and a concept token built from the mean word embedding of the concept's
 token ids.  Both are averaged with their segment embedding (each component
-passing through its own layer norm), run through the cross-modality
-transformer stack, and mean-pooled.
+passing through its own layer norm) by one ``segment_tokens`` node, which
+writes the object tokens, then the concept tokens, into the one input of
+the cross-modality transformer stack; its output is mean-pooled.
 
 The concept projection reuses the sentence projection weights, and concept
 token ids index the same word-embedding table as sentences, which is what
@@ -245,17 +246,15 @@ def encode_images(images: list, params: ModelParams, config: ModelConfig) -> Ten
     concept_ids[obj_mask], concept_mask[obj_mask] = ids, mask
 
     p = params
-    obj_tokens = segment_tokens(linear(Tensor(feats), p.obj_proj_w, p.obj_proj_b),
-                                p.ln_obj_feat.gain, p.ln_obj_feat.bias, p.seg_embed, 0,
-                                p.ln_obj_seg.gain, p.ln_obj_seg.bias)
-
+    objects = linear(Tensor(feats), p.obj_proj_w, p.obj_proj_b)
     # Mean word embedding per concept entry.
     mean_words = masked_mean(embedding(p.word_embed, concept_ids), concept_mask)
-    con_tokens = segment_tokens(linear(mean_words, p.text_proj_w, p.text_proj_b),
-                                p.ln_concept_feat.gain, p.ln_concept_feat.bias, p.seg_embed, 1,
-                                p.ln_concept_seg.gain, p.ln_concept_seg.bias)
-
-    x = concat([obj_tokens, con_tokens], axis=1)
+    concepts = linear(mean_words, p.text_proj_w, p.text_proj_b)
+    x = segment_tokens([
+        (objects, p.ln_obj_feat.gain, p.ln_obj_feat.bias, p.ln_obj_seg.gain, p.ln_obj_seg.bias),
+        (concepts, p.ln_concept_feat.gain, p.ln_concept_feat.bias,
+         p.ln_concept_seg.gain, p.ln_concept_seg.bias),
+    ], p.seg_embed)
     full_mask = np.concatenate([obj_mask, obj_mask], axis=1)
     for layer in params.img_layers:
         x = transformer_layer(x, layer, config.heads, mask=full_mask)

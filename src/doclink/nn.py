@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, attention, attention_sublayer, feed_forward_sublayer, layernorm
+from .tensor import Tensor, attention_sublayer, feed_forward_sublayer, layernorm
 
 
 def zeros(*shape: int) -> Tensor:
@@ -84,17 +84,6 @@ class TransformerLayerParams(Params):
         self.ff_w2 = zeros(dim, 4 * dim)
         self.ff_b2 = zeros(dim)
         self.ln_ff = LayerNormParams(dim)
-
-
-def multihead_attention(x: Tensor, params: AttentionParams, heads: int, mask=None) -> Tensor:
-    """Self-attention over a batch ``x`` of shape (B, L, d), with per-head
-    1/sqrt(d/heads) scaling: one ``tensor.attention`` node.
-
-    ``mask`` (B, L) marks real key positions; padded keys receive exactly
-    zero weight.
-    """
-    p = params
-    return attention(x, (p.wq, p.wk, p.wv, p.wo), (p.bq, p.bk, p.bv, p.bo), heads, mask=mask)
 
 
 def transformer_layer(x: Tensor, params: TransformerLayerParams, heads: int, mask=None) -> Tensor:

@@ -10,15 +10,15 @@ against central finite differences demand the precision.
 Primitives, each with a backward hook: add, neg, mul, power, relu, exp,
 log, matmul, swapaxes, reshape, take, concat, tsum, max_reduce, softmax
 and layernorm, plus the fused ops of the encoder, each one node with a
-hand-written backward: linear, attention, feed_forward, masked_mean, the
-two post-norm residual sublayers attention_sublayer and
-feed_forward_sublayer, and segment_tokens, an image side's tokens.
-attention, feed_forward and layernorm each have one private forward pass
-returning its backward, which the public op and the fused ops that contain
-it share.  Compositions of the primitives: embedding, transpose
-(``Tensor.T``), sqrt, stack and tmean (``Tensor.mean``).  Other modules
-build their own ops with :func:`_make` (the encoder's ``cosine``, the
-objective's ``tk``, ``batch_scores`` and ``hinge``).
+hand-written backward: linear, masked_mean, the two post-norm residual
+sublayers attention_sublayer and feed_forward_sublayer, and
+segment_tokens, the image tower's input.  The attention, feed-forward and
+layer-norm math each live in one private forward pass returning its
+backward, which the fused ops share.  Compositions of the primitives:
+embedding, transpose (``Tensor.T``), sqrt, stack and tmean
+(``Tensor.mean``).  Other modules build their own ops with :func:`_make`
+(the encoder's ``cosine``, the objective's ``tk``, ``batch_scores`` and
+``hinge``).
 
 A graph is consumed by its backward: each node's hook is dropped as it
 runs, and with it the arrays it captured (attention probabilities,
@@ -511,8 +511,11 @@ def linear(x, w, b) -> Tensor:
     return _make(out_data, (x, w, b), backward_fn, "linear")
 
 
-def attention(x, weights, biases, heads: int, mask=None) -> Tensor:
-    """Multi-head self-attention over ``x`` (B, L, d) as one op.
+def _attention(x, weights, biases, heads, mask):
+    """Multi-head self-attention over ``x`` (B, L, d), the forward pass of
+    :func:`attention_sublayer`: the fresh output array and the backward that
+    maps its gradient to those of x (None unless x requires one), the
+    weights and the biases.
 
     ``weights`` holds the (d, d) query, key, value and output projections,
     stored (out, in), and ``biases`` their (d,) offsets.  Each of ``heads``
@@ -522,18 +525,6 @@ def attention(x, weights, biases, heads: int, mask=None) -> Tensor:
     keys get exactly zero weight, and a batch row with no real key raises
     :class:`InvalidMaskError`.  A width that ``heads`` does not divide raises
     :class:`ConfigError`.
-    """
-    x = _wrap(x)
-    weights = [_wrap(w) for w in weights]
-    biases = [_wrap(b) for b in biases]
-    out_data, backward_fn = _attention(x, weights, biases, heads, mask)
-    return _make(out_data, (x, *weights, *biases), backward_fn, "attention")
-
-
-def _attention(x, weights, biases, heads, mask):
-    """:func:`attention`'s checks and forward pass: the fresh output array and
-    the backward that maps its gradient to those of x (None unless x requires
-    one), the weights and the biases.
 
     The backward writes the scores' gradient over the probabilities, taking
     the softmax's per-row dots SOFTMAX_CHUNK_BYTES of scores at a time, so it
@@ -628,18 +619,12 @@ def masked_mean(x, mask) -> Tensor:
     return _make(out_data, (x,), backward_fn, "masked_mean")
 
 
-def feed_forward(x, w1, b1, w2, b2) -> Tensor:
-    """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one op, with ``w1``
-    (hidden, in) and ``w2`` (out, hidden)."""
-    x, w1, b1, w2, b2 = _wrap(x), _wrap(w1), _wrap(b1), _wrap(w2), _wrap(b2)
-    out_data, backward_fn = _feed_forward(x, w1, b1, w2, b2)
-    return _make(out_data, (x, w1, b1, w2, b2), backward_fn, "feed_forward")
-
-
 def _feed_forward(x, w1, b1, w2, b2):
-    """:func:`feed_forward`'s checks and forward pass: the fresh output array
-    and the backward that maps its gradient to those of x (None unless x
-    requires one), w1, b1, w2 and b2.
+    """``linear(relu(linear(x, w1, b1)), w2, b2)``, with ``w1`` (hidden, in)
+    and ``w2`` (out, hidden), the forward pass of
+    :func:`feed_forward_sublayer`: the fresh output array and the backward
+    that maps its gradient to those of x (None unless x requires one), w1,
+    b1, w2 and b2.
 
     It keeps one (rows, hidden) activation, relu'd in place; once the ``w2``
     gradient is taken, the backward writes the hidden gradient over it.
@@ -734,7 +719,8 @@ def _layernorm(x, gain, bias, eps, residual=None):
 def attention_sublayer(x, weights, biases, heads: int, gain, bias, mask=None) -> Tensor:
     """``layernorm(x + attention(x, weights, biases, heads, mask), gain, bias)``
     as one op, the post-norm residual attention sublayer, with the bits of
-    that composition."""
+    that composition; the attention, its mask and its heads are those of
+    :func:`_attention`."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     weights = [_wrap(w) for w in weights]
     biases = [_wrap(b) for b in biases]
@@ -745,7 +731,7 @@ def attention_sublayer(x, weights, biases, heads: int, gain, bias, mask=None) ->
 def feed_forward_sublayer(x, w1, b1, w2, b2, gain, bias) -> Tensor:
     """``layernorm(x + feed_forward(x, w1, b1, w2, b2), gain, bias)`` as one
     op, the post-norm residual feed-forward sublayer, with the bits of that
-    composition."""
+    composition; the feed-forward is :func:`_feed_forward`."""
     x, w1, b1, w2, b2 = _wrap(x), _wrap(w1), _wrap(b1), _wrap(w2), _wrap(b2)
     gain, bias = _wrap(gain), _wrap(bias)
     return _residual_norm(_feed_forward, (x, w1, b1, w2, b2), gain, bias,
@@ -774,33 +760,51 @@ def _residual_norm(sublayer, args, gain, bias, parents, name) -> Tensor:
     return _make(out_data, parents, backward_fn, name)
 
 
-def segment_tokens(x, gain, bias, segments, index: int, seg_gain, seg_bias) -> Tensor:
-    """``(layernorm(x, gain, bias) + layernorm(segments[index], seg_gain,
-    seg_bias)) * 0.5`` as one op, with the bits of that composition: each
-    token of ``x`` (..., d) averaged with row ``index`` of the (segments, d)
-    table, each normalized by its own affine."""
-    x, gain, bias, segments = _wrap(x), _wrap(gain), _wrap(bias), _wrap(segments)
-    seg_gain, seg_bias = _wrap(seg_gain), _wrap(seg_bias)
-    if segments.data.ndim != 2 or segments.data.shape[1:] != x.data.shape[-1:]:
+def segment_tokens(sides, segments) -> Tensor:
+    """The image tower's input as one op, with the bits of the composition:
+    side i of ``sides``, a tuple ``(x, gain, bias, seg_gain, seg_bias)``,
+    becomes ``(layernorm(x, gain, bias) + layernorm(segments[i], seg_gain,
+    seg_bias)) * 0.5``, written into its slice along axis -2 of one
+    (..., len(sides) * n, d) output, for sides of one shape (..., n, d) and
+    a (rows, d) ``segments`` table with a row per side.  Without a graph,
+    each side's backward state is dropped before the next side runs."""
+    sides = [tuple(_wrap(t) for t in side) for side in sides]
+    segments = _wrap(segments)
+    shape = sides[0][0].data.shape if sides else ()
+    if len(shape) < 2 or any(x.data.shape != shape for x, *_ in sides):
         raise ShapeMismatchError(
-            f"segment_tokens needs x (..., d) and segments (n, d), "
-            f"got {x.data.shape} and {segments.data.shape}"
+            f"segment_tokens needs sides of one shape (..., n, d), "
+            f"got {[x.data.shape for x, *_ in sides]}"
         )
-    out_data, token_backward = _layernorm(x.data, gain, bias, LAYERNORM_EPS)
-    segment, segment_backward = _layernorm(segments.data[index], seg_gain, seg_bias,
-                                           LAYERNORM_EPS)
-    out_data += segment
-    out_data *= 0.5
+    n, d = shape[-2:]
+    if segments.data.ndim != 2 or segments.data.shape[1] != d or len(segments.data) < len(sides):
+        raise ShapeMismatchError(
+            f"segment_tokens needs a (rows, {d}) segments table with a row per side, "
+            f"{len(sides)} or more, got {segments.data.shape}"
+        )
+    out_data = np.empty(shape[:-2] + (len(sides) * n, d))
+    hooks = []
+    for i, (x, gain, bias, seg_gain, seg_bias) in enumerate(sides):
+        tokens, token_backward = _layernorm(x.data, gain, bias, LAYERNORM_EPS)
+        segment, segment_backward = _layernorm(segments.data[i], seg_gain, seg_bias,
+                                               LAYERNORM_EPS)
+        part = out_data[..., i * n : (i + 1) * n, :]
+        np.add(tokens, segment, out=part)
+        part *= 0.5
+        if _grad_enabled:
+            hooks.append((token_backward, segment_backward))
+        del tokens, token_backward, segment_backward
 
     def backward_fn(g):
-        g = g * 0.5
-        dx, g_gain, g_bias = token_backward(g)
-        d_segment, g_seg_gain, g_seg_bias = segment_backward(_unbroadcast(g, segment.shape))
-        g_segments = np.zeros_like(segments.data)
-        g_segments[index] = d_segment
-        return dx, g_gain, g_bias, g_segments, g_seg_gain, g_seg_bias
+        grads, g_segments = [], np.zeros_like(segments.data)
+        for i, (token_backward, segment_backward) in enumerate(hooks):
+            g_side = g[..., i * n : (i + 1) * n, :] * 0.5
+            dx, g_gain, g_bias = token_backward(g_side)
+            g_segments[i], g_seg_gain, g_seg_bias = segment_backward(_unbroadcast(g_side, (d,)))
+            grads += [dx, g_gain, g_bias, g_seg_gain, g_seg_bias]
+        return (*grads, g_segments)
 
-    parents = (x, gain, bias, segments, seg_gain, seg_bias)
+    parents = (*(t for side in sides for t in side), segments)
     return _make(out_data, parents, backward_fn, "segment_tokens")
 
 

@@ -279,7 +279,8 @@ class TestTrain:
                                                 obj_dim=2, objects_per_image=6000)})
         assert main(["gen", "--out", str(tmp_path / "data"), "--config", str(gen)]) == 0
         write_json(tmp_path / "train.json", train_sections())
-        monkeypatch.setattr("doclink.nn.attention", lambda *a, **kw: pytest.fail("attention"))
+        monkeypatch.setattr("doclink.nn.attention_sublayer",
+                            lambda *a, **kw: pytest.fail("attention"))
         capsys.readouterr()
         code = main(["train", "--corpus", str(tmp_path / "data" / "corpus.jsonl"),
                      "--out", str(tmp_path / "run"), "--config", str(tmp_path / "train.json")])

@@ -684,7 +684,8 @@ class TestCheckFit:
             concept_len=2, tokens_per_cluster=4,
         ), RngStream(7))
         config = fit_model(obj_dim=2)
-        monkeypatch.setattr("doclink.nn.attention", lambda *a, **kw: pytest.fail("attention"))
+        monkeypatch.setattr("doclink.nn.attention_sublayer",
+                            lambda *a, **kw: pytest.fail("attention"))
 
         def refusal(doc_id, docs_per_pass, images):
             return re.escape(

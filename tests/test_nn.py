@@ -8,17 +8,12 @@ import pytest
 from doclink import tensor
 from doclink.encoder import draw_parameters
 from doclink.errors import ConfigError
-from doclink.nn import (
-    AttentionParams,
-    TransformerLayerParams,
-    multihead_attention,
-    transformer_layer,
-)
+from doclink.nn import AttentionParams, TransformerLayerParams, transformer_layer
 from doclink.rng import RngStream
 from doclink.tensor import Tensor, linear
 
 from test_objective import count_nodes
-from test_tensor import RAGGED, central_diff
+from test_tensor import RAGGED, attention_node, central_diff, feed_forward_node
 
 
 def make_attention(dim, seed=0):
@@ -34,6 +29,12 @@ def drawn(params, seed):
     return params
 
 
+def multihead_attention(x, p, heads, mask=None):
+    """Self-attention over (B, L, d) alone, one node: what the layer's
+    attention sublayer adds to its input before the norm."""
+    return attention_node(x, (p.wq, p.wk, p.wv, p.wo), (p.bq, p.bk, p.bv, p.bo), heads, mask=mask)
+
+
 def composed_layer(x, p, heads, mask=None):
     """The eight-node layer that ``transformer_layer`` replaced: attention,
     add, layernorm, linear, relu, linear, add, layernorm."""
@@ -44,11 +45,11 @@ def composed_layer(x, p, heads, mask=None):
 
 
 def sublayer_composed_layer(x, p, heads, mask=None):
-    """The layer from the public attention, feed_forward and layernorm ops,
+    """The layer from one-node attention, feed-forward and layer-norm ops,
     each residual sum its own add: six nodes."""
     x = tensor.layernorm(x + multihead_attention(x, p.attn, heads, mask=mask),
                          p.ln_attn.gain, p.ln_attn.bias)
-    return tensor.layernorm(x + tensor.feed_forward(x, p.ff_w1, p.ff_b1, p.ff_w2, p.ff_b2),
+    return tensor.layernorm(x + feed_forward_node(x, p.ff_w1, p.ff_b1, p.ff_w2, p.ff_b2),
                             p.ln_ff.gain, p.ln_ff.bias)
 
 

@@ -594,7 +594,7 @@ class TestTotalLoss:
                 names.add(t.node.name)
                 todo.extend(t.node.parents)
         assert names == {
-            "add", "attention_sublayer", "batch_scores", "concat", "cosine",
+            "add", "attention_sublayer", "batch_scores", "cosine",
             "feed_forward_sublayer", "layernorm", "hinge", "linear", "masked_mean", "mul",
             "segment_tokens", "sum", "take",
         }
@@ -602,18 +602,19 @@ class TestTotalLoss:
         assert all(p.grad is not None for p in params.named_parameters().values())
 
     def test_step_graph_size_at_b11(self):
-        """At the acceptance shape a step's graph has 23 nodes: 18 from the
+        """At the acceptance shape a step's graph has 21 nodes: 16 from the
         encoder (the two pooled representations and everything below them;
         128 before linear, attention and masked_mean were fused, 60 before
         each transformer layer went from eight nodes to four, 52 while the
         batch was sliced per document, 30 before each layer became two
         sublayer nodes and each image side's tokens one segment_tokens
-        node) and the objective's 5 (43 before batch_scores, 15 before the
-        cosine became one node, 12 while it concatenated the slices back,
-        10 before the hinge became one node)."""
+        node, 18 before one segment_tokens node built both sides, with no
+        concat to join them) and the objective's 5 (43 before batch_scores,
+        15 before the cosine became one node, 12 while it concatenated the
+        slices back, 10 before the hinge became one node)."""
         reps, loss, _ = self.acceptance_step()
         encoder = count_nodes(reps.sentences, reps.images)
-        assert (encoder, count_nodes(loss)) == (18, 23)
+        assert (encoder, count_nodes(loss)) == (16, 21)
 
     def test_flat_matches_the_per_document_pairs(self):
         """The encoder's flat representations and its per-document pairs

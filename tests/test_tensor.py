@@ -339,17 +339,22 @@ def composed_feed_forward(x, w1, b1, w2, b2):
     return tensor.linear(tensor.relu(tensor.linear(x, w1, b1)), w2, b2)
 
 
-def composed_attention_sublayer(x, weights, biases, heads, gain, bias, mask=None):
-    return tensor.layernorm(x + tensor.attention(x, weights, biases, heads, mask=mask), gain, bias)
-
-
-def composed_feed_forward_sublayer(x, w1, b1, w2, b2, gain, bias):
-    return tensor.layernorm(x + tensor.feed_forward(x, w1, b1, w2, b2), gain, bias)
-
-
 def composed_segment_tokens(x, gain, bias, segments, index, seg_gain, seg_bias):
     tokens = tensor.layernorm(x, gain, bias)
     return (tokens + tensor.layernorm(segments[index], seg_gain, seg_bias)) * 0.5
+
+
+def attention_node(x, weights, biases, heads, mask=None):
+    """Attention alone as one node, from attention_sublayer's forward pass."""
+    out_data, backward_fn = tensor._attention(x, weights, biases, heads, mask)
+    return tensor._make(out_data, (x, *weights, *biases), backward_fn, "attention")
+
+
+def feed_forward_node(x, w1, b1, w2, b2):
+    """The feed-forward alone as one node, from feed_forward_sublayer's
+    forward pass."""
+    out_data, backward_fn = tensor._feed_forward(x, w1, b1, w2, b2)
+    return tensor._make(out_data, (x, w1, b1, w2, b2), backward_fn, "feed_forward")
 
 
 def feed_forward_leaves(rng, shape, hidden, out):
@@ -365,10 +370,19 @@ def feed_forward_sublayer_leaves(rng, shape, hidden):
 
 
 def segment_tokens_leaves(rng, shape):
-    """x, gain, bias, a two-row segment table and its gain and bias."""
+    """Two sides of ``shape``, each (x, gain, bias, seg_gain, seg_bias), and
+    a two-row segment table."""
     dim = shape[-1]
-    return [leaf(rng, *shape), leaf(rng, dim), leaf(rng, dim), leaf(rng, 2, dim),
-            leaf(rng, dim), leaf(rng, dim)]
+    sides = [(leaf(rng, *shape), leaf(rng, dim), leaf(rng, dim), leaf(rng, dim), leaf(rng, dim))
+             for _ in range(2)]
+    return sides, leaf(rng, 2, dim)
+
+
+def composed_image_input(sides, segments):
+    """The three nodes that segment_tokens replaced: each side's tokens,
+    concatenated."""
+    return tensor.concat([composed_segment_tokens(x, gain, bias, segments, i, seg_gain, seg_bias)
+                          for i, (x, gain, bias, seg_gain, seg_bias) in enumerate(sides)], axis=-2)
 
 
 def attention_leaves(rng, batch, length, dim):
@@ -378,12 +392,18 @@ def attention_leaves(rng, batch, length, dim):
     return x, weights, biases
 
 
+def unit_norm(dim):
+    """A layer norm's gain and bias that leave the normalized rows as they are."""
+    return Tensor(np.ones(dim)), Tensor(np.zeros(dim))
+
+
 RAGGED = np.array([[True, True, False, True], [True, False, False, False], [True] * 4])
 
 
 class TestFusedOps:
-    """linear, attention and masked_mean: finite differences, parity with
-    the primitive compositions they replaced, and their edge cases."""
+    """linear, attention (through attention_sublayer) and masked_mean: finite
+    differences, parity with the primitive compositions they replaced, and
+    their edge cases."""
 
     @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
     def test_linear_gradients(self, shape):
@@ -397,14 +417,16 @@ class TestFusedOps:
     def test_attention_gradients(self, mask, heads):
         rng = np.random.default_rng(31)
         x, weights, biases = attention_leaves(rng, 3, 4, 4)
+        gain, bias = leaf(rng, 4), leaf(rng, 4)
         up = Tensor(rng.normal(size=(3, 4, 4)))
 
         def build():
-            return (tensor.attention(x, weights, biases, heads, mask=mask) * up).sum()
+            return (tensor.attention_sublayer(x, weights, biases, heads, gain, bias, mask=mask)
+                    * up).sum()
 
         # The key bias cancels in the softmax, so its gradient is rounding
         # noise; every other leaf is checked against finite differences.
-        check_grads(build, [x, *weights, *biases[:1], *biases[2:]], rtol=1e-6)
+        check_grads(build, [x, *weights, *biases[:1], *biases[2:], gain, bias], rtol=1e-6)
         np.testing.assert_allclose(biases[1].grad, 0.0, atol=1e-12)
 
     def test_masked_mean_gradients_and_empty_slot(self):
@@ -419,7 +441,8 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("op", ["linear", "attention", "masked_mean"])
     def test_parity_with_composition(self, op):
-        """Forward values and every gradient agree to 1e-12."""
+        """Forward values and every gradient agree to 1e-12; attention is
+        attention_sublayer against ``layernorm(x + composed_attention(x))``."""
         rng = np.random.default_rng(33)
         if op == "linear":
             x, w, b = leaf(rng, 3, 5, 6), leaf(rng, 4, 6), leaf(rng, 4)
@@ -427,9 +450,11 @@ class TestFusedOps:
             fused, composed = tensor.linear(x, w, b), composed_linear(x, w, b)
         elif op == "attention":
             x, weights, biases = attention_leaves(rng, 3, 4, 6)
-            leaves = [x, *weights, *biases]
-            fused = tensor.attention(x, weights, biases, 3, mask=RAGGED)
-            composed = composed_attention(x, weights, biases, 3, mask=RAGGED)
+            gain, bias = leaf(rng, 6), leaf(rng, 6)
+            leaves = [x, *weights, *biases, gain, bias]
+            fused = tensor.attention_sublayer(x, weights, biases, 3, gain, bias, mask=RAGGED)
+            composed = tensor.layernorm(x + composed_attention(x, weights, biases, 3, mask=RAGGED),
+                                        gain, bias)
         else:
             x = leaf(rng, 3, 4, 6)
             mask = RAGGED.copy()
@@ -453,13 +478,16 @@ class TestFusedOps:
         mask = RAGGED.copy()
         mask[2] = False
         with pytest.raises(InvalidMaskError):
-            tensor.attention(x, weights, biases, 2, mask=mask)
+            tensor.attention_sublayer(x, weights, biases, 2, *unit_norm(4), mask=mask)
 
     def test_all_real_mask_matches_no_mask(self):
         rng = np.random.default_rng(35)
         x, weights, biases = attention_leaves(rng, 3, 4, 4)
-        full = tensor.attention(x, weights, biases, 2, mask=np.ones((3, 4), bool))
-        np.testing.assert_array_equal(full.data, tensor.attention(x, weights, biases, 2).data)
+        gain, bias = leaf(rng, 4), leaf(rng, 4)
+        full = tensor.attention_sublayer(x, weights, biases, 2, gain, bias,
+                                         mask=np.ones((3, 4), bool))
+        np.testing.assert_array_equal(
+            full.data, tensor.attention_sublayer(x, weights, biases, 2, gain, bias).data)
 
     def test_shape_errors(self):
         rng = np.random.default_rng(37)
@@ -471,8 +499,9 @@ class TestFusedOps:
         with pytest.raises(ShapeMismatchError):
             tensor.masked_mean(x, np.ones(3, bool))
         x, weights, biases = attention_leaves(rng, 3, 4, 4)
-        with pytest.raises(ShapeMismatchError):
-            tensor.attention(x, weights, biases, 2, mask=np.ones((3, 5), bool))
+        with pytest.raises(ShapeMismatchError, match="attention mask"):
+            tensor.attention_sublayer(x, weights, biases, 2, *unit_norm(4),
+                                      mask=np.ones((3, 5), bool))
 
     @pytest.mark.parametrize("heads", [3, 0, -2])
     def test_attention_heads_must_divide_the_width(self, heads):
@@ -480,20 +509,21 @@ class TestFusedOps:
         before it projects or reshapes anything."""
         x, weights, biases = attention_leaves(np.random.default_rng(38), 1, 2, 4)
         with pytest.raises(ConfigError, match=f"width 4 is not divisible by {heads} heads"):
-            tensor.attention(x, weights, biases, heads)
+            tensor.attention_sublayer(x, weights, biases, heads, *unit_norm(4))
 
 
 class TestTransformerFusedOps:
-    """feed_forward, the two post-norm residual sublayers and segment_tokens:
-    finite differences, and bit parity with the compositions they replace in
-    the encoder, which stay here as their oracles."""
+    """The two post-norm residual sublayers, their feed-forward, and
+    segment_tokens: finite differences, and bit parity with the compositions
+    they replace in the encoder, which stay here as their oracles."""
 
     @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
     def test_feed_forward_gradients(self, shape):
+        """feed_forward_sublayer's forward pass alone, one node."""
         rng = np.random.default_rng(40)
         leaves = feed_forward_leaves(rng, shape, hidden=6, out=3)
         up = Tensor(rng.normal(size=shape[:-1] + (3,)))
-        check_grads(lambda: (tensor.feed_forward(*leaves) * up).sum(), leaves, rtol=1e-6)
+        check_grads(lambda: (feed_forward_node(*leaves) * up).sum(), leaves, rtol=1e-6)
 
     @pytest.mark.parametrize("shape", [(6,), (4, 5), (2, 3, 5)])
     def test_residual_layernorm_gradients(self, shape):
@@ -505,37 +535,37 @@ class TestTransformerFusedOps:
         check_grads(lambda: (tensor.feed_forward_sublayer(*leaves) * up).sum(),
                     leaves, rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize("shape", [(6,), (4, 5), (2, 3, 5)])
+    @pytest.mark.parametrize("shape", [(3, 6), (4, 5), (2, 3, 5)])
     def test_segment_tokens_gradients(self, shape):
+        """Every leaf of both sides, and both rows of the segment table."""
         rng = np.random.default_rng(45)
-        x, gain, bias, segments, seg_gain, seg_bias = segment_tokens_leaves(rng, shape)
-        up = Tensor(rng.normal(size=shape))
-        check_grads(
-            lambda: (tensor.segment_tokens(x, gain, bias, segments, 1, seg_gain, seg_bias)
-                     * up).sum(),
-            [x, gain, bias, segments, seg_gain, seg_bias], rtol=1e-5, atol=1e-6,
-        )
-        np.testing.assert_array_equal(segments.grad[0], 0.0)
+        sides, segments = segment_tokens_leaves(rng, shape)
+        up = Tensor(rng.normal(size=shape[:-2] + (2 * shape[-2], shape[-1])))
+        check_grads(lambda: (tensor.segment_tokens(sides, segments) * up).sum(),
+                    [t for side in sides for t in side] + [segments], rtol=1e-5, atol=1e-6)
+        assert (segments.grad != 0.0).all()
 
     @pytest.mark.parametrize("shape", [(7, 6), (3, 5, 6)])
     @pytest.mark.parametrize("op", ["feed_forward", "residual_layernorm", "segment_tokens"])
     def test_bit_parity_with_composition(self, op, shape):
         """One node, and the forward values and every gradient equal the
         composition's bit for bit; some hidden units are off, some on.
-        ``residual_layernorm`` is feed_forward_sublayer against
-        ``layernorm(x + feed_forward(x))``."""
+        ``feed_forward`` is feed_forward_sublayer against
+        ``layernorm(x + composed_feed_forward(x))``, ``residual_layernorm``
+        against ``layernorm(x + feed_forward_node(x))``, and segment_tokens is
+        set against each side's composed tokens, concatenated."""
         rng = np.random.default_rng(42)
-        if op == "feed_forward":
-            leaves = feed_forward_leaves(rng, shape, hidden=24, out=5)
-            fused, composed = tensor.feed_forward(*leaves), composed_feed_forward(*leaves)
-        elif op == "residual_layernorm":
-            leaves = feed_forward_sublayer_leaves(rng, shape, hidden=24)
-            fused = tensor.feed_forward_sublayer(*leaves)
-            composed = composed_feed_forward_sublayer(*leaves)
+        if op == "segment_tokens":
+            sides, segments = segment_tokens_leaves(rng, shape)
+            leaves = [t for side in sides for t in side] + [segments]
+            fused, composed = (tensor.segment_tokens(sides, segments),
+                               composed_image_input(sides, segments))
         else:
-            x, gain, bias, segments, seg_gain, seg_bias = leaves = segment_tokens_leaves(rng, shape)
-            fused = tensor.segment_tokens(x, gain, bias, segments, 1, seg_gain, seg_bias)
-            composed = composed_segment_tokens(x, gain, bias, segments, 1, seg_gain, seg_bias)
+            leaves = feed_forward_sublayer_leaves(rng, shape, hidden=24)
+            x, gain, bias = leaves[0], *leaves[5:]
+            feed_forward = composed_feed_forward if op == "feed_forward" else feed_forward_node
+            fused = tensor.feed_forward_sublayer(*leaves)
+            composed = tensor.layernorm(x + feed_forward(*leaves[:5]), gain, bias)
         if op != "segment_tokens":
             hidden = leaves[0].data @ leaves[1].data.T + leaves[2].data
             assert (hidden > 0).any() and (hidden < 0).any()
@@ -555,13 +585,14 @@ class TestTransformerFusedOps:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_attention_sublayer_bit_parity(self, mask, heads):
         """attention_sublayer is one node whose output and every gradient equal
-        ``layernorm(x + attention(x))`` bit for bit."""
+        ``layernorm(x + attention_node(x))`` bit for bit."""
         rng = np.random.default_rng(46)
         x, weights, biases = attention_leaves(rng, 3, 4, 6)
         gain, bias = leaf(rng, 6), leaf(rng, 6)
         leaves = [x, *weights, *biases, gain, bias]
         fused = tensor.attention_sublayer(x, weights, biases, heads, gain, bias, mask=mask)
-        composed = composed_attention_sublayer(x, weights, biases, heads, gain, bias, mask=mask)
+        composed = tensor.layernorm(x + attention_node(x, weights, biases, heads, mask=mask),
+                                    gain, bias)
         assert all(p.node is None for p in fused.node.parents)
         np.testing.assert_array_equal(fused.data, composed.data)
         up = Tensor(rng.normal(size=fused.shape))
@@ -593,14 +624,16 @@ class TestTransformerFusedOps:
         """Scores of one image per chunk, or of all at once: the same gradients."""
         rng = np.random.default_rng(47)
         x, weights, biases = attention_leaves(rng, 5, 4, 6)
-        leaves = [x, *weights, *biases]
+        gain, bias = leaf(rng, 6), leaf(rng, 6)
+        leaves = [x, *weights, *biases, gain, bias]
         up = Tensor(rng.normal(size=(5, 4, 6)))
         grads = []
         for chunk in (1, 2**30):
             monkeypatch.setattr(tensor, "SOFTMAX_CHUNK_BYTES", chunk)
             for t in leaves:
                 t.zero_grad()
-            tensor.backward((tensor.attention(x, weights, biases, 3, mask=None) * up).sum())
+            out = tensor.attention_sublayer(x, weights, biases, 3, gain, bias, mask=None)
+            tensor.backward((out * up).sum())
             grads.append([t.grad for t in leaves])
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
@@ -634,18 +667,81 @@ class TestTransformerFusedOps:
         assert len(allocated) == 2
         assert all((size > hidden_bytes) == grad for size in allocated), allocated
 
+    @pytest.mark.parametrize("grad", [False, True], ids=["no_grad", "grad"])
+    def test_segment_tokens_frees_each_side_before_the_next(self, monkeypatch, grad):
+        """Without a graph, the first side's normalized tokens are freed
+        before the second side's norm starts: what is allocated then is the
+        output and less than half a side more.  With a graph, the backward
+        keeps them, and a whole side more is allocated."""
+        shape = (8, 24, 16)
+        sides, segments = segment_tokens_leaves(np.random.default_rng(49), shape)
+        side_bytes = 8 * np.prod(shape)
+        layernorm, allocated = tensor._layernorm, []
+
+        def spy(x, *args, **kwargs):
+            if x.shape == shape:
+                allocated.append(tracemalloc.get_traced_memory()[0] - start)
+            return layernorm(x, *args, **kwargs)
+
+        monkeypatch.setattr(tensor, "_layernorm", spy)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with tensor.no_grad() if not grad else contextlib.nullcontext():
+                tensor.segment_tokens(sides, segments)
+        finally:
+            tracemalloc.stop()
+        assert len(allocated) == 2
+        assert (allocated[1] - 2 * side_bytes > side_bytes / 2) == grad, allocated
+
+    def test_segment_tokens_holds_less_than_the_composition(self):
+        """After the forward, the one node holds less than the three-node
+        composition it replaced, which keeps each side's tokens beside their
+        concatenation."""
+        sides, segments = segment_tokens_leaves(np.random.default_rng(50), (8, 24, 16))
+
+        def held(build):
+            tracemalloc.start()
+            try:
+                out = build(sides, segments)
+                return tracemalloc.get_traced_memory()[0], out.shape
+            finally:
+                tracemalloc.stop()
+
+        fused, composed = held(tensor.segment_tokens), held(composed_image_input)
+        assert fused[1] == composed[1] and fused[0] < composed[0], (fused, composed)
+
+    @pytest.mark.parametrize("case", ["unequal-sides", "too-few-rows", "table-width",
+                                      "no-token-axis", "no-sides"])
+    def test_segment_tokens_refuses_bad_input(self, case):
+        """Sides of unequal shape, a segment table with fewer rows than sides
+        (once a raw IndexError) or of another width, sides without a token
+        axis and no sides at all raise ShapeMismatchError naming the op."""
+        rng = np.random.default_rng(51)
+        sides, segments = segment_tokens_leaves(rng, (3, 4, 5))
+        if case == "unequal-sides":
+            sides[1] = (leaf(rng, 3, 2, 5), *sides[1][1:])
+        elif case == "too-few-rows":
+            segments = leaf(rng, 1, 5)
+        elif case == "table-width":
+            segments = leaf(rng, 2, 4)
+        elif case == "no-token-axis":
+            sides = [(leaf(rng, 5), *side[1:]) for side in sides]
+        else:
+            sides = []
+        with pytest.raises(ShapeMismatchError, match="^segment_tokens needs"):
+            tensor.segment_tokens(sides, segments)
+
     def test_shape_errors(self):
         rng = np.random.default_rng(44)
         x, w1, b1, w2, b2 = feed_forward_leaves(rng, (2, 3), hidden=5, out=4)
+        gain, bias = leaf(rng, 3), leaf(rng, 3)
         for args in ((x, w1.T, b1, w2, b2), (x, w1, b2, w2, b2), (x, w1, b1, w2.T, b2),
                      (x, w1, b1, w2, b1)):
-            with pytest.raises(ShapeMismatchError, match="feed_forward"):
-                tensor.feed_forward(*args)
-        gain, bias = leaf(rng, 3), leaf(rng, 3)
+            with pytest.raises(ShapeMismatchError, match="feed_forward needs"):
+                tensor.feed_forward_sublayer(*args, gain, bias)
         with pytest.raises(ShapeMismatchError, match="residual"):
             tensor.feed_forward_sublayer(x, w1, b1, w2, b2, gain, bias)
-        with pytest.raises(ShapeMismatchError, match="segment_tokens"):
-            tensor.segment_tokens(x, gain, bias, leaf(rng, 2, 4), 0, leaf(rng, 4), leaf(rng, 4))
 
     @pytest.mark.parametrize("x,offset", [
         ([[1e300, -1e300, 0.0], [1.0, 2.0, 3.0]], None),
@@ -974,7 +1070,7 @@ class TestConsumedGraph:
         assert all(node.backward_fn is not None for node, _, _ in before.values())
         tensor.backward(loss)
         after = graph_nodes(loss)
-        assert after.keys() == before.keys() and len(after) == 23
+        assert after.keys() == before.keys() and len(after) == 21
         for key, (node, name, parents) in before.items():
             assert node.backward_fn is None
             assert after[key] == (node, name, parents)
