@@ -90,24 +90,33 @@ def distance_samples(
 
     intra, cross, matched = [], [], []
     for d, doc in enumerate(docs):
-        def distance(a, b):
-            return _finite(float(np.linalg.norm(a - b)), doc, "an image distance")
-
         by_sentence = _gold_by_sentence(doc)
-        own, outside = feats[owner == d], np.flatnonzero(owner != d)
+        own, outside = np.flatnonzero(owner == d), np.flatnonzero(owner != d)
         for m in sorted(by_sentence):
             gold = by_sentence[m]
-            anchor = own[min(gold)]
-            for n in sorted(gold - {min(gold)}):
-                matched.append(distance(anchor, own[n]))
-            for n in range(len(doc.images)):
-                if n not in gold:
-                    intra.append(distance(anchor, own[n]))
+            near = sorted(gold - {min(gold)})
+            far = [n for n in range(len(doc.images)) if n not in gold]
             take = min(samples_per_sentence, outside.size)
             picks = rng.choice(outside.size, size=take, replace=False)
-            for idx in np.sort(outside[np.asarray(picks, dtype=int)]):
-                cross.append(distance(anchor, feats[idx]))
+            rows = np.concatenate([own[near], own[far],
+                                   np.sort(outside[np.asarray(picks, dtype=int)])])
+            dist = _distances(feats[own[min(gold)]], feats[rows], doc)
+            matched += dist[: len(near)]
+            intra += dist[len(near) : len(near) + len(far)]
+            cross += dist[len(near) + len(far) :]
     return np.array(intra), np.array(cross), np.array(matched)
+
+
+def _distances(anchor: np.ndarray, others: np.ndarray, doc) -> list:
+    """L2 distance from ``anchor`` to each row of ``others``, each the BLAS
+    dot product ``np.linalg.norm`` takes, batched; the first that is not
+    finite raises NonFiniteError naming ``doc``."""
+    diff = others - anchor
+    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    bad = dist[~np.isfinite(dist)]
+    if bad.size:
+        _finite(float(bad[0]), doc, "an image distance")
+    return dist.tolist()
 
 
 def _check_sample_count(samples_per_sentence: int) -> None:

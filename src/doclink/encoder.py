@@ -19,8 +19,9 @@ Documents are encoded one way, by :func:`batch_representations`: one pass
 per modality over several documents, padded by :func:`~doclink.tensor.pad`,
 returned flat as :class:`Representations` with each document's row offsets.
 Training hands that value to the objective whole; evaluation and diagnostics
-call :func:`split_representations`, its graph-free form over a split, and
-read each document's rows by offset.  That form and ``train`` run
+call :func:`split_representations`, its graph-free form over a split, whose
+passes run at once on worker threads when they are large enough, and read
+each document's rows by offset.  That form and ``train`` run
 :func:`check_fit`, the one fit check; encoders check only what their counts
 and padded arrays show, and a failing batch is walked to name its document.
 
@@ -32,6 +33,10 @@ shapes only; :func:`draw_parameters` is the one init policy, which
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +70,16 @@ from .tensor import (
     segment_tokens,
 )
 
-# Documents per graph-free pass: a default training batch, so evaluation never
-# holds more activations than one training step's forward pass.
+# Documents per graph-free pass: a default training batch, so each pass holds
+# no more activations than one training step's forward pass.  Up to W passes
+# are in flight at once (see split_representations), and W x a pass's
+# attention scores stay at or below MAX_WORD_TABLE_BYTES.
 DOCS_PER_PASS = 11
+# Token values (padded token rows x embed_dim, both towers) of the largest
+# pass from which a split's passes run on worker threads: numpy releases the
+# GIL inside BLAS and long loops, but smaller passes are bound by the GIL
+# and run slower threaded than serially.
+THREADED_PASS_VALUES = 2**16
 
 
 def word_table(vocab_size: int, width: int, fill) -> np.ndarray:
@@ -359,7 +371,7 @@ def _encode_alone(doc, params: ModelParams, config: ModelConfig) -> None:
 
 
 def check_fit(corpus: Corpus, docs: list, config: ModelConfig,
-              docs_per_pass: int = DOCS_PER_PASS) -> None:
+              docs_per_pass: int = DOCS_PER_PASS) -> tuple:
     """Raise CorpusValidationError naming the first of ``docs`` the model cannot
     encode.  Load validated ``corpus`` against its own vocab_size and obj_dim:
     if the model covers both and the longest sentence fits, none is walked.
@@ -369,14 +381,20 @@ def check_fit(corpus: Corpus, docs: list, config: ModelConfig,
     tokens**2, where rows are the sentences (images) of the documents with
     the most and tokens are the longest sentence (twice the most object rows
     of an image).  Above MAX_WORD_TABLE_BYTES it raises ConfigError naming
-    the document that sets the tokens, before anything is encoded."""
+    the document that sets the tokens, before anything is encoded.
+
+    Returns the largest pass's size as (score bytes, the larger tower's;
+    token values, rows x tokens x embed_dim summed over both towers), from
+    which :func:`split_representations` chooses serial or threaded passes
+    and keeps W passes x the score bytes at or below MAX_WORD_TABLE_BYTES."""
     longest = max((len(tokens) for doc in docs for tokens in doc.sentences), default=0)
     if (config.vocab_size < corpus.vocab_size or config.obj_dim != corpus.obj_dim
             or longest > config.max_sentence_len):
         for doc in docs:
             validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
+    score_bytes = values = 0
     if not docs:
-        return
+        return score_bytes, values
     for what, lengths in (
         ("sentence", [[len(tokens) for tokens in doc.sentences] for doc in docs]),
         ("image", [[2 * len(img.objects) for img in doc.images] for doc in docs]),
@@ -391,17 +409,59 @@ def check_fit(corpus: Corpus, docs: list, config: ModelConfig,
                 f"of up to {docs_per_pass} documents form {size} bytes of attention scores "
                 f"at heads={config.heads}, more than {MAX_WORD_TABLE_BYTES} bytes"
             )
+        score_bytes = max(score_bytes, size)
+        values += rows * tokens[i] * config.embed_dim
+    return score_bytes, values
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """The threads numpy's OpenBLAS runs a product on; 1 where it cannot be read."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return 1
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        if (get := getattr(lib, name, None)) is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            return max(1, get())
+    return 1
 
 
 def split_representations(corpus: Corpus, split: str, params: ModelParams, config: ModelConfig):
     """Graph-free :func:`batch_representations` of a split's documents once
     :func:`check_fit` passes them, DOCS_PER_PASS documents per pass, joined
-    into one flat :class:`Representations` of the split.  A split with no
-    documents raises CorpusValidationError naming it."""
+    in document order into one flat :class:`Representations` of the split.
+    A split with no documents raises CorpusValidationError naming it.
+
+    Passes of at least THREADED_PASS_VALUES token values run at once on W
+    worker threads, W = min(passes, :func:`usable_cpus` // :func:`blas_threads`,
+    MAX_WORD_TABLE_BYTES // a pass's score bytes): each worker's products
+    get the CPUs BLAS would use, and the passes in flight hold at most
+    MAX_WORD_TABLE_BYTES of attention scores.  Each worker runs
+    in a copy of the caller's context (its ``np.errstate`` holds there).
+    The passes are those of the serial loop, so W never changes a byte, and
+    the first failing pass in document order raises the serial loop's error."""
     docs = corpus.split_documents(split, nonempty=True)
-    check_fit(corpus, docs, config)
+    score_bytes, values = check_fit(corpus, docs, config)
+    groups = [docs[start : start + DOCS_PER_PASS] for start in range(0, len(docs), DOCS_PER_PASS)]
+    workers = min(len(groups), usable_cpus() // blas_threads(),
+                  MAX_WORD_TABLE_BYTES // max(score_bytes, 1))
     with no_grad():
-        passes = [batch_representations(docs[start : start + DOCS_PER_PASS], params, config)
-                  for start in range(0, len(docs), DOCS_PER_PASS)]
+        if workers < 2 or values < THREADED_PASS_VALUES:
+            passes = [batch_representations(group, params, config) for group in groups]
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(contextvars.copy_context().run, batch_representations,
+                                       group, params, config) for group in groups]
+            passes = [future.result() for future in futures]
         return Representations.of(docs, concat([r.sentences for r in passes]),
                                   concat([r.images for r in passes]))

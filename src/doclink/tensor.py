@@ -35,7 +35,10 @@ On glibc, importing this module sets the allocator once: arrays up to
 32 MiB come from the heap, and freed heap memory is kept by the process
 until more than MAX_WORD_TABLE_BYTES of it is free.  Each training step
 then reuses the pages of the last instead of faulting them in afresh; the
-cost is that the resident size stays at the run's high-water mark.
+cost is that the resident size stays at the run's high-water mark.  Every
+thread allocates from that one heap, so the worker threads of a split's
+encoding reuse the pages training freed instead of each faulting in an
+arena of its own.
 
 Convention at non-differentiable points: the subgradient of the
 first-encountered / left branch is used (``relu'(0) == 0``, ties in ``max``
@@ -69,12 +72,13 @@ SOFTMAX_CHUNK_BYTES = 2**20
 # Added to each row's variance by every layer norm.
 LAYERNORM_EPS = 1e-5
 # glibc's mallopt parameters (malloc.h).
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 
 
 def _keep_freed_pages() -> None:
-    """On glibc, heap-allocate arrays up to 32 MiB and trim the heap only
-    past MAX_WORD_TABLE_BYTES free; elsewhere, or without mallopt, nothing."""
+    """On glibc, heap-allocate arrays up to 32 MiB from one arena for every
+    thread, and trim the heap only past MAX_WORD_TABLE_BYTES free; elsewhere,
+    or without mallopt, nothing."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
             return
@@ -84,6 +88,7 @@ def _keep_freed_pages() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, 32 * 2**20)
     mallopt(M_TRIM_THRESHOLD, MAX_WORD_TABLE_BYTES)
+    mallopt(M_ARENA_MAX, 1)
 
 
 _keep_freed_pages()

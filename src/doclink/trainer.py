@@ -243,7 +243,10 @@ def train(
     learning rate at epoch end, and the decay count.  If ``checkpoint_path``
     is set, a checkpoint is written after every epoch, or once of the
     starting state when no epoch is left to run; a non-finite loss aborts,
-    leaving the last epoch's checkpoint in place.  ``resume_from`` restores
+    leaving the last epoch's checkpoint in place.  Once plateau decays have
+    brought the rate to 0.0, no later step can move a parameter, so the run
+    ends before the next epoch, as at max_epochs, with one warning naming
+    decay_factor and the decay count.  ``resume_from`` restores
     parameters, optimizer and :class:`TrainState`, then continues to
     max_epochs, which must not be below the checkpoint's epoch; every
     stored setting except max_epochs must equal the requested one.  Train
@@ -295,7 +298,18 @@ def train(
     if state.epoch == train_config.max_epochs:
         checkpoint()  # nothing to train: the starting state is the result
     named = params.named_parameters()
-    for epoch in range(state.epoch, train_config.max_epochs):
+    start = state.epoch
+    for epoch in range(start, train_config.max_epochs):
+        # The rate after warm-up is the largest any later step can take.
+        if lr_at(max(state.step, train_config.warmup_steps), train_config, state.decays) == 0.0:
+            warnings.warn(
+                f"the learning rate is 0.0 after {state.decays} decays by "
+                f"decay_factor={train_config.decay_factor}; the run ends with {epoch} of "
+                f"max_epochs={train_config.max_epochs} epochs run"
+            )
+            if epoch == start:
+                checkpoint()  # nothing ran: the starting state is the result
+            break
         epoch_parts = []
         for batch_ids in make_batches(len(train_docs), train_config.batch_size, batching):
             loss, parts = _batch_loss(

@@ -238,18 +238,28 @@ class TestTrain:
 
     def test_decays_past_the_float_range_finish_the_run(self, workspace, tmp_path):
         """Patience 0 decays on every stalled epoch; a divisor of 1e200 per
-        decay passes the float range by the second, and the run goes on at
-        rate 0.0."""
+        decay passes the float range by the second, and at rate 0.0 no step
+        can move a parameter, so the run ends there, as at max_epochs, with a
+        warning naming decay_factor and the decay count.  A resume from its
+        checkpoint trains nothing and ends the same way."""
         config = tmp_path / "train.json"
         write_json(config, train_sections(decay_factor=1e200, plateau_patience_epochs=0,
                                           max_epochs=4))
-        out = tmp_path / "decayed"
-        code = main(["train", "--corpus", str(workspace / "data" / "corpus.jsonl"),
-                     "--out", str(out), "--config", str(config)])
+        corpus = str(workspace / "data" / "corpus.jsonl")
+        out, again = tmp_path / "decayed", tmp_path / "again"
+        spent = r"learning rate is 0\.0 after 2 decays by decay_factor=1e\+200; the run ends with 3 "
+        with pytest.warns(UserWarning, match=spent):
+            code = main(["train", "--corpus", corpus, "--out", str(out), "--config", str(config)])
         assert code == 0
         history = json.loads(read_bytes(out / "history.json"))
-        assert len(history) == 4
-        assert history[-1]["decays"] >= 2 and history[-1]["lr"] == 0.0
+        assert len(history) == 3
+        assert history[-1]["decays"] == 2 and history[-1]["lr"] == 0.0
+        with pytest.warns(UserWarning, match=spent):
+            code = main(["train", "--corpus", corpus, "--out", str(again), "--config", str(config),
+                         "--resume", str(out / "checkpoint.json")])
+        assert code == 0
+        for name in ("checkpoint.json", "history.json"):
+            assert read_bytes(again / name) == read_bytes(out / name)
 
     @pytest.mark.parametrize("size", [{"max_sentence_len": 10**12}, {"embed_dim": 2**20}],
                              ids=["positions", "width"])

@@ -209,6 +209,18 @@ class TestDistanceSamples:
         with pytest.raises(NonFiniteError, match="document 'train-0001': an image distance is inf"):
             distance_samples(corpus, "train", 0, RngStream(7).child("d"))
 
+    @pytest.mark.parametrize("width", [7, 16, 64, 300])
+    def test_distances_are_the_per_pair_norms_bit_for_bit(self, width):
+        """One batched product per anchor gives every distance the bits of
+        np.linalg.norm of that pair, in the same order, from the same draws."""
+        corpus = diag_corpus(density=0.6)
+        docs = corpus.split_documents("train")
+        reps = np.random.default_rng(width).normal(size=(sum(len(d.images) for d in docs), width))
+        got = distance_samples(corpus, "train", 3, RngStream(10).child("d"), image_reps=reps)
+        want = per_pair_distance_samples(docs, reps, 3, RngStream(10).child("d"))
+        for g, w in zip(got, want):
+            assert g.size > 0 and g.tobytes() == w.tobytes()
+
     def test_learned_mode_uses_encoder_space(self):
         corpus = diag_corpus()
         config = ModelConfig(
@@ -228,6 +240,29 @@ class TestDistanceSamples:
         )
         assert raw[0].shape == learned[0].shape
         assert not np.allclose(raw[0], learned[0])
+
+
+def per_pair_distance_samples(docs, feats, samples_per_sentence, rng):
+    """The per-pair reference over a split's flat (images, d) rows: one
+    np.linalg.norm call per distance."""
+    owner = np.repeat(np.arange(len(docs)), [len(doc.images) for doc in docs])
+    intra, cross, matched = [], [], []
+    for d, doc in enumerate(docs):
+        by_sentence = {}
+        for m, n in doc.gold_edges:
+            by_sentence.setdefault(m, set()).add(n)
+        own, outside = feats[owner == d], np.flatnonzero(owner != d)
+        for m in sorted(by_sentence):
+            gold = by_sentence[m]
+            anchor = own[min(gold)]
+            matched += [float(np.linalg.norm(anchor - own[n])) for n in sorted(gold - {min(gold)})]
+            intra += [float(np.linalg.norm(anchor - own[n]))
+                      for n in range(len(doc.images)) if n not in gold]
+            picks = rng.choice(outside.size, size=min(samples_per_sentence, outside.size),
+                               replace=False)
+            cross += [float(np.linalg.norm(anchor - feats[i]))
+                      for i in np.sort(outside[np.asarray(picks, dtype=int)])]
+    return np.array(intra), np.array(cross), np.array(matched)
 
 
 def loop_distance_samples(corpus, split, samples_per_sentence, rng):

@@ -2,7 +2,12 @@
 and the one check that a corpus fits the model."""
 
 import itertools
+import os
 import re
+import subprocess
+import sys
+import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -32,6 +37,7 @@ from doclink.errors import (
     ConfigError,
     CorpusValidationError,
     DegenerateEmbeddingError,
+    DoclinkError,
     NonFiniteError,
     SequenceLengthError,
     ShapeMismatchError,
@@ -633,6 +639,157 @@ class TestOneFlatSplit:
         ):
             with pytest.raises(CorpusValidationError, match="split 'test' has no documents"):
                 read()
+
+
+def ragged_corpus(seed: int, docs: int) -> Corpus:
+    """A test split of ``docs`` documents of 1-4 sentences of 1-12 tokens and
+    1-3 images of 1-4 objects, vocabulary 30, object width 5."""
+    rng = np.random.default_rng(seed)
+    documents = [
+        Document(
+            id=f"d{d}",
+            sentences=[[int(t) for t in rng.integers(0, 30, size=rng.integers(1, 13))]
+                       for _ in range(rng.integers(1, 5))],
+            images=[make_image(rng, mu=int(rng.integers(1, 5)),
+                               concept_len=int(rng.integers(1, 4)))
+                    for _ in range(rng.integers(1, 4))],
+        )
+        for d in range(docs)
+    ]
+    return Corpus(documents, vocab_size=30, obj_dim=5,
+                  splits={"test": [doc.id for doc in documents]})
+
+
+def encode_split(corpus, params, config, threads: bool):
+    """split_representations on worker threads for any pass size (8 CPUs,
+    one BLAS thread), or serially; the result's bytes and the threads its
+    passes ran on, or the error it raised."""
+    ran_on = set()
+    encode = doclink.encoder.batch_representations
+
+    def spied(*args):
+        ran_on.add(threading.get_ident())
+        return encode(*args)
+
+    with mock.patch.multiple(doclink.encoder, batch_representations=spied,
+                             THREADED_PASS_VALUES=0 if threads else float("inf"),
+                             usable_cpus=lambda: 8, blas_threads=lambda: 1):
+        try:
+            reps = split_representations(corpus, "test", params, config)
+        except DoclinkError as exc:
+            return exc, ran_on
+    return reps.sentences.data.tobytes() + reps.images.data.tobytes(), ran_on
+
+
+# A split of three pipeline-shaped passes (36 objects, width 64, four heads),
+# encoded serially and on worker threads at this process's BLAS thread count;
+# prints whether the bytes are equal and how many threads ran passes.
+THREADED_BYTES = """
+import threading
+import doclink.encoder as encoder
+from doclink.corpus import SynthConfig, generate_synthetic
+from doclink.encoder import ModelConfig, init_params, split_representations
+from doclink.rng import RngStream
+
+corpus = generate_synthetic(SynthConfig(
+    train_docs=2, val_docs=0, test_docs=2 * encoder.DOCS_PER_PASS + 1, sentences_per_doc=8,
+    images_per_doc=6, vocab_size=400, obj_dim=64, objects_per_image=36, sentence_len=10,
+    tokens_per_cluster=4), RngStream(3))
+config = ModelConfig(vocab_size=400, obj_dim=64, embed_dim=64, sentence_layers=1,
+                     image_layers=1, heads=4, word_dim=32, max_sentence_len=16)
+params = init_params(config, RngStream(3))
+ran_on, encode = set(), encoder.batch_representations
+
+def spied(*args):
+    ran_on.add(threading.get_ident())
+    return encode(*args)
+
+encoder.batch_representations = spied
+encoder.usable_cpus = lambda: 2 * encoder.blas_threads()
+out = []
+for threshold in (float("inf"), 0):
+    encoder.THREADED_PASS_VALUES = threshold
+    reps = split_representations(corpus, "test", params, config)
+    out.append(reps.sentences.data.tobytes() + reps.images.data.tobytes())
+print(out[0] == out[1], len(ran_on))
+"""
+
+
+class TestThreadedSplit:
+    """A split's passes on worker threads give the serial loop's bytes and
+    raise its errors."""
+
+    def test_bytes_equal_the_serial_loop(self):
+        """Nine ragged passes on eight workers, more than this host's CPUs,
+        switching threads every microsecond: the serial loop's bytes."""
+        config, params = tiny_model(max_len=12)
+        corpus = ragged_corpus(13, 8 * DOCS_PER_PASS + 2)
+        serial, serial_threads = encode_split(corpus, params, config, threads=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, worker_threads = encode_split(corpus, params, config, threads=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial_threads == {threading.get_ident()}
+        assert threading.get_ident() not in worker_threads and len(worker_threads) >= 2
+        assert threaded == serial
+
+    @pytest.mark.parametrize("blas", ["1", "2"])
+    def test_bytes_equal_the_serial_loop_at_each_blas_thread_count(self, blas):
+        src = os.path.dirname(os.path.dirname(doclink.encoder.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", THREADED_BYTES], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        same, threads = done.stdout.split()
+        assert same == "True" and int(threads) >= 3  # the main thread and two workers
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        modes, encode = [], doclink.encoder.batch_representations
+        monkeypatch.setattr(doclink.encoder, "batch_representations",
+                            lambda *args: modes.append(np.geterr()["divide"]) or encode(*args))
+        config, params = tiny_model(max_len=12)
+        with np.errstate(divide="raise"):
+            _, worker_threads = encode_split(ragged_corpus(13, 3 * DOCS_PER_PASS + 2),
+                                             params, config, threads=True)
+        assert len(worker_threads) >= 2 and modes == ["raise"] * 4
+
+    def test_first_failing_pass_raises_the_serial_error(self):
+        """Stray tokens in a document of the second pass and one of the
+        third: both paths name the second pass's document, in the same words."""
+        config, params = tiny_model(max_len=12)
+        corpus = ragged_corpus(14, 3 * DOCS_PER_PASS + 2)
+        docs = corpus.split_documents("test")
+        for d in (DOCS_PER_PASS + 2, 2 * DOCS_PER_PASS + 1):
+            docs[d].sentences[0][0] = 77
+        serial, _ = encode_split(corpus, params, config, threads=False)
+        threaded, worker_threads = encode_split(corpus, params, config, threads=True)
+        assert len(worker_threads) >= 2
+        for err in (serial, threaded):
+            assert isinstance(err, CorpusValidationError)
+            assert str(err).startswith(f"document 'd{DOCS_PER_PASS + 2}': sentence 0 token 77 ")
+        assert str(threaded) == str(serial)
+
+    def test_overflowing_parameters_name_the_serial_document_without_a_warning(self):
+        """Object projections of 1e300 overflow every pass's layer norm: the
+        threaded path raises the serial path's NonFiniteError, naming the
+        split's first document, and no worker lets numpy warn."""
+        config, params = tiny_model(max_len=12)
+        params.obj_proj_w.data *= 1e300
+        corpus = ragged_corpus(15, 3 * DOCS_PER_PASS + 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="warn"):
+                serial, _ = encode_split(corpus, params, config, threads=False)
+                threaded, worker_threads = encode_split(corpus, params, config, threads=True)
+        assert len(worker_threads) >= 2
+        for err in (serial, threaded):
+            assert isinstance(err, NonFiniteError)
+            assert str(err).startswith("non-finite image representation of document 'd0': ")
+        assert str(threaded) == str(serial)
+        assert caught == []
 
 
 def fit_corpus() -> Corpus:

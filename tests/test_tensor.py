@@ -1142,6 +1142,7 @@ class TestConsumedGraph:
         assert library.mallopt.call_args_list == [
             mock.call(tensor.M_MMAP_THRESHOLD, 32 * 2**20),
             mock.call(tensor.M_TRIM_THRESHOLD, tensor.MAX_WORD_TABLE_BYTES),
+            mock.call(tensor.M_ARENA_MAX, 1),
         ]
 
 

@@ -347,6 +347,50 @@ def test_steps_reuse_the_pages_of_the_last():
     assert max(faults[1:]) < 100, faults
 
 
+# One training step at the ``pipeline`` shape, then three encodings of a
+# 33-document split on two worker threads, printing each one's minor page faults.
+FAULTS_PER_ENCODE = """
+import json, resource
+from doclink import encoder, trainer
+from doclink.corpus import SynthConfig, generate_synthetic
+from doclink.encoder import ModelConfig
+from doclink.objective import ObjectiveConfig
+from doclink.rng import RngStream
+
+encoder.usable_cpus = lambda: 2 * encoder.blas_threads()
+corpus = generate_synthetic(SynthConfig(
+    train_docs=11, val_docs=0, test_docs=33, sentences_per_doc=8, images_per_doc=6,
+    vocab_size=400, obj_dim=64, objects_per_image=36, sentence_len=10,
+    tokens_per_cluster=4), RngStream(0))
+model = ModelConfig(vocab_size=400, obj_dim=64, embed_dim=64, sentence_layers=1,
+                    image_layers=1, heads=4, word_dim=32, max_sentence_len=16)
+params = trainer.train(corpus, model, ObjectiveConfig(),
+                       trainer.TrainConfig(batch_size=11, max_epochs=1)).params
+assert encoder.check_fit(corpus, corpus.split_documents("test"), model)[1] >= (
+    encoder.THREADED_PASS_VALUES)
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    encoder.split_representations(corpus, "test", params, model)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the allocator is set on glibc only")
+def test_threaded_encode_reuses_the_pages_training_freed():
+    """The worker threads of a split's encoding allocate from the one heap
+    that holds the pages a training step freed: three encodings take under
+    2,000 minor faults together, mostly their threads' stacks and buffers.
+    With an arena per thread, the first alone takes about 9,000."""
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_ENCODE],
+                          env=subprocess_env(PYTHONMALLOC="malloc", OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout)
+    assert len(faults) == 3 and sum(faults) < 2000, faults
+
+
 # Two epochs at seed 1 of a benchmark shape, printing the sha256 prefixes of
 # the trained parameters, both Adam moments and the history.
 TWO_EPOCHS = """
