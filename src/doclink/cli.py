@@ -282,7 +282,7 @@ def cmd_diagnose(args) -> int:
     corpus = load_corpus(args.corpus, splits=splits)
 
     params = load_checkpoint(args.checkpoint)[0] if args.checkpoint else None
-    docs = corpus.split_documents(args.split)
+    docs = corpus.gold_documents(args.split)
     reps = None
     if params is not None:
         # One encoding serves the learned bias probe and the model AUC.

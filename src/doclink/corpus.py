@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .archive import is_zip, load_zip, save_zip
-from .errors import ConfigError, CorpusFormatError, CorpusValidationError, check_settings, setting
+from .errors import (ConfigError, CorpusFormatError, CorpusValidationError, MissingGoldEdgesError,
+                     check_settings, setting)
 from .rng import RngStream
 
 SPLITS = ("train", "val", "test")
@@ -71,6 +72,16 @@ class Corpus:
         docs = [d for d in self.documents if d.id in ids]
         if nonempty and not docs:
             raise CorpusValidationError(f"split {split!r} has no documents")
+        return docs
+
+    def gold_documents(self, split: str) -> list:
+        """The split's documents, for a reader of gold edges: an empty split
+        raises CorpusValidationError and a document without gold edges
+        MissingGoldEdgesError."""
+        docs = self.split_documents(split, nonempty=True)
+        for doc in docs:
+            if doc.gold_edges is None:
+                raise MissingGoldEdgesError(f"document {doc.id!r} has no gold edges")
         return docs
 
 

@@ -30,7 +30,6 @@ from .encoder import ModelConfig, ModelParams, split_representations
 from .errors import (
     ConfigError,
     CorpusValidationError,
-    MissingGoldEdgesError,
     NonFiniteError,
     ShapeMismatchError,
 )
@@ -74,7 +73,7 @@ def distance_samples(
     _check_sample_count(samples_per_sentence)
     if rng is None:
         rng = RngStream(0).child("diagnostics")
-    docs = _gold_documents(corpus, split)
+    docs = corpus.gold_documents(split)
 
     # One vector per image, in document order; document owner[i] owns row i.
     owner = np.repeat(np.arange(len(docs)), [len(doc.images) for doc in docs])
@@ -126,16 +125,6 @@ def _check_sample_count(samples_per_sentence: int) -> None:
         )
 
 
-def _gold_documents(corpus: Corpus, split: str) -> list:
-    """The split's documents; an empty split raises CorpusValidationError and
-    a document without gold edges MissingGoldEdgesError."""
-    docs = corpus.split_documents(split, nonempty=True)
-    for doc in docs:
-        if doc.gold_edges is None:
-            raise MissingGoldEdgesError(f"document {doc.id!r} has no gold edges")
-    return docs
-
-
 def _gold_by_sentence(doc) -> dict:
     """Sentence -> the set of its gold images, for each gold-linked sentence."""
     by_sentence = {}
@@ -150,7 +139,7 @@ def _check_samples(corpus: Corpus, split: str, samples_per_sentence: int) -> Non
     CorpusValidationError names the empty sample and its cause.  A negative
     ``samples_per_sentence`` raises ConfigError before the split is read."""
     _check_sample_count(samples_per_sentence)
-    docs = _gold_documents(corpus, split)
+    docs = corpus.gold_documents(split)
     golds = [(len(doc.images), gold) for doc in docs for gold in _gold_by_sentence(doc).values()]
     if not golds:
         empty, cause = "intra- and cross-document samples are", "no sentence has a gold edge"

@@ -63,6 +63,7 @@ from .tensor import (
     _wrap,
     concat,
     embedding,
+    layernorm,
     linear,
     masked_mean,
     no_grad,
@@ -227,7 +228,7 @@ def encode_sentences(sentences: list, params: ModelParams, config: ModelConfig) 
 
     words = embedding(params.word_embed, ids)
     positions = embedding(params.pos_embed, np.arange(ids.shape[1])[None, :])
-    hidden = params.ln_token(words + positions)
+    hidden = layernorm(words + positions, params.ln_token.gain, params.ln_token.bias)
     x = linear(hidden, params.text_proj_w, params.text_proj_b)
     for layer in params.sent_layers:
         x = transformer_layer(x, layer, config.heads, mask=mask)
@@ -352,22 +353,29 @@ def batch_representations(docs: list, params: ModelParams, config: ModelConfig) 
             for doc in docs:
                 validate_document(doc, config.vocab_size, config.obj_dim, config.max_sentence_len)
                 if isinstance(exc, NonFiniteError):
-                    _encode_alone(doc, params, config)
+                    side, error = first_overflow([doc], params, config)
+                    if side is not None:
+                        raise NonFiniteError(
+                            f"non-finite {side} representation of document {doc.id!r}: {error}"
+                        ) from None
             raise
     return Representations.of(docs, sent_reps, img_reps)
 
 
-def _encode_alone(doc, params: ModelParams, config: ModelConfig) -> None:
-    """Encode ``doc`` alone, without a graph; a NonFiniteError names it."""
-    for side, encode, items in (("sentence", encode_sentences, doc.sentences),
-                                ("image", encode_images, doc.images)):
-        try:
-            with no_grad():
+def first_overflow(docs: list, params: ModelParams, config: ModelConfig) -> tuple:
+    """Encode the sentences, then the images, of ``docs`` without a graph:
+    the first tower, ``"sentence"`` or ``"image"``, whose encoding raises
+    NonFiniteError, with that error, or (None, None) when both encode."""
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        for side, encode, items in (
+            ("sentence", encode_sentences, [s for doc in docs for s in doc.sentences]),
+            ("image", encode_images, [img for doc in docs for img in doc.images]),
+        ):
+            try:
                 encode(items, params, config)
-        except NonFiniteError as exc:
-            raise NonFiniteError(
-                f"non-finite {side} representation of document {doc.id!r}: {exc}"
-            ) from None
+            except NonFiniteError as exc:
+                return side, exc
+    return None, None
 
 
 def check_fit(corpus: Corpus, docs: list, config: ModelConfig,

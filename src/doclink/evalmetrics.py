@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import Corpus
 from .encoder import (ModelConfig, ModelParams, Representations, similarity_matrix,
                       split_representations)
-from .errors import ConfigError, MissingGoldEdgesError
+from .errors import ConfigError
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -126,13 +126,8 @@ def evaluate(
     ks=(1, 5),
 ) -> EvalReport:
     """Encode a split graph-free with :func:`split_representations` and
-    score every document."""
-    docs = corpus.split_documents(split)
-    for doc in docs:
-        if doc.gold_edges is None:
-            raise MissingGoldEdgesError(
-                f"document {doc.id!r} has no gold edges; cannot evaluate"
-            )
+    score every document; the split is read by :meth:`Corpus.gold_documents`."""
+    docs = corpus.gold_documents(split)
     matrices = similarity_matrices(docs, split_representations(corpus, split, params, config))
     return evaluate_matrices(matrices, {doc.id: doc.gold_edges for doc in docs}, ks=ks)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, attention_sublayer, feed_forward_sublayer, layernorm
+from .tensor import Tensor, attention_sublayer, feed_forward_sublayer
 
 
 def zeros(*shape: int) -> Tensor:
@@ -56,9 +56,6 @@ class LayerNormParams(Params):
     def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = zeros(dim)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return layernorm(x, self.gain, self.bias)
 
 
 class AttentionParams(Params):

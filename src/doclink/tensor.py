@@ -31,6 +31,10 @@ a second backward that reaches a consumed node raises
 :class:`ConsumedGraphError`.  To differentiate again, build the
 graph again.
 
+Graph construction is off inside :func:`no_grad`, which sets the current
+``contextvars`` context's grad mode: a thread started bare has grad mode on,
+and one run in a copy of its caller's context has the caller's.
+
 On glibc, importing this module sets the allocator once: arrays up to
 32 MiB come from the heap, and freed heap memory is kept by the process
 until more than MAX_WORD_TABLE_BYTES of it is free.  Each training step
@@ -48,6 +52,7 @@ route to the lowest index), so finite-difference checks should avoid kinks.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import heapq
 import itertools
@@ -92,24 +97,23 @@ def _keep_freed_pages() -> None:
 
 
 _keep_freed_pages()
-_grad_enabled = True
+# Grad mode is context state, as np.errstate is: each thread has its own.
+_grad_mode = contextvars.ContextVar("grad_mode", default=True)
 _created = itertools.count()  # Node.index: a node is always newer than its parents
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction inside the block (evaluation mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction in this context for the block (evaluation mode)."""
+    token = _grad_mode.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.reset(token)
 
 
 def is_grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_mode.get()
 
 
 class Node:
@@ -222,7 +226,7 @@ def _wrap(x) -> Tensor:
 
 def _make(data, parents, backward_fn, name) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.get() and any(p.requires_grad for p in parents):
         out.node = Node(tuple(parents), backward_fn, name)
         out.requires_grad = True
     return out
@@ -751,7 +755,7 @@ def _residual_norm(sublayer, args, gain, bias, parents, name) -> Tensor:
     then the sublayer's, and hands x the sum of both paths."""
     x = args[0]
     out_data, sublayer_backward = sublayer(*args)
-    if not _grad_enabled:
+    if not _grad_mode.get():
         sublayer_backward = None
     out_data, norm_backward = _layernorm(x.data, gain, bias, LAYERNORM_EPS, residual=out_data)
 
@@ -796,7 +800,7 @@ def segment_tokens(sides, segments) -> Tensor:
         part = out_data[..., i * n : (i + 1) * n, :]
         np.add(tokens, segment, out=part)
         part *= 0.5
-        if _grad_enabled:
+        if _grad_mode.get():
             hooks.append((token_backward, segment_backward))
         del tokens, token_backward, segment_backward
 

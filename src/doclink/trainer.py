@@ -31,7 +31,8 @@ import numpy as np
 from . import tensor
 from .archive import load_zip, save_zip
 from .corpus import Corpus
-from .encoder import ModelConfig, ModelParams, batch_representations, check_fit, init_params
+from .encoder import (ModelConfig, ModelParams, batch_representations, check_fit, first_overflow,
+                      init_params)
 from .errors import BatchError, ConfigError, NonFiniteError, build_settings, check_settings, setting
 from .objective import ObjectiveConfig, check_k_override, degenerate_subdocuments, total_loss
 from .rng import RngStream
@@ -200,10 +201,11 @@ class TrainResult:
     step: int = 0
 
 
-def _batch_loss(docs, batch_ids, params, objective_config, train_config, dropout):
-    """Encode one batch of ``docs`` and score it with every enabled
-    objective: ``total_loss``'s (batch_mean, parts)."""
-    reps = batch_representations([docs[i] for i in batch_ids], params, params.config)
+def _batch_loss(docs, batch_ids, encode, objective_config, train_config, dropout):
+    """Encode one batch of ``docs`` with ``encode`` (documents ->
+    Representations) and score it with every enabled objective:
+    ``total_loss``'s (batch_mean, parts)."""
+    reps = encode([docs[i] for i in batch_ids])
     return total_loss(
         reps,
         objective_config,
@@ -214,14 +216,15 @@ def _batch_loss(docs, batch_ids, params, objective_config, train_config, dropout
     )
 
 
-def _split_loss(docs, params, objective_config, train_config, rng: RngStream) -> float | None:
-    """Mean per-document total loss over a split, graph-free."""
+def _split_loss(docs, encode, objective_config, train_config, rng: RngStream) -> float | None:
+    """Mean per-document total loss over a split, graph-free, each batch
+    encoded by ``encode`` as in :func:`_batch_loss`."""
     if len(docs) < 2:
         return None
     dropout = rng.child("dropout")
     with tensor.no_grad():
         totals = [
-            _batch_loss(docs, batch_ids, params, objective_config, train_config, dropout)[1]["total"]
+            _batch_loss(docs, batch_ids, encode, objective_config, train_config, dropout)[1]["total"]
             for batch_ids in make_batches(len(docs), train_config.batch_size, rng.child("order"))
         ]
     return float(np.mean(np.concatenate(totals)))
@@ -243,7 +246,12 @@ def train(
     learning rate at epoch end, and the decay count.  If ``checkpoint_path``
     is set, a checkpoint is written after every epoch, or once of the
     starting state when no epoch is left to run; a non-finite loss aborts,
-    leaving the last epoch's checkpoint in place.  Once plateau decays have
+    leaving the last epoch's checkpoint in place.  An encoding that
+    overflows after this run's first update, of a batch that the parameters
+    the run started from encode (drawn again from the seed and
+    ``pretrained``, or read again from ``resume_from``), raises a
+    NonFiniteError naming max_lr, the step and the last update's lr rather
+    than a document.  Once plateau decays have
     brought the rate to 0.0, no later step can move a parameter, so the run
     ends before the next epoch, as at max_epochs, with one warning naming
     decay_factor and the decay count.  ``resume_from`` restores
@@ -295,10 +303,28 @@ def train(
             save_checkpoint(checkpoint_path, params, optimizer, state,
                             model_config, objective_config, train_config)
 
-    if state.epoch == train_config.max_epochs:
-        checkpoint()  # nothing to train: the starting state is the result
+    def encode(docs):
+        """batch_representations of ``docs``.  An overflow after this run's
+        first update that the parameters the run started from do not repeat
+        is the rate's doing: its NonFiniteError names max_lr, not a document."""
+        try:
+            return batch_representations(docs, params, model_config)
+        except NonFiniteError:
+            if state.step == start_step:
+                raise
+            starting = (load_checkpoint(resume_from)[0] if resume_from is not None
+                        else init_params(model_config, root.child("init"), pretrained=pretrained))
+            if first_overflow(docs, starting, model_config)[0] is not None:
+                raise
+            side = first_overflow(docs, params, model_config)[0]
+            raise NonFiniteError(
+                f"non-finite {side} representation at step {state.step}, after an update with "
+                f"lr={lr}: the parameters the run started from encode this batch, so "
+                f"max_lr={train_config.max_lr} is too large"
+            ) from None
+
     named = params.named_parameters()
-    start = state.epoch
+    start, start_step = state.epoch, state.step
     for epoch in range(start, train_config.max_epochs):
         # The rate after warm-up is the largest any later step can take.
         if lr_at(max(state.step, train_config.warmup_steps), train_config, state.decays) == 0.0:
@@ -307,13 +333,11 @@ def train(
                 f"decay_factor={train_config.decay_factor}; the run ends with {epoch} of "
                 f"max_epochs={train_config.max_epochs} epochs run"
             )
-            if epoch == start:
-                checkpoint()  # nothing ran: the starting state is the result
             break
         epoch_parts = []
         for batch_ids in make_batches(len(train_docs), train_config.batch_size, batching):
             loss, parts = _batch_loss(
-                train_docs, batch_ids, params, objective_config, train_config, dropout
+                train_docs, batch_ids, encode, objective_config, train_config, dropout
             )
             if not np.isfinite(loss.data):
                 raise NonFiniteError(
@@ -329,7 +353,7 @@ def train(
         # child() re-derives the same seed every epoch: validation sees a
         # fixed dropout pattern, keeping epoch losses comparable.
         val_loss = _split_loss(
-            val_docs, params, objective_config, train_config, root.child("validation")
+            val_docs, encode, objective_config, train_config, root.child("validation")
         )
         if val_loss is not None:
             if not np.isfinite(val_loss):
@@ -360,6 +384,8 @@ def train(
         state.epoch = epoch + 1
         state.rng = {"batching": batching.state(), "dropout": dropout.state()}
         checkpoint()
+    if state.epoch == start:
+        checkpoint()  # no epoch ran: the starting state is the result
     return TrainResult(params=params, optimizer=optimizer, history=state.history, step=state.step)
 
 

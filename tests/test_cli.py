@@ -457,8 +457,9 @@ class TestTrain:
             ("train", "max_lr", 1e308,
              r"the update at step 0 with lr=1e\+308 makes parameter 'word_embed' non-finite"),
             ("train", "max_lr", 1e150,
-             r"non-finite (sentence|image) representation of document 'train-\d{4}': "
-             r"layernorm: a row's variance overflows"),
+             r"non-finite (sentence|image) representation at step 1, after an update with "
+             r"lr=1e\+150: the parameters the run started from encode this batch, so "
+             r"max_lr=1e\+150 is too large"),
             ("objective", "alpha", 1e308, r"non-finite loss at step 0; last checkpoint retained"),
         ],
         ids=["update", "encoding", "loss-sum"],
@@ -468,7 +469,8 @@ class TestTrain:
     ):
         """An lr that overflows the first update (1e308) or the next encoding
         (1e150), or a margin that overflows the loss sum: exit 3 with one
-        line, and no numpy warning escapes."""
+        line, and no numpy warning escapes.  The encoding's overflow names
+        max_lr, not a document: the starting parameters encode the batch."""
         sections = train_sections(warmup_steps=0, start_lr=0)
         sections.setdefault(section, {})[key] = value
         config = tmp_path / "train.json"

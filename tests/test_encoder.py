@@ -38,6 +38,7 @@ from doclink.errors import (
     CorpusValidationError,
     DegenerateEmbeddingError,
     DoclinkError,
+    MissingGoldEdgesError,
     NonFiniteError,
     SequenceLengthError,
     ShapeMismatchError,
@@ -640,6 +641,30 @@ class TestOneFlatSplit:
             with pytest.raises(CorpusValidationError, match="split 'test' has no documents"):
                 read()
 
+    def test_gold_less_document_is_named_alike_by_every_reader(self):
+        """Evaluation and the bias probe on any of its three feature sources
+        refuse a split with a document without gold edges in one message,
+        before anything is encoded."""
+        config, params = tiny_model()
+        corpus = ragged_corpus(13, 3)
+        for doc in corpus.documents:
+            doc.gold_edges = {(0, 0)}
+        corpus.documents[1].gold_edges = None
+        images = sum(len(doc.images) for doc in corpus.documents)
+        messages = set()
+        with mock.patch.object(doclink.encoder, "batch_representations",
+                               side_effect=AssertionError("encoded")):
+            for read in (
+                lambda: evaluate(corpus, "test", params, config),
+                lambda: bias_report(corpus, "test"),
+                lambda: bias_report(corpus, "test", params=params, config=config),
+                lambda: bias_report(corpus, "test", image_reps=np.zeros((images, 8))),
+            ):
+                with pytest.raises(MissingGoldEdgesError, match="'d1'") as err:
+                    read()
+                messages.add(str(err.value))
+        assert len(messages) == 1
+
 
 def ragged_corpus(seed: int, docs: int) -> Corpus:
     """A test split of ``docs`` documents of 1-4 sentences of 1-12 tokens and
@@ -747,14 +772,20 @@ class TestThreadedSplit:
         assert same == "True" and int(threads) >= 3  # the main thread and two workers
 
     def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        """Each worker runs in a copy of the caller's context: the caller's
+        np.errstate holds there, and so does the grad mode no_grad sets."""
         modes, encode = [], doclink.encoder.batch_representations
-        monkeypatch.setattr(doclink.encoder, "batch_representations",
-                            lambda *args: modes.append(np.geterr()["divide"]) or encode(*args))
+
+        def spied(*args):
+            modes.append((np.geterr()["divide"], tensor.is_grad_enabled()))
+            return encode(*args)
+
+        monkeypatch.setattr(doclink.encoder, "batch_representations", spied)
         config, params = tiny_model(max_len=12)
         with np.errstate(divide="raise"):
             _, worker_threads = encode_split(ragged_corpus(13, 3 * DOCS_PER_PASS + 2),
                                              params, config, threads=True)
-        assert len(worker_threads) >= 2 and modes == ["raise"] * 4
+        assert len(worker_threads) >= 2 and modes == [("raise", False)] * 4
 
     def test_first_failing_pass_raises_the_serial_error(self):
         """Stray tokens in a document of the second pass and one of the

@@ -6,7 +6,11 @@ max ties) because the library takes the left-branch subgradient there.
 """
 
 import contextlib
+import contextvars
+import functools
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -914,6 +918,113 @@ class TestBackwardEngine:
         with pytest.raises(RuntimeError):
             with tensor.no_grad():
                 raise RuntimeError("boom")
+        assert tensor.is_grad_enabled()
+
+
+def run_threads(*targets) -> None:
+    """Run each target on a thread of its own, started bare (no context
+    copy), and join them; the first error a target raised is raised here."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:  # raised again on the caller's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(target,)) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+
+
+def builds_a_graph() -> bool:
+    p = Tensor([1.0, 2.0], requires_grad=True)
+    loss = (p * p).sum()
+    if not loss.requires_grad:
+        return False
+    tensor.backward(loss)
+    return np.array_equal(p.grad, [2.0, 4.0])
+
+
+class TestGradModePerThread:
+    """Grad mode is context state: no thread's no_grad reaches another."""
+
+    def test_a_step_builds_its_graph_while_another_thread_is_in_no_grad(self):
+        """A training step on one thread while another evaluates."""
+        evaluating, stepped = threading.Event(), threading.Event()
+        built = []
+
+        def evaluate():
+            with tensor.no_grad():
+                evaluating.set()
+                assert stepped.wait(10)
+                assert not tensor.is_grad_enabled()
+
+        def step():
+            assert evaluating.wait(10)
+            built.append(builds_a_graph())
+            stepped.set()
+
+        run_threads(evaluate, step)
+        assert built == [True]
+
+    def test_overlapping_no_grad_blocks_leave_grad_mode_on(self):
+        """Thread a enters no_grad, then b; a leaves, then b."""
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+        def a():
+            with tensor.no_grad():
+                a_in.set()
+                assert b_in.wait(10)
+            a_out.set()
+
+        def b():
+            assert a_in.wait(10)
+            with tensor.no_grad():
+                b_in.set()
+                assert a_out.wait(10)
+
+        run_threads(a, b)
+        assert tensor.is_grad_enabled() and builds_a_graph()
+        later = []
+        run_threads(lambda: later.append(tensor.is_grad_enabled() and builds_a_graph()))
+        assert later == [True]
+
+    def test_a_bare_thread_starts_with_grad_mode_on(self):
+        """Started inside no_grad: a bare thread builds graphs; one run in a
+        copy of the starter's context does not."""
+        seen = []
+
+        def record():
+            seen.append((tensor.is_grad_enabled(), builds_a_graph()))
+
+        with tensor.no_grad():
+            run_threads(record)
+            copied = contextvars.copy_context()
+            run_threads(lambda: copied.run(record))
+        assert seen == [(True, True), (False, False)]
+
+    def test_threads_switching_every_microsecond_each_keep_their_own_mode(self):
+        """Eight threads, more than this host's CPUs, half of them stepping
+        in and out of no_grad: each sees only its own grad mode."""
+        def worker(evaluating):
+            for _ in range(200):
+                with tensor.no_grad() if evaluating else contextlib.nullcontext():
+                    p = Tensor(1.0, requires_grad=True)
+                    assert tensor.is_grad_enabled() != evaluating
+                    assert (p * 2.0).requires_grad != evaluating
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads(*(functools.partial(worker, i % 2 == 0) for i in range(8)))
+        finally:
+            sys.setswitchinterval(interval)
         assert tensor.is_grad_enabled()
 
 

@@ -1,9 +1,11 @@
 """Optimizer, schedule, and training-loop checks."""
 
 import functools
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -564,6 +566,43 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteError, match="non-finite (sentence|image) representation"):
             train(corpus, tiny_model_config(), ObjectiveConfig(), config)
 
+    @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+    def test_overflow_the_starting_parameters_do_not_repeat_names_max_lr(self, tmp_path,
+                                                                        resumed):
+        """An lr of 1e150 overflows the encoding at step 1, of a batch the
+        parameters the run started from encode: the error names max_lr, the
+        step and the lr.  A fresh run draws those parameters again; a
+        resumed one reads its checkpoint again and draws nothing."""
+        corpus, model_config = tiny_corpus(), tiny_model_config()
+        overflowing = dict(max_lr=1e150, warmup_steps=0, start_lr=0)
+        resume_from = None
+        if resumed:
+            resume_from = str(tmp_path / "start.ckpt")
+            train(corpus, model_config, ObjectiveConfig(),
+                  tiny_train_config(max_epochs=0, **overflowing), checkpoint_path=resume_from)
+        with mock.patch("doclink.trainer.init_params", wraps=init_params) as init, \
+                pytest.raises(NonFiniteError) as err:
+            train(corpus, model_config, ObjectiveConfig(),
+                  tiny_train_config(max_epochs=1, **overflowing), resume_from=resume_from)
+        assert re.fullmatch(r"non-finite (sentence|image) representation at step 1, after an "
+                            r"update with lr=1e\+150: the parameters the run started from "
+                            r"encode this batch, so max_lr=1e\+150 is too large", str(err.value))
+        assert init.call_count == (0 if resumed else 2)
+
+    def test_document_at_fault_after_updates_is_still_named(self):
+        """A validation document with object features near 1e300, first
+        encoded after epoch 0's updates: the starting parameters overflow on
+        it too, so the error names the document, as at step 0."""
+        corpus = tiny_corpus()
+        for img in corpus.split_documents("val")[0].images:
+            img.objects *= 1e300
+        with mock.patch("doclink.trainer.init_params", wraps=init_params) as init, \
+                pytest.raises(NonFiniteError) as err:
+            train(corpus, tiny_model_config(), ObjectiveConfig(), tiny_train_config(max_epochs=1))
+        assert str(err.value) == ("non-finite image representation of document 'val-0000': "
+                                  "layernorm: a row's variance overflows")
+        assert init.call_count == 2  # the run's start, then the starting parameters again
+
     def test_non_finite_loss_aborts(self, monkeypatch):
         corpus = tiny_corpus()
 
@@ -610,19 +649,25 @@ class TestCheckpoint:
             )
 
     def test_zero_epoch_run_writes_a_resumable_start(self, tmp_path):
-        """With no epoch to run, the starting state is checkpointed, and
-        resuming it gives the bytes of an unbroken run."""
+        """With no epoch to run, the starting state is checkpointed, in the
+        bytes pinned here, and resuming it gives the bytes of an unbroken
+        run; a resume already at max_epochs writes its checkpoint's bytes."""
         corpus, model_config, objective_config = tiny_corpus(), tiny_model_config(), ObjectiveConfig()
-        start, unbroken = str(tmp_path / "start.ckpt"), str(tmp_path / "unbroken.ckpt")
+        start, unbroken = tmp_path / "start.ckpt", tmp_path / "unbroken.ckpt"
         train(corpus, model_config, objective_config, tiny_train_config(max_epochs=0),
-              checkpoint_path=start)
+              checkpoint_path=str(start))
         assert load_checkpoint(start)[2].epoch == 0
+        assert hashlib.sha256(start.read_bytes()).hexdigest() == \
+            "6f0ebecb47a819c5063e6566ddd25e6174481117bc17fbc3e89b7e21f4613431"
         train(corpus, model_config, objective_config, tiny_train_config(max_epochs=2),
-              checkpoint_path=unbroken)
+              checkpoint_path=str(unbroken))
         train(corpus, model_config, objective_config, tiny_train_config(max_epochs=2),
-              checkpoint_path=start, resume_from=start)
-        with open(start, "rb") as a, open(unbroken, "rb") as b:
-            assert a.read() == b.read()
+              checkpoint_path=str(start), resume_from=str(start))
+        assert start.read_bytes() == unbroken.read_bytes()
+        again = tmp_path / "again.ckpt"
+        train(corpus, model_config, objective_config, tiny_train_config(max_epochs=2),
+              checkpoint_path=str(again), resume_from=str(unbroken))
+        assert again.read_bytes() == unbroken.read_bytes()
 
     def test_resume_rejects_changed_settings(self, tmp_path):
         """Any stored objective or train field but max_epochs must match."""
