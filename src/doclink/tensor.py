@@ -35,14 +35,24 @@ Graph construction is off inside :func:`no_grad`, which sets the current
 ``contextvars`` context's grad mode: a thread started bare has grad mode on,
 and one run in a copy of its caller's context has the caller's.
 
+The attention, feed-forward and layer-norm passes split their per-image
+work (forward, input gradients, the attention's per-image gradients, the
+relu mask, the per-row ``g * xhat`` terms) into slices of the input's
+leading axis that :func:`_sliced` runs on one process-wide pool of
+:func:`usable_cpus` threads; every sum over rows (weight, bias and gain
+gradients) stays one whole-array call after the slices.  The cuts follow
+from the input's shape alone, so the CPU count changes no bit, and inputs
+of fewer than two slices' worth run inline.  :func:`one_blas_thread` runs
+numpy's OpenBLAS on one thread for a block, so that the pool's threads
+have the CPUs and a product's bits do not depend on OPENBLAS_NUM_THREADS.
+
 On glibc, importing this module sets the allocator once: arrays up to
 32 MiB come from the heap, and freed heap memory is kept by the process
 until more than MAX_WORD_TABLE_BYTES of it is free.  Each training step
 then reuses the pages of the last instead of faulting them in afresh; the
 cost is that the resident size stays at the run's high-water mark.  Every
-thread allocates from that one heap, so the worker threads of a split's
-encoding reuse the pages training freed instead of each faulting in an
-arena of its own.
+thread allocates from that one heap, so the pool's threads reuse the
+pages training freed instead of each faulting in an arena of its own.
 
 Convention at non-differentiable points: the subgradient of the
 first-encountered / left branch is used (``relu'(0) == 0``, ties in ``max``
@@ -51,12 +61,16 @@ route to the lowest index), so finite-difference checks should avoid kinks.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import contextvars
 import ctypes
+import functools
 import heapq
 import itertools
+import math
 import os
+import threading
 
 import numpy as np
 
@@ -76,6 +90,10 @@ MAX_WORD_TABLE_BYTES = 2**30
 SOFTMAX_CHUNK_BYTES = 2**20
 # Added to each row's variance by every layer norm.
 LAYERNORM_EPS = 1e-5
+# Values of an op's input per slice of its per-image work (see _sliced): numpy
+# releases the GIL inside BLAS and long loops, but smaller slices are bound by
+# the GIL and run slower threaded than inline.
+THREADED_PASS_VALUES = 2**16
 # glibc's mallopt parameters (malloc.h).
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 
@@ -114,6 +132,131 @@ def no_grad():
 
 def is_grad_enabled() -> bool:
     return _grad_mode.get()
+
+
+# ---- threads: the sliced ops' pool and numpy's BLAS -------------------------
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool_lock = threading.Lock()
+_pool = None  # (W, executor of W threads or None), made on first use
+
+
+def _workers() -> tuple:
+    """The process-wide pool: W = :func:`usable_cpus`, read once, and its W
+    threads (None when W is 1)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            workers = usable_cpus()
+            _pool = (workers, concurrent.futures.ThreadPoolExecutor(
+                workers, thread_name_prefix="doclink-slice") if workers > 1 else None)
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child, which has none of its parent's threads: make a new pool on first use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _sliced(fn, shape: tuple) -> None:
+    """Run ``fn(part, rows)`` over contiguous slices ``part`` that cover the
+    leading axis (images or sentences) of an op's input of ``shape``, where
+    ``rows`` slices the input's 2-D row view (``(-1, shape[-1])``) alike: one
+    slice per THREADED_PASS_VALUES of its values, at most one per leading
+    entry, so an input of fewer than twice that runs in one slice, inline.
+    The cuts follow from ``shape`` alone, so the CPU count changes no bit
+    (a cut product need not have the uncut one's bits: OpenBLAS picks its
+    kernel by the operands' sizes).  Several
+    slices run at once on the pool's threads, each in a copy of the caller's
+    context (its ``np.errstate`` holds there); once all have returned, the
+    first that failed, in order, raises its error.  ``fn`` writes only its
+    slice of buffers allocated before it runs, and never calls _sliced: no
+    pool thread submits to the pool."""
+    values, n = math.prod(shape), shape[0] if len(shape) > 1 else 1
+    count = min(n, values // THREADED_PASS_VALUES)
+    if count < 2:
+        fn(slice(None), slice(None))
+        return
+    per = values // (n * shape[-1])
+    cuts = [n * i // count for i in range(count + 1)]
+    parts = [(slice(a, b), slice(a * per, b * per)) for a, b in zip(cuts, cuts[1:])]
+    pool = _workers()[1]
+    if pool is None:
+        for part in parts:
+            fn(*part)
+        return
+    futures = [pool.submit(contextvars.copy_context().run, fn, *part) for part in parts]
+    concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
+
+
+@functools.cache
+def _openblas(verb: str):
+    """numpy's OpenBLAS ``<verb>_num_threads`` function, or None where there is none."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in (f"scipy_openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads64_",
+                 f"openblas_{verb}_num_threads"):
+        if (fn := getattr(lib, name, None)) is not None:
+            if verb == "get":
+                fn.argtypes, fn.restype = (), ctypes.c_int
+            else:
+                fn.argtypes, fn.restype = (ctypes.c_int,), None
+            return fn
+    return None
+
+
+def blas_threads() -> int:
+    """The threads numpy's OpenBLAS runs a product on; 1 where it cannot be read."""
+    get = _openblas("get")
+    return 1 if get is None else max(1, get())
+
+
+_blas_lock = threading.Lock()
+_blas_pin = [0, 1]  # blocks inside one_blas_thread, and the count before the first
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block (or, as a decorator, each call) with numpy's OpenBLAS on
+    one thread, then give back the count it had, also when the block raises.
+    Products then take the same bits whatever OPENBLAS_NUM_THREADS says, and
+    the sliced ops' threads have the CPUs to themselves.  Blocks may nest
+    and overlap across threads: the first to enter sets one thread, the
+    last to leave restores the count.  Where the count cannot be set,
+    nothing."""
+    set_threads = _openblas("set")
+    if set_threads is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_pin[0] == 0:
+            _blas_pin[1] = blas_threads()
+            set_threads(1)
+        _blas_pin[0] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pin[0] -= 1
+            if _blas_pin[0] == 0:
+                set_threads(_blas_pin[1])
 
 
 class Node:
@@ -558,38 +701,54 @@ def _attention(x, weights, biases, heads, mask):
 
     rows = x.data.reshape(-1, dim)
     w_qkv = np.concatenate([w.data for w in weights[:3]])
-    qkv = rows @ w_qkv.T
-    qkv += np.concatenate([b.data for b in biases[:3]])
+    b_qkv = np.concatenate([b.data for b in biases[:3]])
+    w_out, b_out = weights[3].data, biases[3].data
+    qkv = np.empty((len(rows), 3 * dim))
     # Views of shape (B, heads, L, head_dim) into the one projection.
     q, k, v = qkv.reshape(batch, length, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
-    probs = q @ k.swapaxes(-1, -2)
-    probs *= scale
-    if key_bias is not None:
-        probs += key_bias
-    _softmax_(probs)
-    merged = (probs @ v).swapaxes(1, 2).reshape(-1, dim)
-    w_out = weights[3].data
-    out_data = merged @ w_out.T
-    out_data += biases[3].data
+    probs = np.empty((batch, heads, length, length))
+    merged, out_data = np.empty(rows.shape), np.empty(rows.shape)
     chunk = max(1, SOFTMAX_CHUNK_BYTES // max(1, probs[:1].nbytes))
+
+    def forward(part, r):
+        projected = np.matmul(rows[r], w_qkv.T, out=qkv[r])
+        projected += b_qkv
+        scores = np.matmul(q[part], k[part].swapaxes(-1, -2), out=probs[part])
+        scores *= scale
+        if key_bias is not None:
+            scores += key_bias[part]
+        _softmax_(scores)
+        mixed = merged[r]
+        mixed.reshape(-1, length, heads, head_dim)[...] = (scores @ v[part]).swapaxes(1, 2)
+        out = np.matmul(mixed, w_out.T, out=out_data[r])
+        out += b_out
+
+    _sliced(forward, x.data.shape)
 
     def backward_fn(g):
         g = g.reshape(-1, dim)
-        g_mixed = (g @ w_out).reshape(batch, length, heads, head_dim).swapaxes(1, 2)
         g_qkv = np.empty((batch, length, 3, heads, head_dim))
         gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
-        gv[...] = probs.swapaxes(-1, -2) @ g_mixed
-        for i in range(0, batch, chunk):
-            part = slice(i, i + chunk)
-            probs[part] = _softmax_backward_(g_mixed[part] @ v[part].swapaxes(-1, -2),
-                                             probs[part])
-        np.multiply(probs, scale, out=probs)  # now the gradient of the scaled scores
-        gq[...] = probs @ k
-        gk[...] = probs.swapaxes(-1, -2) @ q
+        gx = np.empty(rows.shape) if x.requires_grad else None
+
+        def backward(part, r):
+            g_mixed = (g[r] @ w_out).reshape(-1, length, heads, head_dim).swapaxes(1, 2)
+            scores = probs[part]
+            gv[part] = scores.swapaxes(-1, -2) @ g_mixed
+            for i in range(0, len(scores), chunk):
+                own = scores[i : i + chunk]
+                own[...] = _softmax_backward_(g_mixed[i : i + chunk]
+                                              @ v[part][i : i + chunk].swapaxes(-1, -2), own)
+            scores *= scale  # now the gradient of the scaled scores
+            gq[part] = scores @ k[part]
+            gk[part] = scores.swapaxes(-1, -2) @ q[part]
+            if gx is not None:
+                np.matmul(g_qkv[part].reshape(-1, 3 * dim), w_qkv, out=gx[r])
+
+        _sliced(backward, x.data.shape)
         g_qkv = g_qkv.reshape(-1, 3 * dim)
-        gx = (g_qkv @ w_qkv).reshape(x.data.shape) if x.requires_grad else None
         return (
-            gx,
+            None if gx is None else gx.reshape(x.data.shape),
             *np.split(g_qkv.T @ rows, 3),
             g.T @ merged,
             *np.split(g_qkv.sum(axis=0), 3),
@@ -648,20 +807,33 @@ def _feed_forward(x, w1, b1, w2, b2):
         )
     out_dim = w2.data.shape[0]
     rows = x.data.reshape(-1, x.data.shape[-1])
-    hidden = rows @ w1.data.T
-    hidden += b1.data
-    np.maximum(hidden, 0.0, out=hidden)
-    out_data = hidden @ w2.data.T
-    out_data += b2.data
+    hidden = np.empty((len(rows), w1.data.shape[0]))
+    out_data = np.empty((len(rows), out_dim))
+
+    def forward(_, r):
+        h = np.matmul(rows[r], w1.data.T, out=hidden[r])
+        h += b1.data
+        np.maximum(h, 0.0, out=h)
+        out = np.matmul(h, w2.data.T, out=out_data[r])
+        out += b2.data
+
+    _sliced(forward, x.data.shape)
 
     def backward_fn(g):
         g = g.reshape(-1, out_dim)
         g_w2 = g.T @ hidden
-        active = hidden > 0.0
-        g_hidden = np.matmul(g, w2.data, out=hidden)
-        g_hidden *= active
-        gx = (g_hidden @ w1.data).reshape(x.data.shape) if x.requires_grad else None
-        return gx, g_hidden.T @ rows, g_hidden.sum(axis=0), g_w2, g.sum(axis=0)
+        gx = np.empty(rows.shape) if x.requires_grad else None
+
+        def backward(_, r):
+            active = hidden[r] > 0.0
+            g_hidden = np.matmul(g[r], w2.data, out=hidden[r])
+            g_hidden *= active
+            if gx is not None:
+                np.matmul(g_hidden, w1.data, out=gx[r])
+
+        _sliced(backward, x.data.shape)
+        return (None if gx is None else gx.reshape(x.data.shape), hidden.T @ rows,
+                hidden.sum(axis=0), g_w2, g.sum(axis=0))
 
     return out_data.reshape(x.data.shape[:-1] + (out_dim,)), backward_fn
 
@@ -694,33 +866,44 @@ def _layernorm(x, gain, bias, eps, residual=None):
     # Row means and variances as matrix-vector products on the 2-D row view.
     rows = x.reshape(-1, d)
     average = np.full(d, 1.0 / d)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if residual is None:
-                xhat = rows - (rows @ average)[:, None]
-            else:
-                xhat = residual.reshape(-1, d)
-                xhat += rows
-                xhat -= (xhat @ average)[:, None]
-            inv = 1.0 / np.sqrt((xhat * xhat) @ average + eps)[:, None]
-    except FloatingPointError:
-        raise NonFiniteError("layernorm: a row's variance overflows") from None
-    xhat *= inv
-    out_data = xhat * gain.data
-    out_data += bias.data
+    xhat = np.empty(rows.shape) if residual is None else residual.reshape(-1, d)
+    inv = np.empty((len(rows), 1))
+    out_data = np.empty(rows.shape)
+
+    def forward(_, r):
+        centred, part_rows, part_inv = xhat[r], rows[r], inv[r]
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if residual is None:
+                    np.subtract(part_rows, (part_rows @ average)[:, None], out=centred)
+                else:
+                    centred += part_rows
+                    centred -= (centred @ average)[:, None]
+                np.divide(1.0, np.sqrt((centred * centred) @ average + eps)[:, None],
+                          out=part_inv)
+        except FloatingPointError:
+            raise NonFiniteError("layernorm: a row's variance overflows") from None
+        centred *= part_inv
+        out = np.multiply(centred, gain.data, out=out_data[r])
+        out += bias.data
+
+    _sliced(forward, x.shape)
 
     def backward_fn(g):
         g = g.reshape(-1, d)
-        g_xhat = g * xhat
-        g_gain = g_xhat.sum(axis=0)
         spread = gain.data / d
-        along = (g_xhat @ spread)[:, None]
-        del g_xhat
-        dx = g * gain.data
-        dx -= (g @ spread)[:, None]
-        dx -= np.multiply(xhat, along, out=xhat)  # xhat is not read again
-        dx *= inv
-        return dx.reshape(x.shape), g_gain, g.sum(axis=0)
+        g_xhat, dx = np.empty(g.shape), np.empty(g.shape)
+
+        def backward(_, r):
+            part_g, part_xhat = g[r], xhat[r]
+            along = (np.multiply(part_g, part_xhat, out=g_xhat[r]) @ spread)[:, None]
+            part_dx = np.multiply(part_g, gain.data, out=dx[r])
+            part_dx -= (part_g @ spread)[:, None]
+            part_dx -= np.multiply(part_xhat, along, out=part_xhat)  # xhat is not read again
+            part_dx *= inv[r]
+
+        _sliced(backward, x.shape)
+        return dx.reshape(x.shape), g_xhat.sum(axis=0), g.sum(axis=0)
 
     return out_data.reshape(x.shape), backward_fn
 

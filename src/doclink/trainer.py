@@ -230,6 +230,7 @@ def _split_loss(docs, encode, objective_config, train_config, rng: RngStream) ->
     return float(np.mean(np.concatenate(totals)))
 
 
+@tensor.one_blas_thread()
 def train(
     corpus: Corpus,
     model_config: ModelConfig,
@@ -260,7 +261,9 @@ def train(
     stored setting except max_epochs must equal the requested one.  Train
     and val documents pass :func:`check_fit` before the first step; with
     ``use_sub`` on, one warning names those whose sub-document draw is
-    always degenerate (see :func:`degenerate_subdocuments`).
+    always degenerate (see :func:`degenerate_subdocuments`).  The run has
+    numpy's OpenBLAS on one thread (:func:`~doclink.tensor.one_blas_thread`),
+    so its bytes do not depend on OPENBLAS_NUM_THREADS.
     """
     train_docs = corpus.split_documents("train")
     val_docs = corpus.split_documents("val")

@@ -51,7 +51,8 @@ from doclink.rng import RngStream
 from doclink.tensor import Tensor, linear, pad
 from doclink.trainer import TrainConfig, train
 
-from test_tensor import central_diff
+from test_tensor import (central_diff, each_slice_calls, sliced_on,
+                         switching_every_microsecond)
 
 
 def tiny_model(vocab=30, obj_dim=5, embed=8, heads=2, word_dim=6, max_len=12):
@@ -686,19 +687,16 @@ def ragged_corpus(seed: int, docs: int) -> Corpus:
 
 
 def encode_split(corpus, params, config, threads: bool):
-    """split_representations on worker threads for any pass size (8 CPUs,
-    one BLAS thread), or serially; the result's bytes and the threads its
-    passes ran on, or the error it raised."""
+    """split_representations with every op's slice an image or sentence, on
+    eight pool threads (more than this host's CPUs) or inline (W = 1); the
+    result's bytes and the threads its slices ran on, or the error it
+    raised."""
     ran_on = set()
-    encode = doclink.encoder.batch_representations
 
-    def spied(*args):
+    def record():
         ran_on.add(threading.get_ident())
-        return encode(*args)
 
-    with mock.patch.multiple(doclink.encoder, batch_representations=spied,
-                             THREADED_PASS_VALUES=0 if threads else float("inf"),
-                             usable_cpus=lambda: 8, blas_threads=lambda: 1):
+    with sliced_on(8 if threads else 1), each_slice_calls(record):
         try:
             reps = split_representations(corpus, "test", params, config)
         except DoclinkError as exc:
@@ -707,85 +705,88 @@ def encode_split(corpus, params, config, threads: bool):
 
 
 # A split of three pipeline-shaped passes (36 objects, width 64, four heads),
-# encoded serially and on worker threads at this process's BLAS thread count;
-# prints whether the bytes are equal and how many threads ran passes.
+# encoded with its ops' slices on two pool threads and inline; prints the
+# sha256 prefix of the bytes of each, the threads slices ran on, and
+# OpenBLAS's thread count after the split.
 THREADED_BYTES = """
-import threading
-import doclink.encoder as encoder
+import hashlib, threading
+from doclink import tensor
 from doclink.corpus import SynthConfig, generate_synthetic
-from doclink.encoder import ModelConfig, init_params, split_representations
+from doclink.encoder import DOCS_PER_PASS, ModelConfig, init_params, split_representations
 from doclink.rng import RngStream
 
 corpus = generate_synthetic(SynthConfig(
-    train_docs=2, val_docs=0, test_docs=2 * encoder.DOCS_PER_PASS + 1, sentences_per_doc=8,
+    train_docs=2, val_docs=0, test_docs=2 * DOCS_PER_PASS + 1, sentences_per_doc=8,
     images_per_doc=6, vocab_size=400, obj_dim=64, objects_per_image=36, sentence_len=10,
     tokens_per_cluster=4), RngStream(3))
 config = ModelConfig(vocab_size=400, obj_dim=64, embed_dim=64, sentence_layers=1,
                      image_layers=1, heads=4, word_dim=32, max_sentence_len=16)
 params = init_params(config, RngStream(3))
-ran_on, encode = set(), encoder.batch_representations
+ran_on, sliced = set(), tensor._sliced
 
-def spied(*args):
-    ran_on.add(threading.get_ident())
-    return encode(*args)
+def spied(fn, shape):
+    def recorded(*part):
+        ran_on.add(threading.get_ident())
+        return fn(*part)
+    return sliced(recorded, shape)
 
-encoder.batch_representations = spied
-encoder.usable_cpus = lambda: 2 * encoder.blas_threads()
+tensor._sliced = spied
 out = []
-for threshold in (float("inf"), 0):
-    encoder.THREADED_PASS_VALUES = threshold
+for workers in (2, 1):
+    tensor.usable_cpus, tensor._pool = (lambda: workers), None
     reps = split_representations(corpus, "test", params, config)
-    out.append(reps.sentences.data.tobytes() + reps.images.data.tobytes())
-print(out[0] == out[1], len(ran_on))
+    out.append(hashlib.sha256(reps.sentences.data.tobytes() + reps.images.data.tobytes())
+               .hexdigest()[:16])
+print(*out, len(ran_on), tensor.blas_threads())
 """
 
 
 class TestThreadedSplit:
-    """A split's passes on worker threads give the serial loop's bytes and
-    raise its errors."""
+    """A split's encoding, its ops' slices on the pool's threads, gives the
+    bytes of the ops run inline and raises their errors."""
 
     def test_bytes_equal_the_serial_loop(self):
-        """Nine ragged passes on eight workers, more than this host's CPUs,
-        switching threads every microsecond: the serial loop's bytes."""
+        """Every op in one slice per image or sentence on eight threads,
+        switching every microsecond: the bytes of W = 1."""
         config, params = tiny_model(max_len=12)
         corpus = ragged_corpus(13, 8 * DOCS_PER_PASS + 2)
         serial, serial_threads = encode_split(corpus, params, config, threads=False)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        with switching_every_microsecond():
             threaded, worker_threads = encode_split(corpus, params, config, threads=True)
-        finally:
-            sys.setswitchinterval(interval)
         assert serial_threads == {threading.get_ident()}
-        assert threading.get_ident() not in worker_threads and len(worker_threads) >= 2
+        assert len(worker_threads - serial_threads) >= 2
         assert threaded == serial
 
     @pytest.mark.parametrize("blas", ["1", "2"])
     def test_bytes_equal_the_serial_loop_at_each_blas_thread_count(self, blas):
+        """At the pipeline shape, on two pool threads and inline, at either
+        OPENBLAS_NUM_THREADS: the same bytes, and the same as at OpenBLAS's
+        default count (a thread per CPU), because the split runs OpenBLAS
+        on one thread; its count is the caller's again afterwards."""
         src = os.path.dirname(os.path.dirname(doclink.encoder.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", THREADED_BYTES], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        same, threads = done.stdout.split()
-        assert same == "True" and int(threads) >= 3  # the main thread and two workers
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for blas_env in ({"OPENBLAS_NUM_THREADS": blas}, {}):
+            done = subprocess.run([sys.executable, "-c", THREADED_BYTES], capture_output=True,
+                                  text=True, timeout=120, env={**base, **blas_env})
+            assert done.returncode == 0, done.stderr
+            runs.append(done.stdout.split())
+        (threaded, serial, threads, after), default = runs
+        assert threaded == serial == default[0] == default[1]
+        assert int(threads) >= 2 and after == blas
 
-    def test_workers_keep_the_callers_errstate(self, monkeypatch):
-        """Each worker runs in a copy of the caller's context: the caller's
+    def test_workers_keep_the_callers_errstate(self):
+        """Each slice runs in a copy of the caller's context: the caller's
         np.errstate holds there, and so does the grad mode no_grad sets."""
-        modes, encode = [], doclink.encoder.batch_representations
-
-        def spied(*args):
-            modes.append((np.geterr()["divide"], tensor.is_grad_enabled()))
-            return encode(*args)
-
-        monkeypatch.setattr(doclink.encoder, "batch_representations", spied)
+        modes = []
         config, params = tiny_model(max_len=12)
-        with np.errstate(divide="raise"):
-            _, worker_threads = encode_split(ragged_corpus(13, 3 * DOCS_PER_PASS + 2),
-                                             params, config, threads=True)
-        assert len(worker_threads) >= 2 and modes == [("raise", False)] * 4
+        with sliced_on(8), each_slice_calls(
+                lambda: modes.append((np.geterr()["divide"], tensor.is_grad_enabled()))):
+            with np.errstate(divide="raise"):
+                split_representations(ragged_corpus(13, 3 * DOCS_PER_PASS + 2), "test",
+                                      params, config)
+        assert len(modes) > 100 and set(modes) == {("raise", False)}
 
     def test_first_failing_pass_raises_the_serial_error(self):
         """Stray tokens in a document of the second pass and one of the
@@ -806,7 +807,7 @@ class TestThreadedSplit:
     def test_overflowing_parameters_name_the_serial_document_without_a_warning(self):
         """Object projections of 1e300 overflow every pass's layer norm: the
         threaded path raises the serial path's NonFiniteError, naming the
-        split's first document, and no worker lets numpy warn."""
+        split's first document, and no slice lets numpy warn."""
         config, params = tiny_model(max_len=12)
         params.obj_proj_w.data *= 1e300
         corpus = ragged_corpus(15, 3 * DOCS_PER_PASS + 2)
@@ -821,6 +822,25 @@ class TestThreadedSplit:
             assert str(err).startswith("non-finite image representation of document 'd0': ")
         assert str(threaded) == str(serial)
         assert caught == []
+
+    def test_no_pool_thread_submits_to_the_pool(self):
+        """A training epoch and a split's encoding with every op sliced:
+        every slice is cut on a thread outside the pool."""
+        cut_on, sliced = set(), tensor._sliced
+
+        def spied(fn, shape):
+            cut_on.add(threading.current_thread().name)
+            return sliced(fn, shape)
+
+        config, params = tiny_model(max_len=12)
+        corpus = ragged_corpus(16, 2 * DOCS_PER_PASS)
+        corpus.splits = {"train": corpus.splits["test"][:6], "val": corpus.splits["test"][6:8],
+                         "test": corpus.splits["test"][8:]}
+        with sliced_on(3), mock.patch.object(tensor, "_sliced", spied):
+            train(corpus, config, ObjectiveConfig(),
+                  TrainConfig(batch_size=3, max_epochs=1, use_sub=False))
+            split_representations(corpus, "test", params, config)
+        assert cut_on == {threading.current_thread().name}
 
 
 def fit_corpus() -> Corpus:

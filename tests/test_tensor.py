@@ -9,6 +9,7 @@ import contextlib
 import contextvars
 import functools
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -1026,6 +1027,306 @@ class TestGradModePerThread:
         finally:
             sys.setswitchinterval(interval)
         assert tensor.is_grad_enabled()
+
+
+@contextlib.contextmanager
+def sliced_on(workers: int, values: int = 1):
+    """The sliced ops on a pool of ``workers`` threads, made for the block
+    (W read from a patched CPU count) and shut down after it, with one slice
+    per ``values`` values of an op's input (one per image by default)."""
+    with mock.patch.multiple(tensor, usable_cpus=lambda: workers, _pool=None,
+                             THREADED_PASS_VALUES=values):
+        try:
+            yield
+        finally:
+            if tensor._pool is not None and tensor._pool[1] is not None:
+                tensor._pool[1].shutdown()
+
+
+@contextlib.contextmanager
+def each_slice_calls(record):
+    """The sliced ops with ``record()`` called first in every slice, on the
+    slice's thread and in its context."""
+    sliced = tensor._sliced
+
+    def spied(fn, shape):
+        def recorded(*part):
+            record()
+            return fn(*part)
+
+        return sliced(recorded, shape)
+
+    with mock.patch.object(tensor, "_sliced", spied):
+        yield
+
+
+@contextlib.contextmanager
+def switching_every_microsecond():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# Seven images of up to five tokens: each image a slice, ragged keys.
+SLICED_MASK = np.arange(5) < np.array([5, 1, 3, 5, 2, 4, 5])[:, None]
+
+
+def sliced_op_case(op: str, rng):
+    """(build, leaves) of one sliced op over seven images of width 8."""
+    if op == "attention_sublayer":
+        x, weights, biases = attention_leaves(rng, 7, 5, 8)
+        gain, bias = leaf(rng, 8), leaf(rng, 8)
+        return (lambda: tensor.attention_sublayer(x, weights, biases, 2, gain, bias,
+                                                  mask=SLICED_MASK),
+                [x, *weights, *biases, gain, bias])
+    if op == "feed_forward_sublayer":
+        leaves = feed_forward_sublayer_leaves(rng, (7, 5, 8), hidden=32)
+        return lambda: tensor.feed_forward_sublayer(*leaves), leaves
+    if op == "segment_tokens":
+        sides, segments = segment_tokens_leaves(rng, (7, 5, 8))
+        return (lambda: tensor.segment_tokens(sides, segments),
+                [t for side in sides for t in side] + [segments])
+    x, gain, bias = leaf(rng, 7, 5, 8), leaf(rng, 8), leaf(rng, 8)
+    return lambda: tensor.layernorm(x, gain, bias), [x, gain, bias]
+
+
+def forward_and_gradients(build, leaves, up_seed: int = 0) -> list:
+    """The op's output and every leaf's gradient under a random upstream."""
+    for t in leaves:
+        t.zero_grad()
+    out = build()
+    up = Tensor(np.random.default_rng(up_seed).normal(size=out.shape))
+    tensor.backward((out * up).sum())
+    return [out.data] + [t.grad for t in leaves]
+
+
+SLICED_OPS = ["attention_sublayer", "feed_forward_sublayer", "segment_tokens", "layernorm"]
+
+
+class TestSlicedOps:
+    """The transformer ops split their per-image work into slices cut from
+    the input's shape alone and run them on the process-wide pool: no
+    worker count moves a bit, the caller's errstate holds in every slice,
+    errors are the serial ones, and user threads share the pool."""
+
+    @pytest.mark.parametrize("op", SLICED_OPS)
+    def test_every_bit_is_the_same_at_each_worker_count(self, op):
+        """One slice per image, on 1, 2, 3 and 9 (more than the images)
+        threads, switching every microsecond: the output and every gradient
+        have the bits of W = 1, and equal the op in one slice to 1e-12."""
+        build, leaves = sliced_op_case(op, np.random.default_rng(60))
+        whole = forward_and_gradients(build, leaves)
+        runs = {}
+        with switching_every_microsecond():
+            for workers in (1, 2, 3, 9):
+                with sliced_on(workers):
+                    runs[workers] = forward_and_gradients(build, leaves)
+        for workers in (2, 3, 9):
+            for got, want in zip(runs[workers], runs[1]):
+                np.testing.assert_array_equal(got, want)
+        for got, want in zip(runs[1], whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_a_pipeline_layer_keeps_the_bits_of_one_slice(self):
+        """At the pipeline benchmark's image shape (66 images of 72 tokens,
+        width 64, four heads) the default cuts (four slices) on two threads
+        give the output and all 17 gradients of one image layer bit for bit
+        as one slice does: the training bytes pinned in test_trainer."""
+        rng = np.random.default_rng(61)
+        x, weights, biases = attention_leaves(rng, 66, 72, 64)
+        norms = [leaf(rng, 64) for _ in range(4)]
+        ff = feed_forward_leaves(rng, (64,), hidden=256, out=64)[1:]
+        mask = np.arange(72) < rng.integers(2, 37, size=66)[:, None] * 2
+        leaves = [x, *weights, *biases, *ff, *norms]
+
+        def build():
+            y = tensor.attention_sublayer(x, weights, biases, 4, *norms[:2], mask=mask)
+            return tensor.feed_forward_sublayer(y, *ff, *norms[2:])
+
+        with sliced_on(1, values=2**30):
+            whole = forward_and_gradients(build, leaves)
+        with sliced_on(2, values=tensor.THREADED_PASS_VALUES):
+            sliced = forward_and_gradients(build, leaves)
+        assert len(sliced) == 18
+        for got, want in zip(sliced, whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_slices_run_on_the_pool_in_the_callers_context(self):
+        """Every slice sees the caller's np.errstate and grad mode and runs
+        on a pool thread."""
+        seen = []
+
+        def record():
+            seen.append((np.geterr()["divide"], tensor.is_grad_enabled(),
+                         threading.current_thread().name))
+
+        build, _ = sliced_op_case("attention_sublayer", np.random.default_rng(62))
+        with sliced_on(3), each_slice_calls(record):
+            with np.errstate(divide="raise"), tensor.no_grad():
+                build()
+        assert len(seen) == 2 * 7  # the attention's slices, then the norm's
+        assert all(s[:2] == ("raise", False) for s in seen), seen
+        assert all(s[2].startswith("doclink-slice") for s in seen), seen
+
+    def test_no_runtime_warning_escapes_a_slice(self):
+        """Query and key weights of 1e300 make every slice's scores infinite,
+        so its softmax meets inf - inf: under the caller's ignoring errstate
+        nothing warns, and under a raising one each slice raises."""
+        build, leaves = sliced_op_case("attention_sublayer", np.random.default_rng(63))
+        for w in leaves[1:3]:
+            w.data *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with sliced_on(3):
+                with np.errstate(all="ignore"):
+                    assert not np.isfinite(build().data).all()
+                with np.errstate(all="ignore", invalid="raise"), \
+                        pytest.raises(FloatingPointError, match="invalid value"):
+                    build()
+
+    @pytest.mark.parametrize("op", ["layernorm", "segment_tokens", "feed_forward_sublayer"])
+    def test_an_overflow_in_the_last_slice_raises_the_serial_error(self, op):
+        """Only the last image's variance overflows: the op raises the error
+        of the one-slice run, in the same words, and no warning."""
+        build, leaves = sliced_op_case(op, np.random.default_rng(64))
+        leaves[0].data[-1, :, ::2] = 1e300
+        leaves[0].data[-1, :, 1::2] = -1e300
+        errors = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for workers, values in ((1, 2**30), (3, 1)):
+                with sliced_on(workers, values), pytest.raises(NonFiniteError) as err:
+                    build()
+                errors.append(str(err.value))
+        assert errors[0] == errors[1] == "layernorm: a row's variance overflows"
+
+    def test_the_first_failing_slice_in_order_raises_once_all_returned(self):
+        """The second, third and fourth of four slices fail: the second's
+        error is raised, after every slice has run, and each slice gets the
+        rows of its images."""
+        ran = []
+
+        def fn(part, rows):
+            ran.append((part.start, rows.start))
+            if part.start >= 2:
+                raise ValueError(f"slice at {part.start}")
+
+        with sliced_on(3, values=6), pytest.raises(ValueError, match="^slice at 2$"):
+            tensor._sliced(fn, (8, 3, 1))
+        assert sorted(ran) == [(0, 0), (2, 6), (4, 12), (6, 18)]
+
+    def test_an_input_of_fewer_than_two_slices_runs_inline(self):
+        """No pool is made for an input below two slices' worth of values,
+        and none for W = 1."""
+        threads = set()
+        for workers, shape in ((8, (7, 9362)), (1, (7, 2**16))):
+            with sliced_on(workers, tensor.THREADED_PASS_VALUES):
+                tensor._sliced(lambda *part: threads.add(threading.get_ident()), shape)
+                assert tensor._pool is None or tensor._pool[1] is None
+        assert threads == {threading.get_ident()}
+
+    def test_two_user_threads_share_the_pool(self):
+        """Two threads each run an attention sublayer forward and backward
+        ten times at once on a three-thread pool: each gets its serial bits,
+        and neither waits on the other for good."""
+        cases = [sliced_op_case("attention_sublayer", np.random.default_rng(seed))
+                 for seed in (65, 66)]
+        with sliced_on(1):
+            serial = [forward_and_gradients(*case) for case in cases]
+        got = [[], []]
+
+        def user(i):
+            for _ in range(10):
+                got[i].append(forward_and_gradients(*cases[i]))
+
+        with sliced_on(3), switching_every_microsecond():
+            run_threads(lambda: user(0), lambda: user(1))
+        for runs, want in zip(got, serial):
+            assert len(runs) == 10
+            for run in runs:
+                for a, b in zip(run, want):
+                    np.testing.assert_array_equal(a, b)
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_makes_a_pool_of_its_own(self):
+        """A child forked after the pool was made has none of its threads:
+        its sliced ops run on a new pool and give the parent's bits, where
+        the parent's pool would leave them waiting for good (ended after
+        30 s here)."""
+        src = os.path.dirname(os.path.dirname(tensor.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", FORKED_SLICES], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]
+
+
+# A layer norm sliced on a two-thread pool, then again in a forked child;
+# prints the child's exit code: 0 when it ran and gave the parent's bits,
+# -14 when it waited 30 s and was ended by SIGALRM.
+FORKED_SLICES = """
+import os, signal
+import numpy as np
+from doclink import tensor
+
+tensor.usable_cpus, tensor.THREADED_PASS_VALUES = (lambda: 2), 1
+x = np.random.default_rng(0).normal(size=(4, 3, 5))
+gain, bias = tensor.Tensor(np.ones(5)), tensor.Tensor(np.zeros(5))
+want = tensor.layernorm(x, gain, bias).data
+assert tensor._pool[0] == 2
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    os._exit(0 if np.array_equal(tensor.layernorm(x, gain, bias).data, want) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+class TestOneBlasThread:
+    """one_blas_thread pins numpy's OpenBLAS to one thread for a block and
+    gives the count back once the last overlapping block ends."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """A stand-in OpenBLAS at three threads; the list holds its count."""
+        count = [3]
+        functions = {"get": lambda: count[0], "set": lambda n: count.__setitem__(0, n)}
+        monkeypatch.setattr(tensor, "_openblas", functions.get)
+        return count
+
+    def test_the_count_comes_back_when_the_block_raises(self, blas):
+        with pytest.raises(RuntimeError, match="boom"):
+            with tensor.one_blas_thread():
+                assert tensor.blas_threads() == blas[0] == 1
+                raise RuntimeError("boom")
+        assert blas[0] == 3
+
+    def test_overlapping_blocks_restore_the_count_once(self, blas):
+        """Block a enters, then b; a leaves, then b: one thread until b ends."""
+        a, b = tensor.one_blas_thread(), tensor.one_blas_thread()
+        a.__enter__()
+        b.__enter__()
+        a.__exit__(None, None, None)
+        assert blas[0] == 1
+        b.__exit__(None, None, None)
+        assert blas[0] == 3
+
+    def test_as_a_decorator_each_call_pins(self, blas):
+        @tensor.one_blas_thread()
+        def inside():
+            return tensor.blas_threads()
+
+        assert [inside(), inside(), blas[0]] == [1, 1, 3]
+
+    def test_without_a_setter_nothing_changes(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_openblas", lambda verb: None)
+        with tensor.one_blas_thread():
+            assert tensor.blas_threads() == 1
 
 
 def reference_backward(loss: Tensor) -> None:

@@ -350,16 +350,17 @@ def test_steps_reuse_the_pages_of_the_last():
 
 
 # One training step at the ``pipeline`` shape, then three encodings of a
-# 33-document split on two worker threads, printing each one's minor page faults.
+# 33-document split with the image tower's ops sliced on two pool threads,
+# printing each one's minor page faults.
 FAULTS_PER_ENCODE = """
-import json, resource
-from doclink import encoder, trainer
+import json, resource, threading
+from doclink import encoder, tensor, trainer
 from doclink.corpus import SynthConfig, generate_synthetic
 from doclink.encoder import ModelConfig
 from doclink.objective import ObjectiveConfig
 from doclink.rng import RngStream
 
-encoder.usable_cpus = lambda: 2 * encoder.blas_threads()
+tensor.usable_cpus = lambda: 2
 corpus = generate_synthetic(SynthConfig(
     train_docs=11, val_docs=0, test_docs=33, sentences_per_doc=8, images_per_doc=6,
     vocab_size=400, obj_dim=64, objects_per_image=36, sentence_len=10,
@@ -368,23 +369,32 @@ model = ModelConfig(vocab_size=400, obj_dim=64, embed_dim=64, sentence_layers=1,
                     image_layers=1, heads=4, word_dim=32, max_sentence_len=16)
 params = trainer.train(corpus, model, ObjectiveConfig(),
                        trainer.TrainConfig(batch_size=11, max_epochs=1)).params
-assert encoder.check_fit(corpus, corpus.split_documents("test"), model)[1] >= (
-    encoder.THREADED_PASS_VALUES)
+pool_threads, sliced = set(), tensor._sliced
+
+def spied(fn, shape):
+    def recorded(*part):
+        if threading.current_thread() is not threading.main_thread():
+            pool_threads.add(threading.get_ident())
+        return fn(*part)
+    return sliced(recorded, shape)
+
+tensor._sliced = spied
 faults = []
 for _ in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     encoder.split_representations(corpus, "test", params, model)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+assert len(pool_threads) == 2, pool_threads
 print(json.dumps(faults))
 """
 
 
 @pytest.mark.skipif(not on_glibc(), reason="the allocator is set on glibc only")
 def test_threaded_encode_reuses_the_pages_training_freed():
-    """The worker threads of a split's encoding allocate from the one heap
+    """The pool threads that run a split's slices allocate from the one heap
     that holds the pages a training step freed: three encodings take under
-    2,000 minor faults together, mostly their threads' stacks and buffers.
-    With an arena per thread, the first alone takes about 9,000."""
+    2,000 minor faults together, mostly their buffers.  With an arena per
+    thread, the first alone takes thousands more."""
     done = subprocess.run([sys.executable, "-c", FAULTS_PER_ENCODE],
                           env=subprocess_env(PYTHONMALLOC="malloc", OPENBLAS_NUM_THREADS="1"),
                           capture_output=True, text=True, timeout=120)
@@ -445,6 +455,27 @@ def test_training_bytes_are_pinned(shape):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == pinned
+
+
+def test_training_bytes_do_not_depend_on_openblas_threads():
+    """At OPENBLAS_NUM_THREADS=2 the pipeline shape's two epochs hash as the
+    one-thread pin, because train runs OpenBLAS on one thread; once train
+    returns, or raises, OpenBLAS runs on two threads again."""
+    synth, model, pinned = PINNED_TRAINING["pipeline"]
+    script = TWO_EPOCHS + """
+from doclink.tensor import blas_threads
+after = [blas_threads()]
+try:
+    train(corpus, config, ObjectiveConfig(), TrainConfig(), resume_from="no-such-checkpoint")
+except FileNotFoundError:
+    after.append(blas_threads())
+print(*after)
+"""
+    done = subprocess.run([sys.executable, "-c", script, json.dumps([synth, model])],
+                          env=subprocess_env(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [pinned, "2 2"]
 
 
 class TestTrainLoop:
